@@ -516,39 +516,33 @@ class LimitResult:
     projections: Mapping[str, IntMatrix]  # generator-level maps to each vertex
 
 
-class _PresData:
-    """Per-vertex generator counts and relation lattices for a limit run."""
-
-    def __init__(self, vertices: Sequence[str], ngens: Mapping[str, int], presentations: Mapping[str, IntMatrix]):
-        self.vertices = list(vertices)
-        self.ngens = dict(ngens)
-        self.presentations = dict(presentations)
-
-
 def _limit_on_presentations(
-    gd: _PresData, arrows: Sequence[tuple[str, str, IntMatrix]]
+    order: Sequence[str],
+    ngens: Mapping[str, int],
+    presentations: Mapping[str, IntMatrix],
+    arrows: Sequence[tuple[str, str, IntMatrix]],
 ) -> LimitResult:
-    """Limit of groups given by presentations: x over the product lies in the
-    limit iff every arrow defect M_a x_src - x_tgt falls in the target
-    relation lattice; the product relations are then read in a basis of that
-    solution lattice and put in invariant-factor form."""
-    order = gd.vertices
+    """Limit of groups given by presentations (per-vertex generator counts
+    and relation lattices): x over the product lies in the limit iff every
+    arrow defect M_a x_src - x_tgt falls in the target relation lattice; the
+    product relations are then read in a basis of that solution lattice and
+    put in invariant-factor form."""
     offs: dict[str, int] = {}
     n = 0
     for v in order:
         offs[v] = n
-        n += gd.ngens[v]
-    rel = _blockdiag([gd.presentations[v] for v in order])
+        n += ngens[v]
+    rel = _blockdiag([presentations[v] for v in order])
     defect_rows: list[list[int]] = []
     tgt_rels: list[IntMatrix] = []
     for src, tgt, m in arrows:
-        for i in range(gd.ngens[tgt]):
+        for i in range(ngens[tgt]):
             row = [0] * n
-            for j in range(gd.ngens[src]):
+            for j in range(ngens[src]):
                 row[offs[src] + j] += m.entries[i][j]
             row[offs[tgt] + i] -= 1
             defect_rows.append(row)
-        tgt_rels.append(gd.presentations[tgt])
+        tgt_rels.append(presentations[tgt])
     if defect_rows:
         phi = IntMatrix.from_rows(defect_rows, n)
         rt = _blockdiag(tgt_rels)
@@ -566,9 +560,9 @@ def _limit_on_presentations(
     group = group_from_presentation(basis.cols, rel_in_basis)
     projections = {
         v: IntMatrix(
-            gd.ngens[v],
+            ngens[v],
             basis.cols,
-            tuple(basis.entries[offs[v] + i] for i in range(gd.ngens[v])),
+            tuple(basis.entries[offs[v] + i] for i in range(ngens[v])),
         )
         for v in order
     }
@@ -578,12 +572,12 @@ def _limit_on_presentations(
 def limit_of_groups(diagram: GroupDiagram) -> LimitResult:
     """The categorical limit: tuples over the product equalized along every
     arrow, presented in invariant-factor form."""
-    gd = _PresData(
+    return _limit_on_presentations(
         diagram.vertices,
         {v: diagram.groups[v].ngens for v in diagram.vertices},
         {v: diagram.groups[v].presentation() for v in diagram.vertices},
+        [(a.src, a.tgt, a.matrix) for a in diagram.arrows],
     )
-    return _limit_on_presentations(gd, [(a.src, a.tgt, a.matrix) for a in diagram.arrows])
 
 
 # ---------------------------------------------------------------------------
@@ -769,12 +763,6 @@ def graded_limit(
             )
             for v in diagram.vertices
         }
-        vertex_groups = {
-            v: FgAbGroup.zero().direct_sum(
-                *(diagram.groups[v].pieces[z] for z in fibers[v])
-            )
-            for v in diagram.vertices
-        }
         # a canonicalization subtlety: the fiber direct sum must be presented
         # with the grades' own generators, not re-normalized invariants, so
         # the restricted arrow blocks stay literal
@@ -796,19 +784,20 @@ def graded_limit(
                     coff += diagram.groups[a.src].pieces[x].ngens
                 roff += diagram.groups[a.tgt].pieces[y].ngens
             arrows.append((a, IntMatrix.from_rows(out, cols)))
-        gd = _fiber_presentations(diagram, fibers)
-        res = _limit_on_presentations(gd, [(a.src, a.tgt, m) for a, m in arrows])
+        res = _limit_on_presentations(
+            *_fiber_presentations(diagram, fibers),
+            [(a.src, a.tgt, m) for a, m in arrows],
+        )
         piece_results[w] = res
         pieces[w] = res.group
     graded = GradedGroup(colimit_index, pieces)
 
     # ungraded limit computed on the literal total presentations
-    gd_total = _fiber_presentations(
-        diagram,
-        {v: tuple(diagram.groups[v].index.elements) for v in diagram.vertices},
-    )
     ungraded = _limit_on_presentations(
-        gd_total,
+        *_fiber_presentations(
+            diagram,
+            {v: tuple(diagram.groups[v].index.elements) for v in diagram.vertices},
+        ),
         [(a.src, a.tgt, a.hom.total_matrix()) for a in diagram.arrows],
     ).group
     summed = FgAbGroup.zero().direct_sum(*pieces.values())
@@ -822,8 +811,10 @@ def graded_limit(
 
 def _fiber_presentations(
     diagram: GradedDiagram, fibers: Mapping[str, tuple[str, ...]]
-) -> _PresData:
-    return _PresData(
+) -> tuple[Sequence[str], dict[str, int], dict[str, IntMatrix]]:
+    """(vertex order, generator counts, relation lattices) of the fiber
+    direct sums."""
+    return (
         diagram.vertices,
         {
             v: sum(diagram.groups[v].pieces[z].ngens for z in fibers[v])

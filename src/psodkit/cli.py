@@ -38,7 +38,7 @@ from .preorders import (
     pushout,
     verify_colimit,
 )
-from .strata import strata_from_atlas, validate
+from .strata import strata_from_atlas
 
 
 def _read(path: str) -> str:
@@ -178,9 +178,6 @@ def _cmd_psod(cfg: Config, args: argparse.Namespace) -> int:
     sub = args.subcommand
     if sub == "build":
         strat = _load_stratification(args.inputs[0])
-        problems = validate(strat)
-        if problems:
-            raise InputError("invalid stratification: " + "; ".join(problems))
         psod = build_root_psod(strat, args.root, cfg.caps, totalize=cfg.totalize)
         _emit(cfg, docs.psod_to_doc(psod), _render_psod(psod))
     elif sub == "infinite":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import CapExceededError, InputError
 
@@ -53,6 +53,3 @@ class Config:
     def __post_init__(self) -> None:
         if self.output not in ("human", "machine"):
             raise InputError(f"unknown output mode {self.output!r}")
-
-    def with_caps(self, **kwargs: int) -> "Config":
-        return replace(self, caps=replace(self.caps, **kwargs))

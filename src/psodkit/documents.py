@@ -64,11 +64,11 @@ def preorder_from_doc(doc: Mapping) -> FinitePreorder:
     leq = _need(doc, "leq", "preorder")
     if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
         raise ParseError("preorder elements must be strings")
-    if not isinstance(leq, list):
-        raise ParseError("preorder leq must be a matrix")
-    return FinitePreorder(
-        tuple(elements), tuple(tuple(bool(v) for v in row) for row in leq)
-    )
+    if not isinstance(leq, list) or not all(
+        isinstance(row, list) and all(isinstance(v, bool) for v in row) for row in leq
+    ):
+        raise ParseError("preorder leq must be a matrix of booleans")
+    return FinitePreorder(tuple(elements), tuple(tuple(row) for row in leq))
 
 
 def map_to_doc(m: OrderReflectingMap) -> dict:

@@ -12,9 +12,10 @@ produces the direct-sum bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .abelian import (
     FgAbGroup,
@@ -30,11 +31,12 @@ from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, PreconditionError
 from .factorial import (
     CharTuple,
-    build_zdr_stratified,
-    cmp_bang,
+    componentwise_le,
+    deepest_first,
     enumerate_characters,
-    LESS,
-    EQUAL,
+    leq_bang,
+    starred_tuples,
+    stratified_blocks,
 )
 from .preorders import (
     DirectednessReport,
@@ -135,6 +137,28 @@ def totalize_index(psod: PsodIndex) -> PsodIndex:
 # root construction builders
 
 
+def _stratified_psod(
+    strat: Stratification,
+    characters: Callable[[int], Sequence[CharTuple]],
+    same_block_le: Callable[[CharTuple, CharTuple], bool],
+    caps: Caps,
+    what: str,
+    notes: dict[str, str],
+    totalize: bool,
+) -> PsodIndex:
+    """One character block per stratum, deeper codimension first, with each
+    factor targeting the stratum's normalization."""
+    index, entries = stratified_blocks(
+        [(s.id, s.codim) for s in strat.strata], characters, same_block_le, caps, what
+    )
+    factors = {
+        label: FactorDescriptor(sid, chi, perf_label(strat.by_id[sid]))
+        for label, (sid, _, chi) in zip(index.elements, entries)
+    }
+    out = PsodIndex(index, factors, notes)
+    return totalize_index(out) if totalize else out
+
+
 def build_root_psod(
     strat: Stratification, r: int, caps: Caps = DEFAULT_CAPS, totalize: bool = False
 ) -> PsodIndex:
@@ -145,25 +169,23 @@ def build_root_psod(
     require_valid(strat)
     if r < 1:
         raise InputError("r must be at least 1")
-    index = build_zdr_stratified([(s.id, s.codim) for s in strat.strata], r, caps)
-    factors: dict[str, FactorDescriptor] = {}
-    for label in index.elements:
-        sid, _, chars = label.partition(":")
-        stratum = strat.by_id[sid]
-        factors[label] = FactorDescriptor(sid, CharTuple.parse(chars), perf_label(stratum))
-    out = PsodIndex(
-        index,
-        factors,
-        {
-            "kind": "root",
-            "r": str(r),
-            # counts follow the starred-character convention; other sources
-            # quote r*codim factors per stratum, which is not what this index
-            # carries
-            "count_convention": "(r-1)^codim factors per stratum",
-        },
+    notes = {
+        "kind": "root",
+        "r": str(r),
+        # counts follow the starred-character convention; other sources
+        # quote r*codim factors per stratum, which is not what this index
+        # carries
+        "count_convention": "(r-1)^codim factors per stratum",
+    }
+    return _stratified_psod(
+        strat,
+        lambda k: starred_tuples(k, r, caps),
+        componentwise_le,
+        caps,
+        "divisor index",
+        notes,
+        totalize,
     )
-    return totalize_index(out) if totalize else out
 
 
 def build_infinite_psod(
@@ -179,32 +201,6 @@ def build_infinite_psod(
     untruncated index has countably many characters per positive-codimension
     stratum, recorded symbolically in the annotations."""
     require_valid(strat)
-    order = sorted(
-        strat.strata, key=lambda s: (-s.codim, [t.id for t in strat.strata].index(s.id))
-    )
-    entries: list[tuple[Stratum, CharTuple]] = []
-    for s in order:
-        for chi in enumerate_characters(s.codim, max_level, coprime_to, caps):
-            entries.append((s, chi))
-    caps.check_carrier(len(entries), "truncated index")
-    labels = [f"{s.id}:{chi}" for s, chi in entries]
-    n = len(entries)
-    leq = [[False] * n for _ in range(n)]
-    for i, (si, ci) in enumerate(entries):
-        for j, (sj, cj) in enumerate(entries):
-            if i == j:
-                leq[i][j] = True
-            elif si.codim != sj.codim:
-                leq[i][j] = si.codim > sj.codim
-            elif si.id != sj.id:
-                leq[i][j] = True
-            else:
-                leq[i][j] = cmp_bang(ci, cj, caps) in (LESS, EQUAL)
-    index = FinitePreorder(tuple(labels), tuple(tuple(row) for row in leq))
-    factors = {
-        lbl: FactorDescriptor(s.id, chi, perf_label(s))
-        for lbl, (s, chi) in zip(labels, entries)
-    }
     notes = {
         "kind": "infinite-truncation",
         "max_level": str(max_level),
@@ -213,8 +209,15 @@ def build_infinite_psod(
     if coprime_to is not None:
         notes["kind"] = "kummer-etale-truncation"
         notes["coprime_to"] = str(coprime_to)
-    out = PsodIndex(index, factors, notes)
-    return totalize_index(out) if totalize else out
+    return _stratified_psod(
+        strat,
+        lambda k: enumerate_characters(k, max_level, coprime_to, caps),
+        functools.partial(leq_bang, caps=caps),
+        caps,
+        "truncated index",
+        notes,
+        totalize,
+    )
 
 
 def restrict_to_denominators(psod: PsodIndex, r: int) -> PsodIndex:
@@ -456,22 +459,6 @@ class KTheoryReport:
         return self.total.rank
 
 
-def attach_kdata(
-    psod: PsodIndex, strat: Stratification, kdata: Mapping[str, FgAbGroup]
-) -> PsodIndex:
-    """Fill each factor's K-data with K of its stratum's normalization
-    (the direct sum of the component groups)."""
-    missing = [c for c in strat.all_components() if c not in kdata]
-    if missing:
-        raise InputError(f"kdata missing for normalization components {missing}")
-    factors = {}
-    for x, f in psod.factors.items():
-        stratum = strat.by_id[f.stratum_id]
-        group = FgAbGroup.zero().direct_sum(*(kdata[c] for c in stratum.norm_components))
-        factors[x] = FactorDescriptor(f.stratum_id, f.character, f.target_label, group)
-    return PsodIndex(psod.index, factors, dict(psod.annotations))
-
-
 def _char_count(codim: int, mode: KTheoryMode, caps: Caps) -> tuple[int, str]:
     if mode.kind == "finite":
         return (mode.r - 1) ** codim, f"({mode.r}-1)^{codim}"
@@ -504,11 +491,8 @@ def ktheory_report(
     ambient = strat.ambient()
     ambient_k = FgAbGroup.zero().direct_sum(*(kdata[c] for c in ambient.norm_components))
     rows: list[KTheoryRow] = []
-    order = sorted(
-        (s for s in strat.strata if s.codim > 0),
-        key=lambda s: (-s.codim, [t.id for t in strat.strata].index(s.id)),
-    )
-    for s in order:
+    for sid, _ in deepest_first((s.id, s.codim) for s in strat.strata if s.codim > 0):
+        s = strat.by_id[sid]
         summand = FgAbGroup.zero().direct_sum(*(kdata[c] for c in s.norm_components))
         count, symbolic = _char_count(s.codim, mode, caps)
         rows.append(

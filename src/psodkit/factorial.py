@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
@@ -290,6 +290,17 @@ def _product_tuples(
     return [CharTuple(t) for t in itertools.product(values, repeat=k)]
 
 
+def starred_tuples(k: int, r: int, caps: Caps = DEFAULT_CAPS) -> list[CharTuple]:
+    """All k-tuples of nonzero elements of Z_r: one character block of the
+    r-th root construction over a codimension-k stratum."""
+    return _product_tuples(zr_elements(r, True), k, caps, "divisor index")
+
+
+def componentwise_le(chi: CharTuple, psi: CharTuple) -> bool:
+    """The standard order of Z_r in every coordinate."""
+    return all(a <= b for a, b in zip(chi.components, psi.components))
+
+
 def build_zkr(
     k: int, r: int, starred: bool = False, caps: Caps = DEFAULT_CAPS
 ) -> FinitePreorder:
@@ -299,22 +310,19 @@ def build_zkr(
         raise InputError("k must be non-negative")
     tuples = _product_tuples(zr_elements(r, starred), k, caps, "character block")
     labels = tuple(str(t) for t in tuples)
-    leq = tuple(
-        tuple(
-            all(a <= b for a, b in zip(s.components, t.components)) for t in tuples
-        )
-        for s in tuples
-    )
+    leq = tuple(tuple(componentwise_le(s, t) for t in tuples) for s in tuples)
     return FinitePreorder(labels, leq)
 
 
 def _char_blocks_leq(
-    blocks: Sequence[tuple[str, int, CharTuple]],
-    same_block_le,
+    blocks: Sequence[tuple[Optional[str], int, CharTuple]],
+    same_block_le: Callable[[CharTuple, CharTuple], bool],
 ) -> FinitePreorder:
     """Assemble a divisor-index preorder from (block id, codim, character)
     entries: deeper codimension first, distinct blocks of equal codimension
-    related both ways, same block compared by ``same_block_le``."""
+    related both ways, same block compared by ``same_block_le``.  Entries
+    of block ``None`` are labelled by their character alone, all others
+    'block:(chars)'."""
     n = len(blocks)
     leq = [[False] * n for _ in range(n)]
     for i, (bi, ki, ci) in enumerate(blocks):
@@ -328,9 +336,38 @@ def _char_blocks_leq(
             else:
                 leq[i][j] = same_block_le(ci, cj)
     labels = tuple(
-        (f"{b}:{c}" if b else str(c)) for b, _, c in blocks
+        (str(c) if b is None else f"{b}:{c}") for b, _, c in blocks
     )
     return FinitePreorder(labels, tuple(tuple(row) for row in leq))
+
+
+def deepest_first(strata: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
+    """(stratum id, codim) pairs by decreasing codimension.  The sort is
+    stable, so strata of equal codimension keep their input order."""
+    return sorted(strata, key=lambda sk: -sk[1])
+
+
+def stratified_blocks(
+    strata: Sequence[tuple[str, int]],
+    characters: Callable[[int], Sequence[CharTuple]],
+    same_block_le: Callable[[CharTuple, CharTuple], bool],
+    caps: Caps = DEFAULT_CAPS,
+    what: str = "divisor index",
+) -> tuple[FinitePreorder, list[tuple[str, int, CharTuple]]]:
+    """One character block ``characters(codim)`` per (stratum id, codim)
+    pair in ``deepest_first`` order, assembled by ``_char_blocks_leq``;
+    returns the index and its (stratum id, codim, character) entries in
+    index order."""
+    ids = [s for s, _ in strata]
+    if len(set(ids)) != len(ids):
+        raise InputError("stratum ids must be distinct")
+    entries = [
+        (sid, k, chi)
+        for sid, k in deepest_first(strata)
+        for chi in characters(k)
+    ]
+    caps.check_carrier(len(entries), what)
+    return _char_blocks_leq(entries, same_block_le), entries
 
 
 def build_zdr(codims: Iterable[int], r: int, caps: Caps = DEFAULT_CAPS) -> FinitePreorder:
@@ -340,16 +377,12 @@ def build_zdr(codims: Iterable[int], r: int, caps: Caps = DEFAULT_CAPS) -> Finit
     if r < 1:
         raise InputError("r must be at least 1")
     nd = max(codims, default=0)
-    entries: list[tuple[str, int, CharTuple]] = []
+    entries: list[tuple[Optional[str], int, CharTuple]] = []
     for k in range(nd, -1, -1):
-        for t in _product_tuples(zr_elements(r, True), k, caps, "divisor index"):
-            entries.append(("", k, t))
+        for t in starred_tuples(k, r, caps):
+            entries.append((None, k, t))
     caps.check_carrier(len(entries), "divisor index")
-
-    def same(ci: CharTuple, cj: CharTuple) -> bool:
-        return all(a <= b for a, b in zip(ci.components, cj.components))
-
-    return _char_blocks_leq(entries, same)
+    return _char_blocks_leq(entries, componentwise_le)
 
 
 def build_zdr_stratified(
@@ -360,19 +393,9 @@ def build_zdr_stratified(
     strata are related both ways (their factors direct-sum)."""
     if r < 1:
         raise InputError("r must be at least 1")
-    ids = [s for s, _ in strata]
-    if len(set(ids)) != len(ids):
-        raise InputError("stratum ids must be distinct")
-    entries: list[tuple[str, int, CharTuple]] = []
-    for sid, k in sorted(strata, key=lambda sk: (-sk[1], ids.index(sk[0]))):
-        for t in _product_tuples(zr_elements(r, True), k, caps, "divisor index"):
-            entries.append((sid, k, t))
-    caps.check_carrier(len(entries), "divisor index")
-
-    def same(ci: CharTuple, cj: CharTuple) -> bool:
-        return all(a <= b for a, b in zip(ci.components, cj.components))
-
-    return _char_blocks_leq(entries, same)
+    return stratified_blocks(
+        strata, lambda k: starred_tuples(k, r, caps), componentwise_le, caps
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +415,8 @@ def enumerate_characters(
 
     ``coprime_to`` keeps only characters whose denominators avoid that prime.
     """
+    if k < 0:
+        raise InputError("k must be non-negative")
     if max_level < 2:
         raise InputError("max_level must be at least 2")
     caps.check_level(max_level)

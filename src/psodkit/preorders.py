@@ -151,10 +151,10 @@ def discrete_preorder(labels: Sequence[str]) -> FinitePreorder:
     return FinitePreorder(labels, tuple(tuple(i == j for j in range(n)) for i in range(n)))
 
 
-def generated_preorder(
+def _closure_masks(
     elements: Sequence[str], pairs: Iterable[tuple[str, str]]
-) -> FinitePreorder:
-    """Reflexive-transitive closure of the given generating pairs."""
+) -> list[int]:
+    """Row bitmasks of the reflexive-transitive closure of the pairs."""
     idx = {x: i for i, x in enumerate(elements)}
     n = len(elements)
     rows = [1 << i for i in range(n)]
@@ -175,6 +175,15 @@ def generated_preorder(
             if acc != rows[i]:
                 rows[i] = acc
                 changed = True
+    return rows
+
+
+def generated_preorder(
+    elements: Sequence[str], pairs: Iterable[tuple[str, str]]
+) -> FinitePreorder:
+    """Reflexive-transitive closure of the given generating pairs."""
+    rows = _closure_masks(elements, pairs)
+    n = len(elements)
     return FinitePreorder(
         tuple(elements),
         tuple(tuple(bool(rows[i] >> j & 1) for j in range(n)) for i in range(n)),
@@ -191,11 +200,7 @@ def is_order_reflecting(
     """True iff target comparability of images implies source comparability."""
     if set(mapping) != set(source.elements):
         raise InputError("map must be total on the source carrier")
-    for x in source.elements:
-        for y in source.elements:
-            if target.le(mapping[x], mapping[y]) and not source.le(x, y):
-                return False
-    return True
+    return _reflection_witness(source, target, mapping) is None
 
 
 def _reflection_witness(
@@ -346,9 +351,12 @@ class ColimitResult:
     cocones: Mapping[str, OrderReflectingMap]
 
 
-class _UnionFind:
-    def __init__(self, items: Sequence):
-        self.parent = {x: x for x in items}
+class _Classes:
+    """Union-find specialized to hashable nodes with deterministic class order."""
+
+    def __init__(self, nodes: Sequence):
+        self.nodes = list(nodes)
+        self.parent = {x: x for x in nodes}
 
     def find(self, x):
         while self.parent[x] != x:
@@ -360,6 +368,14 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+
+    def classes(self) -> list[tuple]:
+        """The classes ordered by their first member in node order, members
+        in node order (a dict keeps the order in which classes first appear)."""
+        groups: dict = {}
+        for x in self.nodes:
+            groups.setdefault(self.find(x), []).append(x)
+        return [tuple(g) for g in groups.values()]
 
 
 def _class_labels(classes: Sequence[Sequence[tuple[str, str]]]) -> list[str]:
@@ -379,22 +395,10 @@ def _quotient_preorder(
     """Quotient the disjoint union of the parts and equip it with the rule
     'z <= z'' iff every same-part preimage pair is related'."""
     nodes = [(v, x) for v in part_order for x in parts[v].elements]
-    uf = _UnionFind(nodes)
+    uf = _Classes(nodes)
     for a, b in identifications:
         uf.union(a, b)
-    reps: dict = {}
-    classes: list[list[tuple[str, str]]] = []
-    node_pos = {nd: i for i, nd in enumerate(nodes)}
-    for nd in nodes:
-        r = uf.find(nd)
-        if r not in reps:
-            reps[r] = len(classes)
-            classes.append([])
-        classes[reps[r]].append(nd)
-    # deterministic: classes ordered by their first member in carrier order,
-    # members in carrier order
-    order = sorted(range(len(classes)), key=lambda c: node_pos[classes[c][0]])
-    classes = [sorted(classes[c], key=lambda nd: node_pos[nd]) for c in order]
+    classes = uf.classes()
     labels = _class_labels(classes)
     cls_of = {nd: i for i, cls in enumerate(classes) for nd in cls}
 

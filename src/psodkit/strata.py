@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, PreconditionError
-from .preorders import FinitePreorder, generated_preorder
+from .preorders import FinitePreorder, _Classes, _closure_masks, generated_preorder
 
 
 @dataclass(frozen=True)
@@ -66,22 +66,13 @@ class Stratification:
         return {s.id: s for s in self.strata}
 
     @cached_property
-    def _closure_rows(self) -> dict[str, set[str]]:
+    def _closure_rows(self) -> dict[str, tuple[str, ...]]:
+        # tuples in stratum order, so validation reports in a fixed order
         ids = [s.id for s in self.strata]
-        reach = {i: {i} for i in ids}
-        for a, b in self.closure:
-            reach[a].add(b)
-        changed = True
-        while changed:
-            changed = False
-            for i in ids:
-                extra = set()
-                for j in reach[i]:
-                    extra |= reach[j]
-                if not extra <= reach[i]:
-                    reach[i] |= extra
-                    changed = True
-        return reach
+        return {
+            i: tuple(t for j, t in enumerate(ids) if mask >> j & 1)
+            for i, mask in zip(ids, _closure_masks(ids, self.closure))
+        }
 
     def contained_in_closure(self, sub: str, sup: str) -> bool:
         return sup in self._closure_rows[sub]
@@ -203,34 +194,6 @@ class ChartAtlas:
                     raise InputError(f"overlap maps unknown branch {a!r} of {o.chart_a!r}")
                 if b not in by_id[o.chart_b].branches:
                     raise InputError(f"overlap targets unknown branch {b!r} of {o.chart_b!r}")
-
-
-class _Classes:
-    """Union-find specialized to hashable nodes with deterministic class order."""
-
-    def __init__(self, nodes: Sequence):
-        self.nodes = list(nodes)
-        self.parent = {x: x for x in nodes}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def classes(self) -> list[tuple]:
-        pos = {x: i for i, x in enumerate(self.nodes)}
-        groups: dict = {}
-        for x in self.nodes:
-            groups.setdefault(self.find(x), []).append(x)
-        out = [tuple(sorted(g, key=pos.__getitem__)) for g in groups.values()]
-        out.sort(key=lambda g: pos[g[0]])
-        return out
 
 
 def strata_from_atlas(

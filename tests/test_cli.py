@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from psodkit import documents as docs
 from psodkit.cli import main
 from psodkit.preorders import (
@@ -130,6 +132,21 @@ def test_malformed_document_exits_1(capsys, tmp_path):
     assert code == 1 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"elements": ["a"], "leq": [1]},
+        {"elements": ["a"], "leq": [["no"]]},
+        {"elements": ["a", "b"], "leq": [[True, 1], [0, True]]},
+    ],
+)
+def test_directed_rejects_non_boolean_relation(capsys, tmp_path, doc):
+    path = write(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, "preorder", "directed", path)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: preorder leq must be a matrix of booleans"]
+
+
 # ---------------------------------------------------------------------------
 # order commands
 
@@ -160,6 +177,8 @@ def test_order_enumerate(capsys):
 def test_order_cmp_arity_mismatch_exits_2(capsys):
     code, _, err = run(capsys, "order", "cmp", "--", "-1/2", "(-1/2,-1/2)")
     assert code == 2 and "equal length" in err
+    code, _, err = run(capsys, "order", "enumerate", "--arity", "-1", "--level", "3")
+    assert code == 2 and err.splitlines() == ["error: k must be non-negative"]
 
 
 def test_caps_flag_enforced(capsys):
@@ -201,6 +220,38 @@ def test_psod_build_from_atlas(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "psod", "build", path, "--root", "2")
     assert code == 0 and out.strip().splitlines()[0].startswith("3 factors")
+
+
+@pytest.mark.parametrize("sid", ["D:1", ""])
+def test_psod_build_stratum_id_with_colon_or_empty(capsys, tmp_path, sid):
+    sd = {
+        "strata": [
+            {"id": "X", "codim": 0, "norm_components": ["X"]},
+            {"id": sid, "codim": 1, "norm_components": ["D~"]},
+        ],
+        "closure": [[sid, "X"]],
+    }
+    path = write(tmp_path, "sd.json", sd)
+    code, out, _ = run(capsys, "--output", "machine", "psod", "build", path, "--root", "3")
+    assert code == 0
+    psod = docs.psod_from_doc(json.loads(out))
+    assert psod.index.elements == (f"{sid}:(-2/3)", f"{sid}:(-1/3)", "X:()")
+    assert [f.stratum_id for f in psod.factors.values()] == [sid, sid, "X"]
+
+
+def test_psod_build_invalid_stratification_exits_2(capsys, tmp_path):
+    sd = {
+        "strata": [
+            {"id": "X", "codim": 0, "norm_components": ["X"]},
+            {"id": "Y", "codim": 0, "norm_components": ["Y"]},
+        ],
+    }
+    path = write(tmp_path, "sd.json", sd)
+    code, out, err = run(capsys, "psod", "build", path)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: invalid stratification: expected exactly one codim-0 stratum, found 2"
+    ]
 
 
 def test_psod_infinite(capsys, tmp_path):

@@ -36,6 +36,18 @@ def test_codim_monotonicity_violation():
     assert any("monotonicity" in v for v in validate(s))
 
 
+def test_violations_reported_in_stratum_order():
+    ids = "ABCDEFGH"
+    s = Stratification(
+        (Stratum("X", 0, ("X",)), *(Stratum(i, 1, (f"{i}~",)) for i in ids)),
+        tuple(("A", i) for i in ids[1:]) + tuple((i, "X") for i in ids),
+    )
+    assert validate(s) == [
+        f"closure violates codimension monotonicity: A (codim 1) inside closure of {i} (codim 1)"
+        for i in ids[1:]
+    ]
+
+
 def test_missing_top_closure_is_a_violation():
     s = Stratification(
         (Stratum("X", 0, ("X",)), Stratum("D", 1, ("D",))),
