@@ -96,10 +96,7 @@ def _cmd_preorder(cfg: Config, args: argparse.Namespace) -> int:
         }
         _emit(cfg, doc, _render_preorder(res.preorder))
     elif sub == "verify":
-        body = _load(args.inputs[0])
-        diagram = docs.diagram_from_doc(body["diagram"])
-        candidate = docs.preorder_from_doc(body["candidate"])
-        cocones = body["cocones"]
+        diagram, candidate, cocones = docs.verify_request_from_doc(_load(args.inputs[0]))
         res = verify_colimit(diagram, candidate, cocones, cfg.caps)
         _emit(cfg, docs.verify_to_doc(res), "verified" if res.ok else f"failed: {res.reason}")
     elif sub == "directed":

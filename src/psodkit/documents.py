@@ -52,6 +52,12 @@ def _need(doc: Mapping, key: str, what: str) -> Any:
     return doc[key]
 
 
+def _label_map(doc: Any, what: str) -> dict[str, str]:
+    if not isinstance(doc, dict) or not all(isinstance(y, str) for y in doc.values()):
+        raise ParseError(f"{what} must map labels to labels")
+    return doc
+
+
 # -- preorders ---------------------------------------------------------------
 
 
@@ -83,7 +89,7 @@ def map_from_doc(doc: Mapping) -> OrderReflectingMap:
     return OrderReflectingMap(
         preorder_from_doc(_need(doc, "source", "map")),
         preorder_from_doc(_need(doc, "target", "map")),
-        dict(_need(doc, "map", "map")),
+        _label_map(_need(doc, "map", "map"), "map"),
     )
 
 
@@ -105,31 +111,54 @@ def diagram_to_doc(d: PreorderDiagram) -> dict:
 
 
 def diagram_from_doc(doc: Mapping) -> PreorderDiagram:
-    vertices = list(_need(doc, "vertices", "diagram"))
-    pre = {
-        v: preorder_from_doc(p)
-        for v, p in _need(doc, "preorders", "diagram").items()
-    }
+    vertices = _need(doc, "vertices", "diagram")
+    preorders = _need(doc, "preorders", "diagram")
+    arrow_docs = doc.get("arrows", [])
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise ParseError("diagram vertices must be a list of strings")
+    if not isinstance(preorders, dict):
+        raise ParseError("diagram preorders must be an object keyed by vertex")
+    if not isinstance(arrow_docs, list):
+        raise ParseError("diagram arrows must be a list")
+    pre = {v: preorder_from_doc(p) for v, p in preorders.items()}
     arrows = []
-    for a in doc.get("arrows", []):
+    for a in arrow_docs:
         name = _need(a, "name", "arrow")
         src, tgt = _need(a, "src", "arrow"), _need(a, "tgt", "arrow")
         orientation = a.get("orientation", COVARIANT)
         if orientation not in (COVARIANT, CONTRAVARIANT):
             raise ParseError(f"unknown orientation {orientation!r}")
         s, t = (src, tgt) if orientation == COVARIANT else (tgt, src)
-        if s not in pre or t not in pre:
+        if not all(isinstance(x, str) and x in pre for x in (s, t)):
             raise ParseError(f"arrow {name!r} mentions unknown vertices")
         arrows.append(
             DiagramArrow(
                 name,
                 src,
                 tgt,
-                OrderReflectingMap(pre[s], pre[t], dict(_need(a, "map", "arrow"))),
+                OrderReflectingMap(
+                    pre[s], pre[t], _label_map(_need(a, "map", "arrow"), f"arrow {name!r} map")
+                ),
                 orientation,
             )
         )
     return PreorderDiagram(tuple(vertices), pre, tuple(arrows))
+
+
+def verify_request_from_doc(
+    doc: Mapping,
+) -> tuple[PreorderDiagram, FinitePreorder, dict[str, dict[str, str]]]:
+    """Read a ``{"diagram", "candidate", "cocones"}`` document."""
+    diagram = diagram_from_doc(_need(doc, "diagram", "verify"))
+    candidate = preorder_from_doc(_need(doc, "candidate", "verify"))
+    cocones = _need(doc, "cocones", "verify")
+    if not isinstance(cocones, dict):
+        raise ParseError("verify cocones must be an object keyed by vertex")
+    for v in diagram.vertices:
+        if v not in cocones:
+            raise ParseError(f"verify cocones have no entry for vertex {v!r}")
+        _label_map(cocones[v], f"cocone at vertex {v!r}")
+    return diagram, candidate, cocones
 
 
 def verify_to_doc(v: VerifyResult) -> dict:
@@ -172,19 +201,33 @@ def stratification_to_doc(s: Stratification) -> dict:
     }
 
 
+def _stratum_from_doc(doc: Mapping) -> Stratum:
+    sid = _need(doc, "id", "stratum")
+    codim = _need(doc, "codim", "stratum")
+    comps = _need(doc, "norm_components", "stratum")
+    if not isinstance(sid, str):
+        raise ParseError("stratum id must be a string")
+    if type(codim) is not int:
+        raise ParseError(f"stratum {sid!r}: codim must be an integer")
+    if not isinstance(comps, list) or not all(isinstance(c, str) for c in comps):
+        raise ParseError(f"stratum {sid!r}: norm_components must be a list of strings")
+    return Stratum(sid, codim, tuple(comps))
+
+
 def stratification_from_doc(doc: Mapping) -> Stratification:
-    strata = tuple(
-        Stratum(
-            _need(t, "id", "stratum"),
-            int(_need(t, "codim", "stratum")),
-            tuple(_need(t, "norm_components", "stratum")),
-        )
-        for t in _need(doc, "strata", "stratification")
+    strata = _need(doc, "strata", "stratification")
+    closure = doc.get("closure", [])
+    if not isinstance(strata, list):
+        raise ParseError("stratification strata must be a list")
+    if not isinstance(closure, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+        for pair in closure
+    ):
+        raise ParseError("stratification closure must be a list of pairs of stratum ids")
+    return Stratification(
+        tuple(_stratum_from_doc(t) for t in strata),
+        tuple((a, b) for a, b in closure),
     )
-    closure = tuple(
-        (pair[0], pair[1]) for pair in doc.get("closure", [])
-    )
-    return Stratification(strata, closure)
 
 
 def atlas_from_doc(doc: Mapping) -> ChartAtlas:

@@ -125,7 +125,7 @@ def test_criterion_1_factorial_order_suite():
     assert values == ["-5/6", "-1/3", "-2/3", "-1/6", "-1/2", "0"]
 
 
-@criterion(2, "colimit universal properties on all fixture diagrams", budget=60)
+@criterion(2, "colimit universal properties on all fixture diagrams", budget=15)
 def test_criterion_2_colimit_universal_properties():
     fixtures = []
 

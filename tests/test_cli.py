@@ -147,6 +147,54 @@ def test_directed_rejects_non_boolean_relation(capsys, tmp_path, doc):
     assert err.splitlines() == ["error: preorder leq must be a matrix of booleans"]
 
 
+def _point_verify_doc(**fields):
+    p = complete_preorder(["x"])
+    doc = {
+        "diagram": docs.diagram_to_doc(PreorderDiagram(("u",), {"u": p})),
+        "candidate": docs.preorder_to_doc(p),
+        "cocones": {"u": {"x": "x"}},
+    }
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([_point_verify_doc()], "verify document needs field 'diagram'"),
+        (_point_verify_doc(cocones=[1]), "verify cocones must be an object keyed by vertex"),
+        (_point_verify_doc(cocones={}), "verify cocones have no entry for vertex 'u'"),
+    ],
+)
+def test_verify_rejects_malformed_body(capsys, tmp_path, doc, message):
+    path = write(tmp_path, "verify.json", doc)
+    code, out, err = run(capsys, "preorder", "verify", path)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": 5, "preorders": {}}, "diagram vertices must be a list of strings"),
+        ({"vertices": ["u"], "preorders": []}, "diagram preorders must be an object keyed by vertex"),
+        (
+            {
+                "vertices": ["u"],
+                "preorders": {"u": docs.preorder_to_doc(complete_preorder(["x"]))},
+                "arrows": [{"name": "a", "src": "u", "tgt": "u", "map": [["x", "x"]]}],
+            },
+            "arrow 'a' map must map labels to labels",
+        ),
+    ],
+)
+def test_colimit_rejects_malformed_diagram(capsys, tmp_path, doc, message):
+    path = write(tmp_path, "diag.json", doc)
+    code, out, err = run(capsys, "preorder", "colimit", path)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 # ---------------------------------------------------------------------------
 # order commands
 
@@ -252,6 +300,27 @@ def test_psod_build_invalid_stratification_exits_2(capsys, tmp_path):
     assert err.splitlines() == [
         "error: invalid stratification: expected exactly one codim-0 stratum, found 2"
     ]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("codim", "x", "stratum 'D': codim must be an integer"),
+        ("codim", 1.7, "stratum 'D': codim must be an integer"),
+        ("norm_components", "D~", "stratum 'D': norm_components must be a list of strings"),
+    ],
+)
+def test_psod_build_rejects_coerced_stratum_fields(capsys, tmp_path, field, value, message):
+    divisor = {"id": "D", "codim": 1, "norm_components": ["D~"]}
+    divisor[field] = value
+    sd = {
+        "strata": [{"id": "X", "codim": 0, "norm_components": ["X"]}, divisor],
+        "closure": [["D", "X"]],
+    }
+    path = write(tmp_path, "sd.json", sd)
+    code, out, err = run(capsys, "psod", "build", path)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_psod_infinite(capsys, tmp_path):

@@ -1,8 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from psodkit import documents as docs
 from psodkit.errors import CapExceededError, InputError, PreconditionError
 from psodkit.preorders import (
     CONTRAVARIANT,
@@ -24,6 +28,7 @@ from psodkit.preorders import (
     pushout,
     verify_colimit,
 )
+from psodkit.preorders import _iso_key, _posets_on, _preorders_on, _set_partitions
 
 
 def chain(*labels):
@@ -368,6 +373,113 @@ def test_verify_three_element_gluing():
     assert verify_colimit(diag, out, cocone).ok
 
 
+def test_verify_rejection_witness_is_pinned():
+    # the witness names a test preorder by its rows, so it changes if the
+    # representatives of _preorders_on or their order change
+    parts = [chain("a", "b"), discrete_preorder(["c", "d"])]
+    diag = PreorderDiagram(("v0", "v1"), dict(zip(("v0", "v1"), parts)))
+    out, _ = coproduct(parts)
+    leq = [list(row) for row in out.leq]
+    leq[0][1] = False
+    candidate = FinitePreorder(out.elements, tuple(map(tuple, leq)))
+    cocone = {"v0": {"a": "a", "b": "b"}, "v1": {"c": "c", "d": "d"}}
+    res = verify_colimit(diag, candidate, cocone)
+    assert docs.verify_to_doc(res) == {
+        "ok": False,
+        "reason": "cocone has no order-reflecting factorization",
+        "witness": {
+            "q_size": 3,
+            "q_rows": [1, 2, 5],
+            "cocone": {"v0": {"a": 2, "b": 0}, "v1": {"c": 0, "d": 1}},
+            "solutions": 0,
+        },
+    }
+
+
+# ---------------------------------------------------------------------------
+# test preorders of verify_colimit
+
+
+def _oracle_preorders_on(q):
+    """Every set partition into classes with every labelled poset on the
+    classes, deduplicated by the least relabelled matrix over all q!
+    relabellings, first-seen kept."""
+    seen = set()
+    result = []
+    for part in _set_partitions(list(range(q))):
+        blocks = sorted(sorted(b) for b in part)
+        block_of = {x: bi for bi, b in enumerate(blocks) for x in b}
+        for rel in _posets_on(len(blocks)):
+            rows = tuple(
+                sum(1 << y for y in range(q) if rel[block_of[x]] >> block_of[y] & 1)
+                for x in range(q)
+            )
+            canon = min(
+                tuple(
+                    sum((rows[perm[i]] >> perm[j] & 1) << j for j in range(q))
+                    for i in range(q)
+                )
+                for perm in itertools.permutations(range(q))
+            )
+            if canon not in seen:
+                seen.add(canon)
+                result.append(rows)
+    return result
+
+
+def test_preorder_counts_match_oeis_a001930():
+    assert [len(_preorders_on(q)) for q in range(6)] == [1, 1, 3, 9, 33, 139]
+
+
+def test_preorders_on_matches_brute_force_oracle():
+    for q in range(5):
+        assert _preorders_on(q) == _oracle_preorders_on(q)
+
+
+def test_preorders_on_five_points_is_pinned():
+    digest = hashlib.sha256(repr(_preorders_on(5)).encode()).hexdigest()
+    assert digest == "1b1ac3706972b6972789cbd234b68fc4393a26d90788ec7df3c56454ede29d22"
+
+
+def test_preorders_on_five_points_pairwise_non_isomorphic():
+    nx = pytest.importorskip("networkx")
+
+    def graph(rows):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(5))
+        g.add_edges_from((i, j) for i in range(5) for j in range(5) if rows[i] >> j & 1)
+        return g
+
+    graphs = [graph(rows) for rows in _preorders_on(5)]
+    for a, b in itertools.combinations(graphs, 2):
+        assert not nx.is_isomorphic(a, b)
+
+
+@st.composite
+def _relabelled_preorders(draw):
+    q = draw(st.integers(0, 5))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)), max_size=8)
+        if q
+        else st.just([])
+    )
+    perm = draw(st.permutations(range(q)))
+    labels = [f"e{i}" for i in range(q)]
+    rows = generated_preorder(labels, [(labels[x], labels[y]) for x, y in pairs]).rows
+    moved = [0] * q
+    for x in range(q):
+        for y in range(q):
+            if rows[x] >> y & 1:
+                moved[perm[x]] |= 1 << perm[y]
+    return rows, tuple(moved)
+
+
+@given(_relabelled_preorders())
+def test_iso_key_invariant_under_relabelling(pair):
+    rows, moved = pair
+    assert _iso_key(rows) == _iso_key(moved)
+
+
 # ---------------------------------------------------------------------------
 # directedness
 
@@ -416,8 +528,6 @@ def _brute_force_directed(p: FinitePreorder) -> bool:
 
 
 def test_directedness_matches_brute_force_on_small_preorders():
-    from psodkit.preorders import _preorders_on
-
     for q in range(5):
         for rows in _preorders_on(q):
             labels = tuple(f"e{i}" for i in range(q))
