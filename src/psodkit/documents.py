@@ -124,6 +124,8 @@ def diagram_from_doc(doc: Mapping) -> PreorderDiagram:
     arrows = []
     for a in arrow_docs:
         name = _need(a, "name", "arrow")
+        if not isinstance(name, str):
+            raise ParseError("arrow names must be strings")
         src, tgt = _need(a, "src", "arrow"), _need(a, "tgt", "arrow")
         orientation = a.get("orientation", COVARIANT)
         if orientation not in (COVARIANT, CONTRAVARIANT):

@@ -589,40 +589,40 @@ class VerifyResult:
         return self.ok
 
 
-def _poset_extensions(rel: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # Labelled posets on k = len(rel) + 1 points, as row bitmasks
-    # (rows[i] = {j : i <= j}), that restrict to rel on the first k - 1: the
-    # new element picks a down-set of strict predecessors and an up-set of
-    # strict successors, already fully related.
-    e = m = len(rel)
-    cols = [sum(((rel[y] >> x) & 1) << y for y in range(m)) for x in range(m)]
-    subsets = range(1 << m)
-    downs = [
-        d for d in subsets if all(cols[x] & ~d == 0 for x in range(m) if d >> x & 1)
-    ]
-    ups = [
-        u
-        for u in subsets
-        if all(rel[x] & ~u & ~(1 << x) == 0 for x in range(m) if u >> x & 1)
-    ]
-    out: list[tuple[int, ...]] = []
-    for d in downs:
-        for u in ups:
-            if d & u:
-                continue
-            if any(rel[x] & u != u for x in range(m) if d >> x & 1):
-                continue
-            rows = [rel[i] | (1 << e) if d >> i & 1 else rel[i] for i in range(m)]
-            rows.append(u | (1 << e))
-            out.append(tuple(rows))
-    return out
-
-
 def _posets_on(k: int) -> list[tuple[int, ...]]:
-    """All labelled posets on k points, each extending one on k - 1."""
+    # Labelled posets as row bitmasks (rows[i] = {j : i <= j}), built by adding
+    # one element at a time: the new element picks a down-set of strict
+    # predecessors and an up-set of strict successors, already fully related.
     if k == 0:
         return [()]
-    return [p for rel in _posets_on(k - 1) for p in _poset_extensions(rel)]
+    out: list[tuple[int, ...]] = []
+    for rel in _posets_on(k - 1):
+        e = k - 1
+        m = k - 1
+        cols = [
+            sum(((rel[y] >> x) & 1) << y for y in range(m)) for x in range(m)
+        ]
+        subsets = range(1 << m)
+        downs = [
+            d
+            for d in subsets
+            if all(cols[x] & ~d == 0 for x in range(m) if d >> x & 1)
+        ]
+        ups = [
+            u
+            for u in subsets
+            if all(rel[x] & ~u & ~(1 << x) == 0 for x in range(m) if u >> x & 1)
+        ]
+        for d in downs:
+            for u in ups:
+                if d & u:
+                    continue
+                if any(rel[x] & u != u for x in range(m) if d >> x & 1):
+                    continue
+                rows = [rel[i] | (1 << e) if d >> i & 1 else rel[i] for i in range(m)]
+                rows.append(u | (1 << e))
+                out.append(tuple(rows))
+    return out
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
@@ -646,47 +646,15 @@ def _iso_key(rows: Sequence[int]) -> tuple[int, ...]:
     so only permutations inside each colour class are tried.
     """
     q = len(rows)
-    down = [0] * q
-    for y, r in enumerate(rows):
-        for x in range(q):
-            if r >> x & 1:
-                down[x] |= 1 << y
-    colour = [
-        (r.bit_count(), d.bit_count(), (r & d).bit_count()) for r, d in zip(rows, down)
-    ]
+    cols = [sum((r >> x & 1) << y for y, r in enumerate(rows)) for x in range(q)]
+    colour = [(r.bit_count(), c.bit_count(), (r & c).bit_count()) for r, c in zip(rows, cols)]
     order = sorted(range(q), key=colour.__getitem__)
-    classes = [list(c) for _, c in itertools.groupby(order, key=colour.__getitem__)]
+    classes = [tuple(c) for _, c in itertools.groupby(order, key=colour.__getitem__)]
     perms = (
-        [x for part in choice for x in part]
-        for choice in itertools.product(*(itertools.permutations(c) for c in classes))
+        sum(choice, ())
+        for choice in itertools.product(*map(itertools.permutations, classes))
     )
-    return min(
-        tuple(sum((rows[x] >> y & 1) << j for j, y in enumerate(perm)) for x in perm)
-        for perm in perms
-    )
-
-
-def _first_per_class(candidates: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The first candidate of each isomorphism class, in the given order."""
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for rows in candidates:
-        key = _iso_key(rows)
-        if key not in seen:
-            seen.add(key)
-            out.append(rows)
-    return out
-
-
-def _poset_classes(k: int) -> list[tuple[int, ...]]:
-    """``_first_per_class(_posets_on(k))``, computed from the classes on k - 1
-    points: a poset that extends a later member of a class is isomorphic to
-    an extension of the first member, which comes earlier."""
-    if k == 0:
-        return [()]
-    return _first_per_class(
-        p for rel in _poset_classes(k - 1) for p in _poset_extensions(rel)
-    )
+    return min(tuple(rows[x] >> y & 1 for x in perm for y in perm) for perm in perms)
 
 
 _PREORDER_CACHE: dict[int, list[tuple[int, ...]]] = {}
@@ -703,14 +671,13 @@ def _preorders_on(q: int) -> list[tuple[int, ...]]:
     - only the first set partition of each multiset of class sizes is
       visited, since a later one realizes only isomorphism classes already
       seen, and partitions with different sizes share no class;
-    - when all classes have the same size, candidates are isomorphic exactly
-      when their posets on the classes are, so only ``_poset_classes`` are
-      tried;
     - the remaining candidates are compared by ``_iso_key``.
     """
     if q in _PREORDER_CACHE:
         return _PREORDER_CACHE[q]
+    posets_by_size = {k: _posets_on(k) for k in range(q + 1)}
     shapes: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, ...]] = set()
     result: list[tuple[int, ...]] = []
     for part in _set_partitions(list(range(q))):
         shape = tuple(sorted(len(b) for b in part))
@@ -722,16 +689,15 @@ def _preorders_on(q: int) -> list[tuple[int, ...]]:
         k = len(blocks)
         block_of = {x: bi for bi, b in enumerate(blocks) for x in b}
         block_mask = [sum(1 << x for x in b) for b in blocks]
-        rels = _poset_classes(k) if len(set(shape)) == 1 else _posets_on(k)
-        result.extend(
-            _first_per_class(
-                tuple(
-                    sum(block_mask[by] for by in range(k) if rel[block_of[x]] >> by & 1)
-                    for x in range(q)
-                )
-                for rel in rels
+        for rel in posets_by_size[k]:
+            rows = tuple(
+                sum(block_mask[by] for by in range(k) if rel[block_of[x]] >> by & 1)
+                for x in range(q)
             )
-        )
+            key = _iso_key(rows)
+            if key not in seen:
+                seen.add(key)
+                result.append(rows)
     _PREORDER_CACHE[q] = result
     return result
 

@@ -186,6 +186,14 @@ def test_verify_rejects_malformed_body(capsys, tmp_path, doc, message):
             },
             "arrow 'a' map must map labels to labels",
         ),
+        (
+            {
+                "vertices": ["u"],
+                "preorders": {"u": docs.preorder_to_doc(complete_preorder(["x"]))},
+                "arrows": [{"name": {}, "src": "u", "tgt": "u", "map": {"x": "x"}}],
+            },
+            "arrow names must be strings",
+        ),
     ],
 )
 def test_colimit_rejects_malformed_diagram(capsys, tmp_path, doc, message):

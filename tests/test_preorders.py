@@ -3,8 +3,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from psodkit import documents as docs
 from psodkit.errors import CapExceededError, InputError, PreconditionError
@@ -28,7 +26,7 @@ from psodkit.preorders import (
     pushout,
     verify_colimit,
 )
-from psodkit.preorders import _iso_key, _posets_on, _preorders_on, _set_partitions
+from psodkit.preorders import _posets_on, _preorders_on, _set_partitions
 
 
 def chain(*labels):
@@ -453,31 +451,6 @@ def test_preorders_on_five_points_pairwise_non_isomorphic():
     graphs = [graph(rows) for rows in _preorders_on(5)]
     for a, b in itertools.combinations(graphs, 2):
         assert not nx.is_isomorphic(a, b)
-
-
-@st.composite
-def _relabelled_preorders(draw):
-    q = draw(st.integers(0, 5))
-    pairs = draw(
-        st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)), max_size=8)
-        if q
-        else st.just([])
-    )
-    perm = draw(st.permutations(range(q)))
-    labels = [f"e{i}" for i in range(q)]
-    rows = generated_preorder(labels, [(labels[x], labels[y]) for x, y in pairs]).rows
-    moved = [0] * q
-    for x in range(q):
-        for y in range(q):
-            if rows[x] >> y & 1:
-                moved[perm[x]] |= 1 << perm[y]
-    return rows, tuple(moved)
-
-
-@given(_relabelled_preorders())
-def test_iso_key_invariant_under_relabelling(pair):
-    rows, moved = pair
-    assert _iso_key(rows) == _iso_key(moved)
 
 
 # ---------------------------------------------------------------------------

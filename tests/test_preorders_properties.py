@@ -1,0 +1,33 @@
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from psodkit.preorders import _iso_key, generated_preorder
+
+
+@st.composite
+def _relabelled_preorders(draw):
+    q = draw(st.integers(0, 5))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)), max_size=8)
+        if q
+        else st.just([])
+    )
+    perm = draw(st.permutations(range(q)))
+    labels = [f"e{i}" for i in range(q)]
+    rows = generated_preorder(labels, [(labels[x], labels[y]) for x, y in pairs]).rows
+    moved = [0] * q
+    for x in range(q):
+        for y in range(q):
+            if rows[x] >> y & 1:
+                moved[perm[x]] |= 1 << perm[y]
+    return rows, tuple(moved)
+
+
+@given(_relabelled_preorders())
+def test_iso_key_invariant_under_relabelling(pair):
+    rows, moved = pair
+    assert _iso_key(rows) == _iso_key(moved)
