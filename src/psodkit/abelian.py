@@ -613,9 +613,6 @@ class GradedGroup:
     def total_ngens(self) -> int:
         return sum(self.pieces[x].ngens for x in self.index.elements)
 
-    def total_presentation(self) -> IntMatrix:
-        return _blockdiag([self.pieces[x].presentation() for x in self.index.elements])
-
 
 @dataclass(frozen=True)
 class GradedHom:

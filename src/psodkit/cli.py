@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import documents as docs
 from .config import Caps, Config
@@ -55,11 +55,12 @@ def _load(path: str) -> Any:
     return docs.loads(_read(path))
 
 
-def _emit(cfg: Config, doc: Any, human: str) -> None:
+def _emit(cfg: Config, doc: Callable[[], Any], human: Callable[[], str]) -> None:
+    """Print the document or the human text; only the one printed is built."""
     if cfg.output == "machine":
-        print(docs.dumps(doc))
+        print(docs.dumps(doc()))
     else:
-        print(human)
+        print(human())
 
 
 # -- preorder ----------------------------------------------------------------
@@ -68,56 +69,48 @@ def _emit(cfg: Config, doc: Any, human: str) -> None:
 def _cmd_preorder(cfg: Config, args: argparse.Namespace) -> int:
     sub = args.subcommand
     if sub == "coproduct":
-        parts = [docs.preorder_from_doc(_load(p)) for p in args.inputs]
-        out, injections = coproduct(parts)
-        doc = {
-            "preorder": docs.preorder_to_doc(out),
-            "injections": [dict(i.mapping) for i in injections],
-        }
-        _emit(cfg, doc, _render_preorder(out))
+        out, injections = coproduct([docs.preorder_from_doc(_load(p)) for p in args.inputs])
+        extra = {"injections": [dict(i.mapping) for i in injections]}
     elif sub == "pushout":
         body = _load(args.inputs[0])
-        left = docs.map_from_doc(body["left"]) if "left" in body else None
-        right = docs.map_from_doc(body["right"]) if "right" in body else None
-        if left is None or right is None:
+        if not isinstance(body, dict) or "left" not in body or "right" not in body:
             raise ParseError("pushout document needs 'left' and 'right' maps")
-        out, p1, p2 = pushout(left, right)
-        doc = {
-            "preorder": docs.preorder_to_doc(out),
-            "maps": [dict(p1.mapping), dict(p2.mapping)],
-        }
-        _emit(cfg, doc, _render_preorder(out))
+        out, p1, p2 = pushout(docs.map_from_doc(body["left"]), docs.map_from_doc(body["right"]))
+        extra = {"maps": [dict(p1.mapping), dict(p2.mapping)]}
     elif sub == "colimit":
-        diagram = docs.diagram_from_doc(_load(args.inputs[0]))
-        res = colimit(diagram)
-        doc = {
-            "preorder": docs.preorder_to_doc(res.preorder),
-            "cocones": {v: dict(m.mapping) for v, m in res.cocones.items()},
-        }
-        _emit(cfg, doc, _render_preorder(res.preorder))
+        res = colimit(docs.diagram_from_doc(_load(args.inputs[0])))
+        out = res.preorder
+        extra = {"cocones": {v: dict(m.mapping) for v, m in res.cocones.items()}}
     elif sub == "verify":
         diagram, candidate, cocones = docs.verify_request_from_doc(_load(args.inputs[0]))
         res = verify_colimit(diagram, candidate, cocones, cfg.caps)
-        _emit(cfg, docs.verify_to_doc(res), "verified" if res.ok else f"failed: {res.reason}")
+        human = "verified" if res.ok else f"failed: {res.reason}"
+        _emit(cfg, lambda: docs.verify_to_doc(res), lambda: human)
+        return 0
     elif sub == "directed":
-        p = docs.preorder_from_doc(_load(args.inputs[0]))
-        ok = is_directed(p)
-        _emit(cfg, {"directed": ok}, "true" if ok else "false")
+        ok = is_directed(docs.preorder_from_doc(_load(args.inputs[0])))
+        _emit(cfg, lambda: {"directed": ok}, lambda: "true" if ok else "false")
+        return 0
     elif sub == "number":
-        p = docs.preorder_from_doc(_load(args.inputs[0]))
-        numbering = directed_numbering(p)
-        _emit(cfg, {"numbering": list(numbering)}, " < ".join(numbering))
+        numbering = directed_numbering(docs.preorder_from_doc(_load(args.inputs[0])))
+        _emit(cfg, lambda: {"numbering": list(numbering)}, lambda: " < ".join(numbering))
+        return 0
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown preorder subcommand {sub!r}")
+    _emit(
+        cfg,
+        lambda: {"preorder": docs.preorder_to_doc(out)} | extra,
+        lambda: _render_preorder(out),
+    )
     return 0
 
 
 def _render_preorder(p) -> str:
     lines = ["elements: " + ", ".join(p.elements)]
-    for i, x in enumerate(p.elements):
-        below = [y for j, y in enumerate(p.elements) if p.leq[i][j] and i != j]
-        if below:
-            lines.append(f"  {x} <= " + ", ".join(below))
+    for i, (x, r) in enumerate(zip(p.elements, p.rows)):
+        above = [y for j, y in enumerate(p.elements) if r >> j & 1 and j != i]
+        if above:
+            lines.append(f"  {x} <= " + ", ".join(above))
     lines.append(f"transitive: {'yes' if p.is_transitive else 'no'}")
     return "\n".join(lines)
 
@@ -132,20 +125,20 @@ def _cmd_order(cfg: Config, args: argparse.Namespace) -> int:
         form = to_factorial_form(chi, cfg.caps)
         _emit(
             cfg,
-            docs.factorial_form_to_doc(form),
-            f"level {form.level}, numerators ({', '.join(map(str, form.numerators))})",
+            lambda: docs.factorial_form_to_doc(form),
+            lambda: f"level {form.level}, numerators ({', '.join(map(str, form.numerators))})",
         )
     elif sub == "cmp":
         a = CharTuple.parse(args.inputs[0])
         b = CharTuple.parse(args.inputs[1])
         verdict = cmp_bang(a, b, cfg.caps)
-        _emit(cfg, {"comparison": verdict}, verdict)
+        _emit(cfg, lambda: {"comparison": verdict}, lambda: verdict)
     elif sub == "enumerate":
         chars = enumerate_characters(args.arity, args.level, args.coprime_to, cfg.caps)
         _emit(
             cfg,
-            {"characters": [docs.char_tuple_to_doc(c) for c in chars]},
-            "\n".join(str(c) for c in chars) if chars else "(none)",
+            lambda: {"characters": [docs.char_tuple_to_doc(c) for c in chars]},
+            lambda: "\n".join(str(c) for c in chars) if chars else "(none)",
         )
     else:  # pragma: no cover
         raise InputError(f"unknown order subcommand {sub!r}")
@@ -157,7 +150,7 @@ def _cmd_order(cfg: Config, args: argparse.Namespace) -> int:
 
 def _load_stratification(path: str):
     body = _load(path)
-    if "charts" in body:
+    if isinstance(body, dict) and "charts" in body:
         return strata_from_atlas(docs.atlas_from_doc(body))
     return docs.stratification_from_doc(body)
 
@@ -176,37 +169,41 @@ def _cmd_psod(cfg: Config, args: argparse.Namespace) -> int:
     if sub == "build":
         strat = _load_stratification(args.inputs[0])
         psod = build_root_psod(strat, args.root, cfg.caps, totalize=cfg.totalize)
-        _emit(cfg, docs.psod_to_doc(psod), _render_psod(psod))
+        _emit(cfg, lambda: docs.psod_to_doc(psod), lambda: _render_psod(psod))
     elif sub == "infinite":
         strat = _load_stratification(args.inputs[0])
         psod = build_infinite_psod(
             strat, args.level, args.coprime_to, cfg.caps, totalize=cfg.totalize
         )
-        _emit(cfg, docs.psod_to_doc(psod), _render_psod(psod))
+        _emit(cfg, lambda: docs.psod_to_doc(psod), lambda: _render_psod(psod))
     elif sub == "glue":
         scenario = docs.scenario_from_doc(_load(args.inputs[0]))
         res = glue(scenario, cfg.caps)
-        human = [_render_psod(res.psod), f"verdict: {res.kind}"]
-        if not res.verdict.ok:
-            human.append(f"witness: {res.verdict.witness()}")
-        elif res.psod.index == scenario.diagram.preorders[scenario.diagram.vertices[0]]:
-            human.append("index preserved")
-        _emit(cfg, docs.glue_result_to_doc(res), "\n".join(human))
+
+        def human() -> str:
+            lines = [_render_psod(res.psod), f"verdict: {res.kind}"]
+            if not res.verdict.ok:
+                lines.append(f"witness: {res.verdict.witness()}")
+            elif res.psod.index == scenario.diagram.preorders[scenario.diagram.vertices[0]]:
+                lines.append("index preserved")
+            return "\n".join(lines)
+
+        _emit(cfg, lambda: docs.glue_result_to_doc(res), human)
     elif sub == "filtrate":
-        body = _load(args.inputs[0])
-        psod = docs.psod_from_doc(body["psod"])
-        obj = {k: tuple(v) for k, v in body["object"].items()}
+        psod, obj = docs.filtration_request_from_doc(_load(args.inputs[0]))
         res = filtration(psod, obj)
-        human = "\n".join(
-            f"  step {t}: grade {s.grade} component {list(s.component)}"
-            for t, s in enumerate(res.steps)
+        _emit(
+            cfg,
+            lambda: docs.filtration_to_doc(res),
+            lambda: "\n".join(
+                f"  step {t}: grade {s.grade} component {list(s.component)}"
+                for t, s in enumerate(res.steps)
+            )
+            + "\n  residual: zero",
         )
-        _emit(cfg, docs.filtration_to_doc(res), human + "\n  residual: zero")
     elif sub == "ktheory":
         strat = _load_stratification(args.inputs[0])
-        kdata = {
-            label: docs.group_from_doc(g) for label, g in _load(args.kdata).items()
-        }
+        kdata = docs.kdata_from_doc(_load(args.kdata))
         if args.mode == "finite":
             mode = KTheoryMode.finite(args.root)
         elif args.mode == "infinite":
@@ -214,14 +211,18 @@ def _cmd_psod(cfg: Config, args: argparse.Namespace) -> int:
         else:
             mode = KTheoryMode.kummer_etale(args.p, args.level)
         rep = ktheory_report(strat, kdata, mode, cfg.caps)
-        human = [f"K-theory decomposition ({rep.mode.kind})", f"  ambient: {rep.ambient}"]
-        for row in rep.rows:
-            human.append(
-                f"  {row.stratum_id} (codim {row.codim}): {row.multiplicity} x [{row.summand}]"
-                + (f"  [{row.symbolic_multiplicity}]" if rep.truncated else "")
-            )
-        human.append(f"  total: {rep.total} (rank {rep.total.rank})")
-        _emit(cfg, docs.ktheory_to_doc(rep), "\n".join(human))
+
+        def human() -> str:
+            lines = [f"K-theory decomposition ({rep.mode.kind})", f"  ambient: {rep.ambient}"]
+            for row in rep.rows:
+                lines.append(
+                    f"  {row.stratum_id} (codim {row.codim}): {row.multiplicity} x [{row.summand}]"
+                    + (f"  [{row.symbolic_multiplicity}]" if rep.truncated else "")
+                )
+            lines.append(f"  total: {rep.total} (rank {rep.total.rank})")
+            return "\n".join(lines)
+
+        _emit(cfg, lambda: docs.ktheory_to_doc(rep), human)
     else:  # pragma: no cover
         raise InputError(f"unknown psod subcommand {sub!r}")
     return 0
@@ -254,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=("human", "machine"), default="human")
     parser.add_argument("--totalize", action="store_true",
                         help="relate incomparable same-stratum characters both ways")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed reserved for randomized exploration commands")
     parser.add_argument("--caps", default="",
                         help="comma-separated caps, e.g. carrier=1000,factorial_level=6")
     sub = parser.add_subparsers(dest="group", required=True)
@@ -290,7 +289,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         caps = Caps(**_parse_caps(args.caps)) if args.caps else Caps()
-        cfg = Config(caps=caps, output=args.output, totalize=args.totalize, seed=args.seed)
+        cfg = Config(caps=caps, output=args.output, totalize=args.totalize)
         if args.group == "preorder":
             return _cmd_preorder(cfg, args)
         if args.group == "order":

@@ -48,7 +48,6 @@ class Config:
     caps: Caps = DEFAULT_CAPS
     output: str = "human"  # "human" | "machine"
     totalize: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.output not in ("human", "machine"):

@@ -21,7 +21,7 @@ from .engine import (
     KTheoryReport,
     PsodIndex,
 )
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .factorial import CharTuple, FactorialForm, Residue
 from .preorders import (
     CONTRAVARIANT,
@@ -58,23 +58,37 @@ def _label_map(doc: Any, what: str) -> dict[str, str]:
     return doc
 
 
+def _strings(doc: Any) -> bool:
+    return isinstance(doc, list) and all(isinstance(x, str) for x in doc)
+
+
 # -- preorders ---------------------------------------------------------------
 
 
+# Row i of the dense ``leq`` matrix lists the bits of ``rows[i]`` lowest first,
+# the row's binary digits reversed; bytes() of a boolean row gives 0/1 bytes.
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def preorder_to_doc(p: FinitePreorder) -> dict:
-    return {"elements": list(p.elements), "leq": [list(row) for row in p.leq]}
+    bits = (format(r, f"0{len(p)}b")[::-1] for r in p.rows)
+    return {"elements": list(p.elements), "leq": [[c == "1" for c in b] for b in bits]}
 
 
 def preorder_from_doc(doc: Mapping) -> FinitePreorder:
     elements = _need(doc, "elements", "preorder")
     leq = _need(doc, "leq", "preorder")
-    if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+    if not _strings(elements):
         raise ParseError("preorder elements must be strings")
     if not isinstance(leq, list) or not all(
         isinstance(row, list) and all(isinstance(v, bool) for v in row) for row in leq
     ):
         raise ParseError("preorder leq must be a matrix of booleans")
-    return FinitePreorder(tuple(elements), tuple(tuple(row) for row in leq))
+    n = len(elements)
+    if len(leq) != n or any(len(row) != n for row in leq):
+        raise InputError("relation matrix must be square over the elements")
+    rows = tuple(int(bytes(row[::-1]).translate(_BIT_CHARS), 2) for row in leq)
+    return FinitePreorder(tuple(elements), rows)
 
 
 def map_to_doc(m: OrderReflectingMap) -> dict:
@@ -114,7 +128,7 @@ def diagram_from_doc(doc: Mapping) -> PreorderDiagram:
     vertices = _need(doc, "vertices", "diagram")
     preorders = _need(doc, "preorders", "diagram")
     arrow_docs = doc.get("arrows", [])
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if not _strings(vertices):
         raise ParseError("diagram vertices must be a list of strings")
     if not isinstance(preorders, dict):
         raise ParseError("diagram preorders must be an object keyed by vertex")
@@ -211,7 +225,7 @@ def _stratum_from_doc(doc: Mapping) -> Stratum:
         raise ParseError("stratum id must be a string")
     if type(codim) is not int:
         raise ParseError(f"stratum {sid!r}: codim must be an integer")
-    if not isinstance(comps, list) or not all(isinstance(c, str) for c in comps):
+    if not _strings(comps):
         raise ParseError(f"stratum {sid!r}: norm_components must be a list of strings")
     return Stratum(sid, codim, tuple(comps))
 
@@ -222,8 +236,7 @@ def stratification_from_doc(doc: Mapping) -> Stratification:
     if not isinstance(strata, list):
         raise ParseError("stratification strata must be a list")
     if not isinstance(closure, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
-        for pair in closure
+        _strings(pair) and len(pair) == 2 for pair in closure
     ):
         raise ParseError("stratification closure must be a list of pairs of stratum ids")
     return Stratification(
@@ -232,30 +245,33 @@ def stratification_from_doc(doc: Mapping) -> Stratification:
     )
 
 
+def _chart_from_doc(doc: Mapping) -> Chart:
+    cid = _need(doc, "id", "chart")
+    branches = _need(doc, "branches", "chart")
+    if not isinstance(cid, str):
+        raise ParseError("chart id must be a string")
+    if not _strings(branches):
+        raise ParseError(f"chart {cid!r}: branches must be a list of strings")
+    return Chart(cid, tuple(branches))
+
+
+def _overlap_from_doc(doc: Mapping) -> Overlap:
+    charts = _need(doc, "charts", "overlap")
+    if not _strings(charts) or len(charts) != 2:
+        raise ParseError("overlap charts must be a list of two chart ids")
+    mapping = _label_map(_need(doc, "map", "overlap"), "overlap map")
+    return Overlap(charts[0], charts[1], mapping)
+
+
 def atlas_from_doc(doc: Mapping) -> ChartAtlas:
-    charts = tuple(
-        Chart(_need(c, "id", "chart"), tuple(_need(c, "branches", "chart")))
-        for c in _need(doc, "charts", "atlas")
+    charts = _need(doc, "charts", "atlas")
+    overlaps = doc.get("overlaps", [])
+    if not isinstance(charts, list) or not isinstance(overlaps, list):
+        raise ParseError("atlas charts and overlaps must be lists")
+    return ChartAtlas(
+        tuple(_chart_from_doc(c) for c in charts),
+        tuple(_overlap_from_doc(o) for o in overlaps),
     )
-    overlaps = tuple(
-        Overlap(
-            _need(o, "charts", "overlap")[0],
-            _need(o, "charts", "overlap")[1],
-            dict(_need(o, "map", "overlap")),
-        )
-        for o in doc.get("overlaps", [])
-    )
-    return ChartAtlas(charts, overlaps)
-
-
-def atlas_to_doc(a: ChartAtlas) -> dict:
-    return {
-        "charts": [{"id": c.id, "branches": list(c.branches)} for c in a.charts],
-        "overlaps": [
-            {"charts": [o.chart_a, o.chart_b], "map": dict(o.mapping)}
-            for o in a.overlaps
-        ],
-    }
 
 
 # -- groups ------------------------------------------------------------------
@@ -266,13 +282,20 @@ def group_to_doc(g: FgAbGroup) -> dict:
 
 
 def group_from_doc(doc: Mapping) -> FgAbGroup:
-    return FgAbGroup(
-        int(_need(doc, "rank", "group")), tuple(doc.get("torsion", []))
-    )
+    rank = _need(doc, "rank", "group")
+    torsion = doc.get("torsion", [])
+    if type(rank) is not int:
+        raise ParseError("group rank must be an integer")
+    if not isinstance(torsion, list) or not all(type(t) is int for t in torsion):
+        raise ParseError("group torsion must be a list of integers")
+    return FgAbGroup(rank, tuple(torsion))
 
 
-def matrix_to_doc(m: IntMatrix) -> list[list[int]]:
-    return [list(row) for row in m.entries]
+def kdata_from_doc(doc: Any) -> dict[str, FgAbGroup]:
+    """Read a ``{component: group}`` document."""
+    if not isinstance(doc, dict):
+        raise ParseError("kdata must be an object keyed by component")
+    return {label: group_from_doc(g) for label, g in doc.items()}
 
 
 def matrix_from_doc(doc: Any, rows: int | None = None, cols: int | None = None) -> IntMatrix:
@@ -327,6 +350,17 @@ def psod_to_doc(p: PsodIndex) -> dict:
         "factors": {x: factor_to_doc(p.factors[x]) for x in p.index.elements},
         "annotations": dict(p.annotations),
     }
+
+
+def filtration_request_from_doc(doc: Mapping) -> tuple[PsodIndex, dict[str, tuple[int, ...]]]:
+    """Read a ``{"psod", "object"}`` document, the object mapping grades to integer lists."""
+    psod = psod_from_doc(_need(doc, "psod", "filtrate"))
+    obj = _need(doc, "object", "filtrate")
+    if not isinstance(obj, dict) or not all(
+        isinstance(v, list) and all(type(c) is int for c in v) for v in obj.values()
+    ):
+        raise ParseError("filtrate object must map grades to lists of integers")
+    return psod, {x: tuple(v) for x, v in obj.items()}
 
 
 def psod_from_doc(doc: Mapping) -> PsodIndex:

@@ -69,9 +69,6 @@ class FactorDescriptor:
     target_label: str
     kdata: Optional[FgAbGroup] = None
 
-    def describe(self) -> str:
-        return f"{self.target_label} @ {self.character}"
-
 
 @dataclass(frozen=True)
 class PsodIndex:
@@ -116,18 +113,15 @@ def totalize_index(psod: PsodIndex) -> PsodIndex:
     """Add both-way relations between incomparable characters of the same
     stratum (an opt-in coarsening that restores a total layer order)."""
     p = psod.index
-    n = len(p.elements)
-    leq = [list(row) for row in p.leq]
-    for i in range(n):
-        for j in range(n):
-            if i != j and not p.leq[i][j] and not p.leq[j][i]:
-                fi = psod.factors[p.elements[i]]
-                fj = psod.factors[p.elements[j]]
-                if fi.stratum_id == fj.stratum_id:
-                    leq[i][j] = True
-                    leq[j][i] = True
+    strata = [psod.factors[x].stratum_id for x in p.elements]
+    same_stratum: dict[str, int] = {}
+    for i, sid in enumerate(strata):
+        same_stratum[sid] = same_stratum.get(sid, 0) | 1 << i
+    rows = tuple(
+        r | (same_stratum[sid] & ~c) for r, c, sid in zip(p.rows, p.columns(), strata)
+    )
     return PsodIndex(
-        FinitePreorder(p.elements, tuple(tuple(r) for r in leq)),
+        FinitePreorder(p.elements, rows),
         psod.factors,
         dict(psod.annotations) | {"totalized": "true"},
     )

@@ -310,8 +310,10 @@ def build_zkr(
         raise InputError("k must be non-negative")
     tuples = _product_tuples(zr_elements(r, starred), k, caps, "character block")
     labels = tuple(str(t) for t in tuples)
-    leq = tuple(tuple(componentwise_le(s, t) for t in tuples) for s in tuples)
-    return FinitePreorder(labels, leq)
+    rows = tuple(
+        sum(1 << j for j, t in enumerate(tuples) if componentwise_le(s, t)) for s in tuples
+    )
+    return FinitePreorder(labels, rows)
 
 
 def _char_blocks_leq(
@@ -323,22 +325,24 @@ def _char_blocks_leq(
     related both ways, same block compared by ``same_block_le``.  Entries
     of block ``None`` are labelled by their character alone, all others
     'block:(chars)'."""
-    n = len(blocks)
-    leq = [[False] * n for _ in range(n)]
-    for i, (bi, ki, ci) in enumerate(blocks):
-        for j, (bj, kj, cj) in enumerate(blocks):
-            if i == j:
-                leq[i][j] = True
-            elif ki != kj:
-                leq[i][j] = ki > kj
-            elif bi != bj:
-                leq[i][j] = True
-            else:
-                leq[i][j] = same_block_le(ci, cj)
+    codim_mask: dict[int, int] = {}
+    members: dict[tuple[Optional[str], int], list[int]] = {}
+    for i, (b, k, _) in enumerate(blocks):
+        codim_mask[k] = codim_mask.get(k, 0) | 1 << i
+        members.setdefault((b, k), []).append(i)
+    lower = {k: sum(m for kk, m in codim_mask.items() if kk < k) for k in codim_mask}
+    block_mask = {key: sum(1 << j for j in js) for key, js in members.items()}
+    rows = []
+    for i, (b, k, c) in enumerate(blocks):
+        row = lower[k] | (codim_mask[k] & ~block_mask[(b, k)]) | 1 << i
+        for j in members[(b, k)]:
+            if j != i and same_block_le(c, blocks[j][2]):
+                row |= 1 << j
+        rows.append(row)
     labels = tuple(
         (str(c) if b is None else f"{b}:{c}") for b, _, c in blocks
     )
-    return FinitePreorder(labels, tuple(tuple(row) for row in leq))
+    return FinitePreorder(labels, tuple(rows))
 
 
 def deepest_first(strata: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:

@@ -1,6 +1,7 @@
 """Finite preorders, order-reflecting maps, and their (co)limit constructions.
 
-The carrier type stores a reflexive relation ``leq`` over labelled elements.
+The carrier type stores a reflexive relation over labelled elements as one row
+bitmask per element.
 Transitivity is *checked*, not enforced: the disjoint-union and gluing rules
 implemented here can produce genuinely non-transitive comparability patterns
 (two classes with no common preimages become vacuously mutually related), and
@@ -31,22 +32,24 @@ CONTRAVARIANT = "contravariant"
 
 @dataclass(frozen=True)
 class FinitePreorder:
-    """A finite labelled carrier with a reflexive relation ``leq``.
-
-    ``leq[i][j]`` is True when ``elements[i] <= elements[j]``.
+    """A finite labelled carrier with a reflexive relation stored as row
+    bitmasks: bit ``j`` of ``rows[i]`` is set when ``elements[i] <= elements[j]``.
     """
 
     elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = len(self.elements)
         if len(set(self.elements)) != n:
             raise InputError("element labels must be pairwise distinct")
-        if len(self.leq) != n or any(len(row) != n for row in self.leq):
-            raise InputError("relation matrix must be square over the elements")
-        for i in range(n):
-            if not self.leq[i][i]:
+        if len(self.rows) != n or any(r >> n for r in self.rows):
+            raise InputError(
+                "relation must have one row per element, with no bit at or above "
+                "the element count"
+            )
+        for i, r in enumerate(self.rows):
+            if not r >> i & 1:
                 raise InputError(f"relation not reflexive at {self.elements[i]!r}")
 
     def __len__(self) -> int:
@@ -56,13 +59,6 @@ class FinitePreorder:
     def _index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.elements)}
 
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """Row bitmasks: bit j of rows[i] is leq[i][j]."""
-        return tuple(
-            sum(1 << j for j, up in enumerate(row) if up) for row in self.leq
-        )
-
     def index(self, label: str) -> int:
         try:
             return self._index[label]
@@ -70,11 +66,15 @@ class FinitePreorder:
             raise InputError(f"no element labelled {label!r}") from None
 
     def le(self, x: str, y: str) -> bool:
-        return self.leq[self.index(x)][self.index(y)]
+        return bool(self.rows[self.index(x)] >> self.index(y) & 1)
 
     def lt(self, x: str, y: str) -> bool:
         """Strict comparability: x <= y and x != y (mutual pairs stay strict)."""
         return x != y and self.le(x, y)
+
+    def columns(self) -> list[int]:
+        """Column bitmasks: bit ``i`` of ``columns()[j]`` is bit ``j`` of ``rows[i]``."""
+        return _columns(self.rows)
 
     @cached_property
     def is_transitive(self) -> bool:
@@ -83,72 +83,61 @@ class FinitePreorder:
     def transitivity_violations(self, limit: int = 0) -> list[tuple[str, str, str]]:
         """Triples (x, y, z) with x<=y<=z but not x<=z; at most ``limit`` if set."""
         out: list[tuple[str, str, str]] = []
-        rows = self.rows
-        n = len(self.elements)
-        for i in range(n):
-            reach = 0
-            mask = rows[i]
-            for j in range(n):
-                if mask >> j & 1:
-                    reach |= rows[j]
-            bad = reach & ~rows[i]
-            if bad:
-                for j in range(n):
-                    if rows[i] >> j & 1 and rows[j] & bad:
-                        for k in range(n):
-                            if rows[j] >> k & 1 and bad >> k & 1:
-                                out.append(
-                                    (self.elements[i], self.elements[j], self.elements[k])
-                                )
-                                if limit and len(out) >= limit:
-                                    return out
+        e = self.elements
+        for i, r in enumerate(self.rows):
+            for j in _bits(r):
+                for k in _bits(self.rows[j] & ~r):
+                    out.append((e[i], e[j], e[k]))
+                    if limit and len(out) >= limit:
+                        return out
         return out
 
     @cached_property
     def is_total(self) -> bool:
         """Every pair related one way or the other."""
-        n = len(self.elements)
-        return all(
-            self.leq[i][j] or self.leq[j][i] for i in range(n) for j in range(i + 1, n)
-        )
+        full = (1 << len(self.elements)) - 1
+        return all(r | c == full for r, c in zip(self.rows, self.columns()))
 
     def restrict(self, labels: Sequence[str]) -> "FinitePreorder":
         idx = [self.index(x) for x in labels]
-        return FinitePreorder(
-            tuple(labels),
-            tuple(tuple(self.leq[i][j] for j in idx) for i in idx),
-        )
+        return FinitePreorder(tuple(labels), tuple(_gather(self.rows[i], idx) for i in idx))
 
     def relation_pairs(self) -> set[tuple[str, str]]:
-        return {
-            (x, y)
-            for i, x in enumerate(self.elements)
-            for j, y in enumerate(self.elements)
-            if self.leq[i][j]
-        }
+        e = self.elements
+        return {(e[i], e[j]) for i, r in enumerate(self.rows) for j in _bits(r)}
 
 
-def _from_pairs(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> FinitePreorder:
-    idx = {x: i for i, x in enumerate(elements)}
-    n = len(elements)
-    m = [[i == j for j in range(n)] for i in range(n)]
-    for x, y in pairs:
-        m[idx[x]][idx[y]] = True
-    return FinitePreorder(tuple(elements), tuple(tuple(row) for row in m))
+def _columns(rows: Sequence[int]) -> list[int]:
+    """Transpose of square row bitmasks: bit i of column j is bit j of row i."""
+    n = len(rows)
+    # bits[i][j] is bit j of rows[i]; zip(*bits) walks the columns
+    bits = [format(r, f"0{n}b")[::-1] for r in rows]
+    return [int("".join(col)[::-1], 2) for col in zip(*bits)]
+
+
+def _gather(mask: int, positions: Sequence[int]) -> int:
+    """The bitmask whose bit a is bit ``positions[a]`` of ``mask``."""
+    return sum(1 << a for a, j in enumerate(positions) if mask >> j & 1)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def complete_preorder(labels: Sequence[str]) -> FinitePreorder:
     """All pairs related: the free object over a set for reflecting maps out."""
     labels = tuple(labels)
-    n = len(labels)
-    return FinitePreorder(labels, tuple(tuple(True for _ in range(n)) for _ in range(n)))
+    return FinitePreorder(labels, ((1 << len(labels)) - 1,) * len(labels))
 
 
 def discrete_preorder(labels: Sequence[str]) -> FinitePreorder:
     """Only the diagonal related."""
     labels = tuple(labels)
-    n = len(labels)
-    return FinitePreorder(labels, tuple(tuple(i == j for j in range(n)) for i in range(n)))
+    return FinitePreorder(labels, tuple(1 << i for i in range(len(labels))))
 
 
 def _closure_masks(
@@ -165,13 +154,8 @@ def _closure_masks(
         changed = False
         for i in range(n):
             acc = rows[i]
-            m = rows[i]
-            j = 0
-            while m:
-                if m & 1:
-                    acc |= rows[j]
-                m >>= 1
-                j += 1
+            for j in _bits(rows[i]):
+                acc |= rows[j]
             if acc != rows[i]:
                 rows[i] = acc
                 changed = True
@@ -182,12 +166,7 @@ def generated_preorder(
     elements: Sequence[str], pairs: Iterable[tuple[str, str]]
 ) -> FinitePreorder:
     """Reflexive-transitive closure of the given generating pairs."""
-    rows = _closure_masks(elements, pairs)
-    n = len(elements)
-    return FinitePreorder(
-        tuple(elements),
-        tuple(tuple(bool(rows[i] >> j & 1) for j in range(n)) for i in range(n)),
-    )
+    return FinitePreorder(tuple(elements), tuple(_closure_masks(elements, pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +185,18 @@ def is_order_reflecting(
 def _reflection_witness(
     source: FinitePreorder, target: FinitePreorder, mapping: Mapping[str, str]
 ) -> Optional[tuple[str, str]]:
-    for x in source.elements:
-        for y in source.elements:
-            if target.le(mapping[x], mapping[y]) and not source.le(x, y):
-                return (x, y)
+    """The first pair (x, y), x-major in source order, with comparable images
+    and unrelated sources.  As in a pairwise scan, an image outside the target
+    raises within the first row, after any witness that row holds first."""
+    img = [target._index.get(mapping[x]) for x in source.elements]
+    n = len(img)
+    known = img.index(None) if None in img else n
+    for i in range(n if known == n else min(known, 1)):
+        bad = _gather(target.rows[img[i]], img[:known]) & ~source.rows[i]
+        if bad:
+            return source.elements[i], source.elements[next(_bits(bad))]
+    if known < n:
+        target.index(mapping[source.elements[known]])
     return None
 
 
@@ -402,43 +389,35 @@ def _quotient_preorder(
     labels = _class_labels(classes)
     cls_of = {nd: i for i, cls in enumerate(classes) for nd in cls}
 
+    # class i <= class j unless some part has a preimage of i not below a
+    # preimage of j: every row starts full and loses those classes
     m = len(classes)
-    preim: dict[str, list[list[str]]] = {
-        v: [[] for _ in range(m)] for v in part_order
-    }
-    for v, x in nodes:
-        preim[v][cls_of[(v, x)]].append(x)
-    # the cocone into the quotient can only be order-reflecting if each class
-    # meets every part in a complete fiber; zigzag identifications can break
-    # this, and then no object satisfies the stated rule
+    rows = [(1 << m) - 1] * m
     for v in part_order:
         p = parts[v]
+        cls = [cls_of[(v, x)] for x in p.elements]
+        preim = [0] * m
+        for t, c in enumerate(cls):
+            preim[c] |= 1 << t
+        everything = (1 << len(p)) - 1
         for i in range(m):
-            for x in preim[v][i]:
-                for y in preim[v][i]:
-                    if not p.le(x, y):
-                        raise PreconditionError(
-                            f"elements {x!r} and {y!r} of part {v!r} are "
-                            "identified but not mutually related; the gluing "
-                            "admits no order-reflecting cocone"
-                        )
-    leq = [[True] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            ok = True
-            for v in part_order:
-                p = parts[v]
-                for x in preim[v][i]:
-                    for y in preim[v][j]:
-                        if not p.le(x, y):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            leq[i][j] = ok
-    carrier = FinitePreorder(tuple(labels), tuple(tuple(row) for row in leq))
+            common = everything
+            for x in _bits(preim[i]):
+                # the cocone into the quotient can only be order-reflecting if
+                # each class meets every part in a complete fiber; zigzag
+                # identifications can break this, and then no object satisfies
+                # the stated rule
+                bad = preim[i] & ~p.rows[x]
+                if bad:
+                    raise PreconditionError(
+                        f"elements {p.elements[x]!r} and {p.elements[next(_bits(bad))]!r} "
+                        f"of part {v!r} are identified but not mutually related; the "
+                        "gluing admits no order-reflecting cocone"
+                    )
+                common &= p.rows[x]
+            for t in _bits(everything & ~common):
+                rows[i] &= ~(1 << cls[t])
+    carrier = FinitePreorder(tuple(labels), tuple(rows))
     cocones = {
         v: {x: labels[cls_of[(v, x)]] for x in parts[v].elements} for v in part_order
     }
@@ -457,20 +436,13 @@ def coproduct(
         return f"{i}:{x}" if namespaced else x
 
     elements = [lab(i, x) for i, p in enumerate(parts) for x in p.elements]
-    offsets = []
-    t = 0
+    full = (1 << len(elements)) - 1
+    rows: list[int] = []
     for p in parts:
-        offsets.append(t)
-        t += len(p)
-    n = len(elements)
-    leq = [[True] * n for _ in range(n)]
-    for i, p in enumerate(parts):
-        o = offsets[i]
-        k = len(p)
-        for a in range(k):
-            for b in range(k):
-                leq[o + a][o + b] = p.leq[a][b]
-    out = FinitePreorder(tuple(elements), tuple(tuple(row) for row in leq))
+        o = len(rows)
+        outside = full & ~(((1 << len(p)) - 1) << o)
+        rows.extend(outside | r << o for r in p.rows)
+    out = FinitePreorder(tuple(elements), tuple(rows))
     injections = tuple(
         OrderReflectingMap(p, out, {x: lab(i, x) for x in p.elements})
         for i, p in enumerate(parts)
@@ -599,9 +571,7 @@ def _posets_on(k: int) -> list[tuple[int, ...]]:
     for rel in _posets_on(k - 1):
         e = k - 1
         m = k - 1
-        cols = [
-            sum(((rel[y] >> x) & 1) << y for y in range(m)) for x in range(m)
-        ]
+        cols = _columns(rel)
         subsets = range(1 << m)
         downs = [
             d
@@ -646,7 +616,7 @@ def _iso_key(rows: Sequence[int]) -> tuple[int, ...]:
     so only permutations inside each colour class are tried.
     """
     q = len(rows)
-    cols = [sum((r >> x & 1) << y for y, r in enumerate(rows)) for x in range(q)]
+    cols = _columns(rows)
     colour = [(r.bit_count(), c.bit_count(), (r & c).bit_count()) for r, c in zip(rows, cols)]
     order = sorted(range(q), key=colour.__getitem__)
     classes = [tuple(c) for _, c in itertools.groupby(order, key=colour.__getitem__)]

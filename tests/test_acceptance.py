@@ -319,7 +319,7 @@ def test_criterion_7_truncation_coherence():
     restricted = restrict_to_denominators(trunc, 2)
     finite = build_root_psod(sd, 2)
     assert restricted.index.elements == finite.index.elements
-    assert restricted.index.leq == finite.index.leq
+    assert restricted.index.rows == finite.index.rows
 
 
 @criterion(8, "Hermite/Smith normal forms on 100 random 4x4 matrices", budget=10)

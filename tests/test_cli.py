@@ -147,6 +147,13 @@ def test_directed_rejects_non_boolean_relation(capsys, tmp_path, doc):
     assert err.splitlines() == ["error: preorder leq must be a matrix of booleans"]
 
 
+def test_ragged_relation_matrix_exits_2(capsys, tmp_path):
+    path = write(tmp_path, "ragged.json", {"elements": ["a", "b"], "leq": [[True, False], [True]]})
+    code, out, err = run(capsys, "preorder", "directed", path)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: relation matrix must be square over the elements"]
+
+
 def _point_verify_doc(**fields):
     p = complete_preorder(["x"])
     doc = {
@@ -460,11 +467,91 @@ def test_totalize_flag(capsys, tmp_path):
     assert psod.annotations.get("totalized") == "true"
 
 
-def test_seed_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--seed", "7", "order", "cmp", "--", "-1/2", "0")
-    assert code == 0 and out.strip() == "less"
-
-
 def test_bad_caps_rejected(capsys):
     code, _, err = run(capsys, "--caps", "bogus=3", "order", "cmp", "--", "0", "0")
     assert code == 2 and "unknown cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, body, message",
+    [
+        (["preorder", "pushout", "{body}"], ["left", "right"],
+         "pushout document needs 'left' and 'right' maps"),
+        (["psod", "filtrate", "{body}"], {"object": {}}, "filtrate document needs field 'psod'"),
+        (["psod", "ktheory", "{nodal}", "--kdata", "{body}"], [1],
+         "kdata must be an object keyed by component"),
+        (["psod", "build", "{body}"], 5, "stratification document needs field 'strata'"),
+    ],
+)
+def test_malformed_bodies_exit_1(capsys, tmp_path, argv, body, message):
+    paths = {
+        "body": write(tmp_path, "body.json", body),
+        "nodal": write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal_cubic())),
+    }
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "kdata, message",
+    [
+        (
+            {"X": {"rank": 1.7}, "D~": {"rank": 0, "torsion": [2.9]}, "o": {"rank": 0}},
+            "group rank must be an integer",
+        ),
+        (
+            {"X": {"rank": 1}, "D~": {"rank": 0, "torsion": [2.9]}, "o": {"rank": 0}},
+            "group torsion must be a list of integers",
+        ),
+        (
+            {"X": {"rank": True}, "D~": {"rank": 0}, "o": {"rank": 0}},
+            "group rank must be an integer",
+        ),
+    ],
+)
+def test_ktheory_rejects_coerced_groups(capsys, tmp_path, kdata, message):
+    strat = write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal_cubic()))
+    path = write(tmp_path, "kdata.json", kdata)
+    code, out, err = run(capsys, "psod", "ktheory", strat, "--kdata", path)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "chart, overlap, message",
+    [
+        ({"id": "U", "branches": "ab"}, None, "chart 'U': branches must be a list of strings"),
+        ({"id": 5, "branches": ["a"]}, None, "chart id must be a string"),
+        (None, {"charts": ["U"], "map": {}}, "overlap charts must be a list of two chart ids"),
+        (None, {"charts": ["U", "U"], "map": [["a", "b"]]}, "overlap map must map labels to labels"),
+    ],
+)
+def test_psod_build_rejects_malformed_atlas(capsys, tmp_path, chart, overlap, message):
+    atlas = {
+        "charts": [chart or {"id": "U", "branches": ["a", "b"]}],
+        "overlaps": [overlap] if overlap else [],
+    }
+    path = write(tmp_path, "atlas.json", atlas)
+    code, out, err = run(capsys, "psod", "build", path)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_each_output_mode_builds_only_its_own_text(capsys, tmp_path, monkeypatch):
+    import psodkit.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("built for the other output mode")
+
+    path = write(tmp_path, "cross.json", docs.stratification_to_doc(simple_crossing(2)))
+    chain = write(tmp_path, "chain.json", chain_doc("a", "b"))
+    monkeypatch.setattr(cli, "_render_psod", refuse)
+    monkeypatch.setattr(cli, "_render_preorder", refuse)
+    assert run(capsys, "--output", "machine", "psod", "build", path)[0] == 0
+    assert run(capsys, "--output", "machine", "preorder", "coproduct", chain, chain)[0] == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(docs, "psod_to_doc", refuse)
+    monkeypatch.setattr(docs, "preorder_to_doc", refuse)
+    assert run(capsys, "psod", "build", path)[0] == 0
+    assert run(capsys, "preorder", "coproduct", chain, chain)[0] == 0

@@ -127,7 +127,7 @@ def test_atlas_pipeline_matches_direct_nodal():
     )
     from_atlas = build_root_psod(strata_from_atlas(atlas), 2)
     direct = build_root_psod(nodal_cubic(), 2)
-    assert from_atlas.index.leq == direct.index.leq
+    assert from_atlas.index.rows == direct.index.rows
     got = [
         (f.stratum_id, str(f.character))
         for _, f in from_atlas.factor_rows()
@@ -163,7 +163,7 @@ def test_nodal_level2_equals_r2():
     trunc = build_infinite_psod(nodal_cubic(), 2)
     finite = build_root_psod(nodal_cubic(), 2)
     assert trunc.index.elements == finite.index.elements
-    assert trunc.index.leq == finite.index.leq
+    assert trunc.index.rows == finite.index.rows
 
 
 def test_truncation_coherence_restriction():
@@ -171,7 +171,7 @@ def test_truncation_coherence_restriction():
     restricted = restrict_to_denominators(trunc, 2)
     finite = build_root_psod(smooth_divisor(), 2)
     assert restricted.index.elements == finite.index.elements
-    assert restricted.index.leq == finite.index.leq
+    assert restricted.index.rows == finite.index.rows
 
 
 def test_truncation_coherence_stratumwise_on_nodal():
@@ -273,7 +273,7 @@ def test_glue_two_chart_nodal_scenario_matches_pipeline():
     )
     res = glue(GluingScenario(diag, {"l0": psod, "l1": psod}))
     want = build_root_psod(nodal_cubic(), 2).index
-    assert res.psod.index.leq == want.leq
+    assert res.psod.index.rows == want.rows
     assert [f.character for _, f in res.psod.factor_rows()] == [
         f.character for _, f in build_root_psod(nodal_cubic(), 2).factor_rows()
     ]

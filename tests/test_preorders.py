@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -65,19 +66,33 @@ def test_duplicate_labels_rejected():
 
 def test_reflexivity_enforced():
     with pytest.raises(InputError):
-        FinitePreorder(("a",), ((False,),))
+        FinitePreorder(("a",), (0,))
+
+
+def test_rows_must_fit_the_carrier():
+    with pytest.raises(InputError):
+        FinitePreorder(("a", "b"), (0b01, 0b110))
+    with pytest.raises(InputError):
+        FinitePreorder(("a", "b"), (0b01,))
+    with pytest.raises(InputError):
+        FinitePreorder(("a",), (-1,))
+
+
+def test_large_complete_and_discrete_carriers_stay_small():
+    labels = [f"x{i}" for i in range(3000)]
+    tracemalloc.start()
+    try:
+        complete_preorder(labels)
+        discrete_preorder(labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_transitivity_is_reported_not_enforced():
     # a <= b <= c without a <= c: storable, flagged
-    p = FinitePreorder(
-        ("a", "b", "c"),
-        (
-            (True, True, False),
-            (False, True, True),
-            (False, False, True),
-        ),
-    )
+    p = FinitePreorder(("a", "b", "c"), (0b011, 0b110, 0b100))
     assert not p.is_transitive
     assert ("a", "b", "c") in p.transitivity_violations()
     assert chain("a", "b", "c").is_transitive
@@ -377,9 +392,9 @@ def test_verify_rejection_witness_is_pinned():
     parts = [chain("a", "b"), discrete_preorder(["c", "d"])]
     diag = PreorderDiagram(("v0", "v1"), dict(zip(("v0", "v1"), parts)))
     out, _ = coproduct(parts)
-    leq = [list(row) for row in out.leq]
-    leq[0][1] = False
-    candidate = FinitePreorder(out.elements, tuple(map(tuple, leq)))
+    rows = list(out.rows)
+    rows[0] &= ~(1 << 1)
+    candidate = FinitePreorder(out.elements, tuple(rows))
     cocone = {"v0": {"a": "a", "b": "b"}, "v1": {"c": "c", "d": "d"}}
     res = verify_colimit(diag, candidate, cocone)
     assert docs.verify_to_doc(res) == {
@@ -471,14 +486,7 @@ def test_directed_witness_pair():
 
 def test_total_but_cyclic_relation_is_not_directed():
     # a 3-cycle is total yet admits no order-reflecting map to the naturals
-    p = FinitePreorder(
-        ("a", "b", "c"),
-        (
-            (True, True, False),
-            (False, True, True),
-            (True, False, True),
-        ),
-    )
+    p = FinitePreorder(("a", "b", "c"), (0b011, 0b110, 0b101))
     assert p.is_total
     assert not is_directed(p)
     assert directedness(p).witness()["kind"] == "no_enumeration"
@@ -490,7 +498,7 @@ def _brute_force_directed(p: FinitePreorder) -> bool:
         ok = True
         for i in range(n):
             for j in range(n):
-                if values[i] <= values[j] and not p.leq[i][j]:
+                if values[i] <= values[j] and not p.rows[i] >> j & 1:
                     ok = False
                     break
             if not ok:
@@ -504,12 +512,7 @@ def test_directedness_matches_brute_force_on_small_preorders():
     for q in range(5):
         for rows in _preorders_on(q):
             labels = tuple(f"e{i}" for i in range(q))
-            p = FinitePreorder(
-                labels,
-                tuple(
-                    tuple(bool(rows[i] >> j & 1) for j in range(q)) for i in range(q)
-                ),
-            )
+            p = FinitePreorder(labels, rows)
             assert is_directed(p) == _brute_force_directed(p)
             # on transitive carriers directedness is exactly totality
             assert is_directed(p) == p.is_total
@@ -520,10 +523,10 @@ def test_directedness_matches_brute_force_on_random_reflexive_relations():
     for _ in range(300):
         n = rng.randint(1, 5)
         labels = tuple(f"e{i}" for i in range(n))
-        leq = tuple(
-            tuple(i == j or rng.random() < 0.5 for j in range(n)) for i in range(n)
+        rows = tuple(
+            sum(1 << j for j in range(n) if i == j or rng.random() < 0.5) for i in range(n)
         )
-        p = FinitePreorder(labels, leq)
+        p = FinitePreorder(labels, rows)
         assert is_directed(p) == _brute_force_directed(p)
 
 
@@ -580,6 +583,17 @@ def test_verify_rejects_overcomplete_candidate():
     assert verify_colimit(diag, out, cocone).ok
     res = verify_colimit(diag, complete_preorder(["a", "b", "c"]), cocone)
     assert not res.ok and res.reason == "cocone map not order-reflecting"
+
+
+def test_verify_reads_cocone_images_in_source_order():
+    # the first row of the reflection scan reads every image: a witness met
+    # before an image outside the candidate wins, otherwise that image raises
+    diag = PreorderDiagram(("v",), {"v": discrete_preorder(["a", "b", "c"])})
+    candidate = complete_preorder(["x", "y"])
+    res = verify_colimit(diag, candidate, {"v": {"a": "x", "b": "y", "c": "zzz"}})
+    assert res.witness == {"vertex": "v", "pair": ["a", "b"]}
+    with pytest.raises(InputError, match="no element labelled 'zzz'"):
+        verify_colimit(diag, candidate, {"v": {"a": "x", "b": "zzz", "c": "y"}})
 
 
 def test_verify_rejects_overmerged_candidate():

@@ -5,7 +5,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from psodkit.preorders import _iso_key, generated_preorder
+from psodkit import documents as docs
+from psodkit.preorders import FinitePreorder, _iso_key, generated_preorder
 
 
 @st.composite
@@ -31,3 +32,18 @@ def _relabelled_preorders(draw):
 def test_iso_key_invariant_under_relabelling(pair):
     rows, moved = pair
     assert _iso_key(rows) == _iso_key(moved)
+
+
+@st.composite
+def _reflexive_relations(draw):
+    n = draw(st.integers(0, 7))
+    rows = tuple(draw(st.integers(0, (1 << n) - 1)) | 1 << i for i in range(n))
+    return FinitePreorder(tuple(f"e{i}" for i in range(n)), rows)
+
+
+@given(_reflexive_relations())
+def test_preorder_document_roundtrip(p):
+    # non-transitive relations included: the document stores any reflexive one
+    doc = docs.loads(docs.dumps(docs.preorder_to_doc(p)))
+    assert doc["leq"] == [[p.le(x, y) for y in p.elements] for x in p.elements]
+    assert docs.preorder_from_doc(doc) == p
