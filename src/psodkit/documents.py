@@ -10,7 +10,7 @@ decoded values raises the library's usual errors.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .abelian import FgAbGroup, GradedGroup, GradedHom, IntMatrix
 from .engine import (
@@ -60,6 +60,13 @@ def _label_map(doc: Any, what: str) -> dict[str, str]:
 
 def _strings(doc: Any) -> bool:
     return isinstance(doc, list) and all(isinstance(x, str) for x in doc)
+
+
+def _each(doc: Any, read: Callable[[Any], Any], message: str) -> dict[str, Any]:
+    """Read every value of a JSON object; anything but an object is a ParseError."""
+    if not isinstance(doc, dict):
+        raise ParseError(message)
+    return {key: read(value) for key, value in doc.items()}
 
 
 # -- preorders ---------------------------------------------------------------
@@ -130,11 +137,10 @@ def diagram_from_doc(doc: Mapping) -> PreorderDiagram:
     arrow_docs = doc.get("arrows", [])
     if not _strings(vertices):
         raise ParseError("diagram vertices must be a list of strings")
-    if not isinstance(preorders, dict):
-        raise ParseError("diagram preorders must be an object keyed by vertex")
+    message = "diagram preorders must be an object keyed by vertex"
+    pre = _each(preorders, preorder_from_doc, message)
     if not isinstance(arrow_docs, list):
         raise ParseError("diagram arrows must be a list")
-    pre = {v: preorder_from_doc(p) for v, p in preorders.items()}
     arrows = []
     for a in arrow_docs:
         name = _need(a, "name", "arrow")
@@ -195,7 +201,7 @@ def char_tuple_to_doc(c: CharTuple) -> list[str]:
 def char_tuple_from_doc(doc: Any) -> CharTuple:
     if isinstance(doc, str):
         return CharTuple.parse(doc)
-    if isinstance(doc, list):
+    if _strings(doc):
         return CharTuple(tuple(Residue.parse(x) for x in doc))
     raise ParseError("character tuple must be a string or an array of residues")
 
@@ -293,13 +299,13 @@ def group_from_doc(doc: Mapping) -> FgAbGroup:
 
 def kdata_from_doc(doc: Any) -> dict[str, FgAbGroup]:
     """Read a ``{component: group}`` document."""
-    if not isinstance(doc, dict):
-        raise ParseError("kdata must be an object keyed by component")
-    return {label: group_from_doc(g) for label, g in doc.items()}
+    return _each(doc, group_from_doc, "kdata must be an object keyed by component")
 
 
 def matrix_from_doc(doc: Any, rows: int | None = None, cols: int | None = None) -> IntMatrix:
-    if not isinstance(doc, list):
+    if not isinstance(doc, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in doc
+    ):
         raise ParseError("matrix must be a nested integer array")
     r = len(doc)
     c = len(doc[0]) if doc else (cols or 0)
@@ -315,10 +321,9 @@ def graded_group_to_doc(g: GradedGroup) -> dict:
 
 def graded_group_from_doc(doc: Mapping) -> GradedGroup:
     index = preorder_from_doc(_need(doc, "index", "graded group"))
-    pieces = {
-        x: group_from_doc(p) for x, p in _need(doc, "pieces", "graded group").items()
-    }
-    return GradedGroup(index, pieces)
+    pieces = _need(doc, "pieces", "graded group")
+    message = "graded group pieces must be an object keyed by element"
+    return GradedGroup(index, _each(pieces, group_from_doc, message))
 
 
 # -- psod indices ------------------------------------------------------------
@@ -335,12 +340,16 @@ def factor_to_doc(f: FactorDescriptor) -> dict:
 
 
 def factor_from_doc(doc: Mapping) -> FactorDescriptor:
+    stratum = _need(doc, "stratum", "factor")
+    character = char_tuple_from_doc(_need(doc, "character", "factor"))
+    target = _need(doc, "target", "factor")
+    if not isinstance(stratum, str):
+        raise ParseError("factor stratum must be a string")
+    if not isinstance(target, str):
+        raise ParseError("factor target must be a string")
     kdata = doc.get("kdata")
     return FactorDescriptor(
-        _need(doc, "stratum", "factor"),
-        char_tuple_from_doc(_need(doc, "character", "factor")),
-        _need(doc, "target", "factor"),
-        group_from_doc(kdata) if kdata is not None else None,
+        stratum, character, target, group_from_doc(kdata) if kdata is not None else None
     )
 
 
@@ -364,40 +373,50 @@ def filtration_request_from_doc(doc: Mapping) -> tuple[PsodIndex, dict[str, tupl
 
 
 def psod_from_doc(doc: Mapping) -> PsodIndex:
-    return PsodIndex(
-        preorder_from_doc(_need(doc, "index", "psod")),
-        {x: factor_from_doc(f) for x, f in _need(doc, "factors", "psod").items()},
-        dict(doc.get("annotations", {})),
+    index = preorder_from_doc(_need(doc, "index", "psod"))
+    factors = _each(
+        _need(doc, "factors", "psod"), factor_from_doc,
+        "psod factors must be an object keyed by element",
     )
+    return PsodIndex(index, factors, _label_map(doc.get("annotations", {}), "psod annotations"))
 
 
 def scenario_from_doc(doc: Mapping) -> GluingScenario:
     diagram = diagram_from_doc(_need(doc, "diagram", "scenario"))
-    psods = {
-        v: psod_from_doc(p) for v, p in _need(doc, "psods", "scenario").items()
-    }
-    graded = {
-        v: graded_group_from_doc(g) for v, g in doc.get("graded", {}).items()
-    }
+    message = "scenario psods, graded and graded_homs must be objects"
+    psods = _each(_need(doc, "psods", "scenario"), psod_from_doc, message)
+    graded = _each(doc.get("graded", {}), graded_group_from_doc, message)
+    hom_docs = doc.get("graded_homs", {})
+    if not isinstance(hom_docs, dict):
+        raise ParseError(message)
     homs = {}
-    if doc.get("graded_homs") and not graded:
+    if hom_docs and not graded:
         raise ParseError("graded_homs given without graded vertex data")
-    for name, h in doc.get("graded_homs", {}).items():
+    for name, h in hom_docs.items():
         arrow = next((a for a in diagram.arrows if a.name == name), None)
         if arrow is None:
             raise ParseError(f"graded hom for unknown arrow {name!r}")
-        src_g, tgt_g = graded[arrow.src], graded[arrow.tgt]
+        src_g, tgt_g = graded.get(arrow.src), graded.get(arrow.tgt)
+        if src_g is None or tgt_g is None:
+            raise ParseError(f"graded hom {name!r} needs graded data at both ends")
+        block_docs = _need(h, "blocks", "graded hom")
+        if not isinstance(block_docs, list):
+            raise ParseError(f"graded hom {name!r}: blocks must be a list")
         blocks = {}
-        for entry in _need(h, "blocks", "graded hom"):
+        for entry in block_docs:
             x = _need(entry, "source_grade", "graded hom block")
             y = _need(entry, "target_grade", "graded hom block")
+            if x not in src_g.index.elements or y not in tgt_g.index.elements:
+                raise ParseError(f"graded hom {name!r}: block grades must be index elements")
             blocks[(x, y)] = matrix_from_doc(
                 _need(entry, "matrix", "graded hom block"),
                 rows=tgt_g.pieces[y].ngens,
                 cols=src_g.pieces[x].ngens,
             )
         reindex = OrderReflectingMap(
-            tgt_g.index, src_g.index, dict(_need(h, "reindex", "graded hom"))
+            tgt_g.index,
+            src_g.index,
+            _label_map(_need(h, "reindex", "graded hom"), f"graded hom {name!r} reindex"),
         )
         homs[name] = GradedHom(src_g, tgt_g, reindex, blocks)
     return GluingScenario(diagram, psods, graded, homs)

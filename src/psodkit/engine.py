@@ -12,7 +12,6 @@ produces the direct-sum bookkeeping.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -30,13 +29,15 @@ from .abelian import (
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, PreconditionError
 from .factorial import (
+    CharKey,
     CharTuple,
-    componentwise_le,
+    bang_key,
     deepest_first,
     enumerate_characters,
-    leq_bang,
+    is_prime,
     starred_tuples,
     stratified_blocks,
+    zr_key,
 )
 from .preorders import (
     DirectednessReport,
@@ -134,7 +135,7 @@ def totalize_index(psod: PsodIndex) -> PsodIndex:
 def _stratified_psod(
     strat: Stratification,
     characters: Callable[[int], Sequence[CharTuple]],
-    same_block_le: Callable[[CharTuple, CharTuple], bool],
+    key: Callable[[CharTuple], CharKey],
     caps: Caps,
     what: str,
     notes: dict[str, str],
@@ -143,7 +144,7 @@ def _stratified_psod(
     """One character block per stratum, deeper codimension first, with each
     factor targeting the stratum's normalization."""
     index, entries = stratified_blocks(
-        [(s.id, s.codim) for s in strat.strata], characters, same_block_le, caps, what
+        [(s.id, s.codim) for s in strat.strata], characters, key, caps, what
     )
     factors = {
         label: FactorDescriptor(sid, chi, perf_label(strat.by_id[sid]))
@@ -174,7 +175,7 @@ def build_root_psod(
     return _stratified_psod(
         strat,
         lambda k: starred_tuples(k, r, caps),
-        componentwise_le,
+        zr_key(r),
         caps,
         "divisor index",
         notes,
@@ -206,7 +207,7 @@ def build_infinite_psod(
     return _stratified_psod(
         strat,
         lambda k: enumerate_characters(k, max_level, coprime_to, caps),
-        functools.partial(leq_bang, caps=caps),
+        lambda chi: bang_key(chi, caps),
         caps,
         "truncated index",
         notes,
@@ -423,7 +424,7 @@ class KTheoryMode:
 
     @classmethod
     def kummer_etale(cls, p: int, level: int) -> "KTheoryMode":
-        if p < 2:
+        if not is_prime(p):
             raise InputError("p must be a prime >= 2")
         if level < 2:
             raise InputError("truncation level must be at least 2")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,12 +73,6 @@ class Residue:
 
     def __str__(self) -> str:
         return "0" if self.num == 0 else f"{self.num}/{self.den}"
-
-    def __lt__(self, other: "Residue") -> bool:
-        return self.value < other.value
-
-    def __le__(self, other: "Residue") -> bool:
-        return self.value <= other.value
 
 
 ZERO = Residue(0)
@@ -236,8 +231,16 @@ def bang_chain(level: int) -> tuple[int, ...]:
 
 
 def bang_rank(p: int, level: int) -> int:
-    """Position of -p/n! in the ascending recursive order (0 = smallest)."""
-    return bang_chain(level).index(p)
+    """Position of -p/n! in the ascending recursive order (0 = smallest),
+    read off ``bang_chain``: the fiber over p mod n is block n-1 - (p mod n)
+    of (n-1)! entries, ordered by the rank of floor(p/n) at level n-1."""
+    if level < 1 or not 0 <= p < math.factorial(level):
+        raise InputError("bang_rank needs level >= 1 and a numerator in [0, n!)")
+    rank = 0
+    for n in range(level, 1, -1):
+        rank += (n - 1 - p % n) * math.factorial(n - 1)
+        p //= n
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +278,26 @@ def cmp_bang(chi: CharTuple, psi: CharTuple, caps: Caps = DEFAULT_CAPS) -> str:
     return INCOMPARABLE
 
 
-def leq_bang(chi: CharTuple, psi: CharTuple, caps: Caps = DEFAULT_CAPS) -> bool:
-    return cmp_bang(chi, psi, caps) in (LESS, EQUAL)
+# (level, coordinate ranks): in a block, deeper levels first, then rank by rank
+CharKey = tuple[int, tuple[int, ...]]
+
+
+def bang_key(chi: CharTuple, caps: Caps = DEFAULT_CAPS) -> CharKey:
+    """The tuple's normal factorial level and each numerator's ``bang_rank``
+    at that level: the key of ``cmp_bang``'s order."""
+    form = to_factorial_form(chi, caps)
+    return form.level, tuple(bang_rank(p, form.level) for p in form.numerators)
 
 
 # ---------------------------------------------------------------------------
 # index preorders
+
+
+def zr_key(r: int) -> Callable[[CharTuple], CharKey]:
+    """Key of a tuple over Z_r for the standard order in every coordinate:
+    one level for all, each coordinate's position in ``zr_elements(r)``."""
+    rank = {c: i for i, c in enumerate(zr_elements(r))}
+    return lambda chi: (0, tuple(rank[c] for c in chi.components))
 
 
 def _product_tuples(
@@ -296,11 +313,6 @@ def starred_tuples(k: int, r: int, caps: Caps = DEFAULT_CAPS) -> list[CharTuple]
     return _product_tuples(zr_elements(r, True), k, caps, "divisor index")
 
 
-def componentwise_le(chi: CharTuple, psi: CharTuple) -> bool:
-    """The standard order of Z_r in every coordinate."""
-    return all(a <= b for a, b in zip(chi.components, psi.components))
-
-
 def build_zkr(
     k: int, r: int, starred: bool = False, caps: Caps = DEFAULT_CAPS
 ) -> FinitePreorder:
@@ -309,39 +321,49 @@ def build_zkr(
     if k < 0:
         raise InputError("k must be non-negative")
     tuples = _product_tuples(zr_elements(r, starred), k, caps, "character block")
-    labels = tuple(str(t) for t in tuples)
-    rows = tuple(
-        sum(1 << j for j, t in enumerate(tuples) if componentwise_le(s, t)) for s in tuples
-    )
-    return FinitePreorder(labels, rows)
+    return _char_blocks_leq([(None, k, t) for t in tuples], zr_key(r))
 
 
 def _char_blocks_leq(
-    blocks: Sequence[tuple[Optional[str], int, CharTuple]],
-    same_block_le: Callable[[CharTuple, CharTuple], bool],
+    entries: Sequence[tuple[Optional[str], int, CharTuple]],
+    key: Callable[[CharTuple], CharKey],
 ) -> FinitePreorder:
     """Assemble a divisor-index preorder from (block id, codim, character)
     entries: deeper codimension first, distinct blocks of equal codimension
-    related both ways, same block compared by ``same_block_le``.  Entries
-    of block ``None`` are labelled by their character alone, all others
-    'block:(chars)'."""
-    codim_mask: dict[int, int] = {}
-    members: dict[tuple[Optional[str], int], list[int]] = {}
-    for i, (b, k, _) in enumerate(blocks):
-        codim_mask[k] = codim_mask.get(k, 0) | 1 << i
-        members.setdefault((b, k), []).append(i)
-    lower = {k: sum(m for kk, m in codim_mask.items() if kk < k) for k in codim_mask}
-    block_mask = {key: sum(1 << j for j in js) for key, js in members.items()}
+    related both ways.  Inside a block each character is keyed once as
+    (level, ranks): a deeper level comes first, and at equal level a row is
+    the level's mask ANDed over coordinates d with ``ge[d][rank_d]``, the
+    members whose rank d is at least rank_d.  So a row costs O(k) mask
+    operations instead of one comparison per member.  Block ``None`` labels
+    by character alone, all others 'block:(chars)'."""
+    keyed = [(b, k, *key(c)) for b, k, c in entries]
+    codim: dict[int, int] = defaultdict(int)
+    block: dict[tuple[Optional[str], int], int] = defaultdict(int)
+    level: dict[tuple[Optional[str], int, int], int] = defaultdict(int)
+    ge: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
+    for i, (b, k, lv, ranks) in enumerate(keyed):
+        codim[k] |= 1 << i
+        block[b, k] |= 1 << i
+        level[b, k, lv] |= 1 << i
+        for d, v in enumerate(ranks):
+            ge[d][v] |= 1 << i
+    for at in ge.values():
+        above = 0
+        for v in sorted(at, reverse=True):
+            at[v] = above = above | at[v]
+    below = {
+        (b, k, lv): sum(m for kk, m in codim.items() if kk < k)
+        | (codim[k] & ~block[b, k])
+        | sum(m for (bb, kk, ll), m in level.items() if (bb, kk) == (b, k) and ll < lv)
+        for b, k, lv in level
+    }
     rows = []
-    for i, (b, k, c) in enumerate(blocks):
-        row = lower[k] | (codim_mask[k] & ~block_mask[(b, k)]) | 1 << i
-        for j in members[(b, k)]:
-            if j != i and same_block_le(c, blocks[j][2]):
-                row |= 1 << j
-        rows.append(row)
-    labels = tuple(
-        (str(c) if b is None else f"{b}:{c}") for b, _, c in blocks
-    )
+    for b, k, lv, ranks in keyed:
+        row = level[b, k, lv]
+        for d, v in enumerate(ranks):
+            row &= ge[d][v]
+        rows.append(below[b, k, lv] | row)
+    labels = tuple(str(c) if b is None else f"{b}:{c}" for b, _, c in entries)
     return FinitePreorder(labels, tuple(rows))
 
 
@@ -354,7 +376,7 @@ def deepest_first(strata: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
 def stratified_blocks(
     strata: Sequence[tuple[str, int]],
     characters: Callable[[int], Sequence[CharTuple]],
-    same_block_le: Callable[[CharTuple, CharTuple], bool],
+    key: Callable[[CharTuple], CharKey],
     caps: Caps = DEFAULT_CAPS,
     what: str = "divisor index",
 ) -> tuple[FinitePreorder, list[tuple[str, int, CharTuple]]]:
@@ -371,7 +393,7 @@ def stratified_blocks(
         for chi in characters(k)
     ]
     caps.check_carrier(len(entries), what)
-    return _char_blocks_leq(entries, same_block_le), entries
+    return _char_blocks_leq(entries, key), entries
 
 
 def build_zdr(codims: Iterable[int], r: int, caps: Caps = DEFAULT_CAPS) -> FinitePreorder:
@@ -381,12 +403,9 @@ def build_zdr(codims: Iterable[int], r: int, caps: Caps = DEFAULT_CAPS) -> Finit
     if r < 1:
         raise InputError("r must be at least 1")
     nd = max(codims, default=0)
-    entries: list[tuple[Optional[str], int, CharTuple]] = []
-    for k in range(nd, -1, -1):
-        for t in starred_tuples(k, r, caps):
-            entries.append((None, k, t))
+    entries = [(None, k, t) for k in range(nd, -1, -1) for t in starred_tuples(k, r, caps)]
     caps.check_carrier(len(entries), "divisor index")
-    return _char_blocks_leq(entries, componentwise_le)
+    return _char_blocks_leq(entries, zr_key(r))
 
 
 def build_zdr_stratified(
@@ -398,7 +417,7 @@ def build_zdr_stratified(
     if r < 1:
         raise InputError("r must be at least 1")
     return stratified_blocks(
-        strata, lambda k: starred_tuples(k, r, caps), componentwise_le, caps
+        strata, lambda k: starred_tuples(k, r, caps), zr_key(r), caps
     )[0]
 
 
@@ -429,15 +448,15 @@ def enumerate_characters(
         Residue.from_fraction(Fraction(-p, f)) for p in range(1, f)
     ]
     if coprime_to is not None:
-        if coprime_to < 2:
+        if not is_prime(coprime_to):
             raise InputError("coprime_to must be a prime >= 2")
         pool = [c for c in pool if c.den % coprime_to != 0]
     caps.check_carrier(len(pool) ** k if k else 1, "character enumeration")
-    out: list[tuple[tuple[int, ...], CharTuple]] = []
-    for t in itertools.product(pool, repeat=k):
-        chi = CharTuple(t)
-        form = to_factorial_form(chi, caps)
-        ranks = tuple(bang_rank(p, form.level) for p in form.numerators)
-        out.append(((-form.level,) + ranks, chi))
-    out.sort(key=lambda pair: pair[0])
-    return [chi for _, chi in out]
+    chars = [CharTuple(t) for t in itertools.product(pool, repeat=k)]
+    keys = {chi: bang_key(chi, caps) for chi in chars}
+    return sorted(chars, key=lambda chi: (-keys[chi][0], keys[chi][1]))
+
+
+def is_prime(n: int) -> bool:
+    """Trial division, O(sqrt n) steps."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))

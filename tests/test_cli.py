@@ -555,3 +555,127 @@ def test_each_output_mode_builds_only_its_own_text(capsys, tmp_path, monkeypatch
     monkeypatch.setattr(docs, "preorder_to_doc", refuse)
     assert run(capsys, "psod", "build", path)[0] == 0
     assert run(capsys, "preorder", "coproduct", chain, chain)[0] == 0
+
+
+def _nodal_psod_doc():
+    from psodkit.engine import build_root_psod
+
+    return docs.psod_to_doc(build_root_psod(nodal_cubic(), 2))
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["factors"], [], "psod factors must be an object keyed by element"),
+        (["annotations"], [["a", "b"]], "psod annotations must map labels to labels"),
+        (["annotations", "r"], 2, "psod annotations must map labels to labels"),
+        (["factors", "X:()", "stratum"], 5, "factor stratum must be a string"),
+        (["factors", "X:()", "target"], ["Perf(X)"], "factor target must be a string"),
+        (["factors", "X:()", "character"], [5], "character tuple must be a string or an array of residues"),
+    ],
+)
+def test_filtrate_rejects_malformed_psod(capsys, tmp_path, path, value, message):
+    body = {"psod": _nodal_psod_doc(), "object": {"X:()": [1]}}
+    _set(body["psod"], path, value)
+    code, out, err = run(capsys, "psod", "filtrate", write(tmp_path, "filt.json", body))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def _graded_scenario_doc():
+    psod = _nodal_psod_doc()
+    elements = psod["index"]["elements"]
+    diag = PreorderDiagram(
+        ("l0", "l1"),
+        {v: docs.preorder_from_doc(psod["index"]) for v in ("l0", "l1")},
+        (
+            DiagramArrow(
+                "d0", "l0", "l1",
+                identity_map(docs.preorder_from_doc(psod["index"])), "contravariant",
+            ),
+        ),
+    )
+    graded = {"index": psod["index"], "pieces": {x: {"rank": 1} for x in elements}}
+    return {
+        "diagram": docs.diagram_to_doc(diag),
+        "psods": {"l0": psod, "l1": json.loads(json.dumps(psod))},
+        "graded": {"l0": graded, "l1": json.loads(json.dumps(graded))},
+        "graded_homs": {
+            "d0": {
+                "reindex": {x: x for x in elements},
+                "blocks": [{"source_grade": x, "target_grade": x, "matrix": [[1]]}
+                           for x in elements],
+            }
+        },
+    }
+
+
+def test_glue_reads_graded_scenario(capsys, tmp_path):
+    path = write(tmp_path, "scenario.json", _graded_scenario_doc())
+    code, out, _ = run(capsys, "--output", "machine", "psod", "glue", path)
+    assert code == 0 and json.loads(out)["ungraded_total"] == {"rank": 3, "torsion": []}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["psods"], [], "scenario psods, graded and graded_homs must be objects"),
+        (["psods", "l1", "factors"], [], "psod factors must be an object keyed by element"),
+        (["psods", "l1", "factors", "X:()", "stratum"], 5, "factor stratum must be a string"),
+        (["psods", "l0", "annotations"], [["a", "b"]],
+         "psod annotations must map labels to labels"),
+        (["graded", "l0", "pieces"], [], "graded group pieces must be an object keyed by element"),
+        (["graded_homs", "d0", "reindex"], [["X:()", "X:()"]],
+         "graded hom 'd0' reindex must map labels to labels"),
+        (["graded_homs", "d0", "blocks", 0, "target_grade"], "nowhere",
+         "graded hom 'd0': block grades must be index elements"),
+        (["graded_homs", "d0", "blocks", 0, "matrix"], [[1.5]],
+         "matrix must be a nested integer array"),
+        (["graded_homs", "d0", "blocks"], 5, "graded hom 'd0': blocks must be a list"),
+        (["graded_homs"], [], "scenario psods, graded and graded_homs must be objects"),
+    ],
+)
+def test_glue_rejects_malformed_scenario(capsys, tmp_path, path, value, message):
+    body = _graded_scenario_doc()
+    _set(body, path, value)
+    code, out, err = run(capsys, "psod", "glue", write(tmp_path, "scenario.json", body))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_order_enumerate_coprime_to_must_be_prime(capsys, n):
+    code, out, err = run(
+        capsys, "order", "enumerate", "--arity", "1", "--level", "4", "--coprime-to", str(n)
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: coprime_to must be a prime >= 2"]
+
+
+@pytest.mark.parametrize("p, code", [(4, 2), (6, 2), (2, 0), (3, 0)])
+def test_ktheory_kummer_p_must_be_prime(capsys, tmp_path, p, code):
+    nodal = nodal_cubic()
+    strat = write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal))
+    kdata = write(tmp_path, "kdata.json", {c: {"rank": 1} for c in nodal.all_components()})
+    got, out, err = run(
+        capsys, "psod", "ktheory", strat, "--kdata", kdata, "--mode", "kummer",
+        "--p", str(p), "--level", "3",
+    )
+    assert got == code
+    if code:
+        assert out == "" and err.splitlines() == ["error: p must be a prime >= 2"]
+
+
+def test_glue_graded_hom_needs_graded_ends(capsys, tmp_path):
+    body = _graded_scenario_doc()
+    del body["graded"]["l1"]
+    code, out, err = run(capsys, "psod", "glue", write(tmp_path, "scenario.json", body))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: graded hom 'd0' needs graded data at both ends"]

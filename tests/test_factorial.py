@@ -49,7 +49,10 @@ def test_residue_validation():
 
 
 def test_residue_standard_order():
-    assert R("-3/4") < R("-1/2") < R("-1/4") < R("0")
+    # the standard order is the rational order of the values; zr_elements
+    # lists Z_r in it, and a block's keys rank by that position
+    assert R("-3/4").value < R("-1/2").value < R("-1/4").value < R("0").value
+    assert [str(x) for x in zr_elements(4)] == ["-3/4", "-1/2", "-1/4", "0"]
 
 
 def test_zr_elements():
@@ -317,3 +320,17 @@ def test_enumerate_coprime_filter():
 def test_bang_rank():
     assert bang_rank(5, 3) == 0
     assert bang_rank(0, 3) == 5
+
+
+def test_bang_rank_closed_form_matches_chain():
+    # bang_rank(p, n) == bang_chain(n).index(p) for every p in [0, n!)
+    for level in range(2, 8):
+        chain = bang_chain(level)
+        assert sorted(chain) == list(range(math.factorial(level)))
+        assert [bang_rank(p, level) for p in chain] == list(range(len(chain)))
+
+
+def test_bang_rank_rejects_out_of_range():
+    for p, level in [(-1, 3), (6, 3), (0, 0)]:
+        with pytest.raises(InputError):
+            bang_rank(p, level)

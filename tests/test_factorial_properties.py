@@ -1,0 +1,180 @@
+"""The character-block builders against pairwise oracles.
+
+Each index is recomputed from its labels or factors with one predicate call
+per pair: the rational order of ``Residue.value`` in every coordinate for
+finite roots, and ``cmp_bang`` for truncations of the infinite root.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psodkit.engine import build_infinite_psod, build_root_psod
+from psodkit.factorial import (
+    EQUAL,
+    LESS,
+    CharTuple,
+    build_zdr,
+    build_zdr_stratified,
+    build_zkr,
+    cmp_bang,
+    enumerate_characters,
+)
+from psodkit.strata import (
+    Chart,
+    ChartAtlas,
+    Overlap,
+    nodal_cubic,
+    simple_crossing,
+    strata_from_atlas,
+)
+
+# the oracle makes (block size)^2 predicate calls, so blocks stay small
+MAX_BLOCK = 120
+SETTINGS = settings(max_examples=30, deadline=None)
+
+
+def fraction_le(chi, psi):
+    return all(a.value <= b.value for a, b in zip(chi.components, psi.components))
+
+
+def bang_le(chi, psi):
+    return cmp_bang(chi, psi) in (LESS, EQUAL)
+
+
+def pairwise_rows(entries, same_block_le):
+    """Rows of a divisor index from its (block, codim, character) entries:
+    deeper codimension below, distinct blocks of equal codimension related
+    both ways, one predicate call per pair inside a block."""
+    rows = []
+    for b, k, c in entries:
+        row = 0
+        for j, (b2, k2, c2) in enumerate(entries):
+            if k > k2 or (k == k2 and (b != b2 or same_block_le(c, c2))):
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
+def totalized(rows, blocks):
+    """Relate same-block pairs both ways where they were incomparable."""
+    n = len(rows)
+    return tuple(
+        rows[i]
+        | sum(1 << j for j in range(n) if blocks[j] == blocks[i] and not rows[j] >> i & 1)
+        for i in range(n)
+    )
+
+
+def psod_rows(psod, same_block_le):
+    factors = [psod.factors[x] for x in psod.index.elements]
+    entries = [(f.stratum_id, len(f.character), f.character) for f in factors]
+    return pairwise_rows(entries, same_block_le)
+
+
+@st.composite
+def atlases(draw):
+    charts = [
+        Chart(f"c{ci}", tuple(f"c{ci}b{j}" for j in range(draw(st.integers(1, 3)))))
+        for ci in range(draw(st.integers(1, 2)))
+    ]
+    overlaps = []
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(charts)), draw(st.sampled_from(charts))
+        x, y = draw(st.sampled_from(a.branches)), draw(st.sampled_from(b.branches))
+        if (a.id, x) != (b.id, y):
+            overlaps.append(Overlap(a.id, b.id, {x: y}))
+    return strata_from_atlas(ChartAtlas(tuple(charts), tuple(overlaps)))
+
+
+stratifications = st.one_of(
+    st.integers(1, 3).map(simple_crossing),
+    st.just(nodal_cubic()),
+    atlases(),
+)
+
+
+def max_codim(strat):
+    return max(s.codim for s in strat.strata)
+
+
+@st.composite
+def root_cases(draw):
+    strat = draw(stratifications)
+    d = max_codim(strat)
+    r = draw(st.sampled_from([r for r in range(1, 10) if (r - 1) ** d <= MAX_BLOCK]))
+    return strat, r, draw(st.booleans())
+
+
+@st.composite
+def infinite_cases(draw):
+    strat = draw(stratifications)
+    d = max_codim(strat)
+    choices = [
+        (level, p)
+        for level in range(2, 6)
+        for p in (None, 2, 3)
+        if len(enumerate_characters(1, level, p)) ** d <= MAX_BLOCK
+    ]
+    level, p = draw(st.sampled_from(choices))
+    return strat, level, p, draw(st.booleans())
+
+
+@SETTINGS
+@given(root_cases())
+def test_build_root_psod_matches_pairwise_order(case):
+    strat, r, totalize = case
+    psod = build_root_psod(strat, r, totalize=totalize)
+    want = psod_rows(psod, fraction_le)
+    if totalize:
+        want = totalized(want, [psod.factors[x].stratum_id for x in psod.index.elements])
+    assert psod.index.rows == want
+
+
+@SETTINGS
+@given(infinite_cases())
+def test_build_infinite_psod_matches_pairwise_order(case):
+    strat, level, p, totalize = case
+    psod = build_infinite_psod(strat, level, p, totalize=totalize)
+    want = psod_rows(psod, bang_le)
+    if totalize:
+        want = totalized(want, [psod.factors[x].stratum_id for x in psod.index.elements])
+    assert psod.index.rows == want
+
+
+@SETTINGS
+@given(st.integers(0, 3), st.integers(1, 9), st.booleans())
+def test_build_zkr_matches_pairwise_order(k, r, starred):
+    size = (r - 1 if starred else r) ** k
+    if size > MAX_BLOCK:
+        return
+    p = build_zkr(k, r, starred)
+    entries = [(None, k, CharTuple.parse(x)) for x in p.elements]
+    assert len(p) == size
+    assert p.rows == pairwise_rows(entries, fraction_le)
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(1, 9))
+def test_build_zdr_matches_pairwise_order(codims, r):
+    if (r - 1) ** max(codims) > MAX_BLOCK:
+        return
+    p = build_zdr(codims, r)
+    chars = [CharTuple.parse(x) for x in p.elements]
+    assert p.rows == pairwise_rows([(None, len(c), c) for c in chars], fraction_le)
+
+
+@SETTINGS
+@given(root_cases())
+def test_build_zdr_stratified_matches_pairwise_order(case):
+    strat, r, _ = case
+    p = build_zdr_stratified([(s.id, s.codim) for s in strat.strata], r)
+    entries = []
+    for x in p.elements:
+        sid, _, text = x.rpartition(":")
+        chi = CharTuple.parse(text)
+        entries.append((sid, len(chi), chi))
+    assert p.rows == pairwise_rows(entries, fraction_le)
