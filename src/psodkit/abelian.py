@@ -8,6 +8,8 @@ kernel and quotient computations that end in a Smith normal form.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -255,7 +257,9 @@ def solve_columns(b: IntMatrix, r: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(x, r.cols)
 
 
-def _snf_pivot_smallest(m: list[list[int]], t: int) -> Optional[tuple[int, int]]:
+def _snf_pivot(m: list[list[int]], t: int) -> Optional[tuple[int, int]]:
+    """The entry of least absolute value in the trailing block, first in
+    row-major order on ties."""
     best = None
     for i in range(t, len(m)):
         for j in range(t, len(m[0]) if m else 0):
@@ -264,27 +268,16 @@ def _snf_pivot_smallest(m: list[list[int]], t: int) -> Optional[tuple[int, int]]
     return best
 
 
-def _snf_pivot_first(m: list[list[int]], t: int) -> Optional[tuple[int, int]]:
-    for i in range(t, len(m)):
-        for j in range(t, len(m[0]) if m else 0):
-            if m[i][j] != 0:
-                return (i, j)
-    return None
-
-
-def snf(a: IntMatrix, pivot: str = "smallest") -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: U * a * V = S diagonal with d_1 | d_2 | ..., U and V
-    unimodular.  ``pivot`` selects the reduction strategy ('smallest' abs
-    value with stable tie-break, or 'first' nonzero); the invariant factors do
-    not depend on it."""
-    choose = _snf_pivot_smallest if pivot == "smallest" else _snf_pivot_first
+    unimodular."""
     m = [list(r) for r in a.entries]
     u = [[int(i == j) for j in range(a.rows)] for i in range(a.rows)]
     v = [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
     t = 0
     limit = min(a.rows, a.cols)
     while t < limit:
-        pos = choose(m, t)
+        pos = _snf_pivot(m, t)
         if pos is None:
             break
         pi, pj = pos
@@ -357,8 +350,8 @@ def snf(a: IntMatrix, pivot: str = "smallest") -> tuple[IntMatrix, IntMatrix, In
     )
 
 
-def invariant_factors(a: IntMatrix, pivot: str = "smallest") -> tuple[int, ...]:
-    s, _, _ = snf(a, pivot)
+def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
+    s, _, _ = snf(a)
     k = min(a.rows, a.cols)
     return tuple(s.entries[i][i] for i in range(k) if s.entries[i][i] != 0)
 
@@ -367,9 +360,79 @@ def invariant_factors(a: IntMatrix, pivot: str = "smallest") -> tuple[int, ...]:
 # finitely generated abelian groups
 
 
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers >= 2 such that every value is a product of
+    their powers: factor refinement by gcd and exact division, no factoring
+    (Bach, Driscoll and Shallit, J. Algorithms 1993).  Each split divides
+    the product of the base and the pending values by a gcd > 1, so at most
+    log2 of the values' product splits happen."""
+    base: list[int] = []
+    for x in values:
+        pending = [x]
+        while pending:
+            y = pending.pop()
+            if y == 1:
+                continue
+            for k, b in enumerate(base):
+                g = math.gcd(b, y)
+                if g > 1:
+                    del base[k]
+                    pending += (b // g, g, y // g)
+                    break
+            else:
+                base.append(y)
+    return base
+
+
+def _invariant_chain(counts: Mapping[int, int]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... of the direct sum of counts[d]
+    copies of C_d (every d >= 2).  Over a coprime base each C_d splits into
+    the C_{b^e} with e the exponent of b in d; the j-th largest invariant
+    factor is the product of b ** (j-th largest exponent of b)."""
+    base = _coprime_base(counts)
+    # per base element: how many summands carry each exponent
+    exponents: list[dict[int, int]] = [{} for _ in base]
+    for d, m in counts.items():
+        for b, seen in zip(base, exponents):
+            e = 0
+            while d % b == 0:
+                d //= b
+                e += 1
+            if e:
+                seen[e] = seen.get(e, 0) + m
+    # each base element's exponents, largest first, as (end position, exponent)
+    runs = []
+    for seen in exponents:
+        end = 0
+        steps = []
+        for e in sorted(seen, reverse=True):
+            end += seen[e]
+            steps.append((end, e))
+        runs.append(steps)
+    # the factor is constant between consecutive ends of any run
+    chain: list[int] = []
+    start = 0
+    for end in sorted({end for steps in runs for end, _ in steps}):
+        d = 1
+        for b, steps in zip(base, runs):
+            e = next((e for stop, e in steps if stop > start), 0)
+            d *= b**e
+        chain += [d] * (end - start)
+        start = end
+    chain.reverse()
+    return tuple(chain)
+
+
 @dataclass(frozen=True)
 class FgAbGroup:
     """Z^rank plus cyclic torsion with d_1 | d_2 | ... and every d_i >= 2.
+
+    Sums and multiples need no matrix: the torsion of a direct sum is
+    counted once per distinct invariant and merged over a coprime base of
+    those values, so its cost grows with the number of distinct invariants
+    and with the base, not with their multiplicity; ``multiple(m)`` repeats
+    each invariant m times in place.  Only the final ``torsion`` tuple is
+    linear in the number of summands.
 
     >>> str(FgAbGroup.from_invariants([0, 2, 3]))
     'Z + C6'
@@ -402,18 +465,8 @@ class FgAbGroup:
     @classmethod
     def from_invariants(cls, invariants: Iterable[int]) -> "FgAbGroup":
         """Build from unsorted cyclic orders (0 = Z, 1 = trivial summand)."""
-        rank = 0
-        torsion: list[int] = []
-        for d in invariants:
-            d = abs(int(d))
-            if d == 0:
-                rank += 1
-            elif d > 1:
-                torsion.append(d)
-        if torsion:
-            chain = invariant_factors(IntMatrix.diagonal(torsion))
-            torsion = [d for d in chain if d > 1]
-        return cls(rank, tuple(torsion))
+        orders = [abs(int(d)) for d in invariants]
+        return cls(orders.count(0), _invariant_chain(Counter(d for d in orders if d > 1)))
 
     @property
     def ngens(self) -> int:
@@ -437,14 +490,16 @@ class FgAbGroup:
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         groups = (self,) + others
-        rank = sum(g.rank for g in groups)
-        torsion = [d for g in groups for d in g.torsion]
-        return FgAbGroup.from_invariants([0] * rank + torsion)
+        counts = Counter(d for g in groups for d in g.torsion)
+        return FgAbGroup(sum(g.rank for g in groups), _invariant_chain(counts))
 
     def multiple(self, copies: int) -> "FgAbGroup":
+        """G^copies: each invariant of G repeated in place keeps the chain."""
         if copies < 0:
             raise InputError("copies must be non-negative")
-        return FgAbGroup.from_invariants([0] * (self.rank * copies) + list(self.torsion) * copies)
+        return FgAbGroup(
+            self.rank * copies, tuple(d for d in self.torsion for _ in range(copies))
+        )
 
     def __str__(self) -> str:
         parts = ["Z"] * self.rank + [f"C{d}" for d in self.torsion]

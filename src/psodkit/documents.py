@@ -408,6 +408,8 @@ def scenario_from_doc(doc: Mapping) -> GluingScenario:
             y = _need(entry, "target_grade", "graded hom block")
             if x not in src_g.index.elements or y not in tgt_g.index.elements:
                 raise ParseError(f"graded hom {name!r}: block grades must be index elements")
+            if (x, y) in blocks:
+                raise ParseError(f"graded hom {name!r}: two blocks from {x!r} to {y!r}")
             blocks[(x, y)] = matrix_from_doc(
                 _need(entry, "matrix", "graded hom block"),
                 rows=tgt_g.pieces[y].ngens,

@@ -485,13 +485,19 @@ def ktheory_report(
         raise InputError(f"kdata missing for normalization components {missing}")
     ambient = strat.ambient()
     ambient_k = FgAbGroup.zero().direct_sum(*(kdata[c] for c in ambient.norm_components))
-    rows: list[KTheoryRow] = []
+    counted = []
     for sid, _ in deepest_first((s.id, s.codim) for s in strat.strata if s.codim > 0):
         s = strat.by_id[sid]
         summand = FgAbGroup.zero().direct_sum(*(kdata[c] for c in s.norm_components))
-        count, symbolic = _char_count(s.codim, mode, caps)
-        rows.append(
-            KTheoryRow(s.id, s.codim, summand, count, symbolic, summand.multiple(count))
-        )
+        counted.append((s, summand, *_char_count(s.codim, mode, caps)))
+    # every copy of a summand lists its torsion; free rank is only a number
+    caps.check_carrier(
+        sum(count * len(summand.torsion) for _, summand, count, _ in counted),
+        "K-theory torsion",
+    )
+    rows = [
+        KTheoryRow(s.id, s.codim, summand, count, symbolic, summand.multiple(count))
+        for s, summand, count, symbolic in counted
+    ]
     total = ambient_k.direct_sum(*(row.contribution for row in rows))
     return KTheoryReport(mode, ambient_k, tuple(rows), total, mode.kind != "finite")

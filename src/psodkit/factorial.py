@@ -457,6 +457,34 @@ def enumerate_characters(
     return sorted(chars, key=lambda chi: (-keys[chi][0], keys[chi][1]))
 
 
+# Miller-Rabin with the 13 primes up to 41 as bases has no strong liar
+# below this bound (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division, O(sqrt n) steps."""
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Deterministic Miller-Rabin below 3.317e24; larger n raise InputError."""
+    if n >= _MR_BOUND:
+        raise InputError(f"primality is only decided below {_MR_BOUND}")
+    if n < 2:
+        return False
+    if n in _MR_BASES:
+        return True
+    if any(n % b == 0 for b in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

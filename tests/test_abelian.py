@@ -146,11 +146,17 @@ def test_snf_properties_random():
                 pytest.fail("nonzero invariant after a zero")
 
 
-def test_snf_path_independence():
+def test_snf_matches_sympy():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix
+    from sympy.polys.domains import ZZ
+
     rng = random.Random(77)
     for _ in range(100):
         a = rand_matrix(rng, 4, 4)
-        assert invariant_factors(a, "smallest") == invariant_factors(a, "first")
+        s = normalforms.smith_normal_form(Matrix(a.entries), domain=ZZ)
+        expected = tuple(abs(int(s[i, i])) for i in range(4) if s[i, i] != 0)
+        assert invariant_factors(a) == expected
 
 
 # ---------------------------------------------------------------------------

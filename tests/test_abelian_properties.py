@@ -1,0 +1,56 @@
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psodkit.abelian import FgAbGroup, IntMatrix, invariant_factors
+
+# small primes make shared factors common; the large ones exceed 10^12
+_ATOMS = (2, 3, 5, 7, 1_000_000_000_039, 1_000_000_000_061)
+
+
+@st.composite
+def _invariant_lists(draw):
+    """Cyclic orders drawn with repetition from a few products of atom
+    powers, with some free (0) and trivial (1) summands."""
+    exponents = st.lists(st.integers(0, 3), min_size=len(_ATOMS), max_size=len(_ATOMS))
+    pool = []
+    for exps in draw(st.lists(exponents, min_size=1, max_size=4)):
+        d = 1
+        for atom, e in zip(_ATOMS, exps):
+            # the large atoms at most once, to keep the dense oracle quick
+            d *= atom ** (min(e, 1) if atom > 10 else e)
+        pool.append(d)
+    return draw(st.lists(st.sampled_from(pool + [0]), max_size=10))
+
+
+def _snf_oracle(invariants):
+    torsion = [d for d in invariants if d > 1]
+    chain = invariant_factors(IntMatrix.diagonal(torsion)) if torsion else ()
+    return FgAbGroup(invariants.count(0), tuple(d for d in chain if d > 1))
+
+
+def _groups():
+    return _invariant_lists().map(FgAbGroup.from_invariants)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_invariant_lists())
+def test_from_invariants_matches_snf_of_diagonal(invariants):
+    assert FgAbGroup.from_invariants(invariants) == _snf_oracle(invariants)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_groups(), st.integers(0, 5))
+def test_multiple_repeats_each_invariant(g, m):
+    expected = FgAbGroup.from_invariants([0] * (g.rank * m) + list(g.torsion) * m)
+    assert g.multiple(m) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(_groups(), _groups(), _groups())
+def test_direct_sum_commutative_and_associative(a, b, c):
+    assert a.direct_sum(b) == b.direct_sum(a)
+    assert a.direct_sum(b).direct_sum(c) == a.direct_sum(b.direct_sum(c)) == a.direct_sum(b, c)

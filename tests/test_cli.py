@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -451,6 +452,39 @@ def test_psod_ktheory(capsys, tmp_path):
     assert body["total"] == {"rank": 9, "torsion": []}
 
 
+def _c2_ktheory(capsys, tmp_path, k, r, *flags):
+    cross = simple_crossing(k)
+    strat = write(tmp_path, "cross.json", docs.stratification_to_doc(cross))
+    kdata = write(
+        tmp_path, "kdata.json", {c: {"rank": 1, "torsion": [2]} for c in cross.all_components()}
+    )
+    return run(
+        capsys, *flags, "--output", "machine", "psod", "ktheory", strat, "--kdata", kdata,
+        "--mode", "finite", "--root", str(r),
+    )
+
+
+def test_ktheory_torsion_capped_before_allocation(capsys, tmp_path):
+    # crossing(4) at r=50 lists 4*49 + 6*49^2 + 4*49^3 + 49^4 = 6,249,999 copies of C2
+    start = time.perf_counter()
+    code, out, err = _c2_ktheory(capsys, tmp_path, 4, 50)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "error: K-theory torsion needs 6249999 elements, cap is 100000"
+    ]
+
+
+def test_ktheory_torsion_cap_is_reachable(capsys, tmp_path):
+    # crossing(2) at r=3 lists 2 + 2 + 4 = 8 copies of C2
+    code, out, _ = _c2_ktheory(capsys, tmp_path, 2, 3, "--caps", "carrier=8")
+    assert code == 0
+    assert json.loads(out)["total"] == {"rank": 9, "torsion": [2] * 9}
+    code, out, err = _c2_ktheory(capsys, tmp_path, 2, 3, "--caps", "carrier=7")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: K-theory torsion needs 8 elements, cap is 7"]
+
+
 def test_psod_ktheory_needs_kdata(capsys, tmp_path):
     path = write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal_cubic()))
     code, _, err = run(capsys, "psod", "ktheory", path)
@@ -650,6 +684,18 @@ def test_glue_rejects_malformed_scenario(capsys, tmp_path, path, value, message)
     assert err.splitlines() == [f"error: {message}"]
 
 
+def test_glue_rejects_duplicate_graded_hom_block(capsys, tmp_path):
+    body = _graded_scenario_doc()
+    blocks = body["graded_homs"]["d0"]["blocks"]
+    grade = blocks[0]["source_grade"]
+    blocks.append({"source_grade": grade, "target_grade": grade, "matrix": [[2]]})
+    code, out, err = run(capsys, "psod", "glue", write(tmp_path, "scenario.json", body))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: graded hom 'd0': two blocks from {grade!r} to {grade!r}"
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_order_enumerate_coprime_to_must_be_prime(capsys, n):
     code, out, err = run(
@@ -657,6 +703,27 @@ def test_order_enumerate_coprime_to_must_be_prime(capsys, n):
     )
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: coprime_to must be a prime >= 2"]
+
+
+def test_order_enumerate_coprime_to_large_prime_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "order", "enumerate", "--arity", "1", "--level", "2",
+        "--coprime-to", "100000000000031",
+    )
+    assert time.perf_counter() - start < 0.3
+    assert code == 0 and out.splitlines() == ["(-1/2)"]
+
+
+def test_order_enumerate_coprime_to_beyond_primality_bound_exits_2(capsys):
+    code, out, err = run(
+        capsys, "order", "enumerate", "--arity", "1", "--level", "2",
+        "--coprime-to", str(10**25),
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: primality is only decided below 3317044064679887385961981"
+    ]
 
 
 @pytest.mark.parametrize("p, code", [(4, 2), (6, 2), (2, 0), (3, 0)])

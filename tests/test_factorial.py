@@ -23,6 +23,7 @@ from psodkit.factorial import (
     cmp_bang,
     cmp_bang_znfact,
     enumerate_characters,
+    is_prime,
     to_factorial_form,
     zr_elements,
 )
@@ -334,3 +335,27 @@ def test_bang_rank_rejects_out_of_range():
     for p, level in [(-1, 3), (6, 3), (0, 0)]:
         with pytest.raises(InputError):
             bang_rank(p, level)
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    sieve = [True] * 100_000
+    sieve[0] = sieve[1] = False
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, 100_000, p))
+    assert [is_prime(n) for n in range(100_000)] == sieve
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # strong pseudoprimes to the bases 2 ... 7 and to 2 ... 31, then Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 561, 1105, 1729, 2465, 41041, 825265):
+        assert not is_prime(n)
+    for p in (2, 41, 43, 2**61 - 1, 100000000000031):
+        assert is_prime(p)
+
+
+def test_is_prime_refuses_beyond_its_bound():
+    bound = 3_317_044_064_679_887_385_961_981
+    assert not is_prime(bound - 2)
+    with pytest.raises(InputError, match="primality is only decided below"):
+        is_prime(bound)
