@@ -502,7 +502,8 @@ class FgAbGroup:
         )
 
     def __str__(self) -> str:
-        parts = ["Z"] * self.rank + [f"C{d}" for d in self.torsion]
+        free = ["Z" if self.rank == 1 else f"Z^{self.rank}"] if self.rank else []
+        parts = free + [f"C{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Any, Callable, Sequence
 
 from . import documents as docs
@@ -148,10 +149,10 @@ def _cmd_order(cfg: Config, args: argparse.Namespace) -> int:
 # -- psod --------------------------------------------------------------------
 
 
-def _load_stratification(path: str):
+def _load_stratification(path: str, caps: Caps):
     body = _load(path)
     if isinstance(body, dict) and "charts" in body:
-        return strata_from_atlas(docs.atlas_from_doc(body))
+        return strata_from_atlas(docs.atlas_from_doc(body), caps)
     return docs.stratification_from_doc(body)
 
 
@@ -167,11 +168,11 @@ def _render_psod(psod) -> str:
 def _cmd_psod(cfg: Config, args: argparse.Namespace) -> int:
     sub = args.subcommand
     if sub == "build":
-        strat = _load_stratification(args.inputs[0])
+        strat = _load_stratification(args.inputs[0], cfg.caps)
         psod = build_root_psod(strat, args.root, cfg.caps, totalize=cfg.totalize)
         _emit(cfg, lambda: docs.psod_to_doc(psod), lambda: _render_psod(psod))
     elif sub == "infinite":
-        strat = _load_stratification(args.inputs[0])
+        strat = _load_stratification(args.inputs[0], cfg.caps)
         psod = build_infinite_psod(
             strat, args.level, args.coprime_to, cfg.caps, totalize=cfg.totalize
         )
@@ -202,7 +203,7 @@ def _cmd_psod(cfg: Config, args: argparse.Namespace) -> int:
             + "\n  residual: zero",
         )
     elif sub == "ktheory":
-        strat = _load_stratification(args.inputs[0])
+        strat = _load_stratification(args.inputs[0], cfg.caps)
         kdata = docs.kdata_from_doc(_load(args.kdata))
         if args.mode == "finite":
             mode = KTheoryMode.finite(args.root)
@@ -238,7 +239,7 @@ def _parse_caps(text: str) -> dict[str, int]:
         if not item:
             continue
         key, _, val = item.partition("=")
-        if key not in ("carrier", "factorial_level", "nerve_depth", "verify_total"):
+        if key not in {f.name for f in fields(Caps)}:
             raise InputError(f"unknown cap {key!r}")
         try:
             out[key] = int(val)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import CapExceededError, InputError
 
@@ -23,9 +23,9 @@ class Caps:
     verify_total: int = 12
 
     def __post_init__(self) -> None:
-        for name in ("carrier", "factorial_level", "nerve_depth", "verify_total"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"cap {name!r} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise InputError(f"cap {f.name!r} must be positive")
 
     def check_carrier(self, size: int, what: str = "carrier") -> None:
         if size > self.carrier:

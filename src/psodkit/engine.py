@@ -47,7 +47,7 @@ from .preorders import (
     directedness,
     directed_numbering,
 )
-from .strata import Stratification, Stratum, require_valid, strata_preorder
+from .strata import Stratification, Stratum, require_valid
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +102,6 @@ class PsodIndex:
 
     def stratum_counts(self) -> dict[str, int]:
         return {s: len(xs) for s, xs in self.by_stratum().items()}
-
-
-def coarse_index(strat: Stratification) -> FinitePreorder:
-    """The stratum-level view of a fine index: closure containment below,
-    equal codimension mutually related."""
-    return strata_preorder(strat)
 
 
 def totalize_index(psod: PsodIndex) -> PsodIndex:

@@ -15,6 +15,7 @@ A map ``phi`` between carriers is *order-reflecting* when
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -687,21 +688,15 @@ def _reflecting_maps_to(
             out.append(tuple(assign))
             return
         for v in range(qn):
-            ok = True
             for s in range(t):
                 w = assign[s]
-                if (q_rows[v] >> w & 1) and not (prows[t] >> s & 1):
-                    ok = False
+                if (q_rows[v] >> w & 1 and not prows[t] >> s & 1) or (
+                    q_rows[w] >> v & 1 and not prows[s] >> t & 1
+                ):
                     break
-                if (q_rows[w] >> v & 1) and not (prows[s] >> t & 1):
-                    ok = False
-                    break
-            if ok and (q_rows[v] >> v & 1) and not (prows[t] >> t & 1):
-                ok = False
-            if ok:
+            else:
                 assign[t] = v
                 rec(t + 1)
-        return
 
     rec(0)
     return out
@@ -714,10 +709,10 @@ def verify_colimit(
     caps: Caps = DEFAULT_CAPS,
 ) -> VerifyResult:
     """Exhaustively check that (candidate, cocone) has the colimit universal
-    property: the cocone commutes and is order-reflecting, and every
-    order-reflecting commuting cocone to every preorder with at most
-    |candidate| + 1 elements factors through it by a unique order-reflecting
-    map.  Returns a witness on failure."""
+    property: the cocone commutes and is order-reflecting, and for every
+    preorder Q with at most |candidate| + 1 elements, h -> h . cocone is a
+    bijection from the order-reflecting maps candidate -> Q onto the
+    order-reflecting commuting cocones into Q.  Returns a witness on failure."""
     total = diagram.total_size()
     if total > caps.verify_total:
         raise CapExceededError(
@@ -753,86 +748,50 @@ def verify_colimit(
                     {"from": u, "to": v, "at": x},
                 )
 
-    cand_rows = candidate.rows
-    cand_idx = {x: i for i, x in enumerate(candidate.elements)}
-    covered: dict[int, list[tuple[str, str]]] = {i: [] for i in range(len(candidate))}
-    for v in diagram.vertices:
-        for x in diagram.preorders[v].elements:
-            covered[cand_idx[cocone[v][x]]].append((v, x))
-    free = [i for i, srcs in covered.items() if not srcs]
-
+    # a cocone into Q is laid out as itertools.product(*per_vertex) lays out
+    # its families: one tuple per vertex, one value per element in order
     vertex_order = list(diagram.vertices)
-    arrow_list = list(diagram.actual_maps())
+    vertex_elements = [diagram.preorders[v].elements for v in vertex_order]
+    vpos = {v: i for i, v in enumerate(vertex_order)}
+    fibers = [tuple(candidate.index(cocone[v][x]) for x in xs)
+              for v, xs in zip(vertex_order, vertex_elements)]
+    # family[iv][tv] == family[iu][tu] for every arrow u -> v and x in P_u
+    commute = [
+        (vpos[u], t, vpos[v], diagram.preorders[v].index(mapping[x]))
+        for u, v, mapping in diagram.actual_maps()
+        for t, x in enumerate(diagram.preorders[u].elements)
+    ]
 
-    # (b) quantify over small test preorders up to isomorphism
+    # (b) the bijection, over small test preorders Q up to isomorphism
     for q in range(qmax + 1):
         for q_rows in _preorders_on(q):
-            per_vertex = [
-                _reflecting_maps_to(diagram.preorders[v], q_rows) for v in vertex_order
-            ]
-            if any(not maps and len(diagram.preorders[v]) > 0
-                   for v, maps in zip(vertex_order, per_vertex)):
+            per_vertex = [_reflecting_maps_to(diagram.preorders[v], q_rows)
+                          for v in vertex_order]
+            if not all(per_vertex):
                 continue
-            elem_pos = {
-                v: {x: t for t, x in enumerate(diagram.preorders[v].elements)}
-                for v in vertex_order
-            }
-            vpos = {v: i for i, v in enumerate(vertex_order)}
+            induced = Counter(
+                tuple(tuple(h[c] for c in fiber) for fiber in fibers)
+                for h in _reflecting_maps_to(candidate, q_rows)
+            )
             for family in itertools.product(*per_vertex):
-                ok = True
-                for u, v, mapping in arrow_list:
-                    fu = family[vpos[u]]
-                    fv = family[vpos[v]]
-                    for x in diagram.preorders[u].elements:
-                        if fv[elem_pos[v][mapping[x]]] != fu[elem_pos[u][x]]:
-                            ok = False
-                            break
-                    if not ok:
+                for iu, tu, iv, tv in commute:
+                    if family[iv][tv] != family[iu][tu]:
                         break
-                if not ok:
-                    continue
-                # factorization h is forced on covered candidate elements
-                h = [-1] * len(candidate)
-                consistent = True
-                for ci, srcs in covered.items():
-                    for v, x in srcs:
-                        val = family[vpos[v]][elem_pos[v][x]]
-                        if h[ci] == -1:
-                            h[ci] = val
-                        elif h[ci] != val:
-                            consistent = False
-                            break
-                    if not consistent:
-                        break
-                if not consistent:
-                    return VerifyResult(
-                        False,
-                        "cocone has no factorization (forced values conflict)",
-                        {"q_size": q, "q_rows": list(q_rows)},
-                    )
-
-                def reflecting(hvec: list[int]) -> bool:
-                    for i in range(len(candidate)):
-                        for j in range(len(candidate)):
-                            if (q_rows[hvec[i]] >> hvec[j] & 1) and not (
-                                cand_rows[i] >> j & 1
-                            ):
-                                return False
-                    return True
-
-                count = 0
-                if free:
-                    for choice in itertools.product(range(q), repeat=len(free)):
-                        for slot, val in zip(free, choice):
-                            h[slot] = val
-                        if reflecting(h):
-                            count += 1
-                            if count > 1:
-                                break
                 else:
-                    if reflecting(h):
-                        count = 1
-                if count != 1:
+                    count = induced[family]
+                    if count == 1:
+                        continue
+                    # a cocone not constant on the candidate's fibers is
+                    # induced by no map at all
+                    forced: dict[int, int] = {}
+                    if not all(forced.setdefault(c, val) == val
+                               for fiber, f in zip(fibers, family)
+                               for c, val in zip(fiber, f)):
+                        return VerifyResult(
+                            False,
+                            "cocone has no factorization (forced values conflict)",
+                            {"q_size": q, "q_rows": list(q_rows)},
+                        )
                     return VerifyResult(
                         False,
                         "cocone does not factor uniquely"
@@ -841,14 +800,9 @@ def verify_colimit(
                         {
                             "q_size": q,
                             "q_rows": list(q_rows),
-                            "cocone": {
-                                v: {
-                                    x: family[vpos[v]][elem_pos[v][x]]
-                                    for x in diagram.preorders[v].elements
-                                }
-                                for v in vertex_order
-                            },
-                            "solutions": count,
+                            "cocone": {v: dict(zip(xs, f)) for v, xs, f
+                                       in zip(vertex_order, vertex_elements, family)},
+                            "solutions": min(count, 2),
                         },
                     )
     return VerifyResult(True)

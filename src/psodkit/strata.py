@@ -196,19 +196,15 @@ class ChartAtlas:
                     raise InputError(f"overlap targets unknown branch {b!r} of {o.chart_b!r}")
 
 
-def strata_from_atlas(
-    atlas: ChartAtlas, depth: int = 0, caps: Caps = DEFAULT_CAPS
-) -> Stratification:
+def strata_from_atlas(atlas: ChartAtlas, caps: Caps = DEFAULT_CAPS) -> Stratification:
     """Reconstruct the stratification from simple charts and identifications.
 
     Local strata are the nonempty branch subsets of each chart (codimension =
-    subset size, capped by ``depth``); an overlap identifies two local strata
+    subset size, capped by ``caps.nerve_depth``); an overlap identifies two local strata
     when it maps the whole subset.  Orbits of local strata are the global
     strata; each carries a single normalization component, since the
     identifications glue the local sheets into one connected cover.
     """
-    if depth <= 0:
-        depth = caps.nerve_depth
     nodes = [(c.id, b) for c in atlas.charts for b in c.branches]
     branch_uf = _Classes(nodes)
     for o in atlas.overlaps:
@@ -221,7 +217,7 @@ def strata_from_atlas(
 
     local: list[tuple[str, frozenset]] = []
     for c in atlas.charts:
-        max_k = min(len(c.branches), depth)
+        max_k = min(len(c.branches), caps.nerve_depth)
         for k in range(1, max_k + 1):
             for sub in itertools.combinations(c.branches, k):
                 local.append((c.id, frozenset(sub)))

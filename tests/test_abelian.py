@@ -221,6 +221,8 @@ def test_from_invariants_normalizes():
     h = FgAbGroup.from_invariants([2, 4, 0])
     assert h == FgAbGroup(1, (2, 4))
     assert str(FgAbGroup.from_invariants([0, 2, 3, 4])) == "Z + C2 + C12"
+    assert str(FgAbGroup(3, (2,))) == "Z^3 + C2"
+    assert str(FgAbGroup(0)) == "0"
 
 
 def test_direct_sum_and_multiple():

@@ -286,6 +286,18 @@ def test_psod_build_from_atlas(capsys, tmp_path):
     assert code == 0 and out.strip().splitlines()[0].startswith("3 factors")
 
 
+def test_psod_build_from_atlas_obeys_caps(capsys, tmp_path):
+    # three branches give 3 + 3 + 1 = 7 local strata, 3 of codimension 1
+    path = write(tmp_path, "atlas.json", {"charts": [{"id": "U", "branches": ["a", "b", "c"]}]})
+    code, out, _ = run(capsys, "psod", "build", path, "--root", "2")
+    assert code == 0 and out.splitlines()[0] == "8 factors (root)"
+    code, out, _ = run(capsys, "--caps", "nerve_depth=1", "psod", "build", path, "--root", "2")
+    assert code == 0 and out.splitlines()[0] == "4 factors (root)"
+    code, out, err = run(capsys, "--caps", "carrier=5", "psod", "build", path, "--root", "2")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: local strata needs 7 elements, cap is 5"]
+
+
 @pytest.mark.parametrize("sid", ["D:1", ""])
 def test_psod_build_stratum_id_with_colon_or_empty(capsys, tmp_path, sid):
     sd = {
@@ -483,6 +495,20 @@ def test_ktheory_torsion_cap_is_reachable(capsys, tmp_path):
     code, out, err = _c2_ktheory(capsys, tmp_path, 2, 3, "--caps", "carrier=7")
     assert code == 3 and out == ""
     assert err.splitlines() == ["error: K-theory torsion needs 8 elements, cap is 7"]
+
+
+def test_human_ktheory_writes_free_rank_as_a_power(capsys, tmp_path):
+    # crossing(4) at r=50 has free rank 50^4 = 6,250,000
+    cross = simple_crossing(4)
+    strat = write(tmp_path, "cross.json", docs.stratification_to_doc(cross))
+    kdata = write(
+        tmp_path, "kdata.json", {c: {"rank": 1, "torsion": []} for c in cross.all_components()}
+    )
+    code, out, _ = run(
+        capsys, "psod", "ktheory", strat, "--kdata", kdata, "--mode", "finite", "--root", "50"
+    )
+    assert code == 0 and len(out) < 10_000
+    assert "  total: Z^6250000 (rank 6250000)" in out.splitlines()
 
 
 def test_psod_ktheory_needs_kdata(capsys, tmp_path):

@@ -11,7 +11,6 @@ from psodkit.engine import (
     PsodIndex,
     build_infinite_psod,
     build_root_psod,
-    coarse_index,
     filtration,
     glue,
     ktheory_report,
@@ -39,6 +38,7 @@ from psodkit.strata import (
     nodal_cubic,
     simple_crossing,
     strata_from_atlas,
+    strata_preorder,
 )
 
 
@@ -103,7 +103,7 @@ def test_coarse_grouping_projection():
     psod = build_root_psod(simple_crossing(2), 3)
     groups = psod.by_stratum()
     assert sorted(groups) == ["H1", "H1&H2", "H2", "X"]
-    coarse = coarse_index(simple_crossing(2))
+    coarse = strata_preorder(simple_crossing(2))
     assert set(coarse.elements) == set(groups)
 
 

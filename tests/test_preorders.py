@@ -13,6 +13,7 @@ from psodkit.preorders import (
     FinitePreorder,
     OrderReflectingMap,
     PreorderDiagram,
+    VerifyResult,
     colimit,
     complete_preorder,
     constant_diagram,
@@ -27,7 +28,7 @@ from psodkit.preorders import (
     pushout,
     verify_colimit,
 )
-from psodkit.preorders import _posets_on, _preorders_on, _set_partitions
+from psodkit.preorders import _posets_on, _preorders_on, _reflecting_maps_to, _set_partitions
 
 
 def chain(*labels):
@@ -406,6 +407,170 @@ def test_verify_rejection_witness_is_pinned():
             "cocone": {"v0": {"a": 2, "b": 0}, "v1": {"c": 0, "d": 1}},
             "solutions": 0,
         },
+    }
+
+
+def _oracle_verify(diagram, candidate, cocone):
+    """verify_colimit by factorizations: each commuting reflecting cocone
+    into Q forces h on the images of the cocone, and every value is tried on
+    the candidate elements outside them."""
+    for v in diagram.vertices:
+        p, mp = diagram.preorders[v], cocone[v]
+        if set(mp) != set(p.elements):
+            return VerifyResult(False, "cocone map not total", {"vertex": v})
+        for x, y in itertools.product(p.elements, repeat=2):
+            if candidate.le(mp[x], mp[y]) and not p.le(x, y):
+                return VerifyResult(
+                    False, "cocone map not order-reflecting", {"vertex": v, "pair": [x, y]}
+                )
+    for u, v, mapping in diagram.actual_maps():
+        for x in diagram.preorders[u].elements:
+            if cocone[v][mapping[x]] != cocone[u][x]:
+                return VerifyResult(
+                    False, "cocone does not commute", {"from": u, "to": v, "at": x}
+                )
+    n = len(candidate)
+    vertices = list(diagram.vertices)
+    sources = [
+        [(i, t) for i, v in enumerate(vertices)
+         for t, x in enumerate(diagram.preorders[v].elements) if cocone[v][x] == c]
+        for c in candidate.elements
+    ]
+    free = [c for c, srcs in enumerate(sources) if not srcs]
+    commute = [
+        (vertices.index(u), t, vertices.index(v), diagram.preorders[v].index(mapping[x]))
+        for u, v, mapping in diagram.actual_maps()
+        for t, x in enumerate(diagram.preorders[u].elements)
+    ]
+    for q in range(n + 2):
+        for q_rows in _preorders_on(q):
+            per_vertex = [_reflecting_maps_to(diagram.preorders[v], q_rows) for v in vertices]
+            for family in itertools.product(*per_vertex):
+                if any(family[iv][tv] != family[iu][tu] for iu, tu, iv, tv in commute):
+                    continue
+                forced = [{family[i][t] for i, t in srcs} for srcs in sources]
+                if any(len(vals) > 1 for vals in forced):
+                    return VerifyResult(
+                        False,
+                        "cocone has no factorization (forced values conflict)",
+                        {"q_size": q, "q_rows": list(q_rows)},
+                    )
+                h = [min(vals, default=0) for vals in forced]
+                count = 0
+                for choice in itertools.product(range(q), repeat=len(free)):
+                    for slot, val in zip(free, choice):
+                        h[slot] = val
+                    count += all(
+                        candidate.rows[i] >> j & 1
+                        for i in range(n)
+                        for j in range(n)
+                        if q_rows[h[i]] >> h[j] & 1
+                    )
+                if count != 1:
+                    return VerifyResult(
+                        False,
+                        "cocone does not factor uniquely"
+                        if count > 1
+                        else "cocone has no order-reflecting factorization",
+                        {
+                            "q_size": q,
+                            "q_rows": list(q_rows),
+                            "cocone": {
+                                v: dict(zip(diagram.preorders[v].elements, f))
+                                for v, f in zip(vertices, family)
+                            },
+                            "solutions": min(count, 2),
+                        },
+                    )
+    return VerifyResult(True)
+
+
+def _random_generated_preorder(rng, labels):
+    return generated_preorder(
+        labels, [(a, b) for a in labels for b in labels if rng.random() < 0.3]
+    )
+
+
+def _random_verify_request(rng):
+    """A diagram of at most two vertices with at most two elements each, and a
+    candidate of at most 4 elements: its colimit, possibly with one relation
+    flipped, two elements merged or an element added, or a random preorder
+    with a random cocone.  Now and then the cocone misses an element."""
+    vertices = tuple(f"v{i}" for i in range(rng.randint(1, 2)))
+    preorders = {
+        v: _random_generated_preorder(rng, [v + c for c in "ab"[: rng.randint(1, 2)]])
+        for v in vertices
+    }
+    arrows = []
+    for i in range(rng.randint(0, 2)):
+        u, v = rng.choice(vertices), rng.choice(vertices)
+        options = _reflecting_maps_to(preorders[u], preorders[v].rows)
+        if options:
+            images = [preorders[v].elements[k] for k in rng.choice(options)]
+            mapping = dict(zip(preorders[u].elements, images))
+            arrows.append(
+                DiagramArrow(f"a{i}", u, v, OrderReflectingMap(preorders[u], preorders[v], mapping))
+            )
+    diagram = PreorderDiagram(vertices, preorders, tuple(arrows))
+    try:
+        res = colimit(diagram)
+    except PreconditionError:
+        res = None
+    kind = rng.choice(["exact", "flip", "merge", "ghost", "random"])
+    if res is None or len(res.preorder) > 3:
+        kind = "random"
+    if kind == "random":
+        candidate = _random_generated_preorder(rng, [f"c{i}" for i in range(rng.randint(1, 4))])
+        cocone = {
+            v: {x: rng.choice(candidate.elements) for x in p.elements}
+            for v, p in preorders.items()
+        }
+    else:
+        labels, rows = res.preorder.elements, list(res.preorder.rows)
+        cocone = {v: dict(m.mapping) for v, m in res.cocones.items()}
+        n = len(rows)
+        if kind == "flip" and n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows[i] ^= 1 << j
+        elif kind == "merge" and n > 1:
+            i, j = rng.sample(range(n), 2)
+            cocone = {
+                v: {x: labels[i] if y == labels[j] else y for x, y in m.items()}
+                for v, m in cocone.items()
+            }
+            rows[i] |= rows[j]
+            rows = [r | (r >> j & 1) << i for r in rows]
+            keep = [k for k in range(n) if k != j]
+            labels = tuple(labels[k] for k in keep)
+            rows = [sum((rows[k] >> l & 1) << t for t, l in enumerate(keep)) for k in keep]
+        elif kind == "ghost":
+            below = rng.randrange(1 << n)
+            rows = [r | (below >> k & 1) << n for k, r in enumerate(rows)]
+            rows.append(rng.randrange(1 << n) | 1 << n)
+            labels += ("ghost",)
+        candidate = FinitePreorder(labels, tuple(rows))
+    if rng.random() < 0.05:
+        first = cocone[vertices[0]]
+        del first[next(iter(first))]
+    return diagram, candidate, cocone
+
+
+def test_verify_matches_factorization_oracle():
+    rng = random.Random(20190)
+    reasons = set()
+    for _ in range(300):
+        diagram, candidate, cocone = _random_verify_request(rng)
+        got = docs.verify_to_doc(verify_colimit(diagram, candidate, cocone))
+        assert got == docs.verify_to_doc(_oracle_verify(diagram, candidate, cocone))
+        reasons.add(got.get("reason"))
+    assert reasons == {
+        None,
+        "cocone map not total",
+        "cocone map not order-reflecting",
+        "cocone does not commute",
+        "cocone has no factorization (forced values conflict)",
+        "cocone has no order-reflecting factorization",
+        "cocone does not factor uniquely",
     }
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from psodkit.config import Caps
 from psodkit.errors import InputError, PreconditionError
 from psodkit.strata import (
     Chart,
@@ -182,7 +183,7 @@ def test_atlas_validation_errors():
 
 def test_atlas_depth_caps_codimension():
     atlas = ChartAtlas((Chart("U", ("b1", "b2", "b3")),))
-    s = strata_from_atlas(atlas, depth=2)
+    s = strata_from_atlas(atlas, caps=Caps(nerve_depth=2))
     assert max(t.codim for t in s.strata) == 2
     assert validate(s) == []
 
