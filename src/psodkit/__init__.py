@@ -32,6 +32,7 @@ from .engine import (
 from .errors import (
     CapExceededError,
     InputError,
+    InvariantError,
     ParseError,
     PreconditionError,
     PsodkitError,

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InvariantError, PreconditionError
 from .preorders import (
     ColimitResult,
     FinitePreorder,
@@ -658,17 +658,6 @@ class GradedGroup:
     def total(self) -> FgAbGroup:
         return FgAbGroup.zero().direct_sum(*(self.pieces[x] for x in self.index.elements))
 
-    def gen_offsets(self) -> dict[str, int]:
-        offs: dict[str, int] = {}
-        n = 0
-        for x in self.index.elements:
-            offs[x] = n
-            n += self.pieces[x].ngens
-        return offs
-
-    def total_ngens(self) -> int:
-        return sum(self.pieces[x].ngens for x in self.index.elements)
-
 
 @dataclass(frozen=True)
 class GradedHom:
@@ -695,24 +684,6 @@ class GradedHom:
                 raise InputError(f"block ({x!r} -> {y!r}) has wrong shape")
             if not is_valid_hom(ps, pt, m):
                 raise InputError(f"block ({x!r} -> {y!r}) is not a homomorphism")
-
-    def block(self, x: str, y: str) -> IntMatrix:
-        m = self.blocks.get((x, y))
-        if m is None:
-            return IntMatrix.zeros(self.target.pieces[y].ngens, self.source.pieces[x].ngens)
-        return m
-
-    def total_matrix(self) -> IntMatrix:
-        soffs = self.source.gen_offsets()
-        toffs = self.target.gen_offsets()
-        out = [[0] * self.source.total_ngens() for _ in range(self.target.total_ngens())]
-        for y in self.target.index.elements:
-            x = self.reindex(y)
-            b = self.block(x, y)
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[toffs[y] + i][soffs[x] + j] = b.entries[i][j]
-        return IntMatrix.from_rows(out, self.source.total_ngens())
 
 
 def identity_graded_hom(g: GradedGroup, reindex: OrderReflectingMap) -> GradedHom:
@@ -792,6 +763,34 @@ def _check_colimit_index(
     return computed
 
 
+def _certify_fiber_support(
+    diagram: GradedDiagram, cocones: Mapping[str, OrderReflectingMap]
+) -> None:
+    """Check that every block of every arrow sits at (reindex(y), y) and
+    runs inside one cocone fiber: cocones[src](reindex(y)) == cocones[tgt](y).
+    GradedHom's constructor places the blocks, and the checked cocones commute
+    with the reindex maps, so this holds unless a block got past them."""
+    for a in diagram.arrows:
+        src_cocone, tgt_cocone = cocones[a.src], cocones[a.tgt]
+        for x, y in a.hom.blocks:
+            r = a.hom.reindex(y)
+            over_x, over_y = src_cocone(x), tgt_cocone(y)
+            if x != r or over_x != over_y:
+                raise InvariantError(
+                    f"arrow {a.name!r}: block ({x!r} -> {y!r}) leaves its fiber: "
+                    f"reindex({y!r}) = {r!r}, "
+                    f"{x!r} lies over {over_x!r}, {y!r} over {over_y!r}",
+                    {
+                        "arrow": a.name,
+                        "source_grade": x,
+                        "target_grade": y,
+                        "reindex": r,
+                        "source_fiber": over_x,
+                        "target_fiber": over_y,
+                    },
+                )
+
+
 def graded_limit(
     diagram: GradedDiagram,
     colimit_index: FinitePreorder,
@@ -799,84 +798,64 @@ def graded_limit(
 ) -> GradedLimitResult:
     """Limit of a graded diagram, graded over the colimit of the indices.
 
-    The piece at w is the limit of the fiber-restricted diagram
-    (direct sum over the cocone fiber of w at each vertex); the ungraded
-    limit of the total groups must agree with the direct sum of the pieces,
-    which is checked exactly.
+    The piece at w is the limit of the fiber-restricted diagram (the direct
+    sum over the cocone fiber of w at each vertex).  The ungraded limit is
+    the direct sum of the pieces, certified rather than recomputed:
+    ``_certify_fiber_support`` checks that every block runs inside one
+    fiber, so the total diagram is the direct sum of the fiber diagrams up
+    to a permutation of generators, and limits of abelian groups commute
+    with finite direct sums.  A block outside its fiber raises
+    InvariantError.
     """
     _check_colimit_index(diagram, colimit_index, cocones)
-    piece_results: dict[str, LimitResult] = {}
-    pieces: dict[str, FgAbGroup] = {}
-    for w in colimit_index.elements:
-        fibers = {
-            v: tuple(
-                z
-                for z in diagram.groups[v].index.elements
-                if cocones[v](z) == w
-            )
-            for v in diagram.vertices
+    _certify_fiber_support(diagram, cocones)
+    # one pass over the cocones: the grades over each w at each vertex, and
+    # each grade's generator offset inside its fiber sum
+    fibers = {w: {v: [] for v in diagram.vertices} for w in colimit_index.elements}
+    ngens = {w: dict.fromkeys(diagram.vertices, 0) for w in colimit_index.elements}
+    offset: dict[str, dict[str, int]] = {v: {} for v in diagram.vertices}
+    for v in diagram.vertices:
+        g = diagram.groups[v]
+        for z in g.index.elements:
+            w = cocones[v](z)
+            fibers[w][v].append(z)
+            offset[v][z] = ngens[w][v]
+            ngens[w][v] += g.pieces[z].ngens
+    # the fiber sums keep the grades' own generators, so the block at
+    # (reindex(y), y) is copied literally into the fiber of y
+    restricted: dict[str, list[tuple[str, str, IntMatrix]]] = {
+        w: [] for w in colimit_index.elements
+    }
+    for a in diagram.arrows:
+        tgt_cocone = cocones[a.tgt]
+        out = {
+            w: [[0] * ngens[w][a.src] for _ in range(ngens[w][a.tgt])]
+            for w in colimit_index.elements
         }
-        # a canonicalization subtlety: the fiber direct sum must be presented
-        # with the grades' own generators, not re-normalized invariants, so
-        # the restricted arrow blocks stay literal
-        arrows = []
-        for a in diagram.arrows:
-            src_f, tgt_f = fibers[a.src], fibers[a.tgt]
-            rows = sum(diagram.groups[a.tgt].pieces[z].ngens for z in tgt_f)
-            cols = sum(diagram.groups[a.src].pieces[z].ngens for z in src_f)
-            out = [[0] * cols for _ in range(rows)]
-            roff = 0
-            for y in tgt_f:
-                coff = 0
-                for x in src_f:
-                    if a.hom.reindex(y) == x:
-                        b = a.hom.block(x, y)
-                        for i in range(b.rows):
-                            for j in range(b.cols):
-                                out[roff + i][coff + j] = b.entries[i][j]
-                    coff += diagram.groups[a.src].pieces[x].ngens
-                roff += diagram.groups[a.tgt].pieces[y].ngens
-            arrows.append((a, IntMatrix.from_rows(out, cols)))
-        res = _limit_on_presentations(
-            *_fiber_presentations(diagram, fibers),
-            [(a.src, a.tgt, m) for a, m in arrows],
+        for y in diagram.groups[a.tgt].index.elements:
+            x = a.hom.reindex(y)
+            b = a.hom.blocks.get((x, y))
+            if b is not None:
+                rows = out[tgt_cocone(y)]
+                r0, c0 = offset[a.tgt][y], offset[a.src][x]
+                for i, row in enumerate(b.entries):
+                    rows[r0 + i][c0 : c0 + b.cols] = row
+        for w, rows in out.items():
+            restricted[w].append((a.src, a.tgt, IntMatrix.from_rows(rows, ngens[w][a.src])))
+    piece_results: dict[str, LimitResult] = {}
+    for w in colimit_index.elements:
+        piece_results[w] = _limit_on_presentations(
+            diagram.vertices,
+            ngens[w],
+            {
+                v: _blockdiag([diagram.groups[v].pieces[z].presentation() for z in fibers[w][v]])
+                for v in diagram.vertices
+            },
+            restricted[w],
         )
-        piece_results[w] = res
-        pieces[w] = res.group
-    graded = GradedGroup(colimit_index, pieces)
-
-    # ungraded limit computed on the literal total presentations
-    ungraded = _limit_on_presentations(
-        *_fiber_presentations(
-            diagram,
-            {v: tuple(diagram.groups[v].index.elements) for v in diagram.vertices},
-        ),
-        [(a.src, a.tgt, a.hom.total_matrix()) for a in diagram.arrows],
-    ).group
-    summed = FgAbGroup.zero().direct_sum(*pieces.values())
-    if (ungraded.rank, ungraded.torsion) != (summed.rank, summed.torsion):
-        raise RuntimeError(
-            "graded/ungraded comparison failed: "
-            f"{ungraded} versus {summed}"
-        )
-    return GradedLimitResult(graded, ungraded, piece_results)
-
-
-def _fiber_presentations(
-    diagram: GradedDiagram, fibers: Mapping[str, tuple[str, ...]]
-) -> tuple[Sequence[str], dict[str, int], dict[str, IntMatrix]]:
-    """(vertex order, generator counts, relation lattices) of the fiber
-    direct sums."""
-    return (
-        diagram.vertices,
-        {
-            v: sum(diagram.groups[v].pieces[z].ngens for z in fibers[v])
-            for v in diagram.vertices
-        },
-        {
-            v: _blockdiag(
-                [diagram.groups[v].pieces[z].presentation() for z in fibers[v]]
-            )
-            for v in diagram.vertices
-        },
+    pieces = {w: res.group for w, res in piece_results.items()}
+    return GradedLimitResult(
+        GradedGroup(colimit_index, pieces),
+        FgAbGroup.zero().direct_sum(*pieces.values()),
+        piece_results,
     )

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Documents are JSON (see documents.py); inputs come from file paths or '-'
-for standard input.  Exit codes: 0 success, 1 parse error, 2 precondition or
-input error, 3 resource cap exceeded.  Directedness violations during gluing
-are reported in-band and exit 0: the semiorthogonal family is still valid
-output, it just is not known to generate.
+for standard input.  Exit codes: 0 success, 1 parse error, 2 precondition,
+input or internal-invariant error, 3 resource cap exceeded.  Directedness
+violations during gluing are reported in-band and exit 0: the semiorthogonal
+family is still valid output, it just is not known to generate.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by the library and the CLI.
 
-Exit-code contract: ParseError -> 1, InputError / PreconditionError -> 2,
-CapExceededError -> 3.
+Exit-code contract: ParseError -> 1, InputError / PreconditionError /
+InvariantError -> 2, CapExceededError -> 3.
 """
 
 
@@ -25,6 +25,17 @@ class PreconditionError(PsodkitError):
     """A stated precondition of an operation does not hold."""
 
     exit_code = 2
+
+
+class InvariantError(PsodkitError):
+    """An internal invariant failed; ``witness`` names the objects involved
+    (for a graded limit: the arrow, its block and both fibers)."""
+
+    exit_code = 2
+
+    def __init__(self, message: str, witness: dict) -> None:
+        super().__init__(message)
+        self.witness = witness
 
 
 class CapExceededError(PsodkitError):

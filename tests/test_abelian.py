@@ -24,7 +24,8 @@ from psodkit.abelian import (
     snf,
     solve_columns,
 )
-from psodkit.errors import InputError, PreconditionError
+from psodkit import abelian
+from psodkit.errors import InputError, InvariantError, PreconditionError
 from psodkit.preorders import (
     OrderReflectingMap,
     colimit,
@@ -105,6 +106,36 @@ def test_hnf_rows_below_pivots_zero():
             assert cols[0] > lead
             lead = cols[0]
             assert h.entries[i][cols[0]] > 0
+
+
+def test_hnf_matches_sympy():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix
+
+    def row_lattice(rows, cols):
+        # sympy's column HNF of the transpose: canonical for the row lattice
+        flat = [x for r in rows for x in r]
+        return normalforms.hermite_normal_form(Matrix(len(rows), cols, flat).T)
+
+    rng = random.Random(91)
+    deficient = 0
+    for _ in range(100):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.4:
+            # rank at most k < min(rows, cols): a product through k dimensions
+            k = rng.randint(0, min(rows, cols) - 1)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+            a = IntMatrix.from_rows(left, k).mul(IntMatrix.from_rows(right, cols))
+        else:
+            a = rand_matrix(rng, rows, cols)
+        h, u = hnf(a)
+        assert u.mul(a) == h
+        assert abs(u.det()) == 1
+        nonzero = [r for r in h.entries if any(r)]
+        deficient += len(nonzero) < min(rows, cols)
+        assert row_lattice(nonzero, cols) == row_lattice(a.entries, cols)
+    assert deficient >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +513,43 @@ def random_graded_scenario(rng):
     return GradedDiagram(vertices, groups, tuple(arrows))
 
 
+def literal_total_matrix(hom: GradedHom) -> IntMatrix:
+    """The ungraded matrix of a graded hom: every stored block copied to the
+    offsets of its own (source grade, target grade), generators in index
+    order."""
+
+    def offsets(g: GradedGroup) -> tuple[dict[str, int], int]:
+        offs, n = {}, 0
+        for z in g.index.elements:
+            offs[z] = n
+            n += g.pieces[z].ngens
+        return offs, n
+
+    soffs, cols = offsets(hom.source)
+    toffs, rows = offsets(hom.target)
+    out = [[0] * cols for _ in range(rows)]
+    for (x, y), b in hom.blocks.items():
+        for i, row in enumerate(b.entries):
+            out[toffs[y] + i][soffs[x] : soffs[x] + b.cols] = row
+    return IntMatrix.from_rows(out, cols)
+
+
+def ungraded_limit_oracle(diag: GradedDiagram) -> FgAbGroup:
+    """The limit of the total groups along the literal total matrices,
+    computed from scratch: the independent value of ``graded_limit``'s
+    ``ungraded``, which the library certifies instead of recomputing."""
+    groups = {v: diag.groups[v] for v in diag.vertices}
+    return abelian._limit_on_presentations(
+        diag.vertices,
+        {v: sum(g.pieces[z].ngens for z in g.index.elements) for v, g in groups.items()},
+        {
+            v: abelian._blockdiag([g.pieces[z].presentation() for z in g.index.elements])
+            for v, g in groups.items()
+        },
+        [(a.src, a.tgt, literal_total_matrix(a.hom)) for a in diag.arrows],
+    ).group
+
+
 def test_block_decomposition_on_random_scenarios():
     rng = random.Random(2024)
     done = 0
@@ -492,12 +560,57 @@ def test_block_decomposition_on_random_scenarios():
         except PreconditionError:
             continue  # zigzag identified non-related elements: no gluing
         res = graded_limit(diag, col.preorder, col.cocones)
-        summed = FgAbGroup.zero().direct_sum(*res.graded.pieces.values())
-        assert (res.ungraded.rank, res.ungraded.torsion) == (
-            summed.rank,
-            summed.torsion,
-        )
+        assert res.ungraded == ungraded_limit_oracle(diag)
         done += 1
+
+
+def _cross_fiber_mutant(how: str) -> GradedDiagram:
+    """Two arrows u -> v over the discrete index {a, b}: d0 the identity and
+    d1 the swap, whose blocks run from b to a and from a to b.  d1's reindex
+    is then made the identity past GradedHom's constructor (``how`` names
+    the field overwritten), so its blocks cross the fibers {a} and {b} of
+    the colimit."""
+    p = discrete_preorder(["a", "b"])
+    g = GradedGroup(p, {"a": FgAbGroup.free(1), "b": FgAbGroup.free(1)})
+    swap = OrderReflectingMap(p, p, {"a": "b", "b": "a"})
+    if how == "reindex":
+        d1 = identity_graded_hom(g, swap)
+        object.__setattr__(d1, "reindex", identity_map(p))
+    else:
+        d1 = identity_graded_hom(g, identity_map(p))
+        object.__setattr__(d1, "blocks", {("b", "a"): M([[1]]), ("a", "b"): M([[1]])})
+    return GradedDiagram(
+        ("u", "v"),
+        {"u": g, "v": g},
+        (
+            GradedArrow("d0", "u", "v", identity_graded_hom(g, identity_map(p))),
+            GradedArrow("d1", "u", "v", d1),
+        ),
+    )
+
+
+@pytest.mark.parametrize("how", ["reindex", "blocks"])
+def test_cross_fiber_block_trips_certificate_and_oracle(monkeypatch, how):
+    diag = _cross_fiber_mutant(how)
+    col = colimit(diag.index_diagram())
+    with pytest.raises(InvariantError) as info:
+        graded_limit(diag, col.preorder, col.cocones)
+    assert info.value.exit_code == 2
+    assert info.value.witness == {
+        "arrow": "d1",
+        "source_grade": "b",
+        "target_grade": "a",
+        "reindex": "a",
+        "source_fiber": col.cocones["u"]("b"),
+        "target_fiber": col.cocones["v"]("a"),
+    }
+    assert col.cocones["u"]("b") != col.cocones["v"]("a")
+    # without the certificate the pieces miss the swap, which the ungraded
+    # oracle sees: the equalizer of 1 and the swap on Z^2 is Z
+    monkeypatch.setattr(abelian, "_certify_fiber_support", lambda *args: None)
+    res = graded_limit(diag, col.preorder, col.cocones)
+    assert res.ungraded == FgAbGroup.zero()
+    assert ungraded_limit_oracle(diag) == FgAbGroup.free(1)
 
 
 # ---------------------------------------------------------------------------

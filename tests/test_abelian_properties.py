@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -5,7 +7,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psodkit.abelian import FgAbGroup, IntMatrix, invariant_factors
+from psodkit.abelian import FgAbGroup, IntMatrix, graded_limit, invariant_factors
+from psodkit.errors import PreconditionError
+from psodkit.preorders import colimit
+
+from test_abelian import random_graded_scenario, ungraded_limit_oracle
 
 # small primes make shared factors common; the large ones exceed 10^12
 _ATOMS = (2, 3, 5, 7, 1_000_000_000_039, 1_000_000_000_061)
@@ -54,3 +60,19 @@ def test_multiple_repeats_each_invariant(g, m):
 def test_direct_sum_commutative_and_associative(a, b, c):
     assert a.direct_sum(b) == b.direct_sum(a)
     assert a.direct_sum(b).direct_sum(c) == a.direct_sum(b.direct_sum(c)) == a.direct_sum(b, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_graded_limit_matches_ungraded_oracle(seed):
+    # the first scenario from the drawn seed whose index diagram glues
+    rng = random.Random(seed)
+    while True:
+        diag = random_graded_scenario(rng)
+        try:
+            col = colimit(diag.index_diagram())
+        except PreconditionError:
+            continue
+        break
+    res = graded_limit(diag, col.preorder, col.cocones)
+    assert res.ungraded == ungraded_limit_oracle(diag)

@@ -4,6 +4,8 @@ import time
 import pytest
 
 from psodkit import documents as docs
+from psodkit import engine
+from psodkit.abelian import IntMatrix
 from psodkit.cli import main
 from psodkit.preorders import (
     complete_preorder,
@@ -27,6 +29,25 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(docs.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def graded_oracle(monkeypatch):
+    """Check every graded limit the glue engine computes against the limit
+    recomputed from the literal total matrices; yields the checked values."""
+    from test_abelian import ungraded_limit_oracle
+
+    real = engine.graded_limit
+    checked = []
+
+    def checking(diagram, index, cocones):
+        res = real(diagram, index, cocones)
+        assert res.ungraded == ungraded_limit_oracle(diagram)
+        checked.append(res.ungraded)
+        return res
+
+    monkeypatch.setattr(engine, "graded_limit", checking)
+    return checked
 
 
 def chain_doc(*labels):
@@ -368,7 +389,7 @@ def test_psod_infinite(capsys, tmp_path):
     assert len(psod.index) == 6
 
 
-def test_psod_glue_cech(capsys, tmp_path):
+def test_psod_glue_cech(capsys, tmp_path, graded_oracle):
     from psodkit.engine import build_root_psod
 
     psod = build_root_psod(nodal_cubic(), 2)
@@ -393,9 +414,10 @@ def test_psod_glue_cech(capsys, tmp_path):
     assert code == 0
     assert "verdict: psod" in out
     assert "index preserved" in out
+    assert graded_oracle == []  # no graded data, no graded limit
 
 
-def test_psod_glue_violation_reports_in_band_exit_zero(capsys, tmp_path):
+def test_psod_glue_violation_reports_in_band_exit_zero(capsys, tmp_path, graded_oracle):
     idx = discrete_preorder(["p1", "p2"])
     psod_doc = {
         "index": docs.preorder_to_doc(idx),
@@ -416,6 +438,7 @@ def test_psod_glue_violation_reports_in_band_exit_zero(capsys, tmp_path):
     body = json.loads(out)
     assert body["kind"] == "pre-psod only"
     assert body["witness"]["kind"] == "incomparable_pair"
+    assert graded_oracle == []
 
 
 def test_psod_filtrate(capsys, tmp_path):
@@ -677,10 +700,51 @@ def _graded_scenario_doc():
     }
 
 
-def test_glue_reads_graded_scenario(capsys, tmp_path):
+def test_glue_reads_graded_scenario(capsys, tmp_path, graded_oracle):
     path = write(tmp_path, "scenario.json", _graded_scenario_doc())
     code, out, _ = run(capsys, "--output", "machine", "psod", "glue", path)
     assert code == 0 and json.loads(out)["ungraded_total"] == {"rank": 3, "torsion": []}
+    assert len(graded_oracle) == 1
+
+
+def test_glue_graded_equalizer_matches_oracle(capsys, tmp_path, graded_oracle):
+    # d0 is minus the identity on Z + C2 at every grade and d1 the identity:
+    # the equalizer keeps the C2 of each of the three grades
+    body = _graded_scenario_doc()
+    elements = body["psods"]["l0"]["index"]["elements"]
+    for graded in body["graded"].values():
+        graded["pieces"] = {x: {"rank": 1, "torsion": [2]} for x in elements}
+    body["diagram"]["arrows"].append({**body["diagram"]["arrows"][0], "name": "d1"})
+    body["graded_homs"]["d0"]["blocks"] = [
+        {"source_grade": x, "target_grade": x, "matrix": [[-1, 0], [0, -1]]}
+        for x in elements
+    ]
+    path = write(tmp_path, "scenario.json", body)
+    code, out, _ = run(capsys, "--output", "machine", "psod", "glue", path)
+    assert code == 0
+    assert json.loads(out)["ungraded_total"] == {"rank": 0, "torsion": [2, 2, 2]}
+    assert len(graded_oracle) == 1
+
+
+def test_glue_cross_fiber_block_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
+    # a block from one grade to another, placed past GradedHom's constructor
+    real = engine.graded_limit
+    elements = _graded_scenario_doc()["psods"]["l0"]["index"]["elements"]
+    x, y = elements[:2]
+
+    def with_cross_fiber_block(diagram, index, cocones):
+        hom = diagram.arrows[0].hom
+        object.__setattr__(hom, "blocks", {**hom.blocks, (x, y): IntMatrix.identity(1)})
+        return real(diagram, index, cocones)
+
+    monkeypatch.setattr(engine, "graded_limit", with_cross_fiber_block)
+    path = write(tmp_path, "scenario.json", _graded_scenario_doc())
+    code, out, err = run(capsys, "psod", "glue", path)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: arrow 'd0': block ({x!r} -> {y!r}) leaves its fiber: "
+        f"reindex({y!r}) = {y!r}, {x!r} lies over {x!r}, {y!r} over {y!r}"
+    ]
 
 
 @pytest.mark.parametrize(
