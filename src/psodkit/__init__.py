@@ -4,77 +4,57 @@ Finite preorders with order-reflecting maps and their (co)limits, the
 recursive factorial order on characters of roots of unity, normal-crossing
 stratification combinatorics, graded abelian-group gluing over diagrams, and
 K-theory direct-sum reports for root constructions.
+
+``import psodkit`` loads no library module: each public name below is
+resolved from its home module on first access (PEP 562), so a command pays
+only for the modules it runs.
 """
 
-from .abelian import (
-    FgAbGroup,
-    GradedGroup,
-    GradedHom,
-    IntMatrix,
-    graded_limit,
-    hnf,
-    kernel,
-    limit_of_groups,
-    snf,
-)
-from .config import Caps, Config
-from .engine import (
-    FactorDescriptor,
-    GluingScenario,
-    KTheoryMode,
-    PsodIndex,
-    build_infinite_psod,
-    build_root_psod,
-    filtration,
-    glue,
-    ktheory_report,
-)
-from .errors import (
-    CapExceededError,
-    InputError,
-    InvariantError,
-    ParseError,
-    PreconditionError,
-    PsodkitError,
-)
-from .factorial import (
-    CharTuple,
-    FactorialForm,
-    Residue,
-    build_zdr,
-    build_zdr_stratified,
-    build_zkr,
-    cmp_bang,
-    cmp_bang_znfact,
-    enumerate_characters,
-    to_factorial_form,
-    zr_elements,
-)
-from .preorders import (
-    DiagramArrow,
-    FinitePreorder,
-    OrderReflectingMap,
-    PreorderDiagram,
-    colimit,
-    complete_preorder,
-    coproduct,
-    directed_numbering,
-    discrete_preorder,
-    is_directed,
-    is_order_reflecting,
-    pushout,
-    verify_colimit,
-)
-from .strata import (
-    Chart,
-    ChartAtlas,
-    Overlap,
-    Stratification,
-    Stratum,
-    skeleton,
-    strata_from_atlas,
-    strata_preorder,
-    validate,
-)
+import importlib
 
+# home module -> the public names it exports at the package level
+_EXPORTS = {
+    "abelian": (
+        "FgAbGroup", "GradedGroup", "GradedHom", "IntMatrix", "graded_limit", "hnf",
+        "kernel", "limit_of_groups", "snf",
+    ),
+    "config": ("Caps", "Config"),
+    "engine": (
+        "FactorDescriptor", "GluingScenario", "KTheoryMode", "PsodIndex",
+        "build_infinite_psod", "build_root_psod", "filtration", "glue", "ktheory_report",
+    ),
+    "errors": (
+        "CapExceededError", "InputError", "InvariantError", "ParseError",
+        "PreconditionError", "PsodkitError",
+    ),
+    "factorial": (
+        "CharTuple", "FactorialForm", "Residue", "build_zdr", "build_zdr_stratified",
+        "build_zkr", "cmp_bang", "cmp_bang_znfact", "enumerate_characters",
+        "to_factorial_form", "zr_elements",
+    ),
+    "preorders": (
+        "DiagramArrow", "FinitePreorder", "OrderReflectingMap", "PreorderDiagram",
+        "colimit", "complete_preorder", "coproduct", "directed_numbering",
+        "discrete_preorder", "is_directed", "is_order_reflecting", "pushout",
+        "verify_colimit",
+    ),
+    "strata": (
+        "Chart", "ChartAtlas", "Overlap", "Stratification", "Stratum", "skeleton",
+        "strata_from_atlas", "strata_preorder", "validate",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,19 +10,9 @@ decoded values raises the library's usual errors.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from .abelian import FgAbGroup, GradedGroup, GradedHom, IntMatrix
-from .engine import (
-    FactorDescriptor,
-    FiltrationResult,
-    GlueResult,
-    GluingScenario,
-    KTheoryReport,
-    PsodIndex,
-)
 from .errors import InputError, ParseError
-from .factorial import CharTuple, FactorialForm, Residue
 from .preorders import (
     CONTRAVARIANT,
     COVARIANT,
@@ -32,7 +22,21 @@ from .preorders import (
     PreorderDiagram,
     VerifyResult,
 )
-from .strata import Chart, ChartAtlas, Overlap, Stratification, Stratum
+
+# Readers import the constructors they build, so preorder documents load
+# neither factorial, strata, engine nor abelian.
+if TYPE_CHECKING:
+    from .abelian import FgAbGroup, GradedGroup, IntMatrix
+    from .engine import (
+        FactorDescriptor,
+        FiltrationResult,
+        GlueResult,
+        GluingScenario,
+        KTheoryReport,
+        PsodIndex,
+    )
+    from .factorial import CharTuple, FactorialForm
+    from .strata import Chart, ChartAtlas, Overlap, Stratification, Stratum
 
 
 def loads(text: str) -> Any:
@@ -40,6 +44,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
 
 
 def dumps(doc: Any) -> str:
@@ -199,6 +205,8 @@ def char_tuple_to_doc(c: CharTuple) -> list[str]:
 
 
 def char_tuple_from_doc(doc: Any) -> CharTuple:
+    from .factorial import CharTuple, Residue
+
     if isinstance(doc, str):
         return CharTuple.parse(doc)
     if _strings(doc):
@@ -224,6 +232,8 @@ def stratification_to_doc(s: Stratification) -> dict:
 
 
 def _stratum_from_doc(doc: Mapping) -> Stratum:
+    from .strata import Stratum
+
     sid = _need(doc, "id", "stratum")
     codim = _need(doc, "codim", "stratum")
     comps = _need(doc, "norm_components", "stratum")
@@ -237,6 +247,8 @@ def _stratum_from_doc(doc: Mapping) -> Stratum:
 
 
 def stratification_from_doc(doc: Mapping) -> Stratification:
+    from .strata import Stratification
+
     strata = _need(doc, "strata", "stratification")
     closure = doc.get("closure", [])
     if not isinstance(strata, list):
@@ -252,6 +264,8 @@ def stratification_from_doc(doc: Mapping) -> Stratification:
 
 
 def _chart_from_doc(doc: Mapping) -> Chart:
+    from .strata import Chart
+
     cid = _need(doc, "id", "chart")
     branches = _need(doc, "branches", "chart")
     if not isinstance(cid, str):
@@ -262,6 +276,8 @@ def _chart_from_doc(doc: Mapping) -> Chart:
 
 
 def _overlap_from_doc(doc: Mapping) -> Overlap:
+    from .strata import Overlap
+
     charts = _need(doc, "charts", "overlap")
     if not _strings(charts) or len(charts) != 2:
         raise ParseError("overlap charts must be a list of two chart ids")
@@ -270,6 +286,8 @@ def _overlap_from_doc(doc: Mapping) -> Overlap:
 
 
 def atlas_from_doc(doc: Mapping) -> ChartAtlas:
+    from .strata import ChartAtlas
+
     charts = _need(doc, "charts", "atlas")
     overlaps = doc.get("overlaps", [])
     if not isinstance(charts, list) or not isinstance(overlaps, list):
@@ -288,6 +306,8 @@ def group_to_doc(g: FgAbGroup) -> dict:
 
 
 def group_from_doc(doc: Mapping) -> FgAbGroup:
+    from .abelian import FgAbGroup
+
     rank = _need(doc, "rank", "group")
     torsion = doc.get("torsion", [])
     if type(rank) is not int:
@@ -303,6 +323,8 @@ def kdata_from_doc(doc: Any) -> dict[str, FgAbGroup]:
 
 
 def matrix_from_doc(doc: Any, rows: int | None = None, cols: int | None = None) -> IntMatrix:
+    from .abelian import IntMatrix
+
     if not isinstance(doc, list) or not all(
         isinstance(row, list) and all(type(x) is int for x in row) for row in doc
     ):
@@ -320,6 +342,8 @@ def graded_group_to_doc(g: GradedGroup) -> dict:
 
 
 def graded_group_from_doc(doc: Mapping) -> GradedGroup:
+    from .abelian import GradedGroup
+
     index = preorder_from_doc(_need(doc, "index", "graded group"))
     pieces = _need(doc, "pieces", "graded group")
     message = "graded group pieces must be an object keyed by element"
@@ -340,6 +364,8 @@ def factor_to_doc(f: FactorDescriptor) -> dict:
 
 
 def factor_from_doc(doc: Mapping) -> FactorDescriptor:
+    from .engine import FactorDescriptor
+
     stratum = _need(doc, "stratum", "factor")
     character = char_tuple_from_doc(_need(doc, "character", "factor"))
     target = _need(doc, "target", "factor")
@@ -373,6 +399,8 @@ def filtration_request_from_doc(doc: Mapping) -> tuple[PsodIndex, dict[str, tupl
 
 
 def psod_from_doc(doc: Mapping) -> PsodIndex:
+    from .engine import PsodIndex
+
     index = preorder_from_doc(_need(doc, "index", "psod"))
     factors = _each(
         _need(doc, "factors", "psod"), factor_from_doc,
@@ -382,6 +410,9 @@ def psod_from_doc(doc: Mapping) -> PsodIndex:
 
 
 def scenario_from_doc(doc: Mapping) -> GluingScenario:
+    from .abelian import GradedHom
+    from .engine import GluingScenario
+
     diagram = diagram_from_doc(_need(doc, "diagram", "scenario"))
     message = "scenario psods, graded and graded_homs must be objects"
     psods = _each(_need(doc, "psods", "scenario"), psod_from_doc, message)

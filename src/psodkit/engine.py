@@ -14,18 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
-from .abelian import (
-    FgAbGroup,
-    GradedArrow,
-    GradedDiagram,
-    GradedGroup,
-    GradedHom,
-    GradedLimitResult,
-    graded_limit,
-    identity_graded_hom,
-)
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, PreconditionError
 from .factorial import (
@@ -48,6 +38,9 @@ from .preorders import (
     directed_numbering,
 )
 from .strata import Stratification, Stratum, require_valid
+
+if TYPE_CHECKING:
+    from .abelian import FgAbGroup, GradedGroup, GradedHom, GradedLimitResult
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +301,8 @@ def glue(scenario: GluingScenario, caps: Caps = DEFAULT_CAPS) -> GlueResult:
     a verdict with a witness, never as a failure.  With graded data the piece
     at each element is the limit of its fiber sums.
     """
+    from .abelian import GradedArrow, GradedDiagram, graded_limit, identity_graded_hom
+
     col = colimit(scenario.diagram)
     verdict = directedness(col.preorder)
     fibers: dict[str, list[tuple[str, str]]] = {w: [] for w in col.preorder.elements}
@@ -473,6 +468,8 @@ def ktheory_report(
     normalization per character.  Exact invariant-factor arithmetic; the
     infinite and Kummer-etale modes total a truncation and carry the
     symbolic multiplicity."""
+    from .abelian import FgAbGroup
+
     require_valid(strat)
     missing = [c for c in strat.all_components() if c not in kdata]
     if missing:

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from psodkit import documents as docs
-from psodkit import engine
+from psodkit import abelian
 from psodkit.abelian import IntMatrix
 from psodkit.cli import main
 from psodkit.preorders import (
@@ -37,7 +37,7 @@ def graded_oracle(monkeypatch):
     recomputed from the literal total matrices; yields the checked values."""
     from test_abelian import ungraded_limit_oracle
 
-    real = engine.graded_limit
+    real = abelian.graded_limit
     checked = []
 
     def checking(diagram, index, cocones):
@@ -46,7 +46,7 @@ def graded_oracle(monkeypatch):
         checked.append(res.ungraded)
         return res
 
-    monkeypatch.setattr(engine, "graded_limit", checking)
+    monkeypatch.setattr(abelian, "graded_limit", checking)
     return checked
 
 
@@ -152,6 +152,25 @@ def test_malformed_document_exits_1(capsys, tmp_path):
     path.write_text("{oops", encoding="utf-8")
     code, out, err = run(capsys, "preorder", "directed", str(path))
     assert code == 1 and out == "" and "error" in err
+
+
+def test_non_utf8_document_exits_1(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "preorder", "directed", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"
+    ]
+
+
+def test_deeply_nested_document_exits_1(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "preorder", "directed", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: invalid JSON: nested too deeply"]
 
 
 @pytest.mark.parametrize(
@@ -728,7 +747,7 @@ def test_glue_graded_equalizer_matches_oracle(capsys, tmp_path, graded_oracle):
 
 def test_glue_cross_fiber_block_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
     # a block from one grade to another, placed past GradedHom's constructor
-    real = engine.graded_limit
+    real = abelian.graded_limit
     elements = _graded_scenario_doc()["psods"]["l0"]["index"]["elements"]
     x, y = elements[:2]
 
@@ -737,7 +756,7 @@ def test_glue_cross_fiber_block_exits_2_with_one_line(capsys, tmp_path, monkeypa
         object.__setattr__(hom, "blocks", {**hom.blocks, (x, y): IntMatrix.identity(1)})
         return real(diagram, index, cocones)
 
-    monkeypatch.setattr(engine, "graded_limit", with_cross_fiber_block)
+    monkeypatch.setattr(abelian, "graded_limit", with_cross_fiber_block)
     path = write(tmp_path, "scenario.json", _graded_scenario_doc())
     code, out, err = run(capsys, "psod", "glue", path)
     assert code == 2 and out == ""
