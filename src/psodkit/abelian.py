@@ -19,7 +19,6 @@ from .preorders import (
     FinitePreorder,
     OrderReflectingMap,
     PreorderDiagram,
-    colimit,
 )
 
 
@@ -55,24 +54,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
-        k = len(values)
-        rows = k if rows is None else rows
-        cols = k if cols is None else cols
-        return cls(
-            rows,
-            cols,
-            tuple(
-                tuple(values[i] if i == j and i < k else 0 for j in range(cols))
-                for i in range(rows)
-            ),
-        )
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
@@ -87,14 +68,6 @@ class IntMatrix:
             for i in range(self.rows)
         ]
         return IntMatrix.from_rows(out, other.cols)
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise InputError("vector length does not match")
-        return tuple(
-            sum(self.entries[i][k] * vec[k] for k in range(self.cols))
-            for i in range(self.rows)
-        )
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
@@ -111,39 +84,6 @@ class IntMatrix:
             self.cols + other.cols,
             tuple(a + b for a, b in zip(self.entries, other.entries)),
         )
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise InputError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
 
 def _blockdiag(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -522,17 +462,23 @@ def group_from_presentation(ngens: int, relations: IntMatrix) -> FgAbGroup:
 
 def is_valid_hom(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
     """A generator matrix defines a homomorphism iff it maps the source
-    relations into the target relation lattice."""
+    relations into the target relation lattice.  The target presentation is
+    diagonal, so that lattice is 0 on a free row and d_i Z on the i-th
+    torsion row, and membership is a divisibility test per entry.
+
+    >>> c2, c4 = FgAbGroup(0, (2,)), FgAbGroup(0, (4,))
+    >>> is_valid_hom(c2, c4, IntMatrix.from_rows([[2]]))
+    True
+    >>> is_valid_hom(c2, c4, IntMatrix.from_rows([[1]]))
+    False
+    """
     if matrix.rows != dst.ngens or matrix.cols != src.ngens:
         return False
+    orders = (0,) * dst.rank + dst.torsion
     image = matrix.mul(src.presentation())
-    if not dst.torsion:
-        return image.is_zero()
-    try:
-        solve_columns(dst.presentation(), image)
-    except PreconditionError:
-        return False
-    return True
+    return all(
+        x % d == 0 if d else x == 0 for d, row in zip(orders, image.entries) for x in row
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -741,28 +687,6 @@ class GradedLimitResult:
     piece_results: Mapping[str, LimitResult]
 
 
-def _check_colimit_index(
-    diagram: GradedDiagram, colimit_index: FinitePreorder, cocones: Mapping[str, OrderReflectingMap]
-) -> ColimitResult:
-    computed = colimit(diagram.index_diagram())
-    if len(computed.preorder) != len(colimit_index):
-        raise PreconditionError("stated colimit index has the wrong carrier size")
-    relabel: dict[str, str] = {}
-    for v in diagram.vertices:
-        for x in diagram.groups[v].index.elements:
-            mine = computed.cocones[v](x)
-            theirs = cocones[v](x)
-            if relabel.setdefault(mine, theirs) != theirs:
-                raise PreconditionError("stated cocones do not quotient like the colimit")
-    if len(set(relabel.values())) != len(colimit_index):
-        raise PreconditionError("stated cocones are not jointly surjective")
-    for a in computed.preorder.elements:
-        for b in computed.preorder.elements:
-            if computed.preorder.le(a, b) != colimit_index.le(relabel[a], relabel[b]):
-                raise PreconditionError("stated colimit index has the wrong relation")
-    return computed
-
-
 def _certify_fiber_support(
     diagram: GradedDiagram, cocones: Mapping[str, OrderReflectingMap]
 ) -> None:
@@ -791,12 +715,15 @@ def _certify_fiber_support(
                 )
 
 
-def graded_limit(
-    diagram: GradedDiagram,
-    colimit_index: FinitePreorder,
-    cocones: Mapping[str, OrderReflectingMap],
-) -> GradedLimitResult:
-    """Limit of a graded diagram, graded over the colimit of the indices.
+def graded_limit(diagram: GradedDiagram, col: ColimitResult) -> GradedLimitResult:
+    """Limit of a graded diagram, graded over ``col``: the colimit of
+    ``diagram.index_diagram()``.
+
+    ``glue`` passes the colimit it computed for its scenario's diagram.  With
+    graded data that diagram is ``diagram.index_diagram()``: every arrow is
+    contravariant, each graded index equals the diagram's preorder, and each
+    reindex map equals the arrow's map (``GluingScenario`` checks the given
+    graded homs, ``glue`` the identity blocks it builds).
 
     The piece at w is the limit of the fiber-restricted diagram (the direct
     sum over the cocone fiber of w at each vertex).  The ungraded limit is
@@ -807,7 +734,7 @@ def graded_limit(
     with finite direct sums.  A block outside its fiber raises
     InvariantError.
     """
-    _check_colimit_index(diagram, colimit_index, cocones)
+    colimit_index, cocones = col.preorder, col.cocones
     _certify_fiber_support(diagram, cocones)
     # one pass over the cocones: the grades over each w at each vertex, and
     # each grade's generator offset inside its fiber sum

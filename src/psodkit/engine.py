@@ -325,18 +325,18 @@ def glue(scenario: GluingScenario, caps: Caps = DEFAULT_CAPS) -> GlueResult:
                     raise PreconditionError(
                         f"arrow {a.name!r}: identity blocks need a contravariant arrow"
                     )
-                hom = identity_graded_hom(scenario.graded[a.src], a.map)
                 if scenario.graded[a.tgt] != scenario.graded[a.src]:
                     raise PreconditionError(
                         f"arrow {a.name!r}: identity blocks need equal graded data"
                     )
+                hom = identity_graded_hom(scenario.graded[a.src], a.map)
             arrows.append(GradedArrow(a.name, a.src, a.tgt, hom))
         gd = GradedDiagram(
             scenario.diagram.vertices,
             {v: scenario.graded[v] for v in scenario.diagram.vertices},
             tuple(arrows),
         )
-        graded_result = graded_limit(gd, col.preorder, col.cocones)
+        graded_result = graded_limit(gd, col)
     return GlueResult(
         psod,
         verdict,

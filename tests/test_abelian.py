@@ -44,6 +44,31 @@ def rand_matrix(rng, rows, cols, lo=-9, hi=9):
     return M([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
+def diagonal(values):
+    n = len(values)
+    return M([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def apply(matrix, vec):
+    assert len(vec) == matrix.cols
+    return tuple(sum(a * x for a, x in zip(row, vec)) for row in matrix.entries)
+
+
+def column(matrix, j):
+    return tuple(row[j] for row in matrix.entries)
+
+
+def det(matrix):
+    # sympy is the test-only oracle for exact determinants
+    from sympy import Matrix
+
+    return int(Matrix(matrix.rows, matrix.cols, [x for r in matrix.entries for x in r]).det())
+
+
+def is_unimodular(matrix):
+    return abs(det(matrix)) == 1
+
+
 # ---------------------------------------------------------------------------
 # hnf
 
@@ -59,7 +84,7 @@ def test_hnf_gcd_pivot():
     h, u = hnf(a)
     assert h == M([[2], [0]])
     assert u.mul(a) == h
-    assert abs(u.det()) == 1
+    assert is_unimodular(u)
 
 
 def test_hnf_random_triangular_with_det():
@@ -68,7 +93,7 @@ def test_hnf_random_triangular_with_det():
         a = rand_matrix(rng, 3, 3)
         h, u = hnf(a)
         assert u.mul(a) == h
-        assert abs(u.det()) == 1
+        assert is_unimodular(u)
         for i in range(3):
             for j in range(3):
                 if i > j:
@@ -81,12 +106,12 @@ def test_hnf_random_triangular_with_det():
                 col += 1
             if col < 3:
                 pivots.append(h.entries[i][col])
-        det = a.det()
-        if det != 0:
+        d = det(a)
+        if d != 0:
             prod = 1
             for p in pivots:
                 prod *= p
-            assert prod == abs(det)
+            assert prod == abs(d)
 
 
 def test_hnf_rows_below_pivots_zero():
@@ -131,7 +156,7 @@ def test_hnf_matches_sympy():
             a = rand_matrix(rng, rows, cols)
         h, u = hnf(a)
         assert u.mul(a) == h
-        assert abs(u.det()) == 1
+        assert is_unimodular(u)
         nonzero = [r for r in h.entries if any(r)]
         deficient += len(nonzero) < min(rows, cols)
         assert row_lattice(nonzero, cols) == row_lattice(a.entries, cols)
@@ -143,11 +168,11 @@ def test_hnf_matches_sympy():
 
 
 def test_snf_examples():
-    s, u, v = snf(IntMatrix.diagonal([2, 3]))
-    assert s == IntMatrix.diagonal([1, 6])
-    assert u.mul(IntMatrix.diagonal([2, 3])).mul(v) == s
-    s0, _, _ = snf(IntMatrix.zeros(2, 3))
-    assert s0.is_zero()
+    s, u, v = snf(diagonal([2, 3]))
+    assert s == diagonal([1, 6])
+    assert u.mul(diagonal([2, 3])).mul(v) == s
+    s0, _, _ = snf(M([[0, 0, 0], [0, 0, 0]]))
+    assert s0 == M([[0, 0, 0], [0, 0, 0]])
     s1, _, _ = snf(IntMatrix.identity(2))
     assert s1 == IntMatrix.identity(2)
 
@@ -158,7 +183,7 @@ def test_snf_properties_random():
         a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         s, u, v = snf(a)
         assert u.mul(a).mul(v) == s
-        assert abs(u.det()) == 1 and abs(v.det()) == 1
+        assert is_unimodular(u) and is_unimodular(v)
         diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
         for i in range(s.rows):
             for j in range(s.cols):
@@ -197,10 +222,10 @@ def test_snf_matches_sympy():
 def test_kernel_examples():
     k = kernel(M([[1, -1]]))
     assert k.cols == 1
-    x = k.column(0)
+    x = column(k, 0)
     assert x[0] == x[1] and abs(x[0]) == 1
     k2 = kernel(M([[2, -3]]))
-    v = k2.column(0)
+    v = column(k2, 0)
     assert 2 * v[0] - 3 * v[1] == 0
     assert sorted(map(abs, v)) == [2, 3]
     assert kernel(IntMatrix.identity(3)).cols == 0
@@ -213,16 +238,16 @@ def test_kernel_spans_all_small_kernel_vectors():
         a = rand_matrix(rng, rows, cols, -3, 3)
         k = kernel(a)
         for i in range(k.cols):
-            assert all(x == 0 for x in a.apply(k.column(i)))
+            assert all(x == 0 for x in apply(a, column(k, i)))
         # every brute-force kernel vector lies in the lattice spanned by k
         for vec in itertools.product(range(-5, 6), repeat=cols):
-            if any(a.apply(vec)):
+            if any(apply(a, vec)):
                 continue
             if k.cols == 0:
                 assert all(x == 0 for x in vec)
                 continue
             sol = solve_columns(k, IntMatrix.from_rows([[x] for x in vec], 1))
-            recon = k.apply(tuple(sol.entries[i][0] for i in range(k.cols)))
+            recon = apply(k, column(sol, 0))
             assert recon == tuple(vec)
 
 
@@ -266,7 +291,7 @@ def test_direct_sum_and_multiple():
 
 def test_group_from_presentation():
     # Z^2 / <(2,0),(0,3)> = C2 + C3 = C6
-    g = group_from_presentation(2, IntMatrix.diagonal([2, 3]))
+    g = group_from_presentation(2, diagonal([2, 3]))
     assert g == FgAbGroup(0, (6,))
     # Z^2 / <(2,4)> has a free rank left
     g2 = group_from_presentation(2, M([[2], [4]]))
@@ -316,7 +341,7 @@ def test_limit_pullback_of_identity_span():
     )
     res = limit_of_groups(d)
     assert res.group == FgAbGroup.free(1)
-    gen = res.generators.column(0)
+    gen = column(res.generators, 0)
     assert abs(gen[0]) == 1 and gen[0] == gen[1] == gen[2]
 
 
@@ -379,7 +404,7 @@ def test_graded_limit_constant_diagram():
         (GradedArrow("id", "u", "u", identity_graded_hom(g, identity_map(p))),),
     )
     col = colimit(diag.index_diagram())
-    res = graded_limit(diag, col.preorder, col.cocones)
+    res = graded_limit(diag, col)
     assert res.graded.pieces == g.pieces
     assert res.ungraded == g.total()
 
@@ -397,7 +422,7 @@ def test_graded_limit_cech_identity():
         ),
     )
     col = colimit(diag.index_diagram())
-    res = graded_limit(diag, col.preorder, col.cocones)
+    res = graded_limit(diag, col)
     assert res.graded.pieces["*"] == FgAbGroup.free(1)
 
 
@@ -407,26 +432,13 @@ def test_graded_limit_two_vertex_product():
     g2 = GradedGroup(p2, {"b": FgAbGroup.free(2)})
     diag = GradedDiagram(("u", "v"), {"u": g1, "v": g2})
     col = colimit(diag.index_diagram())
-    res = graded_limit(diag, col.preorder, col.cocones)
+    res = graded_limit(diag, col)
     assert res.graded.pieces["a"] == g1.pieces["a"]
     assert res.graded.pieces["b"] == g2.pieces["b"]
     total = limit_of_groups(
         GroupDiagram(("u", "v"), {"u": g1.total(), "v": g2.total()})
     ).group
     assert res.ungraded == total
-
-
-def test_graded_limit_rejects_wrong_index():
-    p = complete_preorder(["*"])
-    g = GradedGroup(p, {"*": FgAbGroup.free(1)})
-    diag = GradedDiagram(("u",), {"u": g})
-    wrong = discrete_preorder(["*", "ghost"])
-    with pytest.raises(PreconditionError):
-        graded_limit(
-            diag,
-            wrong,
-            {"u": OrderReflectingMap(p, wrong, {"*": "*"})},
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +571,7 @@ def test_block_decomposition_on_random_scenarios():
             col = colimit(diag.index_diagram())
         except PreconditionError:
             continue  # zigzag identified non-related elements: no gluing
-        res = graded_limit(diag, col.preorder, col.cocones)
+        res = graded_limit(diag, col)
         assert res.ungraded == ungraded_limit_oracle(diag)
         done += 1
 
@@ -594,7 +606,7 @@ def test_cross_fiber_block_trips_certificate_and_oracle(monkeypatch, how):
     diag = _cross_fiber_mutant(how)
     col = colimit(diag.index_diagram())
     with pytest.raises(InvariantError) as info:
-        graded_limit(diag, col.preorder, col.cocones)
+        graded_limit(diag, col)
     assert info.value.exit_code == 2
     assert info.value.witness == {
         "arrow": "d1",
@@ -608,7 +620,7 @@ def test_cross_fiber_block_trips_certificate_and_oracle(monkeypatch, how):
     # without the certificate the pieces miss the swap, which the ungraded
     # oracle sees: the equalizer of 1 and the swap on Z^2 is Z
     monkeypatch.setattr(abelian, "_certify_fiber_support", lambda *args: None)
-    res = graded_limit(diag, col.preorder, col.cocones)
+    res = graded_limit(diag, col)
     assert res.ungraded == FgAbGroup.zero()
     assert ungraded_limit_oracle(diag) == FgAbGroup.free(1)
 
@@ -623,7 +635,7 @@ def _enumerate_group(g: FgAbGroup):
 
 
 def _apply_mod(matrix: IntMatrix, vec, orders):
-    out = matrix.apply(vec)
+    out = apply(matrix, vec)
     return tuple(x % d for x, d in zip(out, orders))
 
 

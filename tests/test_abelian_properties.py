@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,11 +8,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psodkit.abelian import FgAbGroup, IntMatrix, graded_limit, invariant_factors
+from psodkit.abelian import (
+    FgAbGroup,
+    IntMatrix,
+    graded_limit,
+    invariant_factors,
+    is_valid_hom,
+    solve_columns,
+)
 from psodkit.errors import PreconditionError
 from psodkit.preorders import colimit
 
-from test_abelian import random_graded_scenario, ungraded_limit_oracle
+from test_abelian import diagonal, random_graded_scenario, ungraded_limit_oracle
 
 # small primes make shared factors common; the large ones exceed 10^12
 _ATOMS = (2, 3, 5, 7, 1_000_000_000_039, 1_000_000_000_061)
@@ -34,7 +42,7 @@ def _invariant_lists(draw):
 
 def _snf_oracle(invariants):
     torsion = [d for d in invariants if d > 1]
-    chain = invariant_factors(IntMatrix.diagonal(torsion)) if torsion else ()
+    chain = invariant_factors(diagonal(torsion)) if torsion else ()
     return FgAbGroup(invariants.count(0), tuple(d for d in chain if d > 1))
 
 
@@ -74,5 +82,61 @@ def test_graded_limit_matches_ungraded_oracle(seed):
         except PreconditionError:
             continue
         break
-    res = graded_limit(diag, col.preorder, col.cocones)
+    res = graded_limit(diag, col)
     assert res.ungraded == ungraded_limit_oracle(diag)
+
+
+def _old_is_valid_hom(src, dst, matrix):
+    """The rule ``is_valid_hom`` replaced: solve for the image of the source
+    relations in the target relation lattice by HNF."""
+    if matrix.rows != dst.ngens or matrix.cols != src.ngens:
+        return False
+    image = matrix.mul(src.presentation())
+    if not dst.torsion:
+        return all(x == 0 for row in image.entries for x in row)
+    try:
+        solve_columns(dst.presentation(), image)
+    except PreconditionError:
+        return False
+    return True
+
+
+@st.composite
+def _small_groups(draw):
+    kind = draw(st.sampled_from(["zero", "free", "torsion", "mixed"]))
+    rank = draw(st.integers(1, 3)) if kind in ("free", "mixed") else 0
+    orders = st.sampled_from([2, 3, 4, 6, 8, 9, 12])
+    torsion = draw(st.lists(orders, min_size=1, max_size=3)) if kind in ("torsion", "mixed") else []
+    return FgAbGroup.from_invariants([0] * rank + torsion)
+
+
+@st.composite
+def _hom_candidates(draw):
+    """A source, a target and a generator matrix: of the wrong shape, with
+    free entries, or snapped to the multiples a homomorphism needs (zero
+    where torsion meets a free row), so that both verdicts are common."""
+    src, dst = draw(_small_groups()), draw(_small_groups())
+    shape = draw(st.sampled_from(["right", "right", "right", "rows", "cols"]))
+    rows = dst.ngens + (shape == "rows")
+    cols = src.ngens + (shape == "cols")
+    snap = shape == "right" and draw(st.booleans())
+    dst_orders = [0] * dst.rank + list(dst.torsion)
+    src_orders = [0] * src.rank + list(src.torsion)
+    entries = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            k = draw(st.integers(-4, 4))
+            if snap and src_orders[j]:
+                e, d = dst_orders[i], src_orders[j]
+                k = k * (e // math.gcd(d, e)) if e else 0
+            row.append(k)
+        entries.append(tuple(row))
+    return src, dst, IntMatrix(rows, cols, tuple(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hom_candidates())
+def test_is_valid_hom_matches_hnf_solve(case):
+    src, dst, matrix = case
+    assert is_valid_hom(src, dst, matrix) == _old_is_valid_hom(src, dst, matrix)

@@ -44,7 +44,7 @@ from psodkit.preorders import (
 )
 from psodkit.strata import Stratification, Stratum, nodal_cubic, simple_crossing
 
-from test_abelian import random_graded_scenario, ungraded_limit_oracle
+from test_abelian import is_unimodular, random_graded_scenario, ungraded_limit_oracle
 
 
 def criterion(number, description, budget):
@@ -262,7 +262,7 @@ def test_criterion_5_block_decomposition():
             col = colimit(diag.index_diagram())
         except PreconditionError:
             continue
-        res = graded_limit(diag, col.preorder, col.cocones)
+        res = graded_limit(diag, col)
         assert res.ungraded == ungraded_limit_oracle(diag)
         done += 1
 
@@ -362,7 +362,7 @@ def test_criterion_8_normal_forms():
         )
         s, u, v = snf(a)
         assert u.mul(a).mul(v) == s
-        assert abs(u.det()) == 1 and abs(v.det()) == 1
+        assert is_unimodular(u) and is_unimodular(v)
         diag = [s.entries[i][i] for i in range(4)]
         nz = [d for d in diag if d != 0]
         assert all(d > 0 for d in nz)
@@ -371,7 +371,7 @@ def test_criterion_8_normal_forms():
         assert invariant_factors(a) == _determinantal_invariants(a.entries)
         h, uu = hnf(a)
         assert uu.mul(a) == h
-        assert abs(uu.det()) == 1
+        assert is_unimodular(uu)
 
 
 @criterion(9, "Kummer-etale restriction keeps only denominators coprime to p", budget=5)

@@ -40,8 +40,8 @@ def graded_oracle(monkeypatch):
     real = abelian.graded_limit
     checked = []
 
-    def checking(diagram, index, cocones):
-        res = real(diagram, index, cocones)
+    def checking(diagram, col):
+        res = real(diagram, col)
         assert res.ungraded == ungraded_limit_oracle(diagram)
         checked.append(res.ungraded)
         return res
@@ -745,16 +745,42 @@ def test_glue_graded_equalizer_matches_oracle(capsys, tmp_path, graded_oracle):
     assert len(graded_oracle) == 1
 
 
+def test_glue_identity_blocks_between_unequal_graded_data_exits_2(capsys, tmp_path):
+    # no graded hom for f, and its index map is defined on {b}, not on {a}:
+    # the graded data is compared before identity blocks are built from it
+    from psodkit.engine import FactorDescriptor, PsodIndex
+    from psodkit.factorial import CharTuple
+
+    idx = {"u": complete_preorder(["a"]), "v": complete_preorder(["b"])}
+    f = OrderReflectingMap(idx["v"], idx["u"], {"b": "a"})
+    diag = PreorderDiagram(("u", "v"), idx, (DiagramArrow("f", "u", "v", f, "contravariant"),))
+    factor = FactorDescriptor("S", CharTuple(()), "Perf(S)")
+    body = {
+        "diagram": docs.diagram_to_doc(diag),
+        "psods": {
+            v: docs.psod_to_doc(PsodIndex(p, {x: factor for x in p.elements}))
+            for v, p in idx.items()
+        },
+        "graded": {
+            v: {"index": docs.preorder_to_doc(p), "pieces": {x: {"rank": 1} for x in p.elements}}
+            for v, p in idx.items()
+        },
+    }
+    code, out, err = run(capsys, "psod", "glue", write(tmp_path, "scenario.json", body))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: arrow 'f': identity blocks need equal graded data"]
+
+
 def test_glue_cross_fiber_block_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
     # a block from one grade to another, placed past GradedHom's constructor
     real = abelian.graded_limit
     elements = _graded_scenario_doc()["psods"]["l0"]["index"]["elements"]
     x, y = elements[:2]
 
-    def with_cross_fiber_block(diagram, index, cocones):
+    def with_cross_fiber_block(diagram, col):
         hom = diagram.arrows[0].hom
         object.__setattr__(hom, "blocks", {**hom.blocks, (x, y): IntMatrix.identity(1)})
-        return real(diagram, index, cocones)
+        return real(diagram, col)
 
     monkeypatch.setattr(abelian, "graded_limit", with_cross_fiber_block)
     path = write(tmp_path, "scenario.json", _graded_scenario_doc())

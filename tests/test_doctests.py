@@ -1,10 +1,13 @@
 import doctest
+import importlib
+import pkgutil
 
-import psodkit.abelian
-import psodkit.factorial
+import psodkit
 
 
 def test_doctests():
-    for module in (psodkit.factorial, psodkit.abelian):
-        failures, _ = doctest.testmod(module)
-        assert failures == 0
+    names = [f"psodkit.{m.name}" for m in pkgutil.iter_modules(psodkit.__path__)]
+    assert {"psodkit.abelian", "psodkit.factorial"} <= set(names)
+    for name in ["psodkit"] + names:
+        failures, _ = doctest.testmod(importlib.import_module(name))
+        assert failures == 0, name

@@ -239,6 +239,27 @@ def test_glue_cech_with_graded_data():
     assert res.graded.graded.pieces == g.pieces
 
 
+def test_graded_glue_computes_one_colimit(monkeypatch):
+    from psodkit import preorders
+
+    scenario, psod = cech_scenario()
+    g = GradedGroup(psod.index, {x: FgAbGroup(1, (2,)) for x in psod.index.elements})
+    scenario = GluingScenario(
+        scenario.diagram, scenario.psods, {v: g for v in scenario.diagram.vertices}
+    )
+    real = preorders._quotient_preorder
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(preorders, "_quotient_preorder", counting)
+    res = glue(scenario)
+    assert res.graded is not None and res.graded.graded.pieces == g.pieces
+    assert len(calls) == 1
+
+
 def test_glue_discrete_two_part_scenario_flags_violation():
     idx = discrete_preorder(["part1", "part2"])
     psod = PsodIndex(
