@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Documents are JSON (see documents.py); inputs come from file paths or '-'
-for standard input.  Exit codes: 0 success, 1 parse error, 2 precondition,
-input or internal-invariant error, 3 resource cap exceeded.  Directedness
-violations during gluing are reported in-band and exit 0: the semiorthogonal
-family is still valid output, it just is not known to generate.
+for standard input.  Exit codes: 0 success, 1 parse error or a failed write to
+stdout, 2 precondition, input or internal-invariant error, 3 resource cap
+exceeded.  Directedness violations during gluing are reported in-band and
+exit 0: the semiorthogonal family is still valid output, it just is not
+known to generate.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import fields
 from typing import Any, Callable, Sequence
@@ -45,11 +48,18 @@ def _load(path: str) -> Any:
 
 
 def _emit(cfg: Config, doc: Callable[[], Any], human: Callable[[], str]) -> None:
-    """Print the document or the human text; only the one printed is built."""
+    """Print the document or the human text; only the one printed is built.
+
+    A document is streamed, so its text never exists as one string.  The
+    flush makes a failed write raise here, not at interpreter exit."""
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        raise OSError(errno.EBADF, "standard output is closed")
     if cfg.output == "machine":
-        print(docs.dumps(doc()))
+        sys.stdout.writelines(docs.chunks(doc()))
+        sys.stdout.write("\n")
     else:
         print(human())
+    sys.stdout.flush()
 
 
 # -- preorder ----------------------------------------------------------------
@@ -312,6 +322,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PsodkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
+    except OSError as exc:
+        # _read turns read failures into ParseError, so this is a write to
+        # stdout: a closed pipe or a full device.  The unwritten text stays
+        # buffered; point stdout at /dev/null so that the interpreter's flush
+        # at exit does not fail again.
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,7 +10,8 @@ decoded values raises the library's usual errors.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from .errors import InputError, ParseError
 from .preorders import (
@@ -49,7 +50,49 @@ def loads(text: str) -> Any:
 
 
 def dumps(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False)
+    return "".join(chunks(doc))
+
+
+_BOOL_TEXT = ("false", "true")
+
+
+def chunks(doc: Any, _indent: str = "\n") -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2)``, piece by piece.
+
+    With ``indent`` set, ``json`` encodes in pure Python, one step per value.
+    Here a list of only booleans or only strings is one piece joined in C, so
+    a ``leq`` row costs one step.  Keys must be strings; other scalars print
+    as ``json.dumps`` prints them.
+    """
+    if isinstance(doc, str):
+        yield _quote(doc)
+    elif isinstance(doc, (dict, list, tuple)):
+        if not doc:
+            yield "{}" if isinstance(doc, dict) else "[]"
+            return
+        inner = _indent + "  "
+        sep = "," + inner
+        if isinstance(doc, dict):
+            head = "{" + inner
+            for key, value in doc.items():
+                yield head + _quote(key) + ": "
+                yield from chunks(value, inner)
+                head = sep
+            yield _indent + "}"
+            return
+        kinds = set(map(type, doc))
+        if kinds == {bool} or kinds == {str}:
+            text = _BOOL_TEXT.__getitem__ if kinds == {bool} else _quote
+            yield "[" + inner + sep.join(map(text, doc)) + _indent + "]"
+            return
+        head = "[" + inner
+        for item in doc:
+            yield head
+            yield from chunks(item, inner)
+            head = sep
+        yield _indent + "]"
+    else:
+        yield json.dumps(doc)
 
 
 def _need(doc: Mapping, key: str, what: str) -> Any:

@@ -163,12 +163,6 @@ class FactorialForm:
         if self.level > 2 and all(p % self.level == 0 for p in self.numerators):
             raise InputError("not in normal form: every numerator divisible by the level")
 
-    def to_char_tuple(self) -> CharTuple:
-        f = math.factorial(self.level)
-        return CharTuple(
-            tuple(Residue.from_fraction(Fraction(-p, f)) for p in self.numerators)
-        )
-
 
 def to_factorial_form(chi: CharTuple, caps: Caps = DEFAULT_CAPS) -> FactorialForm:
     """The unique minimal-level representation chi = (-p_1/n!, ..., -p_N/n!).

@@ -69,10 +69,6 @@ class FinitePreorder:
     def le(self, x: str, y: str) -> bool:
         return bool(self.rows[self.index(x)] >> self.index(y) & 1)
 
-    def lt(self, x: str, y: str) -> bool:
-        """Strict comparability: x <= y and x != y (mutual pairs stay strict)."""
-        return x != y and self.le(x, y)
-
     def columns(self) -> list[int]:
         """Column bitmasks: bit ``i`` of ``columns()[j]`` is bit ``j`` of ``rows[i]``."""
         return _columns(self.rows)
@@ -93,19 +89,9 @@ class FinitePreorder:
                         return out
         return out
 
-    @cached_property
-    def is_total(self) -> bool:
-        """Every pair related one way or the other."""
-        full = (1 << len(self.elements)) - 1
-        return all(r | c == full for r, c in zip(self.rows, self.columns()))
-
     def restrict(self, labels: Sequence[str]) -> "FinitePreorder":
         idx = [self.index(x) for x in labels]
         return FinitePreorder(tuple(labels), tuple(_gather(self.rows[i], idx) for i in idx))
-
-    def relation_pairs(self) -> set[tuple[str, str]]:
-        e = self.elements
-        return {(e[i], e[j]) for i, r in enumerate(self.rows) for j in _bits(r)}
 
 
 def _columns(rows: Sequence[int]) -> list[int]:
@@ -312,21 +298,6 @@ class PreorderDiagram:
                 yield a.src, a.tgt, a.map.mapping
             else:
                 yield a.tgt, a.src, a.map.mapping
-
-
-def constant_diagram(
-    vertices: Sequence[str],
-    p: FinitePreorder,
-    arrows: Sequence[tuple[str, str, str]] = (),
-) -> PreorderDiagram:
-    """Every vertex carries ``p``, every arrow the identity."""
-    return PreorderDiagram(
-        tuple(vertices),
-        {v: p for v in vertices},
-        tuple(
-            DiagramArrow(name, src, tgt, identity_map(p)) for name, src, tgt in arrows
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,6 @@ class Stratification:
             if a not in known or b not in known:
                 raise InputError(f"closure pair ({a!r}, {b!r}) mentions unknown strata")
 
-    @property
-    def n_d(self) -> int:
-        """Maximal codimension over the strata."""
-        return max((s.codim for s in self.strata), default=0)
-
     @cached_property
     def by_id(self) -> dict[str, Stratum]:
         return {s.id: s for s in self.strata}
@@ -73,9 +68,6 @@ class Stratification:
             i: tuple(t for j, t in enumerate(ids) if mask >> j & 1)
             for i, mask in zip(ids, _closure_masks(ids, self.closure))
         }
-
-    def contained_in_closure(self, sub: str, sup: str) -> bool:
-        return sup in self._closure_rows[sub]
 
     def ambient(self) -> Stratum:
         tops = [s for s in self.strata if s.codim == 0]

@@ -45,6 +45,7 @@ from psodkit.preorders import (
 from psodkit.strata import Stratification, Stratum, nodal_cubic, simple_crossing
 
 from test_abelian import is_unimodular, random_graded_scenario, ungraded_limit_oracle
+from test_preorders import lt
 
 
 def criterion(number, description, budget):
@@ -230,8 +231,8 @@ def test_criterion_3_nodal_cubic():
     assert [f.target_label for _, f in rows] == ["Perf(o)", "Perf(D~)", "Perf(X)"]
     assert nodal_cubic().by_id["D"].norm_components == ("D~",)
     numbering = psod.row_order()
-    assert psod.index.lt(numbering[0], numbering[1])
-    assert psod.index.lt(numbering[1], numbering[2])
+    assert lt(psod.index, numbering[0], numbering[1])
+    assert lt(psod.index, numbering[1], numbering[2])
 
 
 @criterion(4, "factor-count law r^k for coordinate crossings, k <= 3, r <= 5", budget=5)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import psodkit
 from psodkit import documents as docs
 from psodkit import abelian
 from psodkit.abelian import IntMatrix
@@ -881,3 +886,94 @@ def test_glue_graded_hom_needs_graded_ends(capsys, tmp_path):
     code, out, err = run(capsys, "psod", "glue", write(tmp_path, "scenario.json", body))
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: graded hom 'd0' needs graded data at both ends"]
+
+
+# ---------------------------------------------------------------------------
+# writing stdout
+
+
+CLI = [sys.executable, "-m", "psodkit.cli"]
+
+
+def _cli_env():
+    src = str(Path(psodkit.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    # buffered stdout, as users run it: a small output fails only on flush
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_closed_pipe_exits_1_with_one_line(tmp_path):
+    path = write(tmp_path, "cross.json", docs.stratification_to_doc(simple_crossing(3)))
+    proc = subprocess.Popen(
+        CLI + ["--output", "machine", "psod", "build", path, "--root", "8"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_cli_env(),
+    )
+    try:
+        # the 4 MB document cannot fit in the pipe, so a write fails mid-way
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert head == b'{\n  "index": {\n    "'
+    assert (code, err) == (1, "error: cannot write output: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("mode", ["machine", "human"])
+def test_full_device_exits_1_with_one_line(tmp_path, mode):
+    path = write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal_cubic()))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            CLI + ["--output", mode, "psod", "build", path, "--root", "2"],
+            stdin=subprocess.DEVNULL, stdout=full, stderr=subprocess.PIPE, text=True,
+            env=_cli_env(), timeout=120,
+        )
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write output: [Errno 28] No space left on device\n"
+    )
+
+
+def test_closed_stdout_exits_1_with_one_line():
+    proc = subprocess.run(
+        CLI + ["order", "cmp", "--", "0", "0"], preexec_fn=lambda: os.close(1),
+        stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=_cli_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write output: [Errno 9] standard output is closed\n"
+    )
+
+
+# sha256 of what json.dumps(doc, indent=2) wrote for this job before streaming
+CROSS3_R12_SHA256 = "165cf21a5a88e64e3ee5411be528307942a8775db1f4e5e935325fd1a6239031"
+
+# Runs the command given as arguments and prints its exit code, the sha256 of
+# its stdout and its peak resident set in KB.  A fresh helper, because
+# RUSAGE_CHILDREN keeps the largest child a process ever waited for.
+MAXRSS_PROBE = """
+import hashlib, resource, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+digest = hashlib.sha256()
+for block in iter(lambda: proc.stdout.read(1 << 16), b""):
+    digest.update(block)
+print(proc.wait(), digest.hexdigest(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_large_machine_output_is_streamed(tmp_path):
+    # 1,728 factors: a 44 MB document; json.dumps(indent=2) peaked at 293 MB
+    path = write(tmp_path, "cross.json", docs.stratification_to_doc(simple_crossing(3)))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAXRSS_PROBE]
+        + CLI + ["--output", "machine", "psod", "build", path, "--root", "12"],
+        capture_output=True, text=True, env=_cli_env(), timeout=300,
+    )
+    code, sha, maxrss_kb = proc.stdout.split()
+    assert (code, sha) == ("0", CROSS3_R12_SHA256), proc.stderr
+    assert int(maxrss_kb) < 100 * 1024

@@ -41,6 +41,8 @@ from psodkit.strata import (
     strata_preorder,
 )
 
+from test_preorders import lt
+
 
 def smooth_divisor():
     return Stratification(
@@ -95,7 +97,7 @@ def test_order_correctness_deeper_codim_first():
             cx = strat.by_id[psod.factors[x].stratum_id].codim
             cy = strat.by_id[psod.factors[y].stratum_id].codim
             if cx > cy:
-                assert psod.index.lt(x, y)
+                assert lt(psod.index, x, y)
                 assert not psod.index.le(y, x)
 
 
