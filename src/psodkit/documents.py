@@ -137,7 +137,7 @@ def preorder_from_doc(doc: Mapping) -> FinitePreorder:
     if not _strings(elements):
         raise ParseError("preorder elements must be strings")
     if not isinstance(leq, list) or not all(
-        isinstance(row, list) and all(isinstance(v, bool) for v in row) for row in leq
+        isinstance(row, list) and set(map(type, row)) <= {bool} for row in leq
     ):
         raise ParseError("preorder leq must be a matrix of booleans")
     n = len(elements)

@@ -376,15 +376,14 @@ def filtration(
     unknown = set(obj) - set(psod.index.elements)
     if unknown:
         raise InputError(f"object graded over unknown elements {sorted(unknown)}")
-    residual = {x: tuple(int(c) for c in obj.get(x, ())) for x in psod.index.elements}
+    vectors = {x: tuple(int(c) for c in obj.get(x, ())) for x in psod.index.elements}
+    # the grades whose residual is still nonzero, in index order; each grade
+    # is split off once, so its component is its input vector
+    live = dict.fromkeys(x for x, v in vectors.items() if any(v))
     steps: list[FiltrationStep] = []
     for grade in reversed(numbering):
-        component = residual[grade]
-        residual[grade] = tuple(0 for _ in component)
-        support = tuple(
-            x for x in psod.index.elements if any(c != 0 for c in residual[x])
-        )
-        steps.append(FiltrationStep(grade, component, support))
+        live.pop(grade, None)
+        steps.append(FiltrationStep(grade, vectors[grade], tuple(live)))
     return FiltrationResult(tuple(steps))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import DEFAULT_CAPS, Caps
@@ -533,37 +533,37 @@ class VerifyResult:
         return self.ok
 
 
+@cache
 def _posets_on(k: int) -> list[tuple[int, ...]]:
     # Labelled posets as row bitmasks (rows[i] = {j : i <= j}), built by adding
-    # one element at a time: the new element picks a down-set of strict
-    # predecessors and an up-set of strict successors, already fully related.
+    # one element at a time: the new element picks a down-set d of strict
+    # predecessors and an up-set u of strict successors inside the common
+    # up-set of d, already fully related.  The up-sets are the complements of
+    # the down-sets, listed in increasing order.
     if k == 0:
         return [()]
     out: list[tuple[int, ...]] = []
+    e = 1 << (k - 1)
+    full = e - 1
     for rel in _posets_on(k - 1):
-        e = k - 1
-        m = k - 1
         cols = _columns(rel)
-        subsets = range(1 << m)
-        downs = [
-            d
-            for d in subsets
-            if all(cols[x] & ~d == 0 for x in range(m) if d >> x & 1)
-        ]
-        ups = [
-            u
-            for u in subsets
-            if all(rel[x] & ~u & ~(1 << x) == 0 for x in range(m) if u >> x & 1)
-        ]
+        # below[m] is everything below some element of m, common[m] the
+        # common up-set of m; both built by adding the lowest bit last
+        below = [0] * e
+        common = [full] * e
+        downs = [0]
+        for m in range(1, e):
+            low = m & -m
+            x = low.bit_length() - 1
+            below[m] = below[m ^ low] | cols[x]
+            common[m] = common[m ^ low] & rel[x]
+            if below[m] | m == m:
+                downs.append(m)
+        ups = [full ^ d for d in reversed(downs)]
         for d in downs:
-            for u in ups:
-                if d & u:
-                    continue
-                if any(rel[x] & u != u for x in range(m) if d >> x & 1):
-                    continue
-                rows = [rel[i] | (1 << e) if d >> i & 1 else rel[i] for i in range(m)]
-                rows.append(u | (1 << e))
-                out.append(tuple(rows))
+            above = common[d] & ~d
+            rows = tuple(r | e if d >> i & 1 else r for i, r in enumerate(rel))
+            out.extend(rows + (u | e,) for u in ups if u & above == u)
     return out
 
 
@@ -578,25 +578,21 @@ def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
         yield [[first]] + part
 
 
-def _iso_key(rows: Sequence[int]) -> tuple[int, ...]:
-    """Canonical form of the preorder given by row bitmasks: equal exactly for
-    isomorphic preorders.
-
-    Each element is coloured by its up-set, down-set and equivalence-class
-    sizes, which any isomorphism preserves.  The form is the least relabelled
-    matrix over the relabellings that list the elements in increasing colour,
-    so only permutations inside each colour class are tried.
-    """
-    q = len(rows)
-    cols = _columns(rows)
-    colour = [(r.bit_count(), c.bit_count(), (r & c).bit_count()) for r, c in zip(rows, cols)]
-    order = sorted(range(q), key=colour.__getitem__)
-    classes = [tuple(c) for _, c in itertools.groupby(order, key=colour.__getitem__)]
-    perms = (
-        sum(choice, ())
-        for choice in itertools.product(*map(itertools.permutations, classes))
-    )
-    return min(tuple(rows[x] >> y & 1 for x in perm for y in perm) for perm in perms)
+def _relabellings(sizes: Sequence[int]) -> list[tuple[list[int], tuple[int, ...]]]:
+    """Each permutation of the blocks that keeps block sizes, as the tuple
+    ``inv`` of the old block at each new position, with the table taking a
+    block bitmask to its image."""
+    k = len(sizes)
+    out = []
+    for inv in itertools.permutations(range(k)):
+        if any(sizes[i] != sizes[j] for i, j in enumerate(inv)):
+            continue
+        table = [0] * (1 << k)
+        for m in range(1, 1 << k):
+            low = m & -m
+            table[m] = table[m ^ low] | 1 << inv.index(low.bit_length() - 1)
+        out.append((table, inv))
+    return out
 
 
 _PREORDER_CACHE: dict[int, list[tuple[int, ...]]] = {}
@@ -613,33 +609,31 @@ def _preorders_on(q: int) -> list[tuple[int, ...]]:
     - only the first set partition of each multiset of class sizes is
       visited, since a later one realizes only isomorphism classes already
       seen, and partitions with different sizes share no class;
-    - the remaining candidates are compared by ``_iso_key``.
+    - two posets on the classes of one partition give isomorphic preorders
+      exactly when a permutation of the classes that keeps their sizes takes
+      one to the other, so each kept poset marks all its relabellings as
+      seen and every later candidate costs one set lookup.
     """
     if q in _PREORDER_CACHE:
         return _PREORDER_CACHE[q]
-    posets_by_size = {k: _posets_on(k) for k in range(q + 1)}
     shapes: set[tuple[int, ...]] = set()
-    seen: set[tuple[int, ...]] = set()
     result: list[tuple[int, ...]] = []
     for part in _set_partitions(list(range(q))):
         shape = tuple(sorted(len(b) for b in part))
         if shape in shapes:
             continue
         shapes.add(shape)
-        blocks = [sorted(b) for b in part]
-        blocks.sort()
-        k = len(blocks)
+        blocks = sorted(sorted(b) for b in part)
         block_of = {x: bi for bi, b in enumerate(blocks) for x in b}
         block_mask = [sum(1 << x for x in b) for b in blocks]
-        for rel in posets_by_size[k]:
-            rows = tuple(
-                sum(block_mask[by] for by in range(k) if rel[block_of[x]] >> by & 1)
-                for x in range(q)
-            )
-            key = _iso_key(rows)
-            if key not in seen:
-                seen.add(key)
-                result.append(rows)
+        relabellings = _relabellings([len(b) for b in blocks])
+        seen: set[tuple[int, ...]] = set()
+        for rel in _posets_on(len(blocks)):
+            if rel in seen:
+                continue
+            seen.update(tuple(table[rel[i]] for i in inv) for table, inv in relabellings)
+            up = [sum(block_mask[b] for b in _bits(r)) for r in rel]
+            result.append(tuple(up[block_of[x]] for x in range(q)))
     _PREORDER_CACHE[q] = result
     return result
 
@@ -647,10 +641,17 @@ def _preorders_on(q: int) -> list[tuple[int, ...]]:
 def _reflecting_maps_to(
     p: FinitePreorder, q_rows: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    """All order-reflecting assignments of p's elements to labels 0..q-1."""
+    """All order-reflecting assignments of p's elements to labels 0..q-1, in
+    lexicographic order.  Element t may take only the values that no earlier
+    element s bans: those below s's value when t is not below s, and those
+    above s's value when s is not below t."""
     n = len(p.elements)
     prows = p.rows
-    qn = len(q_rows)
+    q_cols = _columns(q_rows)
+    full = (1 << len(q_rows)) - 1
+    # earlier elements whose value bans its down-set, resp. its up-set, at t
+    below_bans = [[s for s in range(t) if not prows[t] >> s & 1] for t in range(n)]
+    above_bans = [[s for s in range(t) if not prows[s] >> t & 1] for t in range(n)]
     out: list[tuple[int, ...]] = []
     assign = [0] * n
 
@@ -658,16 +659,14 @@ def _reflecting_maps_to(
         if t == n:
             out.append(tuple(assign))
             return
-        for v in range(qn):
-            for s in range(t):
-                w = assign[s]
-                if (q_rows[v] >> w & 1 and not prows[t] >> s & 1) or (
-                    q_rows[w] >> v & 1 and not prows[s] >> t & 1
-                ):
-                    break
-            else:
-                assign[t] = v
-                rec(t + 1)
+        banned = 0
+        for s in below_bans[t]:
+            banned |= q_cols[assign[s]]
+        for s in above_bans[t]:
+            banned |= q_rows[assign[s]]
+        for v in _bits(full & ~banned):
+            assign[t] = v
+            rec(t + 1)
 
     rec(0)
     return out
@@ -741,7 +740,7 @@ def verify_colimit(
             if not all(per_vertex):
                 continue
             induced = Counter(
-                tuple(tuple(h[c] for c in fiber) for fiber in fibers)
+                tuple([tuple(map(h.__getitem__, fiber)) for fiber in fibers])
                 for h in _reflecting_maps_to(candidate, q_rows)
             )
             for family in itertools.product(*per_vertex):

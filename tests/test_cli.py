@@ -193,6 +193,32 @@ def test_directed_rejects_non_boolean_relation(capsys, tmp_path, doc):
     assert err.splitlines() == ["error: preorder leq must be a matrix of booleans"]
 
 
+def _nested_leq_doc(command, leq):
+    """A document for ``command`` whose one preorder has the given ``leq``:
+    the preorder itself, the index of a psod to filtrate, or a verify
+    candidate."""
+    index = {"elements": ["a", "b"], "leq": leq}
+    if command == "directed":
+        return index
+    if command == "filtrate":
+        return {"psod": dict(_nodal_psod_doc(), index=index), "object": {}}
+    return _point_verify_doc(candidate=index)
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [[True, v] for v in (0, 1, 1.0, None, "true", [])] + [True, "10", {"a": True}, None],
+)
+@pytest.mark.parametrize(
+    "argv", [["preorder", "directed"], ["psod", "filtrate"], ["preorder", "verify"]]
+)
+def test_non_boolean_leq_row_exits_1_wherever_nested(capsys, tmp_path, argv, bad_row):
+    path = write(tmp_path, "bad.json", _nested_leq_doc(argv[-1], [[True, True], bad_row]))
+    code, out, err = run(capsys, *argv, path)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: preorder leq must be a matrix of booleans"]
+
+
 def test_ragged_relation_matrix_exits_2(capsys, tmp_path):
     path = write(tmp_path, "ragged.json", {"elements": ["a", "b"], "leq": [[True, False], [True]]})
     code, out, err = run(capsys, "preorder", "directed", path)

@@ -351,6 +351,62 @@ def test_filtration_random_reconstruction():
         assert res.steps[-1].residual_support == ()
 
 
+def _oracle_residual_supports(psod, obj):
+    """The residual support after each step, rescanning every element: the
+    grades taken from the top of the numbering are zeroed one at a time."""
+    residual = {x: tuple(obj.get(x, ())) for x in psod.index.elements}
+    supports = []
+    for grade in reversed(directed_numbering(psod.index)):
+        residual[grade] = tuple(0 for _ in residual[grade])
+        supports.append(
+            tuple(x for x in psod.index.elements if any(c != 0 for c in residual[x]))
+        )
+    return supports
+
+
+def _random_total_preorder(rng, labels):
+    """Shuffled labels cut into tied runs, each run below every later one."""
+    order = rng.sample(labels, len(labels))
+    level = {}
+    k = 0
+    for x in order:
+        k += rng.random() < 0.6
+        level[x] = k
+    return generated_preorder(
+        labels, [(x, y) for x in labels for y in labels if level[x] <= level[y]]
+    )
+
+
+def test_filtration_supports_match_rescan_at_every_step():
+    rng = random.Random(1905)
+    for _ in range(80):
+        labels = [f"w{i}" for i in range(rng.randint(0, 9))]
+        idx = _random_total_preorder(rng, labels)
+        psod = PsodIndex(idx, {x: FactorDescriptor("S", CharTuple(()), "t") for x in labels})
+        # zero vectors, empty vectors and missing grades among the nonzero ones
+        obj = {}
+        for x in labels:
+            kind = rng.choice(["zero", "empty", "missing", "some", "some"])
+            if kind == "zero":
+                obj[x] = (0,) * rng.randint(1, 3)
+            elif kind == "empty":
+                obj[x] = ()
+            elif kind == "some":
+                obj[x] = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3)))
+        res = filtration(psod, obj)
+        assert [s.residual_support for s in res.steps] == _oracle_residual_supports(psod, obj)
+        assert res.emitted() == {x: obj.get(x, ()) for x in labels}
+
+
+def test_filtration_supports_on_the_400_factor_chain():
+    psod = build_root_psod(smooth_divisor(), 400)
+    rng = random.Random(400)
+    obj = {x: (rng.randint(0, 2), rng.randint(0, 2)) for x in psod.index.elements}
+    res = filtration(psod, obj)
+    assert len(res.steps) == 400
+    assert [s.residual_support for s in res.steps] == _oracle_residual_supports(psod, obj)
+
+
 def test_filtration_requires_directed_index():
     idx = discrete_preorder(["a", "b"])
     psod = PsodIndex(

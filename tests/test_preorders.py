@@ -27,7 +27,13 @@ from psodkit.preorders import (
     pushout,
     verify_colimit,
 )
-from psodkit.preorders import _posets_on, _preorders_on, _reflecting_maps_to, _set_partitions
+from psodkit.preorders import (
+    _posets_on,
+    _preorders_on,
+    _reflecting_maps_to,
+    _reflection_witness,
+    _set_partitions,
+)
 
 
 def chain(*labels):
@@ -51,6 +57,27 @@ def is_total(p):
 
 def relation_pairs(p):
     return {(x, y) for x in p.elements for y in p.elements if p.le(x, y)}
+
+
+def iso_key(rows):
+    """Canonical form of the preorder given by row bitmasks: equal exactly for
+    isomorphic preorders.
+
+    Each element is coloured by its up-set, down-set and equivalence-class
+    sizes, which any isomorphism preserves.  The form is the least relabelled
+    matrix over the relabellings that list the elements in increasing colour,
+    so only permutations inside each colour class are tried.
+    """
+    q = len(rows)
+    cols = FinitePreorder(tuple(map(str, range(q))), tuple(rows)).columns()
+    colour = [(r.bit_count(), c.bit_count(), (r & c).bit_count()) for r, c in zip(rows, cols)]
+    order = sorted(range(q), key=colour.__getitem__)
+    classes = [tuple(c) for _, c in itertools.groupby(order, key=colour.__getitem__)]
+    perms = (
+        sum(choice, ())
+        for choice in itertools.product(*map(itertools.permutations, classes))
+    )
+    return min(tuple(rows[x] >> y & 1 for x in perm for y in perm) for perm in perms)
 
 
 def constant_diagram(vertices, p, arrows=()):
@@ -645,6 +672,13 @@ def test_preorders_on_five_points_is_pinned():
     assert digest == "1b1ac3706972b6972789cbd234b68fc4393a26d90788ec7df3c56454ede29d22"
 
 
+def test_preorders_on_six_points_are_the_718_classes():
+    # OEIS A001930: 718 preorders on 6 points up to isomorphism
+    reps = _preorders_on(6)
+    assert len(reps) == 718
+    assert len({iso_key(rows) for rows in reps}) == 718
+
+
 def test_preorders_on_five_points_pairwise_non_isomorphic():
     nx = pytest.importorskip("networkx")
 
@@ -657,6 +691,42 @@ def test_preorders_on_five_points_pairwise_non_isomorphic():
     graphs = [graph(rows) for rows in _preorders_on(5)]
     for a, b in itertools.combinations(graphs, 2):
         assert not nx.is_isomorphic(a, b)
+
+
+def _brute_force_reflecting_maps(p, q_rows):
+    """Every assignment of p's elements to 0..q-1 in lexicographic order,
+    kept when ``_reflection_witness`` finds no pair."""
+    target = FinitePreorder(tuple(map(str, range(len(q_rows)))), tuple(q_rows))
+    return [
+        values
+        for values in itertools.product(range(len(q_rows)), repeat=len(p))
+        if _reflection_witness(p, target, dict(zip(p.elements, map(str, values)))) is None
+    ]
+
+
+def _labelled(rows):
+    return FinitePreorder(tuple(f"e{i}" for i in range(len(rows))), tuple(rows))
+
+
+def test_reflecting_maps_match_brute_force_on_small_preorders():
+    # every preorder with at most 4 elements, up to isomorphism, into every
+    # test preorder with at most 4
+    small = [rows for q in range(5) for rows in _preorders_on(q)]
+    for rows in small:
+        p = _labelled(rows)
+        for q_rows in small:
+            assert _reflecting_maps_to(p, q_rows) == _brute_force_reflecting_maps(p, q_rows)
+
+
+def test_reflecting_maps_match_brute_force_into_five_points():
+    # random reflexive sources, transitive or not, as verify candidates may be
+    rng = random.Random(13)
+    for q_rows in _preorders_on(5):
+        n = rng.randint(1, 4)
+        p = _labelled(
+            [sum(1 << j for j in range(n) if i == j or rng.random() < 0.4) for i in range(n)]
+        )
+        assert _reflecting_maps_to(p, q_rows) == _brute_force_reflecting_maps(p, q_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from psodkit import documents as docs
-from psodkit.preorders import FinitePreorder, _iso_key, generated_preorder
+from psodkit.preorders import FinitePreorder, generated_preorder
+
+from test_preorders import iso_key
 
 
 @st.composite
@@ -31,7 +33,7 @@ def _relabelled_preorders(draw):
 @given(_relabelled_preorders())
 def test_iso_key_invariant_under_relabelling(pair):
     rows, moved = pair
-    assert _iso_key(rows) == _iso_key(moved)
+    assert iso_key(rows) == iso_key(moved)
 
 
 @st.composite
