@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, InvariantError, PreconditionError
@@ -20,13 +19,14 @@ from .preorders import (
     OrderReflectingMap,
     PreorderDiagram,
 )
+from .records import record
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     rows: int
     cols: int
@@ -363,7 +363,7 @@ def _invariant_chain(counts: Mapping[int, int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
-@dataclass(frozen=True)
+@record
 class FgAbGroup:
     """Z^rank plus cyclic torsion with d_1 | d_2 | ... and every d_i >= 2.
 
@@ -485,7 +485,7 @@ def is_valid_hom(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
 # limits of group diagrams
 
 
-@dataclass(frozen=True)
+@record
 class GroupArrow:
     name: str
     src: str
@@ -493,7 +493,7 @@ class GroupArrow:
     matrix: IntMatrix
 
 
-@dataclass(frozen=True)
+@record
 class GroupDiagram:
     vertices: tuple[str, ...]
     groups: Mapping[str, FgAbGroup]
@@ -511,7 +511,7 @@ class GroupDiagram:
                 raise InputError(f"arrow {a.name!r} does not define a homomorphism")
 
 
-@dataclass(frozen=True)
+@record
 class LimitResult:
     group: FgAbGroup
     generators: IntMatrix  # columns: limit generators inside the product lattice
@@ -586,7 +586,7 @@ def limit_of_groups(diagram: GroupDiagram) -> LimitResult:
 # graded groups and graded homs
 
 
-@dataclass(frozen=True)
+@record
 class GradedGroup:
     """A finitely generated abelian group graded by a finite preorder."""
 
@@ -605,7 +605,7 @@ class GradedGroup:
         return FgAbGroup.zero().direct_sum(*(self.pieces[x] for x in self.index.elements))
 
 
-@dataclass(frozen=True)
+@record
 class GradedHom:
     """A graded map whose blocks land exactly in the fibers of ``reindex``
     (an order-reflecting map from the target index to the source index)."""
@@ -641,7 +641,7 @@ def identity_graded_hom(g: GradedGroup, reindex: OrderReflectingMap) -> GradedHo
     return GradedHom(g, g, reindex, blocks)
 
 
-@dataclass(frozen=True)
+@record
 class GradedArrow:
     name: str
     src: str
@@ -649,7 +649,7 @@ class GradedArrow:
     hom: GradedHom
 
 
-@dataclass(frozen=True)
+@record
 class GradedDiagram:
     vertices: tuple[str, ...]
     groups: Mapping[str, GradedGroup]
@@ -680,7 +680,7 @@ class GradedDiagram:
         )
 
 
-@dataclass(frozen=True)
+@record
 class GradedLimitResult:
     graded: GradedGroup
     ungraded: FgAbGroup

@@ -14,7 +14,6 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import fields
 from typing import Any, Callable, Sequence
 
 from . import documents as docs
@@ -28,6 +27,7 @@ from .preorders import (
     pushout,
     verify_colimit,
 )
+from .records import fields
 
 # Each handler imports the modules it runs, so preorder commands load
 # neither factorial, strata, engine nor abelian.
@@ -254,7 +254,7 @@ def _parse_caps(text: str) -> dict[str, int]:
         if not item:
             continue
         key, _, val = item.partition("=")
-        if key not in {f.name for f in fields(Caps)}:
+        if key not in fields(Caps):
             raise InputError(f"unknown cap {key!r}")
         try:
             out[key] = int(val)

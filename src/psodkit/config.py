@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from .errors import CapExceededError, InputError
+from .records import fields, record
+
+# Sizes past this many bits are written as a power of two: their decimal
+# form may be too long to print.
+_SHOWN_BITS = 256
 
 
-@dataclass(frozen=True)
+def _count(n: int) -> str:
+    return str(n) if n.bit_length() <= _SHOWN_BITS else f"at least 2^{n.bit_length() - 1}"
+
+
+@record
 class Caps:
     """Enumeration limits.
 
@@ -23,13 +30,22 @@ class Caps:
     verify_total: int = 12
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise InputError(f"cap {f.name!r} must be positive")
+        for name in fields(self):
+            if getattr(self, name) <= 0:
+                raise InputError(f"cap {name!r} must be positive")
 
     def check_carrier(self, size: int, what: str = "carrier") -> None:
         if size > self.carrier:
-            raise CapExceededError(f"{what} needs {size} elements, cap is {self.carrier}")
+            raise CapExceededError(f"{what} needs {_count(size)} elements, cap is {self.carrier}")
+
+    def check_power(self, base: int, k: int, what: str) -> None:
+        """``check_carrier(base ** k, what)`` without forming a large power
+        known to exceed the cap: base ** k >= 2 ** (k * (b - 1)) for a base
+        of b bits."""
+        low = k * (base.bit_length() - 1)
+        if low >= max(self.carrier.bit_length(), _SHOWN_BITS):
+            raise CapExceededError(f"{what} needs at least 2^{low} elements, cap is {self.carrier}")
+        self.check_carrier(base ** k, what)
 
     def check_level(self, level: int) -> None:
         if level > self.factorial_level:
@@ -41,7 +57,7 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
-@dataclass(frozen=True)
+@record
 class Config:
     """CLI-facing configuration: caps plus output/ordering switches."""
 

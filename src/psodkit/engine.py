@@ -13,7 +13,6 @@ produces the direct-sum bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from .config import DEFAULT_CAPS, Caps
@@ -37,6 +36,7 @@ from .preorders import (
     directedness,
     directed_numbering,
 )
+from .records import Factory, record
 from .strata import Stratification, Stratum, require_valid
 
 if TYPE_CHECKING:
@@ -56,7 +56,7 @@ def perf_label(stratum: Stratum) -> str:
     return f"Perf({stratum.id}~)"
 
 
-@dataclass(frozen=True)
+@record
 class FactorDescriptor:
     stratum_id: str
     character: CharTuple
@@ -64,13 +64,13 @@ class FactorDescriptor:
     kdata: Optional[FgAbGroup] = None
 
 
-@dataclass(frozen=True)
+@record
 class PsodIndex:
     """An index preorder with one factor descriptor per element."""
 
     index: FinitePreorder
     factors: Mapping[str, FactorDescriptor]
-    annotations: Mapping[str, str] = field(default_factory=dict)
+    annotations: Mapping[str, str] = Factory(dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", dict(self.factors))
@@ -221,7 +221,7 @@ def restrict_to_denominators(psod: PsodIndex, r: int) -> PsodIndex:
 # gluing over diagrams
 
 
-@dataclass(frozen=True)
+@record
 class GluingScenario:
     """A diagram of indices with their factor data and optional graded data.
 
@@ -233,8 +233,8 @@ class GluingScenario:
 
     diagram: PreorderDiagram
     psods: Mapping[str, PsodIndex]
-    graded: Mapping[str, GradedGroup] = field(default_factory=dict)
-    graded_homs: Mapping[str, GradedHom] = field(default_factory=dict)
+    graded: Mapping[str, GradedGroup] = Factory(dict)
+    graded_homs: Mapping[str, GradedHom] = Factory(dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "psods", dict(self.psods))
@@ -267,7 +267,7 @@ class GluingScenario:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class GlueResult:
     psod: PsodIndex
     verdict: DirectednessReport
@@ -350,14 +350,14 @@ def glue(scenario: GluingScenario, caps: Caps = DEFAULT_CAPS) -> GlueResult:
 # the filtration algorithm
 
 
-@dataclass(frozen=True)
+@record
 class FiltrationStep:
     grade: str
     component: tuple[int, ...]
     residual_support: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FiltrationResult:
     steps: tuple[FiltrationStep, ...]
 
@@ -391,7 +391,7 @@ def filtration(
 # K-theory reports
 
 
-@dataclass(frozen=True)
+@record
 class KTheoryMode:
     kind: str  # "finite" | "infinite" | "kummer_etale"
     r: Optional[int] = None
@@ -419,7 +419,7 @@ class KTheoryMode:
         return cls("kummer_etale", p=p, level=level)
 
 
-@dataclass(frozen=True)
+@record
 class KTheoryRow:
     stratum_id: str
     codim: int
@@ -429,7 +429,7 @@ class KTheoryRow:
     contribution: FgAbGroup
 
 
-@dataclass(frozen=True)
+@record
 class KTheoryReport:
     mode: KTheoryMode
     ambient: FgAbGroup

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -22,6 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError
 from .preorders import FinitePreorder
+from .records import record
 
 LESS = "less"
 GREATER = "greater"
@@ -33,7 +33,7 @@ INCOMPARABLE = "incomparable"
 # residues and tuples
 
 
-@dataclass(frozen=True, order=False)
+@record
 class Residue:
     """A reduced rational in (-1, 0]: num/den with -den < num <= 0."""
 
@@ -78,7 +78,7 @@ class Residue:
 ZERO = Residue(0)
 
 
-@dataclass(frozen=True)
+@record
 class CharTuple:
     """A finite tuple of residues; the empty tuple indexes the ambient factor."""
 
@@ -146,7 +146,7 @@ def zr_elements(r: int, starred: bool = False) -> tuple[Residue, ...]:
 # normal factorial form
 
 
-@dataclass(frozen=True)
+@record
 class FactorialForm:
     """A tuple written over the common denominator n! at the least level n >= 2."""
 
@@ -289,22 +289,25 @@ def bang_key(chi: CharTuple, caps: Caps = DEFAULT_CAPS) -> CharKey:
 
 def zr_key(r: int) -> Callable[[CharTuple], CharKey]:
     """Key of a tuple over Z_r for the standard order in every coordinate:
-    one level for all, each coordinate's position in ``zr_elements(r)``."""
-    rank = {c: i for i, c in enumerate(zr_elements(r))}
-    return lambda chi: (0, tuple(rank[c] for c in chi.components))
+    one level for all, each coordinate's position in ``zr_elements(r)``,
+    where -p/r sits at r - 1 - p."""
+    return lambda chi: (0, tuple(r - 1 + c.num * (r // c.den) for c in chi.components))
 
 
-def _product_tuples(
-    values: Sequence[Residue], k: int, caps: Caps, what: str
-) -> list[CharTuple]:
-    caps.check_carrier(len(values) ** k if k else 1, what)
+def _product_tuples(r: int, starred: bool, k: int, caps: Caps, what: str) -> list[CharTuple]:
+    """All k-tuples over ``zr_elements(r, starred)``; the cap is checked
+    before any residue is made."""
+    if r < 1:
+        raise InputError("r must be at least 1")
+    caps.check_power(r - 1 if starred else r, k, what)
+    values = zr_elements(r, starred) if k else ()
     return [CharTuple(t) for t in itertools.product(values, repeat=k)]
 
 
 def starred_tuples(k: int, r: int, caps: Caps = DEFAULT_CAPS) -> list[CharTuple]:
     """All k-tuples of nonzero elements of Z_r: one character block of the
     r-th root construction over a codimension-k stratum."""
-    return _product_tuples(zr_elements(r, True), k, caps, "divisor index")
+    return _product_tuples(r, True, k, caps, "divisor index")
 
 
 def build_zkr(
@@ -314,7 +317,7 @@ def build_zkr(
     componentwise standard order.  k = 0 gives the singleton {()}."""
     if k < 0:
         raise InputError("k must be non-negative")
-    tuples = _product_tuples(zr_elements(r, starred), k, caps, "character block")
+    tuples = _product_tuples(r, starred, k, caps, "character block")
     return _char_blocks_leq([(None, k, t) for t in tuples], zr_key(r))
 
 
@@ -437,15 +440,15 @@ def enumerate_characters(
     if max_level < 2:
         raise InputError("max_level must be at least 2")
     caps.check_level(max_level)
+    if coprime_to is not None and not is_prime(coprime_to):
+        raise InputError("coprime_to must be a prime >= 2")
     f = math.factorial(max_level)
-    pool = [
-        Residue.from_fraction(Fraction(-p, f)) for p in range(1, f)
-    ]
-    if coprime_to is not None:
-        if not is_prime(coprime_to):
-            raise InputError("coprime_to must be a prime >= 2")
-        pool = [c for c in pool if c.den % coprime_to != 0]
-    caps.check_carrier(len(pool) ** k if k else 1, "character enumeration")
+    # -p/f has a denominator prime to coprime_to iff f's coprime_to-part divides p
+    step = 1
+    while coprime_to is not None and f % (step * coprime_to) == 0:
+        step *= coprime_to
+    caps.check_power(f // step - 1, k, "character enumeration")
+    pool = [Residue.from_fraction(Fraction(-p, f)) for p in range(step, f, step)] if k else []
     chars = [CharTuple(t) for t in itertools.product(pool, repeat=k)]
     keys = {chi: bang_key(chi, caps) for chi in chars}
     return sorted(chars, key=lambda chi: (-keys[chi][0], keys[chi][1]))

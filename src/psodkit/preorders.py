@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceededError, InputError, PreconditionError
+from .records import record
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -31,7 +31,7 @@ CONTRAVARIANT = "contravariant"
 # carriers
 
 
-@dataclass(frozen=True)
+@record
 class FinitePreorder:
     """A finite labelled carrier with a reflexive relation stored as row
     bitmasks: bit ``j`` of ``rows[i]`` is set when ``elements[i] <= elements[j]``.
@@ -187,7 +187,7 @@ def _reflection_witness(
     return None
 
 
-@dataclass(frozen=True)
+@record
 class OrderReflectingMap:
     """A total carrier function satisfying the reflection law (validated)."""
 
@@ -243,7 +243,7 @@ def identity_map(p: FinitePreorder) -> OrderReflectingMap:
 # diagrams
 
 
-@dataclass(frozen=True)
+@record
 class DiagramArrow:
     """A quiver arrow carrying its map; covariant maps run src -> tgt,
     contravariant ones tgt -> src."""
@@ -259,7 +259,7 @@ class DiagramArrow:
             raise InputError(f"unknown orientation {self.orientation!r}")
 
 
-@dataclass(frozen=True)
+@record
 class PreorderDiagram:
     """A finite quiver with a preorder per vertex and a reflecting map per arrow."""
 
@@ -304,7 +304,7 @@ class PreorderDiagram:
 # colimits
 
 
-@dataclass(frozen=True)
+@record
 class ColimitResult:
     preorder: FinitePreorder
     cocones: Mapping[str, OrderReflectingMap]
@@ -460,7 +460,7 @@ def colimit(diagram: PreorderDiagram) -> ColimitResult:
 # directedness
 
 
-@dataclass(frozen=True)
+@record
 class DirectednessReport:
     ok: bool
     numbering: tuple[str, ...] = ()
@@ -523,7 +523,7 @@ def directed_numbering(p: FinitePreorder) -> tuple[str, ...]:
 # brute-force universal property
 
 
-@dataclass(frozen=True)
+@record
 class VerifyResult:
     ok: bool
     reason: str = ""

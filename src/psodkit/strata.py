@@ -11,16 +11,16 @@ a non-simple divisor differs from a simple one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, PreconditionError
 from .preorders import FinitePreorder, _Classes, _closure_masks, generated_preorder
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Stratum:
     """A closed stratum: its codimension and the labels of the connected
     components of its normalization."""
@@ -38,7 +38,7 @@ class Stratum:
             raise InputError(f"stratum {self.id!r} has duplicate component labels")
 
 
-@dataclass(frozen=True)
+@record
 class Stratification:
     """Strata with a closure relation; ``closure`` pairs (S, S') mean S lies
     in the closure of S'.  The stored pairs generate; queries go through the
@@ -142,7 +142,7 @@ def strata_preorder(strat: Stratification) -> FinitePreorder:
 # chart atlases
 
 
-@dataclass(frozen=True)
+@record
 class Chart(object):
     id: str
     branches: tuple[str, ...]
@@ -152,7 +152,7 @@ class Chart(object):
             raise InputError(f"chart {self.id!r} has duplicate branch labels")
 
 
-@dataclass(frozen=True)
+@record
 class Overlap:
     """A partial bijection between the branch sets of two charts (the charts
     may coincide: that encodes monodromy identifying branches of one chart)."""
@@ -168,7 +168,7 @@ class Overlap:
             raise InputError("overlap identification must be injective")
 
 
-@dataclass(frozen=True)
+@record
 class ChartAtlas:
     charts: tuple[Chart, ...]
     overlaps: tuple[Overlap, ...] = ()

@@ -570,6 +570,34 @@ def test_ktheory_torsion_cap_is_reachable(capsys, tmp_path):
     assert err.splitlines() == ["error: K-theory torsion needs 8 elements, cap is 7"]
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["order", "enumerate", "--arity", "99999", "--level", "3"],
+         "error: character enumeration needs at least 2^199998 elements, cap is 100000"),
+        # 2999999^3 characters over the triple point; the residues are never made
+        (["psod", "build", "{strat}", "--root", "3000000"],
+         "error: divisor index needs 26999973000008999999 elements, cap is 100000"),
+        # about 10^12000 copies of C2, a size too long to print in decimal
+        (["psod", "ktheory", "{strat}", "--kdata", "{kdata}", "--root", "1" + "0" * 4000],
+         "error: K-theory torsion needs at least 2^39863 elements, cap is 100000"),
+    ],
+    ids=["enumerate-arity", "build-root", "ktheory-root"],
+)
+def test_caps_checked_before_allocating_with_one_line_errors(capsys, tmp_path, argv, line):
+    cross = simple_crossing(3)
+    paths = {
+        "strat": write(tmp_path, "cross.json", docs.stratification_to_doc(cross)),
+        "kdata": write(tmp_path, "kdata.json",
+                       {c: {"rank": 0, "torsion": [2]} for c in cross.all_components()}),
+    }
+    start = time.perf_counter()
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.splitlines() == [line]
+
+
 def test_human_ktheory_writes_free_rank_as_a_power(capsys, tmp_path):
     # crossing(4) at r=50 has free rank 50^4 = 6,250,000
     cross = simple_crossing(4)

@@ -17,7 +17,7 @@ from psodkit.engine import (
     restrict_to_denominators,
     totalize_index,
 )
-from psodkit.factorial import CharTuple
+from psodkit.factorial import CharTuple, deepest_first
 from psodkit.preorders import (
     CONTRAVARIANT,
     DiagramArrow,
@@ -480,6 +480,22 @@ def test_ktheory_kummer_mode():
     nc = nodal_cubic()
     rep = ktheory_report(nc, all_z(nc), KTheoryMode.kummer_etale(2, 3))
     assert rep.rank() == 1 + 2 + 4
+
+
+@pytest.mark.parametrize("strat", [nodal_cubic(), simple_crossing(2)], ids=["nodal", "crossing2"])
+def test_ktheory_multiplicities_are_the_built_stratum_counts(strat):
+    # the report counts characters by formula, the builders by listing them
+    cases = [(KTheoryMode.finite(r), build_root_psod(strat, r)) for r in (1, 2, 3, 5)]
+    cases += [(KTheoryMode.infinite(n), build_infinite_psod(strat, n)) for n in (2, 3, 4)]
+    cases += [(KTheoryMode.kummer_etale(p, n), build_infinite_psod(strat, n, coprime_to=p))
+              for p in (2, 3, 5) for n in (2, 3, 4)]
+    for mode, psod in cases:
+        counts = psod.stratum_counts()
+        rows = ktheory_report(strat, all_z(strat), mode).rows
+        assert [row.stratum_id for row in rows] == [
+            sid for sid, k in deepest_first((s.id, s.codim) for s in strat.strata) if k > 0]
+        for row in rows:
+            assert row.multiplicity == counts.get(row.stratum_id, 0), (mode, row.stratum_id)
 
 
 def test_ktheory_missing_kdata():

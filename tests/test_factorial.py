@@ -249,6 +249,38 @@ def test_build_zkr_cap():
         build_zkr(7, 9, starred=True, caps=Caps(carrier=1000))
 
 
+@pytest.mark.parametrize("carrier", [1, 2, 7, 64, 100_000, 2**300])
+def test_check_power_agrees_with_the_exact_power(carrier):
+    caps = Caps(carrier=carrier)
+    for base in range(12):
+        for k in range(0, 40):
+            try:
+                caps.check_power(base, k, "block")
+            except CapExceededError as exc:
+                assert base**k > carrier, (base, k)
+                assert "\n" not in str(exc)
+            else:
+                assert base**k <= carrier, (base, k)
+
+
+def test_check_power_never_forms_a_huge_power():
+    # 10^4000 has 13,288 bits, so its 10^9-th power would have 1.3e13
+    with pytest.raises(CapExceededError, match=r"^block needs at least 2\^13287000000000 elements"):
+        Caps().check_power(10**4000, 10**9, "block")
+    with pytest.raises(CapExceededError, match=r"^block needs at least 2\^332 elements"):
+        Caps().check_carrier(2**332 + 1, "block")
+    Caps().check_power(1, 10**100, "block")
+    Caps().check_power(0, 10**100, "block")
+
+
+def test_enumerate_characters_coprime_pool_is_the_filtered_pool():
+    for level in range(2, 7):
+        full = enumerate_characters(1, level)
+        for p in (2, 3, 5, 7):
+            kept = [chi for chi in full if all(d % p for d in chi.denominators())]
+            assert enumerate_characters(1, level, coprime_to=p) == kept
+
+
 def test_build_zdr_nodal_chain():
     p = build_zdr([2, 1, 0], 2)
     assert p.elements == ("(-1/2,-1/2)", "(-1/2)", "()")

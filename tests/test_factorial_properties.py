@@ -5,6 +5,9 @@ per pair: the rational order of ``Residue.value`` in every coordinate for
 finite roots, and ``cmp_bang`` for truncations of the infinite root.
 """
 
+import functools
+import math
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -12,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psodkit.engine import build_infinite_psod, build_root_psod
+from psodkit.engine import build_infinite_psod, build_root_psod, restrict_to_denominators
 from psodkit.factorial import (
     EQUAL,
     LESS,
@@ -31,6 +34,8 @@ from psodkit.strata import (
     simple_crossing,
     strata_from_atlas,
 )
+
+from test_engine import smooth_divisor
 
 # the oracle makes (block size)^2 predicate calls, so blocks stay small
 MAX_BLOCK = 120
@@ -121,6 +126,28 @@ def infinite_cases(draw):
     ]
     level, p = draw(st.sampled_from(choices))
     return strat, level, p, draw(st.booleans())
+
+
+@functools.cache
+def infinite_index(strat, level, coprime_to):
+    return build_infinite_psod(strat, level, coprime_to)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(smooth_divisor()), st.integers(3, 5), st.sampled_from([None, 2, 3, 5])),
+    st.tuples(st.sampled_from([nodal_cubic(), simple_crossing(2)]), st.integers(3, 4),
+              st.just(None)),
+))
+def test_truncations_form_a_directed_system(case):
+    # the level-(n-1) truncation is the full sub-preorder of the level-n one
+    # on the characters whose denominators divide (n-1)!
+    strat, n, p = case
+    restricted = restrict_to_denominators(infinite_index(strat, n, p), math.factorial(n - 1))
+    lower = infinite_index(strat, n - 1, p)
+    assert sorted(restricted.index.elements) == sorted(lower.index.elements)
+    assert restricted.index.restrict(lower.index.elements) == lower.index
+    assert restricted.factors == lower.factors
 
 
 @SETTINGS

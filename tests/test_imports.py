@@ -46,7 +46,8 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 # Runs the given commands in one fresh interpreter and prints the psodkit
-# modules loaded at exit; any exit code but 0 fails the probe.
+# modules loaded at exit; any exit code but 0 fails the probe, and so does
+# loading dataclasses or inspect (records are built without them).
 PROBE = """
 import json, sys
 import psodkit
@@ -56,11 +57,14 @@ if commands:
 for argv in commands:
     if main(["--output", "machine", *argv]) != 0:
         sys.exit(f"nonzero exit: {argv}")
+for name in ("dataclasses", "inspect"):
+    if name in sys.modules:
+        sys.exit(f"{name} was imported")
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("psodkit"))))
 """
 
 PREORDER_MODULES = {"psodkit", "psodkit.cli", "psodkit.config", "psodkit.documents",
-                    "psodkit.errors", "psodkit.preorders"}
+                    "psodkit.errors", "psodkit.preorders", "psodkit.records"}
 BUILD_MODULES = PREORDER_MODULES | {"psodkit.engine", "psodkit.factorial", "psodkit.strata"}
 
 
