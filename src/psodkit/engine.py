@@ -13,10 +13,11 @@ produces the direct-sum bookkeeping.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import InputError, PreconditionError
+from .errors import CapExceededError, InputError, PreconditionError
 from .factorial import (
     CharKey,
     CharTuple,
@@ -442,18 +443,23 @@ class KTheoryReport:
         return self.total.rank
 
 
-def _char_count(codim: int, mode: KTheoryMode, caps: Caps) -> tuple[int, str]:
+def _written(n: int, what: str) -> int:
+    """``n``, unless it has more digits than ``sys.get_int_max_str_digits()``."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n >= 10 ** limit:
+        raise CapExceededError(f"{what} has more than {limit} digits, the most Python writes")
+    return n
+
+
+def _char_count(codim: int, mode: KTheoryMode, caps: Caps) -> int:
     if mode.kind == "finite":
-        return (mode.r - 1) ** codim, f"({mode.r}-1)^{codim}"
+        return (mode.r - 1) ** codim
     caps.check_level(mode.level)
     m = math.factorial(mode.level)
     if mode.kind == "kummer_etale":
         while m % mode.p == 0:
             m //= mode.p
-    count = (m - 1) ** codim
-    if codim == 0:
-        return 1, "1"
-    return count, "countably infinite (truncated: %d)" % count
+    return (m - 1) ** codim
 
 
 def ktheory_report(
@@ -479,15 +485,20 @@ def ktheory_report(
     for sid, _ in deepest_first((s.id, s.codim) for s in strat.strata if s.codim > 0):
         s = strat.by_id[sid]
         summand = FgAbGroup.zero().direct_sum(*(kdata[c] for c in s.norm_components))
-        counted.append((s, summand, *_char_count(s.codim, mode, caps)))
+        counted.append((s, summand, _char_count(s.codim, mode, caps)))
     # every copy of a summand lists its torsion; free rank is only a number
     caps.check_carrier(
-        sum(count * len(summand.torsion) for _, summand, count, _ in counted),
+        sum(count * len(summand.torsion) for _, summand, count in counted),
         "K-theory torsion",
     )
+    _written(max((count for _, _, count in counted), default=0), "K-theory multiplicity")
     rows = [
-        KTheoryRow(s.id, s.codim, summand, count, symbolic, summand.multiple(count))
-        for s, summand, count, symbolic in counted
+        KTheoryRow(s.id, s.codim, summand, count, f"({mode.r}-1)^{s.codim}" if mode.kind == "finite"
+                   else f"countably infinite (truncated: {count})", summand.multiple(count))
+        for s, summand, count in counted
     ]
     total = ambient_k.direct_sum(*(row.contribution for row in rows))
+    # the largest invariant of a group is its last
+    groups = (ambient_k, total, *(g for row in rows for g in (row.summand, row.contribution)))
+    _written(max(n for g in groups for n in (g.rank, *g.torsion[-1:])), "K-theory rank or torsion")
     return KTheoryReport(mode, ambient_k, tuple(rows), total, mode.kind != "finite")

@@ -299,6 +299,13 @@ class PreorderDiagram:
             else:
                 yield a.tgt, a.src, a.map.mapping
 
+    def identifications(self) -> Iterator[tuple[tuple[str, str], tuple[str, str]]]:
+        """Yield ((u, x), (v, f(x))) for every carrier function f: P_u -> P_v
+        of an arrow and every x in P_u: the pairs a cocone must identify."""
+        for u, v, mapping in self.actual_maps():
+            for x in self.preorders[u].elements:
+                yield (u, x), (v, mapping[x])
+
 
 # ---------------------------------------------------------------------------
 # colimits
@@ -313,9 +320,11 @@ class ColimitResult:
 class _Classes:
     """Union-find specialized to hashable nodes with deterministic class order."""
 
-    def __init__(self, nodes: Sequence):
+    def __init__(self, nodes: Sequence, pairs: Iterable[tuple] = ()):
         self.nodes = list(nodes)
         self.parent = {x: x for x in nodes}
+        for a, b in pairs:
+            self.union(a, b)
 
     def find(self, x):
         while self.parent[x] != x:
@@ -354,10 +363,7 @@ def _quotient_preorder(
     """Quotient the disjoint union of the parts and equip it with the rule
     'z <= z'' iff every same-part preimage pair is related'."""
     nodes = [(v, x) for v in part_order for x in parts[v].elements]
-    uf = _Classes(nodes)
-    for a, b in identifications:
-        uf.union(a, b)
-    classes = uf.classes()
+    classes = _Classes(nodes, identifications).classes()
     labels = _class_labels(classes)
     cls_of = {nd: i for i, cls in enumerate(classes) for nd in cls}
 
@@ -443,12 +449,9 @@ def pushout(
 def colimit(diagram: PreorderDiagram) -> ColimitResult:
     """Colimit of the underlying sets, ordered by the uniform rule
     'z <= z'' iff every pair of preimages in every vertex is related'."""
-    idents = [
-        ((u, x), (v, mapping[x]))
-        for u, v, mapping in diagram.actual_maps()
-        for x in diagram.preorders[u].elements
-    ]
-    carrier, raw = _quotient_preorder(diagram.preorders, diagram.vertices, idents)
+    carrier, raw = _quotient_preorder(
+        diagram.preorders, diagram.vertices, diagram.identifications()
+    )
     cocones = {
         v: OrderReflectingMap(diagram.preorders[v], carrier, raw[v])
         for v in diagram.vertices
@@ -639,16 +642,18 @@ def _preorders_on(q: int) -> list[tuple[int, ...]]:
 
 
 def _reflecting_maps_to(
-    p: FinitePreorder, q_rows: tuple[int, ...]
+    p: FinitePreorder, q_rows: tuple[int, ...], same: Sequence[int] = ()
 ) -> list[tuple[int, ...]]:
     """All order-reflecting assignments of p's elements to labels 0..q-1, in
-    lexicographic order.  Element t may take only the values that no earlier
-    element s bans: those below s's value when t is not below s, and those
-    above s's value when s is not below t."""
+    lexicographic order, that give element t the value of element ``same[t] <= t``.
+    Element t may take only the values that no earlier element s bans: those
+    below s's value when t is not below s, those above s's value when s is not
+    below t, and all but s's value when s is ``same[t]``."""
     n = len(p.elements)
     prows = p.rows
     q_cols = _columns(q_rows)
     full = (1 << len(q_rows)) - 1
+    same = same or range(n)
     # earlier elements whose value bans its down-set, resp. its up-set, at t
     below_bans = [[s for s in range(t) if not prows[t] >> s & 1] for t in range(n)]
     above_bans = [[s for s in range(t) if not prows[s] >> t & 1] for t in range(n)]
@@ -659,7 +664,7 @@ def _reflecting_maps_to(
         if t == n:
             out.append(tuple(assign))
             return
-        banned = 0
+        banned = 0 if same[t] == t else full ^ 1 << assign[same[t]]
         for s in below_bans[t]:
             banned |= q_cols[assign[s]]
         for s in above_bans[t]:
@@ -709,70 +714,54 @@ def verify_colimit(
                 {"vertex": v, "pair": list(bad)},
             )
     # (a) commutation over every arrow
-    for u, v, mapping in diagram.actual_maps():
-        for x in diagram.preorders[u].elements:
-            if cocone[v][mapping[x]] != cocone[u][x]:
-                return VerifyResult(
-                    False,
-                    "cocone does not commute",
-                    {"from": u, "to": v, "at": x},
-                )
+    for (u, x), (v, y) in diagram.identifications():
+        if cocone[v][y] != cocone[u][x]:
+            return VerifyResult(
+                False,
+                "cocone does not commute",
+                {"from": u, "to": v, "at": x},
+            )
 
-    # a cocone into Q is laid out as itertools.product(*per_vertex) lays out
-    # its families: one tuple per vertex, one value per element in order
-    vertex_order = list(diagram.vertices)
-    vertex_elements = [diagram.preorders[v].elements for v in vertex_order]
-    vpos = {v: i for i, v in enumerate(vertex_order)}
-    fibers = [tuple(candidate.index(cocone[v][x]) for x in xs)
-              for v, xs in zip(vertex_order, vertex_elements)]
-    # family[iv][tv] == family[iu][tu] for every arrow u -> v and x in P_u
-    commute = [
-        (vpos[u], t, vpos[v], diagram.preorders[v].index(mapping[x]))
-        for u, v, mapping in diagram.actual_maps()
-        for t, x in enumerate(diagram.preorders[u].elements)
-    ]
-
-    # (b) the bijection, over small test preorders Q up to isomorphism
+    # (b) the bijection, over small test preorders Q up to isomorphism.  A
+    # cocone into Q is a reflecting map out of the coproduct of the vertices
+    # (cross-vertex pairs ban nothing) constant on each class of the arrows.
+    nodes = [(v, x) for v in diagram.vertices for x in diagram.preorders[v].elements]
+    union, _ = coproduct([diagram.preorders[v] for v in diagram.vertices])
+    classes = _Classes(nodes, diagram.identifications()).classes()
+    first = {nd: cls[0] for cls in classes for nd in cls}
+    same = [nodes.index(first[nd]) for nd in nodes]
+    fiber = [candidate.index(cocone[v][x]) for v, x in nodes]
     for q in range(qmax + 1):
         for q_rows in _preorders_on(q):
-            per_vertex = [_reflecting_maps_to(diagram.preorders[v], q_rows)
-                          for v in vertex_order]
-            if not all(per_vertex):
-                continue
             induced = Counter(
-                tuple([tuple(map(h.__getitem__, fiber)) for fiber in fibers])
+                tuple(map(h.__getitem__, fiber))
                 for h in _reflecting_maps_to(candidate, q_rows)
             )
-            for family in itertools.product(*per_vertex):
-                for iu, tu, iv, tv in commute:
-                    if family[iv][tv] != family[iu][tu]:
-                        break
-                else:
-                    count = induced[family]
-                    if count == 1:
-                        continue
-                    # a cocone not constant on the candidate's fibers is
-                    # induced by no map at all
-                    forced: dict[int, int] = {}
-                    if not all(forced.setdefault(c, val) == val
-                               for fiber, f in zip(fibers, family)
-                               for c, val in zip(fiber, f)):
-                        return VerifyResult(
-                            False,
-                            "cocone has no factorization (forced values conflict)",
-                            {"q_size": q, "q_rows": list(q_rows)},
-                        )
+            for family in _reflecting_maps_to(union, q_rows, same):
+                count = induced[family]
+                if count == 1:
+                    continue
+                # a cocone not constant on the candidate's fibers is induced
+                # by no map at all
+                forced: dict[int, int] = {}
+                if not all(forced.setdefault(c, val) == val
+                           for c, val in zip(fiber, family)):
                     return VerifyResult(
                         False,
-                        "cocone does not factor uniquely"
-                        if count > 1
-                        else "cocone has no order-reflecting factorization",
-                        {
-                            "q_size": q,
-                            "q_rows": list(q_rows),
-                            "cocone": {v: dict(zip(xs, f)) for v, xs, f
-                                       in zip(vertex_order, vertex_elements, family)},
-                            "solutions": min(count, 2),
-                        },
+                        "cocone has no factorization (forced values conflict)",
+                        {"q_size": q, "q_rows": list(q_rows)},
                     )
+                return VerifyResult(
+                    False,
+                    "cocone does not factor uniquely"
+                    if count > 1
+                    else "cocone has no order-reflecting factorization",
+                    {
+                        "q_size": q,
+                        "q_rows": list(q_rows),
+                        "cocone": {v: {x: val for (u, x), val in zip(nodes, family) if u == v}
+                                   for v in diagram.vertices},
+                        "solutions": min(count, 2),
+                    },
+                )
     return VerifyResult(True)

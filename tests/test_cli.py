@@ -12,7 +12,9 @@ from psodkit import documents as docs
 from psodkit import abelian
 from psodkit.abelian import IntMatrix
 from psodkit.cli import main
+from psodkit.config import DEFAULT_CAPS
 from psodkit.preorders import (
+    colimit,
     complete_preorder,
     generated_preorder,
     discrete_preorder,
@@ -20,6 +22,7 @@ from psodkit.preorders import (
     OrderReflectingMap,
     PreorderDiagram,
     DiagramArrow,
+    verify_colimit,
 )
 from psodkit.strata import nodal_cubic, simple_crossing
 
@@ -235,6 +238,34 @@ def _point_verify_doc(**fields):
     }
     doc.update(fields)
     return doc
+
+
+def test_verify_at_the_diagram_cap_is_fast(capsys, tmp_path):
+    # verify_total one-point vertices glued into 4 classes: the vertices'
+    # maps into a test preorder Q form up to 5^12 families, but only those
+    # constant on the classes, at most 5^4, are cocones
+    n = DEFAULT_CAPS.verify_total
+    points = {f"v{i}": complete_preorder([f"x{i}"]) for i in range(n)}
+    arrows = tuple(
+        DiagramArrow(f"a{i}", f"v{i}", f"v{i + 4}", OrderReflectingMap(
+            points[f"v{i}"], points[f"v{i + 4}"], {f"x{i}": f"x{i + 4}"}))
+        for i in range(n - 4)
+    )
+    diag = PreorderDiagram(tuple(points), points, arrows)
+    res = colimit(diag)
+    cocone = {v: dict(m.mapping) for v, m in res.cocones.items()}
+    start = time.perf_counter()
+    assert verify_colimit(diag, res.preorder, cocone).ok
+    assert time.perf_counter() - start < 4
+    path = write(tmp_path, "verify.json", {
+        "diagram": docs.diagram_to_doc(diag),
+        "candidate": docs.preorder_to_doc(res.preorder),
+        "cocones": cocone,
+    })
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "preorder", "verify", path)
+    assert time.perf_counter() - start < 4
+    assert code == 0 and out.strip() == "verified"
 
 
 @pytest.mark.parametrize(
@@ -596,6 +627,39 @@ def test_caps_checked_before_allocating_with_one_line_errors(capsys, tmp_path, a
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("output", ["human", "machine"])
+def test_ktheory_refuses_numbers_too_long_to_write(capsys, tmp_path, output):
+    # crossing(3) with rank-1 K-data has total rank r^3 and largest
+    # multiplicity (r-1)^3; Python writes at most `limit` decimal digits
+    limit = sys.get_int_max_str_digits()
+    r = 0  # becomes the largest r with r^3 < 10^limit, bit by bit
+    for bit in reversed(range((10**limit).bit_length() // 3 + 1)):
+        if (r | 1 << bit) ** 3 < 10**limit:
+            r |= 1 << bit
+    cross = simple_crossing(3)
+    strat = write(tmp_path, "cross.json", docs.stratification_to_doc(cross))
+    kdata = write(
+        tmp_path, "kdata.json", {c: {"rank": 1, "torsion": []} for c in cross.all_components()}
+    )
+
+    def ktheory(root):
+        return run(capsys, "--output", output, "psod", "ktheory", strat, "--kdata", kdata,
+                   "--mode", "finite", "--root", str(root))
+
+    code, out, err = ktheory(r)
+    assert code == 0 and err == ""
+    if output == "machine":
+        assert json.loads(out)["total"]["rank"] == r**3
+    else:
+        assert f"  total: Z^{r**3} (rank {r**3})" in out.splitlines()
+    for root, what in [(r + 1, "K-theory rank or torsion"), (r + 2, "K-theory multiplicity")]:
+        code, out, err = ktheory(root)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [
+            f"error: {what} has more than {limit} digits, the most Python writes"
+        ]
 
 
 def test_human_ktheory_writes_free_rank_as_a_power(capsys, tmp_path):

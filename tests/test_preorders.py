@@ -28,6 +28,7 @@ from psodkit.preorders import (
     verify_colimit,
 )
 from psodkit.preorders import (
+    _Classes,
     _posets_on,
     _preorders_on,
     _reflecting_maps_to,
@@ -545,17 +546,20 @@ def _random_generated_preorder(rng, labels):
 
 
 def _random_verify_request(rng):
-    """A diagram of at most two vertices with at most two elements each, and a
-    candidate of at most 4 elements: its colimit, possibly with one relation
-    flipped, two elements merged or an element added, or a random preorder
-    with a random cocone.  Now and then the cocone misses an element."""
-    vertices = tuple(f"v{i}" for i in range(rng.randint(1, 2)))
+    """A diagram of at most three vertices with at most two elements each and
+    up to three arrows, self-arrows and zigzags included, so that a class of
+    the arrows may span several vertices or hold two elements of one vertex;
+    and a candidate of at most 4 elements: its colimit, possibly with one
+    relation flipped, two elements merged or an element added, or a random
+    preorder with a random cocone.  Now and then the cocone misses an
+    element."""
+    vertices = tuple(f"v{i}" for i in range(rng.randint(1, 3)))
     preorders = {
         v: _random_generated_preorder(rng, [v + c for c in "ab"[: rng.randint(1, 2)]])
         for v in vertices
     }
     arrows = []
-    for i in range(rng.randint(0, 2)):
+    for i in range(rng.randint(0, 3)):
         u, v = rng.choice(vertices), rng.choice(vertices)
         options = _reflecting_maps_to(preorders[u], preorders[v].rows)
         if options:
@@ -611,11 +615,18 @@ def _random_verify_request(rng):
 def test_verify_matches_factorization_oracle():
     rng = random.Random(20190)
     reasons = set()
+    spans_three_vertices = inside_one_vertex = False
     for _ in range(300):
         diagram, candidate, cocone = _random_verify_request(rng)
         got = docs.verify_to_doc(verify_colimit(diagram, candidate, cocone))
         assert got == docs.verify_to_doc(_oracle_verify(diagram, candidate, cocone))
         reasons.add(got.get("reason"))
+        nodes = [(v, x) for v in diagram.vertices for x in diagram.preorders[v].elements]
+        for cls in _Classes(nodes, diagram.identifications()).classes():
+            owners = [v for v, _ in cls]
+            spans_three_vertices |= len(set(owners)) >= 3
+            inside_one_vertex |= len(set(owners)) < len(owners)
+    assert spans_three_vertices and inside_one_vertex
     assert reasons == {
         None,
         "cocone map not total",
@@ -693,14 +704,16 @@ def test_preorders_on_five_points_pairwise_non_isomorphic():
         assert not nx.is_isomorphic(a, b)
 
 
-def _brute_force_reflecting_maps(p, q_rows):
+def _brute_force_reflecting_maps(p, q_rows, same=()):
     """Every assignment of p's elements to 0..q-1 in lexicographic order,
-    kept when ``_reflection_witness`` finds no pair."""
+    kept when ``_reflection_witness`` finds no pair and element t has the
+    value of element ``same[t]``."""
     target = FinitePreorder(tuple(map(str, range(len(q_rows)))), tuple(q_rows))
     return [
         values
         for values in itertools.product(range(len(q_rows)), repeat=len(p))
         if _reflection_witness(p, target, dict(zip(p.elements, map(str, values)))) is None
+        and all(values[t] == values[s] for t, s in enumerate(same))
     ]
 
 
@@ -719,14 +732,18 @@ def test_reflecting_maps_match_brute_force_on_small_preorders():
 
 
 def test_reflecting_maps_match_brute_force_into_five_points():
-    # random reflexive sources, transitive or not, as verify candidates may be
-    rng = random.Random(13)
+    # random reflexive sources, transitive or not, as verify candidates may be;
+    # each also under random equalities, each element tied to itself or to an
+    # earlier one, as verify ties the elements of a class
+    rng, rng_same = random.Random(13), random.Random(17)
     for q_rows in _preorders_on(5):
         n = rng.randint(1, 4)
         p = _labelled(
             [sum(1 << j for j in range(n) if i == j or rng.random() < 0.4) for i in range(n)]
         )
         assert _reflecting_maps_to(p, q_rows) == _brute_force_reflecting_maps(p, q_rows)
+        same = [rng_same.choice([t, rng_same.randrange(t + 1)]) for t in range(n)]
+        assert _reflecting_maps_to(p, q_rows, same) == _brute_force_reflecting_maps(p, q_rows, same)
 
 
 # ---------------------------------------------------------------------------
