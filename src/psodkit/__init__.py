@@ -28,9 +28,8 @@ _EXPORTS = {
         "PreconditionError", "PsodkitError",
     ),
     "factorial": (
-        "CharTuple", "FactorialForm", "Residue", "build_zdr", "build_zdr_stratified",
-        "build_zkr", "cmp_bang", "cmp_bang_znfact", "enumerate_characters",
-        "to_factorial_form", "zr_elements",
+        "CharTuple", "FactorialForm", "Residue", "cmp_bang", "cmp_bang_znfact",
+        "enumerate_characters", "to_factorial_form", "zr_elements",
     ),
     "preorders": (
         "DiagramArrow", "FinitePreorder", "OrderReflectingMap", "PreorderDiagram",

@@ -47,6 +47,8 @@ def loads(text: str) -> Any:
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal longer than Python reads
+        raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 def dumps(doc: Any) -> str:

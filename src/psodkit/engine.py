@@ -452,13 +452,22 @@ def _written(n: int, what: str) -> int:
 
 
 def _char_count(codim: int, mode: KTheoryMode, caps: Caps) -> int:
+    """(m - 1) ** codim, the characters of one stratum.  The power is at
+    least 2 ** low for an m - 1 of b bits, low = codim * (b - 1); past
+    2 ** (16 * limit) it has far more digits than Python writes and is
+    refused unformed.  Smaller powers form at once, and the report checks
+    the torsion and then the exact counts."""
     if mode.kind == "finite":
-        return (mode.r - 1) ** codim
-    caps.check_level(mode.level)
-    m = math.factorial(mode.level)
-    if mode.kind == "kummer_etale":
-        while m % mode.p == 0:
-            m //= mode.p
+        m = mode.r
+    else:
+        caps.check_level(mode.level)
+        m = math.factorial(mode.level)
+        if mode.kind == "kummer_etale":
+            while m % mode.p == 0:
+                m //= mode.p
+    limit = sys.get_int_max_str_digits()
+    if limit and codim * ((m - 1).bit_length() - 1) >= 16 * limit:
+        _written(10**limit, "K-theory multiplicity")  # a lower bound that raises
     return (m - 1) ** codim
 
 

@@ -240,12 +240,22 @@ def bang_rank(p: int, level: int) -> int:
 # ---------------------------------------------------------------------------
 # the order on tuples
 
+# (level, coordinate ranks): in a block, deeper levels first, then rank by rank
+CharKey = tuple[int, tuple[int, ...]]
+
+
+def bang_key(chi: CharTuple, caps: Caps = DEFAULT_CAPS) -> CharKey:
+    """The tuple's normal factorial level and each numerator's ``bang_rank``
+    at that level: the key of ``cmp_bang``'s order."""
+    form = to_factorial_form(chi, caps)
+    return form.level, tuple(bang_rank(p, form.level) for p in form.numerators)
+
 
 def cmp_bang(chi: CharTuple, psi: CharTuple, caps: Caps = DEFAULT_CAPS) -> str:
     """Compare two tuples: 'less', 'greater', 'equal', or 'incomparable'.
 
-    Deeper normal factorial level comes first; at equal level, componentwise
-    comparison in Z_{n!} in every coordinate.
+    Reads ``bang_key``: a deeper normal factorial level comes first; at equal
+    level, the ranks compare in every coordinate.
 
     >>> cmp_bang(CharTuple.of("-1/3", "-1/3"), CharTuple.of("-1/2", "-1/2"))
     'less'
@@ -256,31 +266,14 @@ def cmp_bang(chi: CharTuple, psi: CharTuple, caps: Caps = DEFAULT_CAPS) -> str:
         raise InputError("tuples must have equal length")
     if chi == psi:
         return EQUAL
-    a, b = to_factorial_form(chi, caps), to_factorial_form(psi, caps)
-    if a.level != b.level:
-        return LESS if a.level > b.level else GREATER
-    le = all(
-        cmp_bang_znfact(p, q, a.level) <= 0 for p, q in zip(a.numerators, b.numerators)
-    )
-    ge = all(
-        cmp_bang_znfact(p, q, a.level) >= 0 for p, q in zip(a.numerators, b.numerators)
-    )
-    if le:
+    (level_a, a), (level_b, b) = bang_key(chi, caps), bang_key(psi, caps)
+    if level_a != level_b:
+        return LESS if level_a > level_b else GREATER
+    if all(p <= q for p, q in zip(a, b)):
         return LESS
-    if ge:
+    if all(p >= q for p, q in zip(a, b)):
         return GREATER
     return INCOMPARABLE
-
-
-# (level, coordinate ranks): in a block, deeper levels first, then rank by rank
-CharKey = tuple[int, tuple[int, ...]]
-
-
-def bang_key(chi: CharTuple, caps: Caps = DEFAULT_CAPS) -> CharKey:
-    """The tuple's normal factorial level and each numerator's ``bang_rank``
-    at that level: the key of ``cmp_bang``'s order."""
-    form = to_factorial_form(chi, caps)
-    return form.level, tuple(bang_rank(p, form.level) for p in form.numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -294,35 +287,28 @@ def zr_key(r: int) -> Callable[[CharTuple], CharKey]:
     return lambda chi: (0, tuple(r - 1 + c.num * (r // c.den) for c in chi.components))
 
 
-def _product_tuples(r: int, starred: bool, k: int, caps: Caps, what: str) -> list[CharTuple]:
-    """All k-tuples over ``zr_elements(r, starred)``; the cap is checked
-    before any residue is made."""
-    if r < 1:
-        raise InputError("r must be at least 1")
-    caps.check_power(r - 1 if starred else r, k, what)
-    values = zr_elements(r, starred) if k else ()
-    return [CharTuple(t) for t in itertools.product(values, repeat=k)]
+def _product_tuples(den: int, step: int, k: int, caps: Caps, what: str) -> list[CharTuple]:
+    """All k-tuples over the nonzero residues -p/den with p a multiple of
+    ``step``, each coordinate ascending in the standard order.  The
+    (den/step - 1)^k tuples and the k residues of one tuple count against
+    the carrier cap before any residue is made."""
+    caps.check_power(den // step - 1, k, what)
+    caps.check_carrier(k, f"{what} tuple")
+    nums = range(den - step, 0, -step) if k else ()
+    pool = [Residue.from_fraction(Fraction(-p, den)) for p in nums]
+    return [CharTuple(t) for t in itertools.product(pool, repeat=k)]
 
 
 def starred_tuples(k: int, r: int, caps: Caps = DEFAULT_CAPS) -> list[CharTuple]:
     """All k-tuples of nonzero elements of Z_r: one character block of the
     r-th root construction over a codimension-k stratum."""
-    return _product_tuples(r, True, k, caps, "divisor index")
-
-
-def build_zkr(
-    k: int, r: int, starred: bool = False, caps: Caps = DEFAULT_CAPS
-) -> FinitePreorder:
-    """The k-fold product of Z_r (or of its nonzero part) with the
-    componentwise standard order.  k = 0 gives the singleton {()}."""
-    if k < 0:
-        raise InputError("k must be non-negative")
-    tuples = _product_tuples(r, starred, k, caps, "character block")
-    return _char_blocks_leq([(None, k, t) for t in tuples], zr_key(r))
+    if r < 1:
+        raise InputError("r must be at least 1")
+    return _product_tuples(r, 1, k, caps, "divisor index")
 
 
 def _char_blocks_leq(
-    entries: Sequence[tuple[Optional[str], int, CharTuple]],
+    entries: Sequence[tuple[str, int, CharTuple]],
     key: Callable[[CharTuple], CharKey],
 ) -> FinitePreorder:
     """Assemble a divisor-index preorder from (block id, codim, character)
@@ -331,12 +317,12 @@ def _char_blocks_leq(
     (level, ranks): a deeper level comes first, and at equal level a row is
     the level's mask ANDed over coordinates d with ``ge[d][rank_d]``, the
     members whose rank d is at least rank_d.  So a row costs O(k) mask
-    operations instead of one comparison per member.  Block ``None`` labels
-    by character alone, all others 'block:(chars)'."""
+    operations instead of one comparison per member.  Labels read
+    'block:(chars)'."""
     keyed = [(b, k, *key(c)) for b, k, c in entries]
     codim: dict[int, int] = defaultdict(int)
-    block: dict[tuple[Optional[str], int], int] = defaultdict(int)
-    level: dict[tuple[Optional[str], int, int], int] = defaultdict(int)
+    block: dict[tuple[str, int], int] = defaultdict(int)
+    level: dict[tuple[str, int, int], int] = defaultdict(int)
     ge: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
     for i, (b, k, lv, ranks) in enumerate(keyed):
         codim[k] |= 1 << i
@@ -360,8 +346,7 @@ def _char_blocks_leq(
         for d, v in enumerate(ranks):
             row &= ge[d][v]
         rows.append(below[b, k, lv] | row)
-    labels = tuple(str(c) if b is None else f"{b}:{c}" for b, _, c in entries)
-    return FinitePreorder(labels, tuple(rows))
+    return FinitePreorder(tuple(f"{b}:{c}" for b, _, c in entries), tuple(rows))
 
 
 def deepest_first(strata: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
@@ -380,42 +365,13 @@ def stratified_blocks(
     """One character block ``characters(codim)`` per (stratum id, codim)
     pair in ``deepest_first`` order, assembled by ``_char_blocks_leq``;
     returns the index and its (stratum id, codim, character) entries in
-    index order."""
+    index order.  This is the one path that builds character blocks."""
     ids = [s for s, _ in strata]
     if len(set(ids)) != len(ids):
         raise InputError("stratum ids must be distinct")
-    entries = [
-        (sid, k, chi)
-        for sid, k in deepest_first(strata)
-        for chi in characters(k)
-    ]
+    entries = [(sid, k, chi) for sid, k in deepest_first(strata) for chi in characters(k)]
     caps.check_carrier(len(entries), what)
     return _char_blocks_leq(entries, key), entries
-
-
-def build_zdr(codims: Iterable[int], r: int, caps: Caps = DEFAULT_CAPS) -> FinitePreorder:
-    """The plain divisor index: disjoint union of the starred character blocks
-    for every codimension up to the maximum, larger codimension strictly
-    first, componentwise order within a block."""
-    if r < 1:
-        raise InputError("r must be at least 1")
-    nd = max(codims, default=0)
-    entries = [(None, k, t) for k in range(nd, -1, -1) for t in starred_tuples(k, r, caps)]
-    caps.check_carrier(len(entries), "divisor index")
-    return _char_blocks_leq(entries, zr_key(r))
-
-
-def build_zdr_stratified(
-    strata: Sequence[tuple[str, int]], r: int, caps: Caps = DEFAULT_CAPS
-) -> FinitePreorder:
-    """The stratified divisor index: one starred character block per stratum,
-    labelled 'stratum:(chars)'.  Blocks of equal codimension from distinct
-    strata are related both ways (their factors direct-sum)."""
-    if r < 1:
-        raise InputError("r must be at least 1")
-    return stratified_blocks(
-        strata, lambda k: starred_tuples(k, r, caps), zr_key(r), caps
-    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +403,12 @@ def enumerate_characters(
     step = 1
     while coprime_to is not None and f % (step * coprime_to) == 0:
         step *= coprime_to
-    caps.check_power(f // step - 1, k, "character enumeration")
-    pool = [Residue.from_fraction(Fraction(-p, f)) for p in range(step, f, step)] if k else []
-    chars = [CharTuple(t) for t in itertools.product(pool, repeat=k)]
-    keys = {chi: bang_key(chi, caps) for chi in chars}
-    return sorted(chars, key=lambda chi: (-keys[chi][0], keys[chi][1]))
+
+    def order(chi: CharTuple) -> tuple[int, tuple[int, ...]]:
+        level, ranks = bang_key(chi, caps)
+        return -level, ranks
+
+    return sorted(_product_tuples(f, step, k, caps, "character enumeration"), key=order)
 
 
 # Miller-Rabin with the 13 primes up to 41 as bases has no strong liar

@@ -313,6 +313,15 @@ def test_is_valid_hom():
 # limits of groups
 
 
+@pytest.mark.parametrize("rows", [[[1], [0]], [[1, 0]]], ids=["rows", "cols"])
+def test_group_diagram_rejects_a_matrix_wrong_on_one_side(rows):
+    # Z -> Z needs a 1x1 matrix; each of these is wrong in its rows only or
+    # in its columns only
+    groups = {"a": FgAbGroup.free(1), "b": FgAbGroup.free(1)}
+    with pytest.raises(InputError, match="^arrow 'f' matrix has wrong shape$"):
+        GroupDiagram(("a", "b"), groups, (GroupArrow("f", "a", "b", M(rows)),))
+
+
 def test_limit_single_vertex():
     d = GroupDiagram(("v",), {"v": FgAbGroup.free(2)})
     assert limit_of_groups(d).group == FgAbGroup.free(2)
@@ -385,6 +394,16 @@ def test_group_diagram_validates_homs():
 
 # ---------------------------------------------------------------------------
 # graded groups and graded limits
+
+
+@pytest.mark.parametrize("rows", [[[1], [0]], [[1, 0]]], ids=["rows", "cols"])
+def test_graded_hom_rejects_a_block_wrong_on_one_side(rows):
+    # Z on the one element: a block must be 1x1, and each of these is wrong
+    # in its rows only or in its columns only
+    p = discrete_preorder(["x"])
+    g = GradedGroup(p, {"x": FgAbGroup.free(1)})
+    with pytest.raises(InputError, match=r"^block \('x' -> 'x'\) has wrong shape$"):
+        GradedHom(g, g, identity_map(p), {("x", "x"): M(rows)})
 
 
 def test_graded_hom_rejects_off_fiber_blocks():

@@ -181,6 +181,18 @@ def test_deeply_nested_document_exits_1(capsys, tmp_path):
     assert err.splitlines() == ["error: invalid JSON: nested too deeply"]
 
 
+def test_integer_too_long_to_read_exits_1(capsys, tmp_path):
+    # a rank of 5,001 digits, past Python's limit on reading integers
+    cross = simple_crossing(2)
+    strat = write(tmp_path, "cross.json", docs.stratification_to_doc(cross))
+    kdata = tmp_path / "kdata.json"
+    kdata.write_text('{"X": {"rank": 1' + "0" * 5000 + ', "torsion": []}}', encoding="utf-8")
+    code, out, err = run(capsys, "psod", "ktheory", strat, "--kdata", str(kdata), "--root", "3")
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: invalid JSON: Exceeds the limit (")
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -612,13 +624,42 @@ def test_ktheory_torsion_cap_is_reachable(capsys, tmp_path):
         # about 10^12000 copies of C2, a size too long to print in decimal
         (["psod", "ktheory", "{strat}", "--kdata", "{kdata}", "--root", "1" + "0" * 4000],
          "error: K-theory torsion needs at least 2^39863 elements, cap is 100000"),
+        # {huge} is crossing(3) with its triple point at codimension 10^30.
+        # Z_1, Z_2 and level 2 have at most one nonzero character, but a
+        # tuple would need 10^30 residues.
+        (["psod", "build", "{huge}", "--root", "1"],
+         f"error: divisor index tuple needs {10**30} elements, cap is 100000"),
+        (["psod", "build", "{huge}", "--root", "2"],
+         f"error: divisor index tuple needs {10**30} elements, cap is 100000"),
+        (["psod", "infinite", "{huge}", "--level", "2"],
+         f"error: character enumeration tuple needs {10**30} elements, cap is 100000"),
+        (["order", "enumerate", "--arity", str(10**30), "--level", "2"],
+         f"error: character enumeration tuple needs {10**30} elements, cap is 100000"),
+        (["order", "enumerate", "--arity", "1000000", "--level", "2"],
+         "error: character enumeration tuple needs 1000000 elements, cap is 100000"),
+        # (m-1)^(10^30) copies, refused before the power is formed
+        (["psod", "ktheory", "{huge}", "--kdata", "{kdata}", "--mode", "finite", "--root", "3"],
+         "error: K-theory multiplicity has more than {limit} digits, the most Python writes"),
+        (["psod", "ktheory", "{huge}", "--kdata", "{kdata}", "--mode", "infinite",
+          "--level", "3"],
+         "error: K-theory multiplicity has more than {limit} digits, the most Python writes"),
+        (["psod", "ktheory", "{huge}", "--kdata", "{kdata}", "--mode", "kummer", "--p", "2",
+          "--level", "3"],
+         "error: K-theory multiplicity has more than {limit} digits, the most Python writes"),
     ],
-    ids=["enumerate-arity", "build-root", "ktheory-root"],
+    ids=["enumerate-arity", "build-root", "ktheory-root", "build-huge-codim-r1",
+         "build-huge-codim-r2", "infinite-huge-codim", "enumerate-arity-huge",
+         "enumerate-arity-million", "ktheory-huge-codim-finite", "ktheory-huge-codim-infinite",
+         "ktheory-huge-codim-kummer"],
 )
 def test_caps_checked_before_allocating_with_one_line_errors(capsys, tmp_path, argv, line):
     cross = simple_crossing(3)
+    huge = docs.stratification_to_doc(cross)
+    (triple,) = [s for s in huge["strata"] if s["codim"] == 3]
+    triple["codim"] = 10**30
     paths = {
         "strat": write(tmp_path, "cross.json", docs.stratification_to_doc(cross)),
+        "huge": write(tmp_path, "huge.json", huge),
         "kdata": write(tmp_path, "kdata.json",
                        {c: {"rank": 0, "torsion": [2]} for c in cross.all_components()}),
     }
@@ -626,7 +667,7 @@ def test_caps_checked_before_allocating_with_one_line_errors(capsys, tmp_path, a
     code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    assert err.splitlines() == [line]
+    assert err.splitlines() == [line.format(limit=sys.get_int_max_str_digits())]
 
 
 @pytest.mark.parametrize("output", ["human", "machine"])

@@ -65,6 +65,12 @@ def test_nodal_cubic_r2_matches_expected_sod():
     assert len(divisor.norm_components) == 1
 
 
+def test_smooth_divisor_r2_is_a_chain():
+    psod = build_root_psod(smooth_divisor(), 2)
+    assert psod.index.elements == ("D:(-1/2)", "X:()")
+    assert lt(psod.index, "D:(-1/2)", "X:()")
+
+
 def test_r1_single_ambient_factor():
     for strat in (nodal_cubic(), simple_crossing(3)):
         psod = build_root_psod(strat, 1)

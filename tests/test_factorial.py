@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from psodkit.config import Caps
+from psodkit.config import DEFAULT_CAPS, Caps
 from psodkit.errors import CapExceededError, InputError
 from psodkit.factorial import (
     EQUAL,
@@ -17,17 +17,17 @@ from psodkit.factorial import (
     Residue,
     bang_chain,
     bang_rank,
-    build_zdr,
-    build_zdr_stratified,
-    build_zkr,
     cmp_bang,
     cmp_bang_znfact,
     enumerate_characters,
     is_prime,
+    starred_tuples,
+    stratified_blocks,
     to_factorial_form,
     zr_elements,
+    zr_key,
 )
-from psodkit.preorders import directed_numbering, is_directed
+from psodkit.preorders import is_directed
 
 from test_preorders import lt
 
@@ -40,6 +40,29 @@ def char_tuple_of(form):
     """The character a factorial form writes: (-p_1/n!, ..., -p_N/n!)."""
     f = math.factorial(form.level)
     return CharTuple(tuple(Residue.from_fraction(Fraction(-p, f)) for p in form.numerators))
+
+
+def build_zdr_stratified(strata, r, caps=DEFAULT_CAPS):
+    """The r-th root index of (stratum id, codim) pairs: one starred Z_r^codim
+    block per stratum, through ``stratified_blocks``."""
+    return stratified_blocks(strata, lambda k: starred_tuples(k, r, caps), zr_key(r), caps)[0]
+
+
+def build_zkr(k, r, caps=DEFAULT_CAPS):
+    """The starred Z_r^k block alone: one stratum "Z" of codimension k."""
+    return build_zdr_stratified([("Z", k)], r, caps)
+
+
+def cmp_bang_reference(chi, psi):
+    """The tuple order read from its definition: a deeper normal factorial
+    level is lower; at equal level, ``cmp_bang_znfact`` in every coordinate."""
+    a, b = to_factorial_form(chi), to_factorial_form(psi)
+    if a.level != b.level:
+        return LESS if a.level > b.level else GREATER
+    signs = {cmp_bang_znfact(p, q, a.level) for p, q in zip(a.numerators, b.numerators)}
+    if signs <= {0}:
+        return EQUAL
+    return LESS if signs <= {-1, 0} else GREATER if signs <= {0, 1} else INCOMPARABLE
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +222,16 @@ def test_length_mismatch():
         cmp_bang(CharTuple.of("-1/2"), CharTuple.of("-1/2", "-1/2"))
 
 
+def test_cmp_bang_matches_the_recursive_definition():
+    # every pair of 2-tuples over Z_6 and Z_4 (zero included), and of
+    # mixed-level 1-tuples up to level 4
+    pool = [CharTuple(t) for n in (6, 4) for t in itertools.product(zr_elements(n), repeat=2)]
+    pool += [CharTuple((x,)) for x in zr_elements(24)]
+    for chi, psi in itertools.product(pool, repeat=2):
+        if len(chi) == len(psi):
+            assert cmp_bang(chi, psi) == cmp_bang_reference(chi, psi), (chi, psi)
+
+
 def test_tuple_order_is_partial_order_at_fixed_level():
     chars = enumerate_characters(2, 3)
     for a, b in itertools.product(chars, repeat=2):
@@ -218,35 +251,46 @@ def test_tuple_order_is_partial_order_at_fixed_level():
 
 
 def test_build_zkr_chain():
-    p = build_zkr(1, 3, starred=True)
-    assert p.elements == ("(-2/3)", "(-1/3)")
-    assert p.le("(-2/3)", "(-1/3)") and not p.le("(-1/3)", "(-2/3)")
+    p = build_zkr(1, 3)
+    assert p.elements == ("Z:(-2/3)", "Z:(-1/3)")
+    assert p.le("Z:(-2/3)", "Z:(-1/3)") and not p.le("Z:(-1/3)", "Z:(-2/3)")
 
 
 def test_build_zkr_zero_arity_singleton():
-    p = build_zkr(0, 5, starred=True)
-    assert p.elements == ("()",)
+    p = build_zkr(0, 5)
+    assert p.elements == ("Z:()",)
 
 
 def test_build_zkr_incomparable_pair():
-    p = build_zkr(2, 3, starred=True)
+    p = build_zkr(2, 3)
     assert len(p) == 4
-    assert not p.le("(-2/3,-1/3)", "(-1/3,-2/3)")
-    assert not p.le("(-1/3,-2/3)", "(-2/3,-1/3)")
+    assert not p.le("Z:(-2/3,-1/3)", "Z:(-1/3,-2/3)")
+    assert not p.le("Z:(-1/3,-2/3)", "Z:(-2/3,-1/3)")
     assert p.is_transitive
 
 
 def test_build_zkr_counts_and_invariants():
     for k in range(4):
         for r in (1, 2, 3):
-            p = build_zkr(k, r, starred=True)
+            p = build_zkr(k, r)
             assert len(p) == (r - 1) ** k
             assert p.is_transitive
 
 
 def test_build_zkr_cap():
     with pytest.raises(CapExceededError):
-        build_zkr(7, 9, starred=True, caps=Caps(carrier=1000))
+        build_zkr(7, 9, caps=Caps(carrier=1000))
+
+
+def test_tuple_arity_counts_against_the_carrier_cap():
+    # a block of one tuple still needs its k residues: Z_2^k and the
+    # level-2 enumeration have one element for every k
+    caps = Caps(carrier=5)
+    assert len(starred_tuples(5, 2, caps)) == len(enumerate_characters(5, 2, caps=caps)) == 1
+    for tuples in (lambda: starred_tuples(6, 2, caps), lambda: starred_tuples(6, 1, caps),
+                   lambda: enumerate_characters(6, 2, caps=caps)):
+        with pytest.raises(CapExceededError, match=r"tuple needs 6 elements, cap is 5$"):
+            tuples()
 
 
 @pytest.mark.parametrize("carrier", [1, 2, 7, 64, 100_000, 2**300])
@@ -279,28 +323,6 @@ def test_enumerate_characters_coprime_pool_is_the_filtered_pool():
         for p in (2, 3, 5, 7):
             kept = [chi for chi in full if all(d % p for d in chi.denominators())]
             assert enumerate_characters(1, level, coprime_to=p) == kept
-
-
-def test_build_zdr_nodal_chain():
-    p = build_zdr([2, 1, 0], 2)
-    assert p.elements == ("(-1/2,-1/2)", "(-1/2)", "()")
-    assert directed_numbering(p) == ("(-1/2,-1/2)", "(-1/2)", "()")
-
-
-def test_build_zdr_single_divisor():
-    p = build_zdr([1, 0], 2)
-    assert p.elements == ("(-1/2)", "()")
-    assert lt(p, "(-1/2)", "()")
-
-
-def test_build_zdr_cross_codim_strict():
-    p = build_zdr([2, 1, 0], 3)
-    for x in p.elements:
-        for y in p.elements:
-            kx = x.count("/")
-            ky = y.count("/")
-            if kx > ky:
-                assert p.le(x, y) and not p.le(y, x)
 
 
 def test_build_zdr_stratified_equal_codim_mutual():

@@ -2,7 +2,8 @@
 
 Each index is recomputed from its labels or factors with one predicate call
 per pair: the rational order of ``Residue.value`` in every coordinate for
-finite roots, and ``cmp_bang`` for truncations of the infinite root.
+finite roots, and for truncations of the infinite root the recursive
+definition: factorial levels, then ``cmp_bang_znfact`` in every coordinate.
 """
 
 import functools
@@ -16,16 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psodkit.engine import build_infinite_psod, build_root_psod, restrict_to_denominators
-from psodkit.factorial import (
-    EQUAL,
-    LESS,
-    CharTuple,
-    build_zdr,
-    build_zdr_stratified,
-    build_zkr,
-    cmp_bang,
-    enumerate_characters,
-)
+from psodkit.factorial import EQUAL, LESS, CharTuple, enumerate_characters
 from psodkit.strata import (
     Chart,
     ChartAtlas,
@@ -36,6 +28,7 @@ from psodkit.strata import (
 )
 
 from test_engine import smooth_divisor
+from test_factorial import build_zdr_stratified, build_zkr, cmp_bang_reference
 
 # the oracle makes (block size)^2 predicate calls, so blocks stay small
 MAX_BLOCK = 120
@@ -47,7 +40,7 @@ def fraction_le(chi, psi):
 
 
 def bang_le(chi, psi):
-    return cmp_bang(chi, psi) in (LESS, EQUAL)
+    return cmp_bang_reference(chi, psi) in (LESS, EQUAL)
 
 
 def pairwise_rows(entries, same_block_le):
@@ -172,26 +165,25 @@ def test_build_infinite_psod_matches_pairwise_order(case):
     assert psod.index.rows == want
 
 
+def parsed_entries(p):
+    """(stratum id, codim, character) entries read back from the labels."""
+    entries = []
+    for x in p.elements:
+        sid, _, text = x.rpartition(":")
+        chi = CharTuple.parse(text)
+        entries.append((sid, len(chi), chi))
+    return entries
+
+
 @SETTINGS
-@given(st.integers(0, 3), st.integers(1, 9), st.booleans())
-def test_build_zkr_matches_pairwise_order(k, r, starred):
-    size = (r - 1 if starred else r) ** k
+@given(st.integers(0, 3), st.integers(1, 9))
+def test_build_zkr_matches_pairwise_order(k, r):
+    size = (r - 1) ** k
     if size > MAX_BLOCK:
         return
-    p = build_zkr(k, r, starred)
-    entries = [(None, k, CharTuple.parse(x)) for x in p.elements]
+    p = build_zkr(k, r)
     assert len(p) == size
-    assert p.rows == pairwise_rows(entries, fraction_le)
-
-
-@SETTINGS
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(1, 9))
-def test_build_zdr_matches_pairwise_order(codims, r):
-    if (r - 1) ** max(codims) > MAX_BLOCK:
-        return
-    p = build_zdr(codims, r)
-    chars = [CharTuple.parse(x) for x in p.elements]
-    assert p.rows == pairwise_rows([(None, len(c), c) for c in chars], fraction_le)
+    assert p.rows == pairwise_rows(parsed_entries(p), fraction_le)
 
 
 @SETTINGS
@@ -199,9 +191,4 @@ def test_build_zdr_matches_pairwise_order(codims, r):
 def test_build_zdr_stratified_matches_pairwise_order(case):
     strat, r, _ = case
     p = build_zdr_stratified([(s.id, s.codim) for s in strat.strata], r)
-    entries = []
-    for x in p.elements:
-        sid, _, text = x.rpartition(":")
-        chi = CharTuple.parse(text)
-        entries.append((sid, len(chi), chi))
-    assert p.rows == pairwise_rows(entries, fraction_le)
+    assert p.rows == pairwise_rows(parsed_entries(p), fraction_le)

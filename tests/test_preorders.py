@@ -352,6 +352,13 @@ def test_colimit_coequalizer_of_equal_maps():
     assert res.preorder == p
 
 
+@pytest.mark.parametrize("src, tgt", [("u", "w"), ("w", "u")])
+def test_diagram_rejects_an_arrow_with_one_unknown_endpoint(src, tgt):
+    p = chain("x", "y")
+    with pytest.raises(InputError, match="^arrow 'a' has unknown endpoints$"):
+        PreorderDiagram(("u",), {"u": p}, (DiagramArrow("a", src, tgt, identity_map(p)),))
+
+
 def test_colimit_contravariant_orientation():
     p = chain("x", "y")
     diag = PreorderDiagram(
