@@ -27,7 +27,7 @@ from psodkit.factorial import (
     zr_elements,
     zr_key,
 )
-from psodkit.preorders import is_directed
+from psodkit.preorders import directed_numbering, is_directed
 
 from test_preorders import lt
 
@@ -46,6 +46,14 @@ def build_zdr_stratified(strata, r, caps=DEFAULT_CAPS):
     """The r-th root index of (stratum id, codim) pairs: one starred Z_r^codim
     block per stratum, through ``stratified_blocks``."""
     return stratified_blocks(strata, lambda k: starred_tuples(k, r, caps), zr_key(r), caps)[0]
+
+
+def build_zdr(codims, r, caps=DEFAULT_CAPS):
+    """The plain divisor index: one stratum "D<k>" of codimension k for every
+    k up to the largest of ``codims``."""
+    return build_zdr_stratified(
+        [(f"D{k}", k) for k in range(max(codims, default=0), -1, -1)], r, caps
+    )
 
 
 def build_zkr(k, r, caps=DEFAULT_CAPS):
@@ -323,6 +331,22 @@ def test_enumerate_characters_coprime_pool_is_the_filtered_pool():
         for p in (2, 3, 5, 7):
             kept = [chi for chi in full if all(d % p for d in chi.denominators())]
             assert enumerate_characters(1, level, coprime_to=p) == kept
+
+
+def test_build_zdr_nodal_chain():
+    p = build_zdr([2, 1, 0], 2)
+    assert p.elements == ("D2:(-1/2,-1/2)", "D1:(-1/2)", "D0:()")
+    assert directed_numbering(p) == ("D2:(-1/2,-1/2)", "D1:(-1/2)", "D0:()")
+
+
+def test_build_zdr_cross_codim_strict():
+    p = build_zdr([2, 1, 0], 3)
+    for x in p.elements:
+        for y in p.elements:
+            kx = x.count("/")
+            ky = y.count("/")
+            if kx > ky:
+                assert p.le(x, y) and not p.le(y, x)
 
 
 def test_build_zdr_stratified_equal_codim_mutual():

@@ -28,7 +28,7 @@ from psodkit.strata import (
 )
 
 from test_engine import smooth_divisor
-from test_factorial import build_zdr_stratified, build_zkr, cmp_bang_reference
+from test_factorial import build_zdr, build_zdr_stratified, build_zkr, cmp_bang_reference
 
 # the oracle makes (block size)^2 predicate calls, so blocks stay small
 MAX_BLOCK = 120
@@ -183,6 +183,15 @@ def test_build_zkr_matches_pairwise_order(k, r):
         return
     p = build_zkr(k, r)
     assert len(p) == size
+    assert p.rows == pairwise_rows(parsed_entries(p), fraction_le)
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(1, 9))
+def test_build_zdr_matches_pairwise_order(codims, r):
+    if (r - 1) ** max(codims) > MAX_BLOCK:
+        return
+    p = build_zdr(codims, r)
     assert p.rows == pairwise_rows(parsed_entries(p), fraction_le)
 
 
