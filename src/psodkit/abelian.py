@@ -158,15 +158,6 @@ def kernel(a: IntMatrix) -> IntMatrix:
     )
 
 
-def column_basis(a: IntMatrix) -> IntMatrix:
-    """A basis (columns) of the lattice spanned by the columns of ``a``."""
-    h, _ = hnf(a.transpose())
-    rows = [r for r in h.entries if any(x != 0 for x in r)]
-    return IntMatrix(
-        a.rows, len(rows), tuple(tuple(r[i] for r in rows) for i in range(a.rows))
-    )
-
-
 def solve_columns(b: IntMatrix, r: IntMatrix) -> IntMatrix:
     """Solve b X = r exactly over the integers (columns of r must lie in the
     column lattice of b, with b's columns independent)."""
@@ -447,9 +438,6 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-Z = FgAbGroup(1)
-
-
 def group_from_presentation(ngens: int, relations: IntMatrix) -> FgAbGroup:
     """The quotient of Z^ngens by the column lattice of ``relations``."""
     if relations.rows != ngens:
@@ -528,7 +516,13 @@ def _limit_on_presentations(
     and relation lattices): x over the product lies in the limit iff every
     arrow defect M_a x_src - x_tgt falls in the target relation lattice; the
     product relations are then read in a basis of that solution lattice and
-    put in invariant-factor form."""
+    put in invariant-factor form.
+
+    The solutions are the x-parts of the kernel of [phi | Rt], phi the
+    stacked defects and Rt the target relations.  Every presentation is
+    diagonal with nonzero entries, so Rt has independent columns: x = 0
+    forces y = 0, projecting the kernel onto x is injective, and the x-part
+    of a kernel basis is already a basis of the solution lattice."""
     offs: dict[str, int] = {}
     n = 0
     for v in order:
@@ -546,12 +540,8 @@ def _limit_on_presentations(
             defect_rows.append(row)
         tgt_rels.append(presentations[tgt])
     if defect_rows:
-        phi = IntMatrix.from_rows(defect_rows, n)
-        rt = _blockdiag(tgt_rels)
-        stacked = phi.hstack(IntMatrix(phi.rows, rt.cols, rt.entries))
-        ker = kernel(stacked)
-        xpart = IntMatrix(n, ker.cols, tuple(ker.entries[i] for i in range(n)))
-        basis = column_basis(xpart)
+        ker = kernel(IntMatrix.from_rows(defect_rows, n).hstack(_blockdiag(tgt_rels)))
+        basis = IntMatrix(n, ker.cols, ker.entries[:n])
     else:
         basis = IntMatrix.identity(n)
     rel_in_basis = (
@@ -598,9 +588,6 @@ class GradedGroup:
         if set(self.pieces) != set(self.index.elements):
             raise InputError("every index element needs a piece (zero allowed)")
 
-    def piece(self, label: str) -> FgAbGroup:
-        return self.pieces[label]
-
     def total(self) -> FgAbGroup:
         return FgAbGroup.zero().direct_sum(*(self.pieces[x] for x in self.index.elements))
 
@@ -642,45 +629,6 @@ def identity_graded_hom(g: GradedGroup, reindex: OrderReflectingMap) -> GradedHo
 
 
 @record
-class GradedArrow:
-    name: str
-    src: str
-    tgt: str
-    hom: GradedHom
-
-
-@record
-class GradedDiagram:
-    vertices: tuple[str, ...]
-    groups: Mapping[str, GradedGroup]
-    arrows: tuple[GradedArrow, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", dict(self.groups))
-        if set(self.groups) != set(self.vertices):
-            raise InputError("exactly one graded group per vertex required")
-        for a in self.arrows:
-            if a.hom.source != self.groups[a.src]:
-                raise InputError(f"arrow {a.name!r} source mismatch")
-            if a.hom.target != self.groups[a.tgt]:
-                raise InputError(f"arrow {a.name!r} target mismatch")
-
-    def index_diagram(self) -> PreorderDiagram:
-        """The induced diagram of index preorders; reindex maps run against
-        the quiver arrows, so they are recorded contravariantly."""
-        from .preorders import DiagramArrow, CONTRAVARIANT
-
-        return PreorderDiagram(
-            self.vertices,
-            {v: self.groups[v].index for v in self.vertices},
-            tuple(
-                DiagramArrow(a.name, a.src, a.tgt, a.hom.reindex, CONTRAVARIANT)
-                for a in self.arrows
-            ),
-        )
-
-
-@record
 class GradedLimitResult:
     graded: GradedGroup
     ungraded: FgAbGroup
@@ -688,16 +636,18 @@ class GradedLimitResult:
 
 
 def _certify_fiber_support(
-    diagram: GradedDiagram, cocones: Mapping[str, OrderReflectingMap]
+    diagram: PreorderDiagram,
+    homs: Mapping[str, GradedHom],
+    cocones: Mapping[str, OrderReflectingMap],
 ) -> None:
     """Check that every block of every arrow sits at (reindex(y), y) and
     runs inside one cocone fiber: cocones[src](reindex(y)) == cocones[tgt](y).
     GradedHom's constructor places the blocks, and the checked cocones commute
     with the reindex maps, so this holds unless a block got past them."""
     for a in diagram.arrows:
-        src_cocone, tgt_cocone = cocones[a.src], cocones[a.tgt]
-        for x, y in a.hom.blocks:
-            r = a.hom.reindex(y)
+        hom, src_cocone, tgt_cocone = homs[a.name], cocones[a.src], cocones[a.tgt]
+        for x, y in hom.blocks:
+            r = hom.reindex(y)
             over_x, over_y = src_cocone(x), tgt_cocone(y)
             if x != r or over_x != over_y:
                 raise InvariantError(
@@ -715,15 +665,18 @@ def _certify_fiber_support(
                 )
 
 
-def graded_limit(diagram: GradedDiagram, col: ColimitResult) -> GradedLimitResult:
-    """Limit of a graded diagram, graded over ``col``: the colimit of
-    ``diagram.index_diagram()``.
-
-    ``glue`` passes the colimit it computed for its scenario's diagram.  With
-    graded data that diagram is ``diagram.index_diagram()``: every arrow is
-    contravariant, each graded index equals the diagram's preorder, and each
-    reindex map equals the arrow's map (``GluingScenario`` checks the given
-    graded homs, ``glue`` the identity blocks it builds).
+def graded_limit(
+    diagram: PreorderDiagram,
+    groups: Mapping[str, GradedGroup],
+    homs: Mapping[str, GradedHom],
+    col: ColimitResult,
+) -> GradedLimitResult:
+    """Limit of graded groups over ``diagram``, graded over ``col``, its
+    colimit: ``groups[v]`` is graded by ``diagram.preorders[v]`` and
+    ``homs[a.name]`` maps ``groups[a.src]`` to ``groups[a.tgt]``, or
+    InputError is raised.  In ``glue`` every arrow is contravariant and its
+    map is the hom's reindex map (``GluingScenario`` checks the given graded
+    homs, ``glue`` builds identity blocks along the arrow's map).
 
     The piece at w is the limit of the fiber-restricted diagram (the direct
     sum over the cocone fiber of w at each vertex).  The ungraded limit is
@@ -734,15 +687,27 @@ def graded_limit(diagram: GradedDiagram, col: ColimitResult) -> GradedLimitResul
     with finite direct sums.  A block outside its fiber raises
     InvariantError.
     """
+    if set(groups) != set(diagram.vertices):
+        raise InputError("exactly one graded group per vertex required")
+    for v in diagram.vertices:
+        if groups[v].index != diagram.preorders[v]:
+            raise InputError(f"vertex {v!r}: graded index differs from the diagram")
+    if set(homs) != {a.name for a in diagram.arrows}:
+        raise InputError("exactly one graded hom per arrow required")
+    for a in diagram.arrows:
+        if homs[a.name].source != groups[a.src]:
+            raise InputError(f"arrow {a.name!r} source mismatch")
+        if homs[a.name].target != groups[a.tgt]:
+            raise InputError(f"arrow {a.name!r} target mismatch")
     colimit_index, cocones = col.preorder, col.cocones
-    _certify_fiber_support(diagram, cocones)
+    _certify_fiber_support(diagram, homs, cocones)
     # one pass over the cocones: the grades over each w at each vertex, and
     # each grade's generator offset inside its fiber sum
     fibers = {w: {v: [] for v in diagram.vertices} for w in colimit_index.elements}
     ngens = {w: dict.fromkeys(diagram.vertices, 0) for w in colimit_index.elements}
     offset: dict[str, dict[str, int]] = {v: {} for v in diagram.vertices}
     for v in diagram.vertices:
-        g = diagram.groups[v]
+        g = groups[v]
         for z in g.index.elements:
             w = cocones[v](z)
             fibers[w][v].append(z)
@@ -754,14 +719,14 @@ def graded_limit(diagram: GradedDiagram, col: ColimitResult) -> GradedLimitResul
         w: [] for w in colimit_index.elements
     }
     for a in diagram.arrows:
-        tgt_cocone = cocones[a.tgt]
+        hom, tgt_cocone = homs[a.name], cocones[a.tgt]
         out = {
             w: [[0] * ngens[w][a.src] for _ in range(ngens[w][a.tgt])]
             for w in colimit_index.elements
         }
-        for y in diagram.groups[a.tgt].index.elements:
-            x = a.hom.reindex(y)
-            b = a.hom.blocks.get((x, y))
+        for y in groups[a.tgt].index.elements:
+            x = hom.reindex(y)
+            b = hom.blocks.get((x, y))
             if b is not None:
                 rows = out[tgt_cocone(y)]
                 r0, c0 = offset[a.tgt][y], offset[a.src][x]
@@ -775,7 +740,7 @@ def graded_limit(diagram: GradedDiagram, col: ColimitResult) -> GradedLimitResul
             diagram.vertices,
             ngens[w],
             {
-                v: _blockdiag([diagram.groups[v].pieces[z].presentation() for z in fibers[w][v]])
+                v: _blockdiag([groups[v].pieces[z].presentation() for z in fibers[w][v]])
                 for v in diagram.vertices
             },
             restricted[w],

@@ -302,7 +302,7 @@ def glue(scenario: GluingScenario, caps: Caps = DEFAULT_CAPS) -> GlueResult:
     a verdict with a witness, never as a failure.  With graded data the piece
     at each element is the limit of its fiber sums.
     """
-    from .abelian import GradedArrow, GradedDiagram, graded_limit, identity_graded_hom
+    from .abelian import graded_limit, identity_graded_hom
 
     col = colimit(scenario.diagram)
     verdict = directedness(col.preorder)
@@ -318,10 +318,9 @@ def glue(scenario: GluingScenario, caps: Caps = DEFAULT_CAPS) -> GlueResult:
     psod = PsodIndex(col.preorder, factors, notes)
     graded_result = None
     if scenario.graded:
-        arrows = []
+        homs = dict(scenario.graded_homs)
         for a in scenario.diagram.arrows:
-            hom = scenario.graded_homs.get(a.name)
-            if hom is None:
+            if a.name not in homs:
                 if a.orientation != "contravariant":
                     raise PreconditionError(
                         f"arrow {a.name!r}: identity blocks need a contravariant arrow"
@@ -330,14 +329,8 @@ def glue(scenario: GluingScenario, caps: Caps = DEFAULT_CAPS) -> GlueResult:
                     raise PreconditionError(
                         f"arrow {a.name!r}: identity blocks need equal graded data"
                     )
-                hom = identity_graded_hom(scenario.graded[a.src], a.map)
-            arrows.append(GradedArrow(a.name, a.src, a.tgt, hom))
-        gd = GradedDiagram(
-            scenario.diagram.vertices,
-            {v: scenario.graded[v] for v in scenario.diagram.vertices},
-            tuple(arrows),
-        )
-        graded_result = graded_limit(gd, col)
+                homs[a.name] = identity_graded_hom(scenario.graded[a.src], a.map)
+        graded_result = graded_limit(scenario.diagram, scenario.graded, homs, col)
     return GlueResult(
         psod,
         verdict,
@@ -437,7 +430,6 @@ class KTheoryReport:
     rows: tuple[KTheoryRow, ...]
     total: FgAbGroup  # exact total (truncated total outside finite mode)
     truncated: bool
-    count_convention: str = "(r-1)^codim copies per stratum"
 
     def rank(self) -> int:
         return self.total.rank
@@ -455,8 +447,8 @@ def _char_count(codim: int, mode: KTheoryMode, caps: Caps) -> int:
     """(m - 1) ** codim, the characters of one stratum.  The power is at
     least 2 ** low for an m - 1 of b bits, low = codim * (b - 1); past
     2 ** (16 * limit) it has far more digits than Python writes and is
-    refused unformed.  Smaller powers form at once, and the report checks
-    the torsion and then the exact counts."""
+    refused unformed, as it is past 2 ** (16 * 4300) with the limit off.
+    Smaller powers form at once; the report checks the exact counts."""
     if mode.kind == "finite":
         m = mode.r
     else:
@@ -466,8 +458,10 @@ def _char_count(codim: int, mode: KTheoryMode, caps: Caps) -> int:
             while m % mode.p == 0:
                 m //= mode.p
     limit = sys.get_int_max_str_digits()
-    if limit and codim * ((m - 1).bit_length() - 1) >= 16 * limit:
-        _written(10**limit, "K-theory multiplicity")  # a lower bound that raises
+    bits = 16 * (limit or sys.int_info.default_max_str_digits)
+    if codim * ((m - 1).bit_length() - 1) >= bits:
+        _written(10**limit, "K-theory multiplicity")  # raises under a digit limit
+        raise CapExceededError(f"K-theory multiplicity has more than {bits} bits")
     return (m - 1) ** codim
 
 

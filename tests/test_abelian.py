@@ -5,14 +5,11 @@ import pytest
 
 from psodkit.abelian import (
     FgAbGroup,
-    GradedArrow,
-    GradedDiagram,
     GradedGroup,
     GradedHom,
     GroupArrow,
     GroupDiagram,
     IntMatrix,
-    column_basis,
     graded_limit,
     group_from_presentation,
     hnf,
@@ -27,7 +24,10 @@ from psodkit.abelian import (
 from psodkit import abelian
 from psodkit.errors import InputError, InvariantError, PreconditionError
 from psodkit.preorders import (
+    CONTRAVARIANT,
+    DiagramArrow,
     OrderReflectingMap,
+    PreorderDiagram,
     colimit,
     complete_preorder,
     discrete_preorder,
@@ -251,13 +251,6 @@ def test_kernel_spans_all_small_kernel_vectors():
             assert recon == tuple(vec)
 
 
-def test_column_basis_spans():
-    a = M([[2, 4], [0, 0]])
-    b = column_basis(a)
-    assert b.cols == 1
-    assert abs(b.entries[0][0]) == 2
-
-
 # ---------------------------------------------------------------------------
 # groups
 
@@ -414,16 +407,23 @@ def test_graded_hom_rejects_off_fiber_blocks():
         GradedHom(g, g, reindex, {("x", "y"): IntMatrix.identity(1)})
 
 
+def graded_quiver(groups, arrows=()):
+    """``(diagram, groups, homs)`` for ``graded_limit``: the vertices of
+    ``groups`` in order, and per ``(name, src, tgt, hom)`` a contravariant
+    arrow carrying ``hom.reindex``."""
+    diagram = PreorderDiagram(
+        tuple(groups),
+        {v: g.index for v, g in groups.items()},
+        tuple(DiagramArrow(n, s, t, hom.reindex, CONTRAVARIANT) for n, s, t, hom in arrows),
+    )
+    return diagram, groups, {n: hom for n, _, _, hom in arrows}
+
+
 def test_graded_limit_constant_diagram():
     p = generated_preorder(["x", "y"], [("x", "y")])
     g = GradedGroup(p, {"x": FgAbGroup.free(1), "y": FgAbGroup(1, (2,))})
-    diag = GradedDiagram(
-        ("u",),
-        {"u": g},
-        (GradedArrow("id", "u", "u", identity_graded_hom(g, identity_map(p))),),
-    )
-    col = colimit(diag.index_diagram())
-    res = graded_limit(diag, col)
+    quiver = graded_quiver({"u": g}, [("id", "u", "u", identity_graded_hom(g, identity_map(p)))])
+    res = graded_limit(*quiver, colimit(quiver[0]))
     assert res.graded.pieces == g.pieces
     assert res.ungraded == g.total()
 
@@ -432,16 +432,10 @@ def test_graded_limit_cech_identity():
     p = complete_preorder(["*"])
     g = GradedGroup(p, {"*": FgAbGroup.free(1)})
     hom = identity_graded_hom(g, identity_map(p))
-    diag = GradedDiagram(
-        ("l0", "l1"),
-        {"l0": g, "l1": g},
-        (
-            GradedArrow("d0", "l0", "l1", hom),
-            GradedArrow("d1", "l0", "l1", hom),
-        ),
+    quiver = graded_quiver(
+        {"l0": g, "l1": g}, [("d0", "l0", "l1", hom), ("d1", "l0", "l1", hom)]
     )
-    col = colimit(diag.index_diagram())
-    res = graded_limit(diag, col)
+    res = graded_limit(*quiver, colimit(quiver[0]))
     assert res.graded.pieces["*"] == FgAbGroup.free(1)
 
 
@@ -449,15 +443,39 @@ def test_graded_limit_two_vertex_product():
     p1, p2 = complete_preorder(["a"]), complete_preorder(["b"])
     g1 = GradedGroup(p1, {"a": FgAbGroup(1, (4,))})
     g2 = GradedGroup(p2, {"b": FgAbGroup.free(2)})
-    diag = GradedDiagram(("u", "v"), {"u": g1, "v": g2})
-    col = colimit(diag.index_diagram())
-    res = graded_limit(diag, col)
+    quiver = graded_quiver({"u": g1, "v": g2})
+    res = graded_limit(*quiver, colimit(quiver[0]))
     assert res.graded.pieces["a"] == g1.pieces["a"]
     assert res.graded.pieces["b"] == g2.pieces["b"]
     total = limit_of_groups(
         GroupDiagram(("u", "v"), {"u": g1.total(), "v": g2.total()})
     ).group
     assert res.ungraded == total
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_graded_limit_rejects_a_hom_wrong_on_one_side(side):
+    # the arrow runs Z -> Z over one grade; the hom is C2 -> Z or Z -> C2,
+    # so exactly one of its ends differs from the quiver's
+    p = discrete_preorder(["x"])
+    z, c2 = (GradedGroup(p, {"x": g}) for g in (FgAbGroup.free(1), FgAbGroup(0, (2,))))
+    if side == "source":
+        hom = GradedHom(c2, z, identity_map(p), {("x", "x"): M([[0]])})
+    else:
+        hom = GradedHom(z, c2, identity_map(p), {("x", "x"): M([[1]])})
+    diagram, groups, homs = graded_quiver({"u": z, "v": z}, [("f", "u", "v", hom)])
+    with pytest.raises(InputError, match=rf"^arrow 'f' {side} mismatch$"):
+        graded_limit(diagram, groups, homs, colimit(diagram))
+
+
+def test_graded_limit_rejects_an_index_other_than_the_diagrams():
+    # one carrier ordered two ways: the group is graded by the chain, the
+    # diagram's vertex carries the discrete order
+    chain = generated_preorder(["x", "y"], [("x", "y")])
+    g = GradedGroup(chain, {"x": FgAbGroup.free(1), "y": FgAbGroup(0, (2,))})
+    diagram = PreorderDiagram(("u",), {"u": discrete_preorder(["x", "y"])})
+    with pytest.raises(InputError, match=r"^vertex 'u': graded index differs from the diagram$"):
+        graded_limit(diagram, {"u": g}, {}, colimit(diagram))
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +556,8 @@ def random_graded_scenario(rng):
         for y in indices[v].elements:
             x = reindex(y)
             blocks[(x, y)] = _random_hom_matrix(rng, groups[u].pieces[x], groups[v].pieces[y])
-        arrows.append(
-            GradedArrow(f"a{t}", u, v, GradedHom(groups[u], groups[v], reindex, blocks))
-        )
-    return GradedDiagram(vertices, groups, tuple(arrows))
+        arrows.append((f"a{t}", u, v, GradedHom(groups[u], groups[v], reindex, blocks)))
+    return graded_quiver(groups, arrows)
 
 
 def literal_total_matrix(hom: GradedHom) -> IntMatrix:
@@ -565,19 +581,19 @@ def literal_total_matrix(hom: GradedHom) -> IntMatrix:
     return IntMatrix.from_rows(out, cols)
 
 
-def ungraded_limit_oracle(diag: GradedDiagram) -> FgAbGroup:
+def ungraded_limit_oracle(diagram, groups, homs) -> FgAbGroup:
     """The limit of the total groups along the literal total matrices,
     computed from scratch: the independent value of ``graded_limit``'s
     ``ungraded``, which the library certifies instead of recomputing."""
-    groups = {v: diag.groups[v] for v in diag.vertices}
+    groups = {v: groups[v] for v in diagram.vertices}
     return abelian._limit_on_presentations(
-        diag.vertices,
+        diagram.vertices,
         {v: sum(g.pieces[z].ngens for z in g.index.elements) for v, g in groups.items()},
         {
             v: abelian._blockdiag([g.pieces[z].presentation() for z in g.index.elements])
             for v, g in groups.items()
         },
-        [(a.src, a.tgt, literal_total_matrix(a.hom)) for a in diag.arrows],
+        [(a.src, a.tgt, literal_total_matrix(homs[a.name])) for a in diagram.arrows],
     ).group
 
 
@@ -585,17 +601,17 @@ def test_block_decomposition_on_random_scenarios():
     rng = random.Random(2024)
     done = 0
     while done < 50:
-        diag = random_graded_scenario(rng)
+        quiver = random_graded_scenario(rng)
         try:
-            col = colimit(diag.index_diagram())
+            col = colimit(quiver[0])
         except PreconditionError:
             continue  # zigzag identified non-related elements: no gluing
-        res = graded_limit(diag, col)
-        assert res.ungraded == ungraded_limit_oracle(diag)
+        res = graded_limit(*quiver, col)
+        assert res.ungraded == ungraded_limit_oracle(*quiver)
         done += 1
 
 
-def _cross_fiber_mutant(how: str) -> GradedDiagram:
+def _cross_fiber_mutant(how: str):
     """Two arrows u -> v over the discrete index {a, b}: d0 the identity and
     d1 the swap, whose blocks run from b to a and from a to b.  d1's reindex
     is then made the identity past GradedHom's constructor (``how`` names
@@ -610,22 +626,18 @@ def _cross_fiber_mutant(how: str) -> GradedDiagram:
     else:
         d1 = identity_graded_hom(g, identity_map(p))
         object.__setattr__(d1, "blocks", {("b", "a"): M([[1]]), ("a", "b"): M([[1]])})
-    return GradedDiagram(
-        ("u", "v"),
+    return graded_quiver(
         {"u": g, "v": g},
-        (
-            GradedArrow("d0", "u", "v", identity_graded_hom(g, identity_map(p))),
-            GradedArrow("d1", "u", "v", d1),
-        ),
+        [("d0", "u", "v", identity_graded_hom(g, identity_map(p))), ("d1", "u", "v", d1)],
     )
 
 
 @pytest.mark.parametrize("how", ["reindex", "blocks"])
 def test_cross_fiber_block_trips_certificate_and_oracle(monkeypatch, how):
-    diag = _cross_fiber_mutant(how)
-    col = colimit(diag.index_diagram())
+    quiver = _cross_fiber_mutant(how)
+    col = colimit(quiver[0])
     with pytest.raises(InvariantError) as info:
-        graded_limit(diag, col)
+        graded_limit(*quiver, col)
     assert info.value.exit_code == 2
     assert info.value.witness == {
         "arrow": "d1",
@@ -639,9 +651,53 @@ def test_cross_fiber_block_trips_certificate_and_oracle(monkeypatch, how):
     # without the certificate the pieces miss the swap, which the ungraded
     # oracle sees: the equalizer of 1 and the swap on Z^2 is Z
     monkeypatch.setattr(abelian, "_certify_fiber_support", lambda *args: None)
-    res = graded_limit(diag, col)
+    res = graded_limit(*quiver, col)
     assert res.ungraded == FgAbGroup.zero()
-    assert ungraded_limit_oracle(diag) == FgAbGroup.free(1)
+    assert ungraded_limit_oracle(*quiver) == FgAbGroup.free(1)
+
+
+def _column_basis(a: IntMatrix) -> IntMatrix:
+    """A basis (columns) of the column lattice of ``a``, read off an HNF:
+    the step that once followed the kernel in ``_limit_on_presentations``,
+    kept here as the oracle for its removal."""
+    h, _ = hnf(a.transpose())
+    rows = [r for r in h.entries if any(r)]
+    return IntMatrix(a.rows, len(rows), tuple(tuple(r[i] for r in rows) for i in range(a.rows)))
+
+
+def test_fiber_limit_generators_are_a_basis_of_the_solutions(monkeypatch):
+    # every fiber limit on random graded scenarios with torsion: the
+    # generators have full column rank, each one solves every arrow, and
+    # through the column-basis step they present the same group
+    real = abelian._limit_on_presentations
+    relations = []
+
+    def checking(order, ngens, presentations, arrows):
+        res = real(order, ngens, presentations, arrows)
+        gens = res.generators
+        basis = _column_basis(gens)
+        assert basis.cols == gens.cols
+        rel = abelian._blockdiag([presentations[v] for v in order])
+        assert group_from_presentation(basis.cols, solve_columns(basis, rel)) == res.group
+        for src, tgt, m in arrows:
+            image, at_tgt = m.mul(res.projections[src]), res.projections[tgt]
+            defect = [[a - b for a, b in zip(r, t)] for r, t in zip(image.entries, at_tgt.entries)]
+            solve_columns(presentations[tgt], IntMatrix.from_rows(defect, gens.cols))
+        relations.append(rel.cols)
+        return res
+
+    monkeypatch.setattr(abelian, "_limit_on_presentations", checking)
+    rng = random.Random(1717)
+    done = 0
+    while done < 40:
+        quiver = random_graded_scenario(rng)
+        try:
+            col = colimit(quiver[0])
+        except PreconditionError:
+            continue
+        graded_limit(*quiver, col)
+        done += 1
+    assert len(relations) > 40 and sum(map(bool, relations)) > 20
 
 
 # ---------------------------------------------------------------------------

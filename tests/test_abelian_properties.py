@@ -76,14 +76,14 @@ def test_graded_limit_matches_ungraded_oracle(seed):
     # the first scenario from the drawn seed whose index diagram glues
     rng = random.Random(seed)
     while True:
-        diag = random_graded_scenario(rng)
+        quiver = random_graded_scenario(rng)
         try:
-            col = colimit(diag.index_diagram())
+            col = colimit(quiver[0])
         except PreconditionError:
             continue
         break
-    res = graded_limit(diag, col)
-    assert res.ungraded == ungraded_limit_oracle(diag)
+    res = graded_limit(*quiver, col)
+    assert res.ungraded == ungraded_limit_oracle(*quiver)
 
 
 def _old_is_valid_hom(src, dst, matrix):

@@ -258,13 +258,13 @@ def test_criterion_5_block_decomposition():
     rng = random.Random(20240817)
     done = 0
     while done < 50:
-        diag = random_graded_scenario(rng)
+        quiver = random_graded_scenario(rng)
         try:
-            col = colimit(diag.index_diagram())
+            col = colimit(quiver[0])
         except PreconditionError:
             continue
-        res = graded_limit(diag, col)
-        assert res.ungraded == ungraded_limit_oracle(diag)
+        res = graded_limit(*quiver, col)
+        assert res.ungraded == ungraded_limit_oracle(*quiver)
         done += 1
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -48,9 +49,9 @@ def graded_oracle(monkeypatch):
     real = abelian.graded_limit
     checked = []
 
-    def checking(diagram, col):
-        res = real(diagram, col)
-        assert res.ungraded == ungraded_limit_oracle(diagram)
+    def checking(diagram, groups, homs, col):
+        res = real(diagram, groups, homs, col)
+        assert res.ungraded == ungraded_limit_oracle(diagram, groups, homs)
         checked.append(res.ungraded)
         return res
 
@@ -941,10 +942,10 @@ def test_glue_cross_fiber_block_exits_2_with_one_line(capsys, tmp_path, monkeypa
     elements = _graded_scenario_doc()["psods"]["l0"]["index"]["elements"]
     x, y = elements[:2]
 
-    def with_cross_fiber_block(diagram, col):
-        hom = diagram.arrows[0].hom
+    def with_cross_fiber_block(diagram, groups, homs, col):
+        hom = homs[diagram.arrows[0].name]
         object.__setattr__(hom, "blocks", {**hom.blocks, (x, y): IntMatrix.identity(1)})
-        return real(diagram, col)
+        return real(diagram, groups, homs, col)
 
     monkeypatch.setattr(abelian, "graded_limit", with_cross_fiber_block)
     path = write(tmp_path, "scenario.json", _graded_scenario_doc())
@@ -1107,6 +1108,35 @@ def test_closed_stdout_exits_1_with_one_line():
     assert (proc.returncode, proc.stderr) == (
         1, "error: cannot write output: [Errno 9] standard output is closed\n"
     )
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [["finite", "--root", "3"], ["infinite", "--level", "3"], ["kummer", "--p", "2", "--level", "3"]],
+    ids=["finite", "infinite", "kummer"],
+)
+def test_ktheory_refuses_huge_powers_without_a_digit_limit(tmp_path, mode):
+    # PYTHONINTMAXSTRDIGITS=0 lifts Python's digit limit; (m-1)^(10^30) is
+    # still refused by its bit length before it is formed, in a child with
+    # an 800 MB address space
+    cross = simple_crossing(2)
+    huge = docs.stratification_to_doc(cross)
+    (double,) = [s for s in huge["strata"] if s["codim"] == 2]
+    double["codim"] = 10**30
+    strat = write(tmp_path, "huge.json", huge)
+    kdata = write(tmp_path, "kdata.json",
+                  {c: {"rank": 0, "torsion": [2]} for c in cross.all_components()})
+    start = time.perf_counter()
+    proc = subprocess.run(
+        CLI + ["psod", "ktheory", strat, "--kdata", kdata, "--mode", *mode],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (800_000 * 1024,) * 2),
+        stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        env=dict(_cli_env(), PYTHONINTMAXSTRDIGITS="0"), timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    bits = 16 * sys.int_info.default_max_str_digits
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [f"error: K-theory multiplicity has more than {bits} bits"]
 
 
 # sha256 of what json.dumps(doc, indent=2) wrote for this job before streaming

@@ -17,8 +17,6 @@ import pytest
 from psodkit import abelian, config, engine, factorial, preorders, records, strata
 from psodkit.abelian import (
     FgAbGroup,
-    GradedArrow,
-    GradedDiagram,
     GradedGroup,
     GroupArrow,
     GroupDiagram,
@@ -50,6 +48,7 @@ from psodkit.preorders import (
 from psodkit.records import Factory, FrozenRecordError, fields, record
 from psodkit.strata import Chart, ChartAtlas, Overlap, nodal_cubic, simple_crossing, strata_from_atlas
 
+from test_abelian import graded_quiver
 from test_engine import cech_scenario
 
 MODULES = (abelian, config, engine, factorial, preorders, strata)
@@ -83,7 +82,7 @@ TWINS = {cls: twin(cls) for cls in record_classes()}
 
 
 def test_every_record_class_has_a_twin():
-    assert len(TWINS) == 36
+    assert len(TWINS) == 34
     for cls, tw in TWINS.items():
         assert dataclasses.is_dataclass(tw) and not dataclasses.is_dataclass(cls)
         assert fields(cls) == tuple(f.name for f in dataclasses.fields(tw))
@@ -99,8 +98,8 @@ def _roots():
                             {v: g for v in scenario.diagram.vertices})
     chain = generated_preorder(["x", "y"], [("x", "y")])
     gchain = GradedGroup(chain, {"x": FgAbGroup.free(1), "y": FgAbGroup(1, (2,))})
-    gdiag = GradedDiagram(("u",), {"u": gchain}, (
-        GradedArrow("id", "u", "u", identity_graded_hom(gchain, identity_map(chain))),))
+    gquiver = graded_quiver(
+        {"u": gchain}, [("id", "u", "u", identity_graded_hom(gchain, identity_map(chain)))])
     groups = GroupDiagram(("a", "b"), {"a": FgAbGroup.free(1), "b": FgAbGroup.free(1)},
                           (GroupArrow("f", "a", "b", IntMatrix.from_rows([[2]])),
                            GroupArrow("g", "a", "b", IntMatrix.from_rows([[3]]))))
@@ -122,7 +121,8 @@ def _roots():
         verify_colimit(scenario.diagram, discrete_preorder(["a"]),
                        {v: {x: "a" for x in psod.index.elements} for v in ("l0", "l1")}),
         directedness(chain), directedness(discrete_preorder(["a", "b"])),
-        groups, limit_of_groups(groups), scenario, graded, gdiag, graded_limit(gdiag, colimit(gdiag.index_diagram())),
+        groups, limit_of_groups(groups), scenario, graded, gquiver,
+        graded_limit(*gquiver, colimit(gquiver[0])),
     ]
 
 
