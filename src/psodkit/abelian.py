@@ -1,8 +1,9 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
-Hermite and Smith normal forms over arbitrary-precision integers power the
-group arithmetic: groups are carried as invariant factors externally and as
-presentation matrices internally, so limits of group diagrams reduce to
+The row Hermite normal form over arbitrary-precision integers is the one
+elimination routine; the Smith normal form alternates it on rows and
+columns.  Groups are carried as invariant factors, and their relations as
+the orders of their generators, so limits of group diagrams reduce to
 kernel and quotient computations that end in a Smith normal form.
 """
 
@@ -75,29 +76,6 @@ class IntMatrix:
             self.rows,
             tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
         )
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise InputError("row counts differ")
-        return IntMatrix(
-            self.rows,
-            self.cols + other.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
-
-def _blockdiag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    r = c = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r + i][c + j] = b.entries[i][j]
-        r += b.rows
-        c += b.cols
-    return IntMatrix.from_rows(out, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -188,97 +166,40 @@ def solve_columns(b: IntMatrix, r: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(x, r.cols)
 
 
-def _snf_pivot(m: list[list[int]], t: int) -> Optional[tuple[int, int]]:
-    """The entry of least absolute value in the trailing block, first in
-    row-major order on ties."""
-    best = None
-    for i in range(t, len(m)):
-        for j in range(t, len(m[0]) if m else 0):
-            if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
 def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: U * a * V = S diagonal with d_1 | d_2 | ..., U and V
-    unimodular."""
-    m = [list(r) for r in a.entries]
-    u = [[int(i == j) for j in range(a.rows)] for i in range(a.rows)]
-    v = [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
-    t = 0
-    limit = min(a.rows, a.cols)
-    while t < limit:
-        pos = _snf_pivot(m, t)
-        if pos is None:
-            break
-        pi, pj = pos
-        m[t], m[pi] = m[pi], m[t]
-        u[t], u[pi] = u[pi], u[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        for row in v:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, a.rows):
-                if m[i][t] == 0:
-                    continue
-                q = m[i][t] // m[t][t]
-                if q:
-                    for j in range(a.cols):
-                        m[i][j] -= q * m[t][j]
-                    for j in range(a.rows):
-                        u[i][j] -= q * u[t][j]
-                if m[i][t] != 0:
-                    m[t], m[i] = m[i], m[t]
-                    u[t], u[i] = u[i], u[t]
-                    dirty = True
-            # clear row t
-            for j in range(t + 1, a.cols):
-                if m[t][j] == 0:
-                    continue
-                q = m[t][j] // m[t][t]
-                if q:
-                    for i in range(a.rows):
-                        m[i][j] -= q * m[i][t]
-                    for i in range(a.cols):
-                        v[i][j] -= q * v[i][t]
-                if m[t][j] != 0:
-                    for i in range(a.rows):
-                        m[i][t], m[i][j] = m[i][j], m[i][t]
-                    for i in range(a.cols):
-                        v[i][t], v[i][j] = v[i][j], v[i][t]
-                    dirty = True
-            if not dirty and all(m[i][t] == 0 for i in range(t + 1, a.rows)) and all(
-                m[t][j] == 0 for j in range(t + 1, a.cols)
-            ):
-                break
-        # divisibility: fold any entry the pivot misses into the pivot
-        offender = None
-        for i in range(t + 1, a.rows):
-            for j in range(t + 1, a.cols):
-                if m[i][j] % m[t][t] != 0:
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender:
-            i, _ = offender
-            for j in range(a.cols):
-                m[t][j] += m[i][j]
-            for j in range(a.rows):
-                u[t][j] += u[i][j]
+    """Smith normal form: U * a * V = S diagonal with d_1 | d_2 | ..., the
+    nonzero d_i positive and the zeros last, U and V unimodular.
+
+    Row Hermite forms of m and of its transpose alternate until m is
+    diagonal (Kannan and Bachem, SIAM J. Comput. 1979).  Each half-step puts
+    the gcd of the leading column (or row) at the leading entry, so that
+    entry shrinks strictly until it divides its whole row and column, which
+    are then cleared; the trailing block follows the same way.  A diagonal
+    in Hermite form has its zeros last.  If d_i misses a later d_j, every
+    later column is added to column i: the next half-step puts the gcd of
+    d_i, d_i+1, ... at (i, i), which divides the whole trailing block from
+    then on while the entries before it stay, so each i needs this once.
+
+    >>> s, u, v = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    >>> s.entries
+    ((1, 0), (0, 6))
+    """
+    m, u, v = a, IntMatrix.identity(a.rows), IntMatrix.identity(a.cols)
+    while True:
+        m, x = hnf(m)
+        h, y = hnf(m.transpose())
+        m, u, v = h.transpose(), x.mul(u), v.mul(y.transpose())
+        e = m.entries
+        if any(e[i][j] for i in range(m.rows) for j in range(m.cols) if i != j):
             continue
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return (
-        IntMatrix.from_rows(m, a.cols),
-        IntMatrix.from_rows(u, a.rows),
-        IntMatrix.from_rows(v, a.cols),
-    )
+        d = [e[i][i] for i in range(min(m.rows, m.cols))]
+        i = next((i for i, di in enumerate(d) if di and any(dj % di for dj in d[i + 1 :])), None)
+        if i is None:
+            return m, u, v
+        m, v = (
+            IntMatrix(t.rows, t.cols, tuple(r[:i] + (sum(r[i:]),) + r[i + 1 :] for r in t.entries))
+            for t in (m, v)
+        )
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
@@ -403,21 +324,11 @@ class FgAbGroup:
     def ngens(self) -> int:
         return self.rank + len(self.torsion)
 
-    def presentation(self) -> IntMatrix:
-        """Relation matrix on the canonical generators (free ones first):
-        columns generate the relation lattice."""
-        n = self.ngens
-        cols = len(self.torsion)
-        return IntMatrix(
-            n,
-            cols,
-            tuple(
-                tuple(
-                    self.torsion[j] if i == self.rank + j else 0 for j in range(cols)
-                )
-                for i in range(n)
-            ),
-        )
+    @property
+    def orders(self) -> tuple[int, ...]:
+        """The orders of the canonical generators, free ones first as 0: the
+        group is Z^ngens modulo the diagonal relations orders[i] * e_i."""
+        return (0,) * self.rank + self.torsion
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         groups = (self,) + others
@@ -450,9 +361,10 @@ def group_from_presentation(ngens: int, relations: IntMatrix) -> FgAbGroup:
 
 def is_valid_hom(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
     """A generator matrix defines a homomorphism iff it maps the source
-    relations into the target relation lattice.  The target presentation is
-    diagonal, so that lattice is 0 on a free row and d_i Z on the i-th
-    torsion row, and membership is a divisibility test per entry.
+    relations into the target relation lattice.  Both presentations are
+    diagonal: the relation of a source generator of order d is d times its
+    column, and the target lattice is 0 on a free row and o Z on a row of
+    order o, so membership is a divisibility test per entry.
 
     >>> c2, c4 = FgAbGroup(0, (2,)), FgAbGroup(0, (4,))
     >>> is_valid_hom(c2, c4, IntMatrix.from_rows([[2]]))
@@ -462,10 +374,11 @@ def is_valid_hom(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
     """
     if matrix.rows != dst.ngens or matrix.cols != src.ngens:
         return False
-    orders = (0,) * dst.rank + dst.torsion
-    image = matrix.mul(src.presentation())
     return all(
-        x % d == 0 if d else x == 0 for d, row in zip(orders, image.entries) for x in row
+        x * d % o == 0 if o else x == 0
+        for d, col in zip(src.orders, zip(*matrix.entries))
+        if d
+        for o, x in zip(dst.orders, col)
     )
 
 
@@ -489,9 +402,13 @@ class GroupDiagram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", dict(self.groups))
+        if len(set(self.vertices)) != len(self.vertices):
+            raise InputError("vertex labels must be distinct")
         if set(self.groups) != set(self.vertices):
             raise InputError("exactly one group per vertex required")
         for a in self.arrows:
+            if a.src not in self.groups or a.tgt not in self.groups:
+                raise InputError(f"arrow {a.name!r} has unknown endpoints")
             src, tgt = self.groups[a.src], self.groups[a.tgt]
             if a.matrix.rows != tgt.ngens or a.matrix.cols != src.ngens:
                 raise InputError(f"arrow {a.name!r} matrix has wrong shape")
@@ -506,41 +423,48 @@ class LimitResult:
     projections: Mapping[str, IntMatrix]  # generator-level maps to each vertex
 
 
+def _diagonal_relations(orders: Sequence[int]) -> list[list[int]]:
+    """Rows of the relation matrix of Z^len(orders) modulo orders[i] * e_i:
+    one column per nonzero order."""
+    live = [p for p, o in enumerate(orders) if o]
+    return [[o * (i == p) for p in live] for i, o in enumerate(orders)]
+
+
 def _limit_on_presentations(
     order: Sequence[str],
-    ngens: Mapping[str, int],
-    presentations: Mapping[str, IntMatrix],
+    orders: Mapping[str, Sequence[int]],
     arrows: Sequence[tuple[str, str, IntMatrix]],
 ) -> LimitResult:
-    """Limit of groups given by presentations (per-vertex generator counts
-    and relation lattices): x over the product lies in the limit iff every
-    arrow defect M_a x_src - x_tgt falls in the target relation lattice; the
-    product relations are then read in a basis of that solution lattice and
-    put in invariant-factor form.
+    """Limit of groups given by their generator orders (0 for a free
+    generator): x over the product lies in the limit iff every arrow defect
+    M_a x_src - x_tgt falls in the target relation lattice; the product
+    relations are then read in a basis of that solution lattice and put in
+    invariant-factor form.
 
     The solutions are the x-parts of the kernel of [phi | Rt], phi the
     stacked defects and Rt the target relations.  Every presentation is
     diagonal with nonzero entries, so Rt has independent columns: x = 0
     forces y = 0, projecting the kernel onto x is injective, and the x-part
     of a kernel basis is already a basis of the solution lattice."""
+    ngens = {v: len(orders[v]) for v in order}
     offs: dict[str, int] = {}
     n = 0
     for v in order:
         offs[v] = n
         n += ngens[v]
-    rel = _blockdiag([presentations[v] for v in order])
+    rel = IntMatrix.from_rows(_diagonal_relations([o for v in order for o in orders[v]]))
     defect_rows: list[list[int]] = []
-    tgt_rels: list[IntMatrix] = []
+    defect_orders: list[int] = []
     for src, tgt, m in arrows:
-        for i in range(ngens[tgt]):
+        for i, o in enumerate(orders[tgt]):
             row = [0] * n
-            for j in range(ngens[src]):
-                row[offs[src] + j] += m.entries[i][j]
+            row[offs[src] : offs[src] + ngens[src]] = m.entries[i]
             row[offs[tgt] + i] -= 1
             defect_rows.append(row)
-        tgt_rels.append(presentations[tgt])
+            defect_orders.append(o)
     if defect_rows:
-        ker = kernel(IntMatrix.from_rows(defect_rows, n).hstack(_blockdiag(tgt_rels)))
+        rt = _diagonal_relations(defect_orders)
+        ker = kernel(IntMatrix.from_rows([x + y for x, y in zip(defect_rows, rt)]))
         basis = IntMatrix(n, ker.cols, ker.entries[:n])
     else:
         basis = IntMatrix.identity(n)
@@ -566,8 +490,7 @@ def limit_of_groups(diagram: GroupDiagram) -> LimitResult:
     arrow, presented in invariant-factor form."""
     return _limit_on_presentations(
         diagram.vertices,
-        {v: diagram.groups[v].ngens for v in diagram.vertices},
-        {v: diagram.groups[v].presentation() for v in diagram.vertices},
+        {v: diagram.groups[v].orders for v in diagram.vertices},
         [(a.src, a.tgt, a.matrix) for a in diagram.arrows],
     )
 
@@ -701,18 +624,16 @@ def graded_limit(
             raise InputError(f"arrow {a.name!r} target mismatch")
     colimit_index, cocones = col.preorder, col.cocones
     _certify_fiber_support(diagram, homs, cocones)
-    # one pass over the cocones: the grades over each w at each vertex, and
-    # each grade's generator offset inside its fiber sum
-    fibers = {w: {v: [] for v in diagram.vertices} for w in colimit_index.elements}
-    ngens = {w: dict.fromkeys(diagram.vertices, 0) for w in colimit_index.elements}
+    # one pass over the cocones: the generator orders of the fiber sum over
+    # each w at each vertex, and each grade's generator offset inside it
+    orders = {w: {v: [] for v in diagram.vertices} for w in colimit_index.elements}
     offset: dict[str, dict[str, int]] = {v: {} for v in diagram.vertices}
     for v in diagram.vertices:
         g = groups[v]
         for z in g.index.elements:
-            w = cocones[v](z)
-            fibers[w][v].append(z)
-            offset[v][z] = ngens[w][v]
-            ngens[w][v] += g.pieces[z].ngens
+            fiber = orders[cocones[v](z)][v]
+            offset[v][z] = len(fiber)
+            fiber += g.pieces[z].orders
     # the fiber sums keep the grades' own generators, so the block at
     # (reindex(y), y) is copied literally into the fiber of y
     restricted: dict[str, list[tuple[str, str, IntMatrix]]] = {
@@ -721,7 +642,7 @@ def graded_limit(
     for a in diagram.arrows:
         hom, tgt_cocone = homs[a.name], cocones[a.tgt]
         out = {
-            w: [[0] * ngens[w][a.src] for _ in range(ngens[w][a.tgt])]
+            w: [[0] * len(orders[w][a.src]) for _ in orders[w][a.tgt]]
             for w in colimit_index.elements
         }
         for y in groups[a.tgt].index.elements:
@@ -733,18 +654,11 @@ def graded_limit(
                 for i, row in enumerate(b.entries):
                     rows[r0 + i][c0 : c0 + b.cols] = row
         for w, rows in out.items():
-            restricted[w].append((a.src, a.tgt, IntMatrix.from_rows(rows, ngens[w][a.src])))
-    piece_results: dict[str, LimitResult] = {}
-    for w in colimit_index.elements:
-        piece_results[w] = _limit_on_presentations(
-            diagram.vertices,
-            ngens[w],
-            {
-                v: _blockdiag([groups[v].pieces[z].presentation() for z in fibers[w][v]])
-                for v in diagram.vertices
-            },
-            restricted[w],
-        )
+            restricted[w].append((a.src, a.tgt, IntMatrix.from_rows(rows, len(orders[w][a.src]))))
+    piece_results = {
+        w: _limit_on_presentations(diagram.vertices, orders[w], restricted[w])
+        for w in colimit_index.elements
+    }
     pieces = {w: res.group for w, res in piece_results.items()}
     return GradedLimitResult(
         GradedGroup(colimit_index, pieces),

@@ -317,33 +317,27 @@ class ColimitResult:
     cocones: Mapping[str, OrderReflectingMap]
 
 
-class _Classes:
-    """Union-find specialized to hashable nodes with deterministic class order."""
+def _classes(nodes: Sequence, pairs: Iterable[tuple]) -> list[tuple]:
+    """The classes of the equivalence on ``nodes`` that ``pairs`` generate,
+    by union-find with path halving: classes ordered by their first member
+    in node order, members in node order (a dict keeps the order in which
+    classes first appear)."""
+    parent = {x: x for x in nodes}
 
-    def __init__(self, nodes: Sequence, pairs: Iterable[tuple] = ()):
-        self.nodes = list(nodes)
-        self.parent = {x: x for x in nodes}
-        for a, b in pairs:
-            self.union(a, b)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
         if ra != rb:
-            self.parent[ra] = rb
-
-    def classes(self) -> list[tuple]:
-        """The classes ordered by their first member in node order, members
-        in node order (a dict keeps the order in which classes first appear)."""
-        groups: dict = {}
-        for x in self.nodes:
-            groups.setdefault(self.find(x), []).append(x)
-        return [tuple(g) for g in groups.values()]
+            parent[ra] = rb
+    groups: dict = {}
+    for x in nodes:
+        groups.setdefault(find(x), []).append(x)
+    return [tuple(g) for g in groups.values()]
 
 
 def _class_labels(classes: Sequence[Sequence[tuple[str, str]]]) -> list[str]:
@@ -363,7 +357,7 @@ def _quotient_preorder(
     """Quotient the disjoint union of the parts and equip it with the rule
     'z <= z'' iff every same-part preimage pair is related'."""
     nodes = [(v, x) for v in part_order for x in parts[v].elements]
-    classes = _Classes(nodes, identifications).classes()
+    classes = _classes(nodes, identifications)
     labels = _class_labels(classes)
     cls_of = {nd: i for i, cls in enumerate(classes) for nd in cls}
 
@@ -727,7 +721,7 @@ def verify_colimit(
     # (cross-vertex pairs ban nothing) constant on each class of the arrows.
     nodes = [(v, x) for v in diagram.vertices for x in diagram.preorders[v].elements]
     union, _ = coproduct([diagram.preorders[v] for v in diagram.vertices])
-    classes = _Classes(nodes, diagram.identifications()).classes()
+    classes = _classes(nodes, diagram.identifications())
     first = {nd: cls[0] for cls in classes for nd in cls}
     same = [nodes.index(first[nd]) for nd in nodes]
     fiber = [candidate.index(cocone[v][x]) for v, x in nodes]

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, PreconditionError
-from .preorders import FinitePreorder, _Classes, _closure_masks, generated_preorder
+from .preorders import FinitePreorder, _classes, _closure_masks, generated_preorder
 from .records import record
 
 
@@ -198,12 +198,12 @@ def strata_from_atlas(atlas: ChartAtlas, caps: Caps = DEFAULT_CAPS) -> Stratific
     identifications glue the local sheets into one connected cover.
     """
     nodes = [(c.id, b) for c in atlas.charts for b in c.branches]
-    branch_uf = _Classes(nodes)
-    for o in atlas.overlaps:
-        for a, b in o.mapping.items():
-            branch_uf.union((o.chart_a, a), (o.chart_b, b))
+    branch_classes = _classes(
+        nodes,
+        (((o.chart_a, a), (o.chart_b, b)) for o in atlas.overlaps for a, b in o.mapping.items()),
+    )
     branch_class_name: dict[tuple[str, str], str] = {}
-    for i, cls in enumerate(branch_uf.classes()):
+    for i, cls in enumerate(branch_classes):
         for node in cls:
             branch_class_name[node] = f"B{i + 1}"
 
@@ -215,16 +215,17 @@ def strata_from_atlas(atlas: ChartAtlas, caps: Caps = DEFAULT_CAPS) -> Stratific
                 local.append((c.id, frozenset(sub)))
     caps.check_carrier(len(local), "local strata")
 
-    uf = _Classes(local)
+    known = set(local)
+    same: list[tuple] = []
     for o in atlas.overlaps:
         dom = set(o.mapping)
         for cid, sub in local:
             if cid == o.chart_a and sub <= dom:
                 image = frozenset(o.mapping[b] for b in sub)
-                if len(image) == len(sub) and (o.chart_b, image) in uf.parent:
-                    uf.union((cid, sub), (o.chart_b, image))
+                if len(image) == len(sub) and (o.chart_b, image) in known:
+                    same.append(((cid, sub), (o.chart_b, image)))
 
-    orbits = uf.classes()
+    orbits = _classes(local, same)
     # name strata after the global branch classes they intersect (a multiset:
     # a self-crossing branch meets itself)
     names: list[str] = []

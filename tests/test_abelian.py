@@ -49,6 +49,14 @@ def diagonal(values):
     return M([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+def relation_matrix(orders) -> IntMatrix:
+    """The diagonal relation matrix of Z^len(orders) modulo orders[i] * e_i,
+    one column per nonzero order: a group's presentation spelled out."""
+    live = [p for p, o in enumerate(orders) if o]
+    rows = [[o * (i == p) for p in live] for i, o in enumerate(orders)]
+    return IntMatrix.from_rows(rows, len(live))
+
+
 def apply(matrix, vec):
     assert len(vec) == matrix.cols
     return tuple(sum(a * x for a, x in zip(row, vec)) for row in matrix.entries)
@@ -213,6 +221,74 @@ def test_snf_matches_sympy():
         s = normalforms.smith_normal_form(Matrix(a.entries), domain=ZZ)
         expected = tuple(abs(int(s[i, i])) for i in range(4) if s[i, i] != 0)
         assert invariant_factors(a) == expected
+
+
+def _rank_deficient(rng, rows, cols):
+    """A random rows x cols matrix that is a product through a thinner
+    middle (rank below min(rows, cols), the zero matrix included) or has a
+    zero row and a zero column."""
+    if rng.random() < 0.5:
+        k = rng.randint(0, max(min(rows, cols) - 1, 0))
+        right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+        return rand_matrix(rng, rows, k, -4, 4).mul(IntMatrix.from_rows(right, cols))
+    zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+    return M(
+        [
+            [0 if i == zero_row or j == zero_col else rng.randint(-9, 9) for j in range(cols)]
+            for i in range(rows)
+        ]
+    )
+
+
+def test_snf_matches_sympy_on_rectangular_and_rank_deficient_shapes():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(1979)
+    deficient = 0
+    for rows, cols in itertools.product(range(1, 6), repeat=2):
+        for _ in range(6):
+            if rng.random() < 0.5:
+                a = rand_matrix(rng, rows, cols)
+            else:
+                a = _rank_deficient(rng, rows, cols)
+            s, u, v = snf(a)
+            assert u.mul(a).mul(v) == s
+            assert is_unimodular(u) and is_unimodular(v)
+            diag = [s.entries[i][i] for i in range(min(rows, cols))]
+            assert all(s.entries[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+            nz = [d for d in diag if d]
+            assert diag == nz + [0] * (len(diag) - len(nz)) and all(d > 0 for d in nz)
+            assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
+            flat = [x for r in a.entries for x in r]
+            want = normalforms.smith_normal_form(Matrix(rows, cols, flat), domain=ZZ)
+            assert tuple(d for d in diag if d) == tuple(
+                abs(int(want[i, i])) for i in range(min(rows, cols)) if want[i, i] != 0
+            )
+            deficient += len(nz) < min(rows, cols)
+    assert deficient >= 40
+
+
+def test_snf_transforms_of_dense_matrices_stay_small():
+    # the transforms of a dense 7 x 7 matrix with one-digit entries need a
+    # few dozen bits; a Smith form that pivots on the least entry of the
+    # whole trailing block made them a million bits long
+    rng = random.Random(7)
+    for _ in range(3):
+        a = rand_matrix(rng, 7, 7)
+        s, u, v = snf(a)
+        assert u.mul(a).mul(v) == s
+        assert max(abs(x).bit_length() for t in (u, v) for r in t.entries for x in r) <= 128
+
+
+def test_snf_fixes_divisibility_between_non_adjacent_factors():
+    # 4 misses 9 two places later (and 6 next to it)
+    a = diagonal([4, 6, 9])
+    s, u, v = snf(a)
+    assert s == diagonal([1, 6, 36])
+    assert u.mul(a).mul(v) == s
+    assert is_unimodular(u) and is_unimodular(v)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +459,19 @@ def test_group_diagram_validates_homs():
             {"a": FgAbGroup(0, (2,)), "b": FgAbGroup.free(1)},
             (GroupArrow("f", "a", "b", M([[1]])),),
         )
+
+
+def test_group_diagram_rejects_repeated_vertices():
+    # a repeated label would enter the product twice: the limit of the
+    # one-vertex diagram Z would come out as Z^2
+    with pytest.raises(InputError, match="^vertex labels must be distinct$"):
+        GroupDiagram(("a", "a"), {"a": FgAbGroup.free(1)})
+
+
+@pytest.mark.parametrize("src, tgt", [("a", "x"), ("x", "a")], ids=["target", "source"])
+def test_group_diagram_rejects_unknown_endpoints(src, tgt):
+    with pytest.raises(InputError, match="^arrow 'f' has unknown endpoints$"):
+        GroupDiagram(("a",), {"a": FgAbGroup.free(1)}, (GroupArrow("f", src, tgt, M([[1]])),))
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +677,7 @@ def ungraded_limit_oracle(diagram, groups, homs) -> FgAbGroup:
     groups = {v: groups[v] for v in diagram.vertices}
     return abelian._limit_on_presentations(
         diagram.vertices,
-        {v: sum(g.pieces[z].ngens for z in g.index.elements) for v, g in groups.items()},
-        {
-            v: abelian._blockdiag([g.pieces[z].presentation() for z in g.index.elements])
-            for v, g in groups.items()
-        },
+        {v: [o for z in g.index.elements for o in g.pieces[z].orders] for v, g in groups.items()},
         [(a.src, a.tgt, literal_total_matrix(homs[a.name])) for a in diagram.arrows],
     ).group
 
@@ -672,17 +757,17 @@ def test_fiber_limit_generators_are_a_basis_of_the_solutions(monkeypatch):
     real = abelian._limit_on_presentations
     relations = []
 
-    def checking(order, ngens, presentations, arrows):
-        res = real(order, ngens, presentations, arrows)
+    def checking(order, orders, arrows):
+        res = real(order, orders, arrows)
         gens = res.generators
         basis = _column_basis(gens)
         assert basis.cols == gens.cols
-        rel = abelian._blockdiag([presentations[v] for v in order])
+        rel = relation_matrix([o for v in order for o in orders[v]])
         assert group_from_presentation(basis.cols, solve_columns(basis, rel)) == res.group
         for src, tgt, m in arrows:
             image, at_tgt = m.mul(res.projections[src]), res.projections[tgt]
             defect = [[a - b for a, b in zip(r, t)] for r, t in zip(image.entries, at_tgt.entries)]
-            solve_columns(presentations[tgt], IntMatrix.from_rows(defect, gens.cols))
+            solve_columns(relation_matrix(orders[tgt]), IntMatrix.from_rows(defect, gens.cols))
         relations.append(rel.cols)
         return res
 

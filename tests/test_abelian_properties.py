@@ -19,7 +19,7 @@ from psodkit.abelian import (
 from psodkit.errors import PreconditionError
 from psodkit.preorders import colimit
 
-from test_abelian import diagonal, random_graded_scenario, ungraded_limit_oracle
+from test_abelian import diagonal, random_graded_scenario, relation_matrix, ungraded_limit_oracle
 
 # small primes make shared factors common; the large ones exceed 10^12
 _ATOMS = (2, 3, 5, 7, 1_000_000_000_039, 1_000_000_000_061)
@@ -91,11 +91,11 @@ def _old_is_valid_hom(src, dst, matrix):
     relations in the target relation lattice by HNF."""
     if matrix.rows != dst.ngens or matrix.cols != src.ngens:
         return False
-    image = matrix.mul(src.presentation())
+    image = matrix.mul(relation_matrix(src.orders))
     if not dst.torsion:
         return all(x == 0 for row in image.entries for x in row)
     try:
-        solve_columns(dst.presentation(), image)
+        solve_columns(relation_matrix(dst.orders), image)
     except PreconditionError:
         return False
     return True

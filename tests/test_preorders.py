@@ -28,7 +28,7 @@ from psodkit.preorders import (
     verify_colimit,
 )
 from psodkit.preorders import (
-    _Classes,
+    _classes,
     _posets_on,
     _preorders_on,
     _reflecting_maps_to,
@@ -629,7 +629,7 @@ def test_verify_matches_factorization_oracle():
         assert got == docs.verify_to_doc(_oracle_verify(diagram, candidate, cocone))
         reasons.add(got.get("reason"))
         nodes = [(v, x) for v in diagram.vertices for x in diagram.preorders[v].elements]
-        for cls in _Classes(nodes, diagram.identifications()).classes():
+        for cls in _classes(nodes, diagram.identifications()):
             owners = [v for v, _ in cls]
             spans_three_vertices |= len(set(owners)) >= 3
             inside_one_vertex |= len(set(owners)) < len(owners)
