@@ -82,13 +82,20 @@ class IntMatrix:
 # normal forms
 
 
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+def hnf(a: IntMatrix, _start: Optional[IntMatrix] = None) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form: U * a = H with U unimodular, H in row echelon
     with positive pivots and entries above a pivot reduced into [0, pivot).
     Pivot choice: smallest nonzero absolute value, lowest row index on ties.
+    Given ``_start`` (a.rows rows), the row operations act on it in place of
+    the identity, and the second result is U * _start.
     """
     m = [list(r) for r in a.entries]
-    u = [[int(i == j) for j in range(a.rows)] for i in range(a.rows)]
+    if _start is None:
+        width = a.rows
+        u = [[int(i == j) for j in range(width)] for i in range(width)]
+    else:
+        width = _start.cols
+        u = [list(r) for r in _start.entries]
     row = 0
     for col in range(a.cols):
         while True:
@@ -107,7 +114,7 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                     q = m[i][col] // p
                     for j in range(a.cols):
                         m[i][j] -= q * m[row][j]
-                    for j in range(a.rows):
+                    for j in range(width):
                         u[i][j] -= q * u[row][j]
         if row < a.rows and m[row][col] != 0:
             if m[row][col] < 0:
@@ -119,12 +126,12 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 if q:
                     for j in range(a.cols):
                         m[i][j] -= q * m[row][j]
-                    for j in range(a.rows):
+                    for j in range(width):
                         u[i][j] -= q * u[row][j]
             row += 1
             if row == a.rows:
                 break
-    return IntMatrix.from_rows(m, a.cols), IntMatrix.from_rows(u, a.rows)
+    return IntMatrix.from_rows(m, a.cols), IntMatrix.from_rows(u, width)
 
 
 def kernel(a: IntMatrix) -> IntMatrix:
@@ -179,6 +186,8 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     later column is added to column i: the next half-step puts the gcd of
     d_i, d_i+1, ... at (i, i), which divides the whole trailing block from
     then on while the entries before it stay, so each i needs this once.
+    Each ``hnf`` carries U (or the transpose of V) along with its own row
+    operations, so a half-step costs what it eliminates.
 
     >>> s, u, v = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
     >>> s.entries
@@ -186,9 +195,9 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     m, u, v = a, IntMatrix.identity(a.rows), IntMatrix.identity(a.cols)
     while True:
-        m, x = hnf(m)
-        h, y = hnf(m.transpose())
-        m, u, v = h.transpose(), x.mul(u), v.mul(y.transpose())
+        m, u = hnf(m, u)
+        h, vt = hnf(m.transpose(), v.transpose())
+        m, v = h.transpose(), vt.transpose()
         e = m.entries
         if any(e[i][j] for i in range(m.rows) for j in range(m.cols) if i != j):
             continue

@@ -1,8 +1,9 @@
 """Structured-text (JSON) encodings of every value the CLI reads or writes.
 
 One document per object.  A preorder is {"elements": [...], "leq": [[...]]},
-a map is {"source": ..., "target": ..., "map": {label: label}}, a diagram
-lists vertices, arrows, and data.  Residues print as "-p/q" ("0" for zero),
+its ``leq`` held as a ``LeqRows`` until it is written; a map is
+{"source": ..., "target": ..., "map": {label: label}}; a diagram lists
+vertices, arrows, and data.  Residues print as "-p/q" ("0" for zero),
 tuples as arrays.  Parsing raises ParseError; semantic validation of the
 decoded values raises the library's usual errors.
 """
@@ -23,6 +24,7 @@ from .preorders import (
     PreorderDiagram,
     VerifyResult,
 )
+from .records import record
 
 # Readers import the constructors they build, so preorder documents load
 # neither factorial, strata, engine nor abelian.
@@ -56,18 +58,32 @@ def dumps(doc: Any) -> str:
 
 
 _BOOL_TEXT = ("false", "true")
+# a list whose items all have one of these exact types is joined in C
+_LEAF_TEXT = {bool: _BOOL_TEXT.__getitem__, str: _quote, int: int.__repr__}
+
+
+@record
+class LeqRows:
+    """A preorder document's dense ``leq`` matrix, held as the row bitmasks:
+    ``chunks`` writes row i as the bits of ``rows[i]``, lowest first, and
+    ``preorder_from_doc`` takes the rows as given."""
+
+    rows: tuple[int, ...]
 
 
 def chunks(doc: Any, _indent: str = "\n") -> Iterator[str]:
     """The text of ``json.dumps(doc, indent=2)``, piece by piece.
 
     With ``indent`` set, ``json`` encodes in pure Python, one step per value.
-    Here a list of only booleans or only strings is one piece joined in C, so
-    a ``leq`` row costs one step.  Keys must be strings; other scalars print
-    as ``json.dumps`` prints them.
+    Here a list of only booleans, only strings or only integers is one piece
+    joined in C, and a ``LeqRows`` prints as its boolean matrix, one piece
+    per row read from a table of byte texts.  Keys must be strings; other
+    scalars print as ``json.dumps`` prints them.
     """
     if isinstance(doc, str):
         yield _quote(doc)
+    elif isinstance(doc, LeqRows):
+        yield from _leq_chunks(doc.rows, _indent)
     elif isinstance(doc, (dict, list, tuple)):
         if not doc:
             yield "{}" if isinstance(doc, dict) else "[]"
@@ -83,8 +99,8 @@ def chunks(doc: Any, _indent: str = "\n") -> Iterator[str]:
             yield _indent + "}"
             return
         kinds = set(map(type, doc))
-        if kinds == {bool} or kinds == {str}:
-            text = _BOOL_TEXT.__getitem__ if kinds == {bool} else _quote
+        text = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is not None:
             yield "[" + inner + sep.join(map(text, doc)) + _indent + "]"
             return
         head = "[" + inner
@@ -95,6 +111,30 @@ def chunks(doc: Any, _indent: str = "\n") -> Iterator[str]:
         yield _indent + "]"
     else:
         yield json.dumps(doc)
+
+
+def _leq_chunks(rows: tuple[int, ...], indent: str) -> Iterator[str]:
+    n = len(rows)
+    if not n:
+        yield "[]"
+        return
+    inner = indent + "  "
+    cell = inner + "  "
+    sep = "," + cell
+    # the text of each byte value's lowest `width` cells, lowest bit first;
+    # width is the least of 1, 2, 4 and 8 that covers n, else 8, so that a
+    # small preorder builds a small table
+    table, width = list(_BOOL_TEXT), 1
+    while width < min(n, 8):
+        table, width = [lo + sep + hi for hi in table for lo in table], 2 * width
+    nbytes = -(-n // 8)
+    # the cells past n are clear bits, so they print as "false"
+    end = -(width * nbytes - n) * len(sep + "false") or None
+    head, tail = "[" + inner + "[" + cell, inner + "]"
+    for r in rows:
+        yield head + sep.join(map(table.__getitem__, r.to_bytes(nbytes, "little")))[:end] + tail
+        head = "," + inner + "[" + cell
+    yield indent + "]"
 
 
 def _need(doc: Mapping, key: str, what: str) -> Any:
@@ -129,8 +169,7 @@ _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def preorder_to_doc(p: FinitePreorder) -> dict:
-    bits = (format(r, f"0{len(p)}b")[::-1] for r in p.rows)
-    return {"elements": list(p.elements), "leq": [[c == "1" for c in b] for b in bits]}
+    return {"elements": list(p.elements), "leq": LeqRows(p.rows)}
 
 
 def preorder_from_doc(doc: Mapping) -> FinitePreorder:
@@ -138,6 +177,8 @@ def preorder_from_doc(doc: Mapping) -> FinitePreorder:
     leq = _need(doc, "leq", "preorder")
     if not _strings(elements):
         raise ParseError("preorder elements must be strings")
+    if isinstance(leq, LeqRows):
+        return FinitePreorder(tuple(elements), leq.rows)
     if not isinstance(leq, list) or not all(
         isinstance(row, list) and set(map(type, row)) <= {bool} for row in leq
     ):

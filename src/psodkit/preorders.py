@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceededError, InputError, PreconditionError
@@ -91,7 +92,8 @@ class FinitePreorder:
 
     def restrict(self, labels: Sequence[str]) -> "FinitePreorder":
         idx = [self.index(x) for x in labels]
-        return FinitePreorder(tuple(labels), tuple(_gather(self.rows[i], idx) for i in idx))
+        gather = _gather(idx, len(self))
+        return FinitePreorder(tuple(labels), tuple(gather(self.rows[i]) for i in idx))
 
 
 def _columns(rows: Sequence[int]) -> list[int]:
@@ -102,9 +104,14 @@ def _columns(rows: Sequence[int]) -> list[int]:
     return [int("".join(col)[::-1], 2) for col in zip(*bits)]
 
 
-def _gather(mask: int, positions: Sequence[int]) -> int:
-    """The bitmask whose bit a is bit ``positions[a]`` of ``mask``."""
-    return sum(1 << a for a, j in enumerate(positions) if mask >> j & 1)
+def _gather(positions: Sequence[int], n: int) -> Callable[[int], int]:
+    """The map from an ``n``-bit mask to the mask whose bit a is its bit
+    ``positions[a]``."""
+    if not positions:
+        return lambda mask: 0
+    # read the positions highest first from the mask's bits, lowest first
+    pick = itemgetter(*reversed(positions))
+    return lambda mask: int("".join(pick(format(mask, f"0{n}b")[::-1])), 2)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -178,8 +185,9 @@ def _reflection_witness(
     img = [target._index.get(mapping[x]) for x in source.elements]
     n = len(img)
     known = img.index(None) if None in img else n
+    gather = _gather(img[:known], len(target))
     for i in range(n if known == n else min(known, 1)):
-        bad = _gather(target.rows[img[i]], img[:known]) & ~source.rows[i]
+        bad = gather(target.rows[img[i]]) & ~source.rows[i]
         if bad:
             return source.elements[i], source.elements[next(_bits(bad))]
     if known < n:
@@ -481,11 +489,9 @@ def directedness(p: FinitePreorder) -> DirectednessReport:
     n = len(p.elements)
     rows = p.rows
     remaining = list(range(n))
+    mask = (1 << n) - 1
     order: list[int] = []
     while remaining:
-        mask = 0
-        for j in remaining:
-            mask |= 1 << j
         pick = next((i for i in remaining if rows[i] & mask == mask), None)
         if pick is None:
             for i in remaining:
@@ -501,6 +507,7 @@ def directedness(p: FinitePreorder) -> DirectednessReport:
             )
         order.append(pick)
         remaining.remove(pick)
+        mask ^= 1 << pick
     return DirectednessReport(True, numbering=tuple(p.elements[i] for i in order))
 
 

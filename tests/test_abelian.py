@@ -282,6 +282,45 @@ def test_snf_transforms_of_dense_matrices_stay_small():
         assert max(abs(x).bit_length() for t in (u, v) for r in t.entries for x in r) <= 128
 
 
+def _snf_by_products(a):
+    """Smith form with U and V multiplied by each half-step's transform: the
+    same elimination as ``snf``, which carries them through ``hnf`` instead."""
+    m, u, v = a, IntMatrix.identity(a.rows), IntMatrix.identity(a.cols)
+    while True:
+        m, x = hnf(m)
+        h, y = hnf(m.transpose())
+        m, u, v = h.transpose(), x.mul(u), v.mul(y.transpose())
+        e = m.entries
+        if any(e[i][j] for i in range(m.rows) for j in range(m.cols) if i != j):
+            continue
+        d = [e[i][i] for i in range(min(m.rows, m.cols))]
+        i = next((i for i, di in enumerate(d) if di and any(dj % di for dj in d[i + 1 :])), None)
+        if i is None:
+            return m, u, v
+        m, v = (
+            IntMatrix(t.rows, t.cols, tuple(r[:i] + (sum(r[i:]),) + r[i + 1 :] for r in t.entries))
+            for t in (m, v)
+        )
+
+
+def test_snf_transforms_equal_the_multiplied_half_steps():
+    rng = random.Random(1979)
+    cases = [diagonal(list(range(2, 82, 2))), diagonal([4, 6, 9]), M([[0, 0], [0, 0]])]
+    for rows, cols in itertools.product(range(1, 6), repeat=2):
+        cases += [rand_matrix(rng, rows, cols), _rank_deficient(rng, rows, cols)]
+    for a in cases:
+        assert snf(a) == _snf_by_products(a)
+
+
+def test_hnf_applies_its_row_operations_to_a_start_matrix():
+    rng = random.Random(3)
+    for _ in range(30):
+        a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        start = rand_matrix(rng, a.rows, rng.randint(1, 5))
+        h, u = hnf(a)
+        assert hnf(a, start) == (h, u.mul(start))
+
+
 def test_snf_fixes_divisibility_between_non_adjacent_factors():
     # 4 misses 9 two places later (and 6 next to it)
     a = diagonal([4, 6, 9])

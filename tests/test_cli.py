@@ -872,8 +872,8 @@ def _graded_scenario_doc():
     graded = {"index": psod["index"], "pieces": {x: {"rank": 1} for x in elements}}
     return {
         "diagram": docs.diagram_to_doc(diag),
-        "psods": {"l0": psod, "l1": json.loads(json.dumps(psod))},
-        "graded": {"l0": graded, "l1": json.loads(json.dumps(graded))},
+        "psods": {"l0": psod, "l1": docs.loads(docs.dumps(psod))},
+        "graded": {"l0": graded, "l1": docs.loads(docs.dumps(graded))},
         "graded_homs": {
             "d0": {
                 "reindex": {x: x for x in elements},
@@ -1141,6 +1141,8 @@ def test_ktheory_refuses_huge_powers_without_a_digit_limit(tmp_path, mode):
 
 # sha256 of what json.dumps(doc, indent=2) wrote for this job before streaming
 CROSS3_R12_SHA256 = "165cf21a5a88e64e3ee5411be528307942a8775db1f4e5e935325fd1a6239031"
+# and at --root 16, when rows were still spelled out as lists of booleans
+CROSS3_R16_SHA256 = "5aa8d07457ffbd42156d0b165be31c395fdfdc81e7a7ec155bb679f2825e539e"
 
 # Runs the command given as arguments and prints its exit code, the sha256 of
 # its stdout and its peak resident set in KB.  A fresh helper, because
@@ -1155,14 +1157,28 @@ print(proc.wait(), digest.hexdigest(), resource.getrusage(resource.RUSAGE_CHILDR
 """
 
 
-def test_large_machine_output_is_streamed(tmp_path):
-    # 1,728 factors: a 44 MB document; json.dumps(indent=2) peaked at 293 MB
+def _probe_cross3_build(tmp_path, r):
+    """Exit code, sha256 and peak resident set in KB of machine-mode
+    ``psod build --root r`` on crossing(3), and its stderr."""
     path = write(tmp_path, "cross.json", docs.stratification_to_doc(simple_crossing(3)))
     proc = subprocess.run(
         [sys.executable, "-c", MAXRSS_PROBE]
-        + CLI + ["--output", "machine", "psod", "build", path, "--root", "12"],
+        + CLI + ["--output", "machine", "psod", "build", path, "--root", str(r)],
         capture_output=True, text=True, env=_cli_env(), timeout=300,
     )
     code, sha, maxrss_kb = proc.stdout.split()
-    assert (code, sha) == ("0", CROSS3_R12_SHA256), proc.stderr
-    assert int(maxrss_kb) < 100 * 1024
+    return code, sha, int(maxrss_kb), proc.stderr
+
+
+def test_large_machine_output_is_streamed(tmp_path):
+    # 1,728 factors: a 44 MB document; json.dumps(indent=2) peaked at 293 MB
+    code, sha, maxrss_kb, err = _probe_cross3_build(tmp_path, 12)
+    assert (code, sha) == ("0", CROSS3_R12_SHA256), err
+    assert maxrss_kb < 100 * 1024
+
+
+def test_leq_rows_are_written_without_a_boolean_matrix(tmp_path):
+    # 4,096 factors: 16.7M cells, which as lists of booleans peaked at 151 MB
+    code, sha, maxrss_kb, err = _probe_cross3_build(tmp_path, 16)
+    assert (code, sha) == ("0", CROSS3_R16_SHA256), err
+    assert maxrss_kb < 100 * 1024

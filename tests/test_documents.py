@@ -3,7 +3,7 @@ import pytest
 from psodkit import documents as docs
 from psodkit.abelian import FgAbGroup, GradedGroup
 from psodkit.engine import KTheoryMode, build_root_psod, glue, GluingScenario, ktheory_report
-from psodkit.errors import ParseError
+from psodkit.errors import InputError, ParseError
 from psodkit.factorial import CharTuple
 from psodkit.preorders import (
     CONTRAVARIANT,
@@ -34,6 +34,28 @@ def test_nontransitive_relation_roundtrips():
     out, _ = coproduct([discrete_preorder(["a", "b"]), generated_preorder(["c", "d"], [("c", "d")])])
     assert not out.is_transitive
     assert roundtrip(docs.preorder_to_doc, docs.preorder_from_doc, out) == out
+
+
+def test_preorder_document_holds_the_rows_and_is_read_directly():
+    p = generated_preorder(["a", "b", "c"], [("a", "b")])
+    doc = docs.preorder_to_doc(p)
+    assert doc == {"elements": ["a", "b", "c"], "leq": docs.LeqRows(p.rows)}
+    assert docs.preorder_from_doc(doc) == p
+    assert docs.dumps(doc["leq"]) == (
+        "[\n  [\n    true,\n    true,\n    false\n  ],\n"
+        "  [\n    false,\n    true,\n    false\n  ],\n"
+        "  [\n    false,\n    false,\n    true\n  ]\n]"
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [((1,), "one row per element"), ((1, 0b110), "no bit at or above"),
+     ((1, 1), "not reflexive at 'b'")],
+)
+def test_rows_read_directly_meet_the_carrier_checks(rows, message):
+    with pytest.raises(InputError, match=message):
+        docs.preorder_from_doc({"elements": ["a", "b"], "leq": docs.LeqRows(rows)})
 
 
 def test_map_roundtrip():

@@ -29,6 +29,7 @@ from psodkit.preorders import (
 )
 from psodkit.preorders import (
     _classes,
+    _gather,
     _posets_on,
     _preorders_on,
     _reflecting_maps_to,
@@ -813,6 +814,56 @@ def test_directedness_matches_brute_force_on_random_reflexive_relations():
         )
         p = FinitePreorder(labels, rows)
         assert is_directed(p) == _brute_force_directed(p)
+
+
+def _directedness_oracle(p: FinitePreorder):
+    """The greedy peel with the remaining set's mask rebuilt at every step:
+    (numbering, incomparable pair, stuck-on elements)."""
+    n, rows, e = len(p.elements), p.rows, p.elements
+    remaining, order = list(range(n)), []
+    while remaining:
+        mask = sum(1 << j for j in remaining)
+        pick = next((i for i in remaining if rows[i] & mask == mask), None)
+        if pick is None:
+            stuck = tuple(e[k] for k in remaining)
+            for i in remaining:
+                for j in remaining:
+                    if not rows[i] >> j & 1 and not rows[j] >> i & 1:
+                        return (), (e[i], e[j]), stuck
+            return (), None, stuck
+        order.append(pick)
+        remaining.remove(pick)
+    return tuple(e[i] for i in order), None, ()
+
+
+def test_directedness_matches_the_rebuilt_mask_peel():
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        density = rng.random()
+        rows = tuple(
+            sum(1 << j for j in range(n) if i == j or rng.random() < density) for i in range(n)
+        )
+        p = FinitePreorder(tuple(f"e{i}" for i in range(n)), rows)
+        report = directedness(p)
+        got = (report.numbering, report.incomparable_pair, report.stuck_on)
+        assert got == _directedness_oracle(p)
+
+
+def _gather_oracle(mask, positions):
+    return sum(1 << a for a, j in enumerate(positions) if mask >> j & 1)
+
+
+def test_gather_matches_the_bit_loop():
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 70)
+        # none, one, or many positions, repeats included
+        positions = [rng.randrange(n) for _ in range(rng.choice([0, 1, rng.randint(2, 80)]))]
+        gather = _gather(positions, n)
+        for mask in (0, (1 << n) - 1, rng.getrandbits(n)):
+            assert gather(mask) == _gather_oracle(mask, positions)
+    assert _gather([], 0)(0) == 0
 
 
 def test_directed_numbering_chain_and_ties():
