@@ -16,7 +16,7 @@ import importlib
 _EXPORTS = {
     "abelian": (
         "FgAbGroup", "GradedGroup", "GradedHom", "IntMatrix", "graded_limit", "hnf",
-        "kernel", "limit_of_groups", "snf",
+        "kernel", "snf",
     ),
     "config": ("Caps", "Config"),
     "engine": (
@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "strata": (
         "Chart", "ChartAtlas", "Overlap", "Stratification", "Stratum", "skeleton",
-        "strata_from_atlas", "strata_preorder", "validate",
+        "strata_from_atlas", "validate",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -3,8 +3,8 @@
 The row Hermite normal form over arbitrary-precision integers is the one
 elimination routine; the Smith normal form alternates it on rows and
 columns.  Groups are carried as invariant factors, and their relations as
-the orders of their generators, so limits of group diagrams reduce to
-kernel and quotient computations that end in a Smith normal form.
+the orders of their generators, so the limit of the groups over each fiber
+of a graded gluing takes two kernels and a Smith normal form.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InputError, InvariantError, PreconditionError
+from .errors import InputError, InvariantError
 from .preorders import (
     ColimitResult,
     FinitePreorder,
@@ -40,9 +40,6 @@ class IntMatrix:
             len(r) != self.cols for r in self.entries
         ):
             raise InputError("entry grid does not match the stated dimensions")
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(x) for x in r) for r in self.entries)
-        )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -141,36 +138,6 @@ def kernel(a: IntMatrix) -> IntMatrix:
     return IntMatrix(
         a.cols, len(basis), tuple(tuple(b[i] for b in basis) for i in range(a.cols))
     )
-
-
-def solve_columns(b: IntMatrix, r: IntMatrix) -> IntMatrix:
-    """Solve b X = r exactly over the integers (columns of r must lie in the
-    column lattice of b, with b's columns independent)."""
-    if b.rows != r.rows:
-        raise InputError("row counts differ")
-    h, u = hnf(b)
-    rhs = u.mul(r)
-    pivots = []
-    for i in range(h.rows):
-        cols = [j for j in range(h.cols) if h.entries[i][j] != 0]
-        if cols:
-            pivots.append((i, cols[0]))
-    x = [[0] * r.cols for _ in range(b.cols)]
-    for c in range(r.cols):
-        vec = [rhs.entries[i][c] for i in range(h.rows)]
-        sol = [0] * b.cols
-        for i, j in reversed(pivots):
-            acc = vec[i] - sum(h.entries[i][t] * sol[t] for t in range(j + 1, h.cols))
-            if acc % h.entries[i][j] != 0:
-                raise PreconditionError("system has no integer solution")
-            sol[j] = acc // h.entries[i][j]
-        for i in range(h.rows):
-            lhs = sum(h.entries[i][t] * sol[t] for t in range(h.cols))
-            if lhs != rhs.entries[i][c]:
-                raise PreconditionError("system has no integer solution")
-        for t in range(b.cols):
-            x[t][c] = sol[t]
-    return IntMatrix.from_rows(x, r.cols)
 
 
 def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -392,44 +359,7 @@ def is_valid_hom(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# limits of group diagrams
-
-
-@record
-class GroupArrow:
-    name: str
-    src: str
-    tgt: str
-    matrix: IntMatrix
-
-
-@record
-class GroupDiagram:
-    vertices: tuple[str, ...]
-    groups: Mapping[str, FgAbGroup]
-    arrows: tuple[GroupArrow, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", dict(self.groups))
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InputError("vertex labels must be distinct")
-        if set(self.groups) != set(self.vertices):
-            raise InputError("exactly one group per vertex required")
-        for a in self.arrows:
-            if a.src not in self.groups or a.tgt not in self.groups:
-                raise InputError(f"arrow {a.name!r} has unknown endpoints")
-            src, tgt = self.groups[a.src], self.groups[a.tgt]
-            if a.matrix.rows != tgt.ngens or a.matrix.cols != src.ngens:
-                raise InputError(f"arrow {a.name!r} matrix has wrong shape")
-            if not is_valid_hom(src, tgt, a.matrix):
-                raise InputError(f"arrow {a.name!r} does not define a homomorphism")
-
-
-@record
-class LimitResult:
-    group: FgAbGroup
-    generators: IntMatrix  # columns: limit generators inside the product lattice
-    projections: Mapping[str, IntMatrix]  # generator-level maps to each vertex
+# limits over a fiber
 
 
 def _diagonal_relations(orders: Sequence[int]) -> list[list[int]]:
@@ -439,69 +369,60 @@ def _diagonal_relations(orders: Sequence[int]) -> list[list[int]]:
     return [[o * (i == p) for p in live] for i, o in enumerate(orders)]
 
 
+def _kernel_x_part(rows: Sequence[Sequence[int]], orders: Sequence[int], width: int) -> IntMatrix:
+    """The first ``width`` rows of a kernel basis of [a | R]: ``rows`` are
+    the rows of a (``width`` columns), R the diagonal relations of
+    ``orders``, one order per row of a."""
+    rel = _diagonal_relations(orders)
+    cols = width + sum(map(bool, orders))
+    ker = kernel(IntMatrix.from_rows([[*x, *y] for x, y in zip(rows, rel)], cols))
+    return IntMatrix(width, ker.cols, ker.entries[:width])
+
+
 def _limit_on_presentations(
     order: Sequence[str],
     orders: Mapping[str, Sequence[int]],
     arrows: Sequence[tuple[str, str, IntMatrix]],
-) -> LimitResult:
+) -> FgAbGroup:
     """Limit of groups given by their generator orders (0 for a free
     generator): x over the product lies in the limit iff every arrow defect
-    M_a x_src - x_tgt falls in the target relation lattice; the product
-    relations are then read in a basis of that solution lattice and put in
-    invariant-factor form.
+    M_a x_src - x_tgt falls in the target relation lattice.  Two kernels
+    give it.
 
     The solutions are the x-parts of the kernel of [phi | Rt], phi the
     stacked defects and Rt the target relations.  Every presentation is
     diagonal with nonzero entries, so Rt has independent columns: x = 0
     forces y = 0, projecting the kernel onto x is injective, and the x-part
-    of a kernel basis is already a basis of the solution lattice."""
-    ngens = {v: len(orders[v]) for v in order}
+    B of a kernel basis is already a basis of the solution lattice.  The
+    product relations R lie in that lattice, R = B X for one integer X, and
+    B has independent columns, so the kernel of [B | R] is {(-X y, y)}: its
+    x-part is X up to a unimodular change of basis and presents the limit.
+
+    >>> one, two, three = (IntMatrix.from_rows([[k]]) for k in (1, 2, 3))
+    >>> str(_limit_on_presentations("ab", {"a": [0], "b": [2]}, [("a", "b", one)]))
+    'Z'
+    >>> free = {"a": [0], "b": [0]}
+    >>> str(_limit_on_presentations("ab", free, [("a", "b", two), ("a", "b", three)]))
+    '0'
+    >>> str(_limit_on_presentations("ab", {"a": [0, 2], "b": [4]}, []))
+    'Z + C2 + C4'
+    """
     offs: dict[str, int] = {}
     n = 0
     for v in order:
-        offs[v] = n
-        n += ngens[v]
-    rel = IntMatrix.from_rows(_diagonal_relations([o for v in order for o in orders[v]]))
+        offs[v], n = n, n + len(orders[v])
     defect_rows: list[list[int]] = []
     defect_orders: list[int] = []
     for src, tgt, m in arrows:
         for i, o in enumerate(orders[tgt]):
             row = [0] * n
-            row[offs[src] : offs[src] + ngens[src]] = m.entries[i]
+            row[offs[src] : offs[src] + len(orders[src])] = m.entries[i]
             row[offs[tgt] + i] -= 1
             defect_rows.append(row)
             defect_orders.append(o)
-    if defect_rows:
-        rt = _diagonal_relations(defect_orders)
-        ker = kernel(IntMatrix.from_rows([x + y for x, y in zip(defect_rows, rt)]))
-        basis = IntMatrix(n, ker.cols, ker.entries[:n])
-    else:
-        basis = IntMatrix.identity(n)
-    rel_in_basis = (
-        solve_columns(basis, rel)
-        if rel.cols
-        else IntMatrix(basis.cols, 0, tuple(() for _ in range(basis.cols)))
-    )
-    group = group_from_presentation(basis.cols, rel_in_basis)
-    projections = {
-        v: IntMatrix(
-            ngens[v],
-            basis.cols,
-            tuple(basis.entries[offs[v] + i] for i in range(ngens[v])),
-        )
-        for v in order
-    }
-    return LimitResult(group, basis, projections)
-
-
-def limit_of_groups(diagram: GroupDiagram) -> LimitResult:
-    """The categorical limit: tuples over the product equalized along every
-    arrow, presented in invariant-factor form."""
-    return _limit_on_presentations(
-        diagram.vertices,
-        {v: diagram.groups[v].orders for v in diagram.vertices},
-        [(a.src, a.tgt, a.matrix) for a in diagram.arrows],
-    )
+    basis = _kernel_x_part(defect_rows, defect_orders, n)
+    flat = [o for v in order for o in orders[v]]
+    return group_from_presentation(basis.cols, _kernel_x_part(basis.entries, flat, basis.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +485,6 @@ def identity_graded_hom(g: GradedGroup, reindex: OrderReflectingMap) -> GradedHo
 class GradedLimitResult:
     graded: GradedGroup
     ungraded: FgAbGroup
-    piece_results: Mapping[str, LimitResult]
 
 
 def _certify_fiber_support(
@@ -664,13 +584,10 @@ def graded_limit(
                     rows[r0 + i][c0 : c0 + b.cols] = row
         for w, rows in out.items():
             restricted[w].append((a.src, a.tgt, IntMatrix.from_rows(rows, len(orders[w][a.src]))))
-    piece_results = {
+    pieces = {
         w: _limit_on_presentations(diagram.vertices, orders[w], restricted[w])
         for w in colimit_index.elements
     }
-    pieces = {w: res.group for w, res in piece_results.items()}
     return GradedLimitResult(
-        GradedGroup(colimit_index, pieces),
-        FgAbGroup.zero().direct_sum(*pieces.values()),
-        piece_results,
+        GradedGroup(colimit_index, pieces), FgAbGroup.zero().direct_sum(*pieces.values())
     )

@@ -233,15 +233,6 @@ class OrderReflectingMap:
     def fiber(self, label: str) -> tuple[str, ...]:
         return tuple(x for x in self.source.elements if self.mapping[x] == label)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderReflectingMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and dict(self.mapping) == dict(other.mapping)
-        )
-
 
 def identity_map(p: FinitePreorder) -> OrderReflectingMap:
     return OrderReflectingMap(p, p, {x: x for x in p.elements})

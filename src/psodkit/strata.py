@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InputError, PreconditionError
-from .preorders import FinitePreorder, _classes, _closure_masks, generated_preorder
+from .preorders import _classes, _closure_masks
 from .records import record
 
 
@@ -121,21 +121,6 @@ def skeleton(strat: Stratification, k: int) -> tuple[Stratum, ...]:
     if k < 0:
         raise InputError("codimension must be non-negative")
     return tuple(s for s in strat.strata if s.codim == k)
-
-
-def strata_preorder(strat: Stratification) -> FinitePreorder:
-    """Stratum ids ordered by the coarsest preorder with closure containment
-    below and equal codimension mutually related, closed under transitivity."""
-    require_valid(strat)
-    ids = [s.id for s in strat.strata]
-    pairs: list[tuple[str, str]] = []
-    for s in strat.strata:
-        for t_id in strat._closure_rows[s.id]:
-            pairs.append((s.id, t_id))
-        for t in strat.strata:
-            if t.codim == s.codim:
-                pairs.append((s.id, t.id))
-    return generated_preorder(ids, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,17 @@ from psodkit.abelian import (
     graded_limit,
     invariant_factors,
     is_valid_hom,
-    solve_columns,
 )
 from psodkit.errors import PreconditionError
 from psodkit.preorders import colimit
 
-from test_abelian import diagonal, random_graded_scenario, relation_matrix, ungraded_limit_oracle
+from test_abelian import (
+    diagonal,
+    random_graded_scenario,
+    relation_matrix,
+    solve_columns,
+    ungraded_limit_oracle,
+)
 
 # small primes make shared factors common; the large ones exceed 10^12
 _ATOMS = (2, 3, 5, 7, 1_000_000_000_039, 1_000_000_000_061)

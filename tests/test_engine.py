@@ -38,7 +38,6 @@ from psodkit.strata import (
     nodal_cubic,
     simple_crossing,
     strata_from_atlas,
-    strata_preorder,
 )
 
 from test_preorders import lt
@@ -111,8 +110,7 @@ def test_coarse_grouping_projection():
     psod = build_root_psod(simple_crossing(2), 3)
     groups = psod.by_stratum()
     assert sorted(groups) == ["H1", "H1&H2", "H2", "X"]
-    coarse = strata_preorder(simple_crossing(2))
-    assert set(coarse.elements) == set(groups)
+    assert set(groups) == {s.id for s in simple_crossing(2).strata}
 
 
 def test_totalize_switch_restores_directedness():

@@ -23,7 +23,7 @@ from psodkit.strata import nodal_cubic, simple_crossing
 
 
 def test_exported_names_are_their_home_modules_objects():
-    assert len(psodkit.__all__) == len(set(psodkit.__all__)) == 56
+    assert len(psodkit.__all__) == len(set(psodkit.__all__)) == 54
     for name in psodkit.__all__:
         value = getattr(psodkit, name)
         assert value.__module__.startswith("psodkit.")

@@ -18,12 +18,8 @@ from psodkit import abelian, config, engine, factorial, preorders, records, stra
 from psodkit.abelian import (
     FgAbGroup,
     GradedGroup,
-    GroupArrow,
-    GroupDiagram,
-    IntMatrix,
     graded_limit,
     identity_graded_hom,
-    limit_of_groups,
 )
 from psodkit.config import Caps, Config
 from psodkit.engine import (
@@ -82,7 +78,7 @@ TWINS = {cls: twin(cls) for cls in record_classes()}
 
 
 def test_every_record_class_has_a_twin():
-    assert len(TWINS) == 34
+    assert len(TWINS) == 31
     for cls, tw in TWINS.items():
         assert dataclasses.is_dataclass(tw) and not dataclasses.is_dataclass(cls)
         assert fields(cls) == tuple(f.name for f in dataclasses.fields(tw))
@@ -100,9 +96,6 @@ def _roots():
     gchain = GradedGroup(chain, {"x": FgAbGroup.free(1), "y": FgAbGroup(1, (2,))})
     gquiver = graded_quiver(
         {"u": gchain}, [("id", "u", "u", identity_graded_hom(gchain, identity_map(chain)))])
-    groups = GroupDiagram(("a", "b"), {"a": FgAbGroup.free(1), "b": FgAbGroup.free(1)},
-                          (GroupArrow("f", "a", "b", IntMatrix.from_rows([[2]])),
-                           GroupArrow("g", "a", "b", IntMatrix.from_rows([[3]]))))
     atlas = ChartAtlas((Chart("c", ("p", "q")),), (Overlap("c", "c", {"p": "q"}),))
     kdata = {c: FgAbGroup(1, (2,)) for c in cross.all_components()}
     one = colimit(scenario.diagram)
@@ -121,7 +114,7 @@ def _roots():
         verify_colimit(scenario.diagram, discrete_preorder(["a"]),
                        {v: {x: "a" for x in psod.index.elements} for v in ("l0", "l1")}),
         directedness(chain), directedness(discrete_preorder(["a", "b"])),
-        groups, limit_of_groups(groups), scenario, graded, gquiver,
+        scenario, graded, gquiver,
         graded_limit(*gquiver, colimit(gquiver[0])),
     ]
 

@@ -1,7 +1,7 @@
 import pytest
 
 from psodkit.config import Caps
-from psodkit.errors import InputError, PreconditionError
+from psodkit.errors import InputError
 from psodkit.strata import (
     Chart,
     ChartAtlas,
@@ -12,11 +12,8 @@ from psodkit.strata import (
     simple_crossing,
     skeleton,
     strata_from_atlas,
-    strata_preorder,
     validate,
 )
-
-from test_preorders import lt
 
 
 def test_nodal_cubic_is_valid():
@@ -82,43 +79,6 @@ def test_skeleton_partitions_strata():
         for k in range(max(s.codim for s in strat.strata) + 1):
             seen.extend(s.id for s in skeleton(strat, k))
         assert sorted(seen) == sorted(s.id for s in strat.strata)
-
-
-def test_strata_preorder_nodal_chain():
-    p = strata_preorder(nodal_cubic())
-    assert lt(p, "o", "D") and lt(p, "D", "X") and lt(p, "o", "X")
-    assert not p.le("X", "o")
-
-
-def test_strata_preorder_cross():
-    p = strata_preorder(simple_crossing(2))
-    assert p.le("H1", "H2") and p.le("H2", "H1")
-    assert lt(p, "H1&H2", "H1") and lt(p, "H1", "X")
-    assert p.is_transitive
-
-
-def test_strata_preorder_single_divisor():
-    s = Stratification(
-        (Stratum("X", 0, ("X",)), Stratum("D", 1, ("D",))),
-        (("D", "X"),),
-    )
-    p = strata_preorder(s)
-    assert lt(p, "D", "X")
-
-
-def test_strata_preorder_total_per_codim_layer():
-    p = strata_preorder(simple_crossing(3))
-    cross = simple_crossing(3)
-    for a in cross.strata:
-        for b in cross.strata:
-            if a.codim == b.codim:
-                assert p.le(a.id, b.id) and p.le(b.id, a.id)
-
-
-def test_strata_preorder_requires_valid_input():
-    bad = Stratification((Stratum("X", 0, ("X",)), Stratum("Y", 0, ("Y",))), ())
-    with pytest.raises(PreconditionError):
-        strata_preorder(bad)
 
 
 # ---------------------------------------------------------------------------
