@@ -18,7 +18,7 @@ _EXPORTS = {
         "FgAbGroup", "GradedGroup", "GradedHom", "IntMatrix", "graded_limit", "hnf",
         "kernel", "snf",
     ),
-    "config": ("Caps", "Config"),
+    "config": ("Caps",),
     "engine": (
         "FactorDescriptor", "GluingScenario", "KTheoryMode", "PsodIndex",
         "build_infinite_psod", "build_root_psod", "filtration", "glue", "ktheory_report",
@@ -28,8 +28,8 @@ _EXPORTS = {
         "PreconditionError", "PsodkitError",
     ),
     "factorial": (
-        "CharTuple", "FactorialForm", "Residue", "cmp_bang", "cmp_bang_znfact",
-        "enumerate_characters", "to_factorial_form", "zr_elements",
+        "CharTuple", "FactorialForm", "Residue", "cmp_bang", "enumerate_characters",
+        "to_factorial_form", "zr_elements",
     ),
     "preorders": (
         "DiagramArrow", "FinitePreorder", "OrderReflectingMap", "PreorderDiagram",

@@ -79,20 +79,13 @@ class IntMatrix:
 # normal forms
 
 
-def hnf(a: IntMatrix, _start: Optional[IntMatrix] = None) -> tuple[IntMatrix, IntMatrix]:
+def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form: U * a = H with U unimodular, H in row echelon
     with positive pivots and entries above a pivot reduced into [0, pivot).
     Pivot choice: smallest nonzero absolute value, lowest row index on ties.
-    Given ``_start`` (a.rows rows), the row operations act on it in place of
-    the identity, and the second result is U * _start.
     """
     m = [list(r) for r in a.entries]
-    if _start is None:
-        width = a.rows
-        u = [[int(i == j) for j in range(width)] for i in range(width)]
-    else:
-        width = _start.cols
-        u = [list(r) for r in _start.entries]
+    u = [[int(i == j) for j in range(a.rows)] for i in range(a.rows)]
     row = 0
     for col in range(a.cols):
         while True:
@@ -111,7 +104,7 @@ def hnf(a: IntMatrix, _start: Optional[IntMatrix] = None) -> tuple[IntMatrix, In
                     q = m[i][col] // p
                     for j in range(a.cols):
                         m[i][j] -= q * m[row][j]
-                    for j in range(width):
+                    for j in range(a.rows):
                         u[i][j] -= q * u[row][j]
         if row < a.rows and m[row][col] != 0:
             if m[row][col] < 0:
@@ -123,12 +116,12 @@ def hnf(a: IntMatrix, _start: Optional[IntMatrix] = None) -> tuple[IntMatrix, In
                 if q:
                     for j in range(a.cols):
                         m[i][j] -= q * m[row][j]
-                    for j in range(width):
+                    for j in range(a.rows):
                         u[i][j] -= q * u[row][j]
             row += 1
             if row == a.rows:
                 break
-    return IntMatrix.from_rows(m, a.cols), IntMatrix.from_rows(u, width)
+    return IntMatrix.from_rows(m, a.cols), IntMatrix.from_rows(u, a.rows)
 
 
 def kernel(a: IntMatrix) -> IntMatrix:
@@ -140,9 +133,9 @@ def kernel(a: IntMatrix) -> IntMatrix:
     )
 
 
-def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: U * a * V = S diagonal with d_1 | d_2 | ..., the
-    nonzero d_i positive and the zeros last, U and V unimodular.
+def snf(a: IntMatrix) -> IntMatrix:
+    """Smith normal form: the diagonal S = U * a * V, for some unimodular U
+    and V, with d_1 | d_2 | ..., the nonzero d_i positive and the zeros last.
 
     Row Hermite forms of m and of its transpose alternate until m is
     diagonal (Kannan and Bachem, SIAM J. Comput. 1979).  Each half-step puts
@@ -153,35 +146,27 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     later column is added to column i: the next half-step puts the gcd of
     d_i, d_i+1, ... at (i, i), which divides the whole trailing block from
     then on while the entries before it stay, so each i needs this once.
-    Each ``hnf`` carries U (or the transpose of V) along with its own row
-    operations, so a half-step costs what it eliminates.
 
-    >>> s, u, v = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    >>> s.entries
+    >>> snf(IntMatrix.from_rows([[2, 0], [0, 3]])).entries
     ((1, 0), (0, 6))
     """
-    m, u, v = a, IntMatrix.identity(a.rows), IntMatrix.identity(a.cols)
+    m = a
     while True:
-        m, u = hnf(m, u)
-        h, vt = hnf(m.transpose(), v.transpose())
-        m, v = h.transpose(), vt.transpose()
+        m = hnf(m)[0]
+        m = hnf(m.transpose())[0].transpose()
         e = m.entries
         if any(e[i][j] for i in range(m.rows) for j in range(m.cols) if i != j):
             continue
         d = [e[i][i] for i in range(min(m.rows, m.cols))]
         i = next((i for i, di in enumerate(d) if di and any(dj % di for dj in d[i + 1 :])), None)
         if i is None:
-            return m, u, v
-        m, v = (
-            IntMatrix(t.rows, t.cols, tuple(r[:i] + (sum(r[i:]),) + r[i + 1 :] for r in t.entries))
-            for t in (m, v)
-        )
+            return m
+        m = IntMatrix(m.rows, m.cols, tuple(r[:i] + (sum(r[i:]),) + r[i + 1 :] for r in e))
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    s, _, _ = snf(a)
-    k = min(a.rows, a.cols)
-    return tuple(s.entries[i][i] for i in range(k) if s.entries[i][i] != 0)
+    s = snf(a).entries
+    return tuple(s[i][i] for i in range(min(a.rows, a.cols)) if s[i][i] != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +259,6 @@ class FgAbGroup:
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise InputError("rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
         for d in self.torsion:
             if d < 2:
                 raise InputError("torsion invariants must be at least 2")
@@ -330,9 +314,7 @@ def group_from_presentation(ngens: int, relations: IntMatrix) -> FgAbGroup:
     if relations.rows != ngens:
         raise InputError("relation matrix must have one row per generator")
     factors = invariant_factors(relations)
-    return FgAbGroup.from_invariants(
-        [0] * (ngens - len(factors)) + [d for d in factors]
-    )
+    return FgAbGroup.from_invariants([0] * (ngens - len(factors)) + list(factors))
 
 
 def is_valid_hom(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:

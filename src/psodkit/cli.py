@@ -17,7 +17,7 @@ import sys
 from typing import Any, Callable, Sequence
 
 from . import documents as docs
-from .config import Caps, Config
+from .config import Caps
 from .errors import InputError, ParseError, PsodkitError
 from .preorders import (
     coproduct,
@@ -47,14 +47,14 @@ def _load(path: str) -> Any:
     return docs.loads(_read(path))
 
 
-def _emit(cfg: Config, doc: Callable[[], Any], human: Callable[[], str]) -> None:
+def _emit(args: argparse.Namespace, doc: Callable[[], Any], human: Callable[[], str]) -> None:
     """Print the document or the human text; only the one printed is built.
 
     A document is streamed, so its text never exists as one string.  The
     flush makes a failed write raise here, not at interpreter exit."""
     if sys.stdout is None:  # started with file descriptor 1 closed
         raise OSError(errno.EBADF, "standard output is closed")
-    if cfg.output == "machine":
+    if args.output == "machine":
         sys.stdout.writelines(docs.chunks(doc()))
         sys.stdout.write("\n")
     else:
@@ -65,7 +65,7 @@ def _emit(cfg: Config, doc: Callable[[], Any], human: Callable[[], str]) -> None
 # -- preorder ----------------------------------------------------------------
 
 
-def _cmd_preorder(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_preorder(caps: Caps, args: argparse.Namespace) -> int:
     sub = args.subcommand
     if sub == "coproduct":
         out, injections = coproduct([docs.preorder_from_doc(_load(p)) for p in args.inputs])
@@ -82,22 +82,22 @@ def _cmd_preorder(cfg: Config, args: argparse.Namespace) -> int:
         extra = {"cocones": {v: dict(m.mapping) for v, m in res.cocones.items()}}
     elif sub == "verify":
         diagram, candidate, cocones = docs.verify_request_from_doc(_load(args.inputs[0]))
-        res = verify_colimit(diagram, candidate, cocones, cfg.caps)
+        res = verify_colimit(diagram, candidate, cocones, caps)
         human = "verified" if res.ok else f"failed: {res.reason}"
-        _emit(cfg, lambda: docs.verify_to_doc(res), lambda: human)
+        _emit(args, lambda: docs.verify_to_doc(res), lambda: human)
         return 0
     elif sub == "directed":
         ok = is_directed(docs.preorder_from_doc(_load(args.inputs[0])))
-        _emit(cfg, lambda: {"directed": ok}, lambda: "true" if ok else "false")
+        _emit(args, lambda: {"directed": ok}, lambda: "true" if ok else "false")
         return 0
     elif sub == "number":
         numbering = directed_numbering(docs.preorder_from_doc(_load(args.inputs[0])))
-        _emit(cfg, lambda: {"numbering": list(numbering)}, lambda: " < ".join(numbering))
+        _emit(args, lambda: {"numbering": list(numbering)}, lambda: " < ".join(numbering))
         return 0
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown preorder subcommand {sub!r}")
     _emit(
-        cfg,
+        args,
         lambda: {"preorder": docs.preorder_to_doc(out)} | extra,
         lambda: _render_preorder(out),
     )
@@ -117,27 +117,27 @@ def _render_preorder(p) -> str:
 # -- order -------------------------------------------------------------------
 
 
-def _cmd_order(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_order(caps: Caps, args: argparse.Namespace) -> int:
     from .factorial import CharTuple, cmp_bang, enumerate_characters, to_factorial_form
 
     sub = args.subcommand
     if sub == "factform":
         chi = CharTuple.parse(args.inputs[0])
-        form = to_factorial_form(chi, cfg.caps)
+        form = to_factorial_form(chi, caps)
         _emit(
-            cfg,
+            args,
             lambda: docs.factorial_form_to_doc(form),
             lambda: f"level {form.level}, numerators ({', '.join(map(str, form.numerators))})",
         )
     elif sub == "cmp":
         a = CharTuple.parse(args.inputs[0])
         b = CharTuple.parse(args.inputs[1])
-        verdict = cmp_bang(a, b, cfg.caps)
-        _emit(cfg, lambda: {"comparison": verdict}, lambda: verdict)
+        verdict = cmp_bang(a, b, caps)
+        _emit(args, lambda: {"comparison": verdict}, lambda: verdict)
     elif sub == "enumerate":
-        chars = enumerate_characters(args.arity, args.level, args.coprime_to, cfg.caps)
+        chars = enumerate_characters(args.arity, args.level, args.coprime_to, caps)
         _emit(
-            cfg,
+            args,
             lambda: {"characters": [docs.char_tuple_to_doc(c) for c in chars]},
             lambda: "\n".join(str(c) for c in chars) if chars else "(none)",
         )
@@ -167,30 +167,30 @@ def _render_psod(psod) -> str:
     return "\n".join(lines)
 
 
-def _cmd_psod(cfg: Config, args: argparse.Namespace) -> int:
+def _cmd_psod(caps: Caps, args: argparse.Namespace) -> int:
     # Each branch imports from engine after reading its input, so for glue and
     # ktheory the readers compile abelian before engine: compiling it last
     # raised glue's peak resident set by about 1 MB.
     sub = args.subcommand
     if sub == "build":
-        strat = _load_stratification(args.inputs[0], cfg.caps)
+        strat = _load_stratification(args.inputs[0], caps)
         from .engine import build_root_psod
 
-        psod = build_root_psod(strat, args.root, cfg.caps, totalize=cfg.totalize)
-        _emit(cfg, lambda: docs.psod_to_doc(psod), lambda: _render_psod(psod))
+        psod = build_root_psod(strat, args.root, caps, totalize=args.totalize)
+        _emit(args, lambda: docs.psod_to_doc(psod), lambda: _render_psod(psod))
     elif sub == "infinite":
-        strat = _load_stratification(args.inputs[0], cfg.caps)
+        strat = _load_stratification(args.inputs[0], caps)
         from .engine import build_infinite_psod
 
         psod = build_infinite_psod(
-            strat, args.level, args.coprime_to, cfg.caps, totalize=cfg.totalize
+            strat, args.level, args.coprime_to, caps, totalize=args.totalize
         )
-        _emit(cfg, lambda: docs.psod_to_doc(psod), lambda: _render_psod(psod))
+        _emit(args, lambda: docs.psod_to_doc(psod), lambda: _render_psod(psod))
     elif sub == "glue":
         scenario = docs.scenario_from_doc(_load(args.inputs[0]))
         from .engine import glue
 
-        res = glue(scenario, cfg.caps)
+        res = glue(scenario, caps)
 
         def human() -> str:
             lines = [_render_psod(res.psod), f"verdict: {res.kind}"]
@@ -200,14 +200,14 @@ def _cmd_psod(cfg: Config, args: argparse.Namespace) -> int:
                 lines.append("index preserved")
             return "\n".join(lines)
 
-        _emit(cfg, lambda: docs.glue_result_to_doc(res), human)
+        _emit(args, lambda: docs.glue_result_to_doc(res), human)
     elif sub == "filtrate":
         psod, obj = docs.filtration_request_from_doc(_load(args.inputs[0]))
         from .engine import filtration
 
         res = filtration(psod, obj)
         _emit(
-            cfg,
+            args,
             lambda: docs.filtration_to_doc(res),
             lambda: "\n".join(
                 f"  step {t}: grade {s.grade} component {list(s.component)}"
@@ -216,7 +216,7 @@ def _cmd_psod(cfg: Config, args: argparse.Namespace) -> int:
             + "\n  residual: zero",
         )
     elif sub == "ktheory":
-        strat = _load_stratification(args.inputs[0], cfg.caps)
+        strat = _load_stratification(args.inputs[0], caps)
         kdata = docs.kdata_from_doc(_load(args.kdata))
         from .engine import KTheoryMode, ktheory_report
 
@@ -226,7 +226,7 @@ def _cmd_psod(cfg: Config, args: argparse.Namespace) -> int:
             mode = KTheoryMode.infinite(args.level)
         else:
             mode = KTheoryMode.kummer_etale(args.p, args.level)
-        rep = ktheory_report(strat, kdata, mode, cfg.caps)
+        rep = ktheory_report(strat, kdata, mode, caps)
 
         def human() -> str:
             lines = [f"K-theory decomposition ({rep.mode.kind})", f"  ambient: {rep.ambient}"]
@@ -238,7 +238,7 @@ def _cmd_psod(cfg: Config, args: argparse.Namespace) -> int:
             lines.append(f"  total: {rep.total} (rank {rep.total.rank})")
             return "\n".join(lines)
 
-        _emit(cfg, lambda: docs.ktheory_to_doc(rep), human)
+        _emit(args, lambda: docs.ktheory_to_doc(rep), human)
     else:  # pragma: no cover
         raise InputError(f"unknown psod subcommand {sub!r}")
     return 0
@@ -305,19 +305,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         caps = Caps(**_parse_caps(args.caps)) if args.caps else Caps()
-        cfg = Config(caps=caps, output=args.output, totalize=args.totalize)
         if args.group == "preorder":
-            return _cmd_preorder(cfg, args)
+            return _cmd_preorder(caps, args)
         if args.group == "order":
             if args.subcommand == "factform" and not args.inputs:
                 raise InputError("factform needs an expression")
             if args.subcommand == "cmp" and len(args.inputs) != 2:
                 raise InputError("cmp needs exactly two expressions")
-            return _cmd_order(cfg, args)
+            return _cmd_order(caps, args)
         if args.group == "psod":
             if args.subcommand == "ktheory" and not args.kdata:
                 raise InputError("ktheory needs --kdata")
-            return _cmd_psod(cfg, args)
+            return _cmd_psod(caps, args)
         raise InputError(f"unknown command group {args.group!r}")
     except PsodkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

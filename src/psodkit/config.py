@@ -1,6 +1,8 @@
-"""Resource caps and run configuration."""
+"""Resource caps and the check that a number is short enough to write."""
 
 from __future__ import annotations
+
+import sys
 
 from .errors import CapExceededError, InputError
 from .records import fields, record
@@ -12,6 +14,21 @@ _SHOWN_BITS = 256
 
 def _count(n: int) -> str:
     return str(n) if n.bit_length() <= _SHOWN_BITS else f"at least 2^{n.bit_length() - 1}"
+
+
+def written(n: int, what: str) -> int:
+    """``n``, unless it has more digits than ``sys.get_int_max_str_digits()``;
+    10 ** limit has over 3 * limit bits, so a shorter n is passed unformed."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+        raise CapExceededError(f"{what} has more than {limit} digits, the most Python writes")
+    return n
+
+
+def formed_bits() -> int:
+    """The most bits of a power formed before ``written`` checks it: 16 times
+    the digit limit, or 16 times its default with the limit off."""
+    return 16 * (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits)
 
 
 @record
@@ -56,15 +73,3 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-
-@record
-class Config:
-    """CLI-facing configuration: caps plus output/ordering switches."""
-
-    caps: Caps = DEFAULT_CAPS
-    output: str = "human"  # "human" | "machine"
-    totalize: bool = False
-
-    def __post_init__(self) -> None:
-        if self.output not in ("human", "machine"):
-            raise InputError(f"unknown output mode {self.output!r}")

@@ -16,7 +16,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
-from .config import DEFAULT_CAPS, Caps
+from .config import DEFAULT_CAPS, Caps, formed_bits, written
 from .errors import CapExceededError, InputError, PreconditionError
 from .factorial import (
     CharKey,
@@ -37,7 +37,7 @@ from .preorders import (
     directedness,
     directed_numbering,
 )
-from .records import Factory, record
+from .records import record
 from .strata import Stratification, Stratum, require_valid
 
 if TYPE_CHECKING:
@@ -71,7 +71,7 @@ class PsodIndex:
 
     index: FinitePreorder
     factors: Mapping[str, FactorDescriptor]
-    annotations: Mapping[str, str] = Factory(dict)
+    annotations: Mapping[str, str] = {}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", dict(self.factors))
@@ -234,8 +234,8 @@ class GluingScenario:
 
     diagram: PreorderDiagram
     psods: Mapping[str, PsodIndex]
-    graded: Mapping[str, GradedGroup] = Factory(dict)
-    graded_homs: Mapping[str, GradedHom] = Factory(dict)
+    graded: Mapping[str, GradedGroup] = {}
+    graded_homs: Mapping[str, GradedHom] = {}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "psods", dict(self.psods))
@@ -355,9 +355,6 @@ class FiltrationStep:
 class FiltrationResult:
     steps: tuple[FiltrationStep, ...]
 
-    def emitted(self) -> dict[str, tuple[int, ...]]:
-        return {s.grade: s.component for s in self.steps}
-
 
 def filtration(
     psod: PsodIndex, obj: Mapping[str, Sequence[int]]
@@ -435,19 +432,11 @@ class KTheoryReport:
         return self.total.rank
 
 
-def _written(n: int, what: str) -> int:
-    """``n``, unless it has more digits than ``sys.get_int_max_str_digits()``."""
-    limit = sys.get_int_max_str_digits()
-    if limit and n >= 10 ** limit:
-        raise CapExceededError(f"{what} has more than {limit} digits, the most Python writes")
-    return n
-
-
 def _char_count(codim: int, mode: KTheoryMode, caps: Caps) -> int:
     """(m - 1) ** codim, the characters of one stratum.  The power is at
     least 2 ** low for an m - 1 of b bits, low = codim * (b - 1); past
-    2 ** (16 * limit) it has far more digits than Python writes and is
-    refused unformed, as it is past 2 ** (16 * 4300) with the limit off.
+    2 ** formed_bits() it has far more digits than Python writes and is
+    refused unformed.
     Smaller powers form at once; the report checks the exact counts."""
     if mode.kind == "finite":
         m = mode.r
@@ -457,10 +446,9 @@ def _char_count(codim: int, mode: KTheoryMode, caps: Caps) -> int:
         if mode.kind == "kummer_etale":
             while m % mode.p == 0:
                 m //= mode.p
-    limit = sys.get_int_max_str_digits()
-    bits = 16 * (limit or sys.int_info.default_max_str_digits)
+    bits = formed_bits()
     if codim * ((m - 1).bit_length() - 1) >= bits:
-        _written(10**limit, "K-theory multiplicity")  # raises under a digit limit
+        written(10 ** sys.get_int_max_str_digits(), "K-theory multiplicity")  # raises with a limit
         raise CapExceededError(f"K-theory multiplicity has more than {bits} bits")
     return (m - 1) ** codim
 
@@ -494,7 +482,7 @@ def ktheory_report(
         sum(count * len(summand.torsion) for _, summand, count in counted),
         "K-theory torsion",
     )
-    _written(max((count for _, _, count in counted), default=0), "K-theory multiplicity")
+    written(max((count for _, _, count in counted), default=0), "K-theory multiplicity")
     rows = [
         KTheoryRow(s.id, s.codim, summand, count, f"({mode.r}-1)^{s.codim}" if mode.kind == "finite"
                    else f"countably infinite (truncated: {count})", summand.multiple(count))
@@ -503,5 +491,5 @@ def ktheory_report(
     total = ambient_k.direct_sum(*(row.contribution for row in rows))
     # the largest invariant of a group is its last
     groups = (ambient_k, total, *(g for row in rows for g in (row.summand, row.contribution)))
-    _written(max(n for g in groups for n in (g.rank, *g.torsion[-1:])), "K-theory rank or torsion")
+    written(max(n for g in groups for n in (g.rank, *g.torsion[-1:])), "K-theory rank or torsion")
     return KTheoryReport(mode, ambient_k, tuple(rows), total, mode.kind != "finite")

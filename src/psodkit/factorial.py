@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .config import DEFAULT_CAPS, Caps
-from .errors import InputError
+from .config import DEFAULT_CAPS, Caps, formed_bits, written
+from .errors import CapExceededError, InputError
 from .preorders import FinitePreorder
 from .records import record
 
@@ -27,6 +27,9 @@ LESS = "less"
 GREATER = "greater"
 EQUAL = "equal"
 INCOMPARABLE = "incomparable"
+
+# the exponent of a decimal residue such as "-5e-1"
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\Z", re.IGNORECASE)
 
 
 # ---------------------------------------------------------------------------
@@ -58,18 +61,22 @@ class Residue:
 
     @classmethod
     def parse(cls, text: str) -> "Residue":
+        """A rational in (-1, 0] as ``Fraction`` reads it; an exponent is
+        bounded before its power of ten forms (10 ** e has over 3 * e bits)."""
         text = text.strip()
+        exp, bits = _EXPONENT.search(text), formed_bits()
         try:
-            return cls.from_fraction(Fraction(text))
+            if exp and 3 * abs(int(exp[1])) >= bits:
+                raise CapExceededError(f"residue exponent {exp[1]} needs more than {bits} bits")
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse residue {text!r}") from exc
+        written(max(abs(value.numerator), value.denominator), "residue")
+        return cls.from_fraction(value)
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    def is_zero(self) -> bool:
-        return self.num == 0
 
     def __str__(self) -> str:
         return "0" if self.num == 0 else f"{self.num}/{self.den}"
@@ -113,9 +120,6 @@ class CharTuple:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.components) + ")"
-
-    def nonzero(self) -> bool:
-        return all(not c.is_zero() for c in self.components)
 
     def denominators(self) -> tuple[int, ...]:
         return tuple(c.den for c in self.components)
@@ -185,49 +189,11 @@ def to_factorial_form(chi: CharTuple, caps: Caps = DEFAULT_CAPS) -> FactorialFor
 # the recursive order on Z_{n!}
 
 
-def cmp_bang_znfact(p: int, q: int, level: int) -> int:
-    """Compare -p/n! against -q/n! in the recursive order on Z_{n!}.
-
-    Returns -1, 0, or +1.  Images under Z_{n!} -> Z_n (p mod n) are compared
-    in the standard order (larger remainder is more negative, hence smaller);
-    on a tie the fiber coordinates floor(p/n) are compared at level n-1.
-    """
-    if level < 2:
-        raise InputError("level must be at least 2")
-    bound = math.factorial(level)
-    if not (0 <= p < bound and 0 <= q < bound):
-        raise InputError("numerators must lie in [0, n!)")
-    n = level
-    while n > 1:
-        s, t = p % n, q % n
-        if s != t:
-            return -1 if s > t else 1
-        p, q = p // n, q // n
-        n -= 1
-    return 0
-
-
-@lru_cache(maxsize=None)
-def bang_chain(level: int) -> tuple[int, ...]:
-    """All of Z_{n!} as numerators, ascending in the recursive order.
-
-    Independent of ``cmp_bang_znfact``: materializes the fibers over Z_n in
-    image order and concatenates recursively.
-    """
-    if level < 1:
-        raise InputError("level must be at least 1")
-    if level == 1:
-        return (0,)
-    inner = bang_chain(level - 1)
-    return tuple(
-        q * level + s for s in range(level - 1, -1, -1) for q in inner
-    )
-
-
 def bang_rank(p: int, level: int) -> int:
-    """Position of -p/n! in the ascending recursive order (0 = smallest),
-    read off ``bang_chain``: the fiber over p mod n is block n-1 - (p mod n)
-    of (n-1)! entries, ordered by the rank of floor(p/n) at level n-1."""
+    """Position of -p/n! in the ascending recursive order (0 = smallest):
+    images under Z_{n!} -> Z_n (p mod n) compare in the standard order, so
+    the fiber over p mod n is block n-1 - (p mod n) of (n-1)! entries,
+    ordered by the rank of the fiber coordinate floor(p/n) at level n-1."""
     if level < 1 or not 0 <= p < math.factorial(level):
         raise InputError("bang_rank needs level >= 1 and a numerator in [0, n!)")
     rank = 0

@@ -223,13 +223,6 @@ class OrderReflectingMap:
     def __call__(self, label: str) -> str:
         return self.mapping[label]
 
-    def then(self, other: "OrderReflectingMap") -> "OrderReflectingMap":
-        if other.source != self.target:
-            raise InputError("composition endpoints do not match")
-        return OrderReflectingMap(
-            self.source, other.target, {x: other.mapping[y] for x, y in self.mapping.items()}
-        )
-
     def fiber(self, label: str) -> tuple[str, ...]:
         return tuple(x for x in self.source.elements if self.mapping[x] == label)
 
@@ -341,11 +334,15 @@ def _classes(nodes: Sequence, pairs: Iterable[tuple]) -> list[tuple]:
 
 def _class_labels(classes: Sequence[Sequence[tuple[str, str]]]) -> list[str]:
     # Prefer the bare element labels; fall back to vertex-qualified labels
-    # for every class as soon as the bare ones would collide.
+    # for every class as soon as the bare ones would collide, and if a dot in a
+    # vertex name makes those collide too, end each in "#" and its position.
     naive = ["=".join(sorted({lbl for _, lbl in cls})) for cls in classes]
     if len(set(naive)) == len(naive):
         return naive
-    return ["=".join(sorted(f"{v}.{lbl}" for v, lbl in cls)) for cls in classes]
+    qualified = ["=".join(sorted(f"{v}.{lbl}" for v, lbl in cls)) for cls in classes]
+    if len(set(qualified)) == len(qualified):
+        return qualified
+    return [f"{label}#{k}" for k, label in enumerate(qualified)]
 
 
 def _quotient_preorder(
@@ -590,9 +587,7 @@ def _relabellings(sizes: Sequence[int]) -> list[tuple[list[int], tuple[int, ...]
     return out
 
 
-_PREORDER_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
+@cache
 def _preorders_on(q: int) -> list[tuple[int, ...]]:
     """All preorders on labels 0..q-1 up to isomorphism, as row bitmasks.
 
@@ -609,8 +604,6 @@ def _preorders_on(q: int) -> list[tuple[int, ...]]:
       one to the other, so each kept poset marks all its relabellings as
       seen and every later candidate costs one set lookup.
     """
-    if q in _PREORDER_CACHE:
-        return _PREORDER_CACHE[q]
     shapes: set[tuple[int, ...]] = set()
     result: list[tuple[int, ...]] = []
     for part in _set_partitions(list(range(q))):
@@ -629,7 +622,6 @@ def _preorders_on(q: int) -> list[tuple[int, ...]]:
             seen.update(tuple(table[rel[i]] for i in inv) for table, inv in relabellings)
             up = [sum(block_mask[b] for b in _bits(r)) for r in rel]
             result.append(tuple(up[block_of[x]] for x in range(q)))
-    _PREORDER_CACHE[q] = result
     return result
 
 

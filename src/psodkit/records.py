@@ -5,14 +5,15 @@
 over the field names rather than ``exec``-ed source, so a module of records
 imports without compiling anything and without ``dataclasses`` (which loads
 ``inspect``).  The fields are the class's own annotations, in order; a class
-attribute is a field's default, and ``Factory(make)`` makes a fresh default
-per instance.  ``__init__`` takes the fields by position or keyword, then
-calls ``__post_init__``, which may normalize a field with
-``object.__setattr__``.  ``__eq__``, ``__hash__`` and ``__repr__`` work on the
-field tuple unless the class defines its own; as with a frozen dataclass, a
-class defining ``__eq__`` alone still gets the field hash.  Assigning or
-deleting an attribute raises ``FrozenRecordError``; ``cached_property``
-works, as it writes the instance dict.
+attribute is a field's default, shared by every instance that takes it, so
+``__post_init__`` copies a mutable one.  ``__init__`` takes the fields by
+position or keyword, then calls ``__post_init__``, which may normalize a
+field with ``object.__setattr__``.  ``__eq__``, ``__hash__`` and
+``__repr__`` work on the field tuple unless the class defines its own; as
+with a frozen dataclass, a class defining ``__eq__`` alone still gets the
+field hash.  Assigning or deleting an attribute raises
+``FrozenRecordError``; ``cached_property`` works, as it writes the instance
+dict.
 """
 
 from __future__ import annotations
@@ -22,15 +23,6 @@ from operator import attrgetter
 
 class FrozenRecordError(AttributeError):
     """An attempt to assign or delete an attribute of a record."""
-
-
-class Factory:
-    """A field default made afresh for each instance by ``make()``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make) -> None:
-        self.make = make
 
 
 def fields(cls: type) -> tuple[str, ...]:
@@ -53,8 +45,7 @@ def _bind(cls: type, names: tuple[str, ...], defaults: dict, args: tuple, kwargs
         if name in kwargs:
             values.append(kwargs.pop(name))
         elif name in defaults:
-            value = defaults[name]
-            values.append(value.make() if isinstance(value, Factory) else value)
+            values.append(defaults[name])
         else:
             raise TypeError(f"{where} missing required argument {name!r}")
     if kwargs:
@@ -75,9 +66,6 @@ def record(cls: type) -> type:
     own = cls.__dict__
     names = tuple(own.get("__annotations__", ()))
     defaults = {name: own[name] for name in names if name in own}
-    for name, value in defaults.items():
-        if isinstance(value, Factory):
-            delattr(cls, name)
     count = len(names)
     post_init = hasattr(cls, "__post_init__")
     set_field = object.__setattr__

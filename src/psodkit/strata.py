@@ -243,13 +243,13 @@ def strata_from_atlas(atlas: ChartAtlas, caps: Caps = DEFAULT_CAPS) -> Stratific
     return Stratification(tuple(strata), tuple(sorted(closure)))
 
 
-def simple_crossing(k: int, ambient: str = "X") -> Stratification:
+def simple_crossing(k: int) -> Stratification:
     """The k-fold coordinate crossing: one stratum per nonempty subset of the
-    k branches, plus the ambient stratum."""
+    k branches, plus the ambient stratum X."""
     if k < 0:
         raise InputError("k must be non-negative")
     branches = [f"H{i + 1}" for i in range(k)]
-    strata = [Stratum(ambient, 0, (ambient,))]
+    strata = [Stratum("X", 0, ("X",))]
     closure: list[tuple[str, str]] = []
     names: dict[frozenset, str] = {}
     for size in range(1, k + 1):
@@ -257,7 +257,7 @@ def simple_crossing(k: int, ambient: str = "X") -> Stratification:
             name = "&".join(sub)
             names[frozenset(sub)] = name
             strata.append(Stratum(name, size, (f"{name}~",)))
-            closure.append((name, ambient))
+            closure.append((name, "X"))
     for sub, name in names.items():
         for other, oname in names.items():
             if other < sub:
@@ -265,16 +265,10 @@ def simple_crossing(k: int, ambient: str = "X") -> Stratification:
     return Stratification(tuple(strata), tuple(closure))
 
 
-def nodal_cubic(
-    ambient: str = "X", divisor: str = "D", node: str = "o"
-) -> Stratification:
-    """The plane with an irreducible nodal curve: three strata in a chain,
-    the divisor's normalization a single component."""
+def nodal_cubic() -> Stratification:
+    """The plane X with an irreducible nodal curve D: three strata in a
+    chain down to the node o, the divisor's normalization a single component."""
     return Stratification(
-        (
-            Stratum(ambient, 0, (ambient,)),
-            Stratum(divisor, 1, (f"{divisor}~",)),
-            Stratum(node, 2, (node,)),
-        ),
-        ((node, divisor), (divisor, ambient)),
+        (Stratum("X", 0, ("X",)), Stratum("D", 1, ("D~",)), Stratum("o", 2, ("o",))),
+        (("o", "D"), ("D", "X")),
     )

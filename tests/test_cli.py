@@ -1139,6 +1139,69 @@ def test_ktheory_refuses_huge_powers_without_a_digit_limit(tmp_path, mode):
     assert proc.stderr.splitlines() == [f"error: K-theory multiplicity has more than {bits} bits"]
 
 
+def _one_factor_scenario(character):
+    idx = discrete_preorder(["p1"])
+    factor = {"stratum": "S1", "character": character, "target": "Perf(C1)", "kdata": None}
+    psod = {"index": docs.preorder_to_doc(idx), "factors": {"p1": factor}, "annotations": {}}
+    diag = PreorderDiagram(("v",), {"v": idx})
+    return {"diagram": docs.diagram_to_doc(diag), "psods": {"v": psod}}
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # Fraction forms 10**5000 at once; its 5,001 digits are too many to write
+        (["--output", "machine", "psod", "glue", "{scenario}"],
+         "error: residue has more than {limit} digits, the most Python writes"),
+        # 10**100000000 is refused before it is formed
+        (["order", "cmp", "--", "-1e-100000000", "0"],
+         "error: residue exponent -100000000 needs more than {bits} bits"),
+    ],
+    ids=["glue", "cmp"],
+)
+def test_residue_exponents_end_in_a_cap_error(capsys, tmp_path, argv, line):
+    scenario = write(tmp_path, "scenario.json", _one_factor_scenario(["-1e-5000"]))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *[arg.format(scenario=scenario) for arg in argv])
+    assert time.perf_counter() - start < 1
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [line.format(limit=limit, bits=16 * limit)]
+
+
+def test_residue_exponent_is_bounded_without_a_digit_limit():
+    # with PYTHONINTMAXSTRDIGITS=0 the power is still refused by its size,
+    # in a child with an 800 MB address space
+    start = time.perf_counter()
+    proc = subprocess.run(
+        CLI + ["order", "cmp", "--", "-1e-100000000", "0"],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (800_000 * 1024,) * 2),
+        stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        env=dict(_cli_env(), PYTHONINTMAXSTRDIGITS="0"), timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    bits = 16 * sys.int_info.default_max_str_digits
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        f"error: residue exponent -100000000 needs more than {bits} bits"
+    ]
+
+
+def test_colimit_labels_stay_distinct_when_dotted_names_collide(capsys, tmp_path):
+    # bare labels collide (z, z), and so do vertex-qualified ones (a.b.c twice)
+    diagram = PreorderDiagram(
+        ("a", "a.b"),
+        {"a": discrete_preorder(["b.c", "z"]), "a.b": discrete_preorder(["c", "z"])},
+    )
+    path = write(tmp_path, "dotted.json", docs.diagram_to_doc(diagram))
+    code, out, err = run(capsys, "--output", "machine", "preorder", "colimit", path)
+    assert (code, err) == (0, "")
+    body = json.loads(out)
+    assert body["preorder"]["elements"] == ["a.b.c#0", "a.z#1", "a.b.c#2", "a.b.z#3"]
+    assert body["cocones"] == {"a": {"b.c": "a.b.c#0", "z": "a.z#1"},
+                               "a.b": {"c": "a.b.c#2", "z": "a.b.z#3"}}
+
+
 # sha256 of what json.dumps(doc, indent=2) wrote for this job before streaming
 CROSS3_R12_SHA256 = "165cf21a5a88e64e3ee5411be528307942a8775db1f4e5e935325fd1a6239031"
 # and at --root 16, when rows were still spelled out as lists of booleans

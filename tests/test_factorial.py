@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -15,10 +17,8 @@ from psodkit.factorial import (
     CharTuple,
     FactorialForm,
     Residue,
-    bang_chain,
     bang_rank,
     cmp_bang,
-    cmp_bang_znfact,
     enumerate_characters,
     is_prime,
     starred_tuples,
@@ -61,6 +61,51 @@ def build_zkr(k, r, caps=DEFAULT_CAPS):
     return build_zdr_stratified([("Z", k)], r, caps)
 
 
+# Two reference codings of the recursive order on Z_{n!}, independent of
+# ``bang_rank``: a comparison that walks the quotients Z_{n!} -> Z_n, and the
+# chain of all of Z_{n!} built fiber by fiber.  Nothing in psodkit runs
+# them; the tests check ``bang_rank`` and ``cmp_bang`` against them.
+
+
+def cmp_bang_znfact(p: int, q: int, level: int) -> int:
+    """Compare -p/n! against -q/n! in the recursive order on Z_{n!}.
+
+    Returns -1, 0, or +1.  Images under Z_{n!} -> Z_n (p mod n) are compared
+    in the standard order (larger remainder is more negative, hence smaller);
+    on a tie the fiber coordinates floor(p/n) are compared at level n-1.
+    """
+    if level < 2:
+        raise InputError("level must be at least 2")
+    bound = math.factorial(level)
+    if not (0 <= p < bound and 0 <= q < bound):
+        raise InputError("numerators must lie in [0, n!)")
+    n = level
+    while n > 1:
+        s, t = p % n, q % n
+        if s != t:
+            return -1 if s > t else 1
+        p, q = p // n, q // n
+        n -= 1
+    return 0
+
+
+@lru_cache(maxsize=None)
+def bang_chain(level: int) -> tuple[int, ...]:
+    """All of Z_{n!} as numerators, ascending in the recursive order.
+
+    Independent of ``cmp_bang_znfact``: materializes the fibers over Z_n in
+    image order and concatenates recursively.
+    """
+    if level < 1:
+        raise InputError("level must be at least 1")
+    if level == 1:
+        return (0,)
+    inner = bang_chain(level - 1)
+    return tuple(
+        q * level + s for s in range(level - 1, -1, -1) for q in inner
+    )
+
+
 def cmp_bang_reference(chi, psi):
     """The tuple order read from its definition: a deeper normal factorial
     level is lower; at equal level, ``cmp_bang_znfact`` in every coordinate."""
@@ -86,6 +131,25 @@ def test_residue_validation():
         Residue(-3, 2)  # below -1
     with pytest.raises(InputError):
         Residue(-2, 4)  # not reduced
+
+
+def test_residue_parse_reads_slashes_decimals_and_exponents():
+    assert R("-1/2") == R("-0.5") == R("-5e-1") == R(" -5E-1 ") == Residue(-1, 2)
+    assert R("-1_0e-2") == Residue(-1, 10)
+
+
+def test_residue_parse_refuses_numbers_too_long_to_write():
+    # 10 ** (limit + 1) forms at once but has more digits than Python
+    # writes; a power past formed_bits() is refused before it is formed
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(CapExceededError, match=f"more than {limit} digits"):
+        R(f"-1e-{limit + 1}")
+    with pytest.raises(CapExceededError, match="exponent .* needs more than"):
+        R("-1e-100000000")
+    with pytest.raises(CapExceededError, match="exponent .* needs more than"):
+        R("-1e100000000")
+    with pytest.raises(InputError, match="cannot parse residue"):
+        R("-1e")
 
 
 def test_residue_standard_order():

@@ -1,5 +1,7 @@
-"""The package namespace and the modules each CLI command loads."""
+"""The package namespace, the modules each CLI command loads, and the
+private names each module defines."""
 
+import ast
 import json
 import os
 import subprocess
@@ -23,7 +25,7 @@ from psodkit.strata import nodal_cubic, simple_crossing
 
 
 def test_exported_names_are_their_home_modules_objects():
-    assert len(psodkit.__all__) == len(set(psodkit.__all__)) == 54
+    assert len(psodkit.__all__) == len(set(psodkit.__all__)) == 52
     for name in psodkit.__all__:
         value = getattr(psodkit, name)
         assert value.__module__.startswith("psodkit.")
@@ -37,6 +39,50 @@ def test_star_import_and_dir_list_every_exported_name():
         assert namespace[name] is getattr(psodkit, name)
     assert set(psodkit.__all__) <= set(dir(psodkit))
     assert "__version__" in dir(psodkit)
+
+
+def _private_names(node):
+    """The names starting with one underscore that a module-level statement
+    defines: a function, a class or an assigned constant."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _read_names(node):
+    """Every name a statement reads, imports or takes as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_private_module_name_has_a_reader_in_src():
+    # src/ holds what runs: a helper that nothing else in the package reads
+    # is dead code, whatever the tests still do with it
+    statements = [
+        (path.name, node)
+        for path in sorted(Path(psodkit.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    reads = [set(_read_names(node)) for _, node in statements]
+    defined = [(i, name) for i, (_, node) in enumerate(statements) for name in _private_names(node)]
+    assert len(defined) > 40
+    unread = [
+        f"{statements[i][0]}:{name}"
+        for i, name in defined
+        if not any(name in r for j, r in enumerate(reads) if j != i)
+    ]
+    assert unread == []
 
 
 def test_unknown_attribute_raises_attribute_error():

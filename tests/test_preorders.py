@@ -201,7 +201,8 @@ def test_composition_of_reflecting_maps_is_reflecting():
             continue
         fm = OrderReflectingMap(p, q, f)
         gm = OrderReflectingMap(q, r, g)
-        composed = fm.then(gm)  # constructor re-validates reflection
+        # the constructor re-validates reflection
+        composed = OrderReflectingMap(p, r, {x: g[y] for x, y in f.items()})
         assert composed.source == p and composed.target == r
 
 
@@ -901,12 +902,10 @@ def test_constructor_outputs_reflexive_transitive():
 
 
 def test_caps_validation():
-    from psodkit.config import Caps, Config
+    from psodkit.config import Caps
 
     with pytest.raises(InputError):
         Caps(carrier=0)
-    with pytest.raises(InputError):
-        Config(output="loud")
 
 
 def test_verify_rejects_overcomplete_candidate():

@@ -21,7 +21,7 @@ from psodkit.abelian import (
     graded_limit,
     identity_graded_hom,
 )
-from psodkit.config import Caps, Config
+from psodkit.config import Caps
 from psodkit.engine import (
     GluingScenario,
     KTheoryMode,
@@ -41,7 +41,7 @@ from psodkit.preorders import (
     identity_map,
     verify_colimit,
 )
-from psodkit.records import Factory, FrozenRecordError, fields, record
+from psodkit.records import FrozenRecordError, fields, record
 from psodkit.strata import Chart, ChartAtlas, Overlap, nodal_cubic, simple_crossing, strata_from_atlas
 
 from test_abelian import graded_quiver
@@ -67,7 +67,9 @@ def twin(cls):
     assert source.startswith("@record\n")
     source = ("from __future__ import annotations\n@dataclass(frozen=True)\n"
               + source[len("@record\n"):])
-    source = source.replace("Factory(", "field(default_factory=")
+    # a frozen dataclass refuses the dict default that a record shares and
+    # copies in __post_init__
+    source = source.replace(" = {}\n", " = field(default_factory=dict)\n")
     namespace = dict(vars(inspect.getmodule(cls)), dataclass=dataclasses.dataclass,
                      field=dataclasses.field)
     exec(source, namespace)
@@ -78,7 +80,7 @@ TWINS = {cls: twin(cls) for cls in record_classes()}
 
 
 def test_every_record_class_has_a_twin():
-    assert len(TWINS) == 31
+    assert len(TWINS) == 30
     for cls, tw in TWINS.items():
         assert dataclasses.is_dataclass(tw) and not dataclasses.is_dataclass(cls)
         assert fields(cls) == tuple(f.name for f in dataclasses.fields(tw))
@@ -100,7 +102,7 @@ def _roots():
     kdata = {c: FgAbGroup(1, (2,)) for c in cross.all_components()}
     one = colimit(scenario.diagram)
     return [
-        Caps(), Caps(carrier=5), Config(), Config(Caps(nerve_depth=2), "machine", True),
+        Caps(), Caps(carrier=5),
         build_root_psod(nodal_cubic(), 3), build_root_psod(cross, 2, totalize=True),
         build_infinite_psod(cross, 3, coprime_to=3),
         to_factorial_form(CharTuple.of("-1/2", "-1/3")), atlas, strata_from_atlas(atlas),
@@ -213,10 +215,11 @@ def test_record_rejects_what_its_twin_rejects(cls):
 @record
 class Sample:
     a: int
-    b: list = Factory(list)
+    b: list = []
     c: str = "c"
 
     def __post_init__(self):
+        object.__setattr__(self, "b", list(self.b))
         object.__setattr__(self, "c", self.c.upper())
 
 
@@ -224,8 +227,7 @@ def test_construction_defaults_factories_and_post_init():
     s = Sample(1)
     assert (s.a, s.b, s.c) == (1, [], "C")
     assert Sample(1).b is not Sample(1).b
-    assert "b" not in vars(Sample)
-    assert Sample.c == "c"
+    assert Sample.b == [] and Sample.c == "c"
     assert Sample(1, [2], "x") == Sample(a=1, c="x", b=[2]) == Sample(1, c="x", b=[2])
     assert repr(Sample(1, c="x")) == "Sample(a=1, b=[], c='X')"
     with pytest.raises(TypeError, match="missing required argument 'a'"):
