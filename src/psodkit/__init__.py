@@ -14,15 +14,12 @@ import importlib
 
 # home module -> the public names it exports at the package level
 _EXPORTS = {
-    "abelian": (
-        "FgAbGroup", "GradedGroup", "GradedHom", "IntMatrix", "graded_limit", "hnf",
-        "kernel", "snf",
-    ),
+    "abelian": ("GradedGroup", "GradedHom", "IntMatrix", "graded_limit", "hnf", "kernel", "snf"),
+    "atlas": ("Chart", "ChartAtlas", "Overlap", "strata_from_atlas"),
+    "colimits": ("colimit", "coproduct", "pushout"),
     "config": ("Caps",),
-    "engine": (
-        "FactorDescriptor", "GluingScenario", "KTheoryMode", "PsodIndex",
-        "build_infinite_psod", "build_root_psod", "filtration", "glue", "ktheory_report",
-    ),
+    "engine": ("FactorDescriptor", "PsodIndex", "build_infinite_psod", "build_root_psod",
+               "filtration"),
     "errors": (
         "CapExceededError", "InputError", "InvariantError", "ParseError",
         "PreconditionError", "PsodkitError",
@@ -31,16 +28,16 @@ _EXPORTS = {
         "CharTuple", "FactorialForm", "Residue", "cmp_bang", "enumerate_characters",
         "to_factorial_form", "zr_elements",
     ),
+    "gluing": ("GluingScenario", "glue"),
+    "groups": ("FgAbGroup",),
+    "kreport": ("KTheoryMode", "ktheory_report"),
     "preorders": (
         "DiagramArrow", "FinitePreorder", "OrderReflectingMap", "PreorderDiagram",
-        "colimit", "complete_preorder", "coproduct", "directed_numbering",
-        "discrete_preorder", "is_directed", "is_order_reflecting", "pushout",
-        "verify_colimit",
+        "complete_preorder", "directed_numbering", "discrete_preorder", "is_directed",
+        "is_order_reflecting",
     ),
-    "strata": (
-        "Chart", "ChartAtlas", "Overlap", "Stratification", "Stratum", "skeleton",
-        "strata_from_atlas", "validate",
-    ),
+    "strata": ("Stratification", "Stratum", "skeleton", "validate"),
+    "verify": ("verify_colimit",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

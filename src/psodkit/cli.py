@@ -16,21 +16,13 @@ import os
 import sys
 from typing import Any, Callable, Sequence
 
-from . import documents as docs
 from .config import Caps
 from .errors import InputError, ParseError, PsodkitError
-from .preorders import (
-    coproduct,
-    colimit,
-    directed_numbering,
-    is_directed,
-    pushout,
-    verify_colimit,
-)
 from .records import fields
 
 # Each handler imports the modules it runs, so preorder commands load
-# neither factorial, strata, engine nor abelian.
+# neither factorial, strata, engine nor abelian, and human-mode order
+# commands load neither documents nor preorders.
 
 
 def _read(path: str) -> str:
@@ -44,18 +36,23 @@ def _read(path: str) -> str:
 
 
 def _load(path: str) -> Any:
-    return docs.loads(_read(path))
+    from .documents import loads
+
+    return loads(_read(path))
 
 
-def _emit(args: argparse.Namespace, doc: Callable[[], Any], human: Callable[[], str]) -> None:
+def _emit(args: argparse.Namespace, doc: Callable[[Any], Any], human: Callable[[], str]) -> None:
     """Print the document or the human text; only the one printed is built.
 
-    A document is streamed, so its text never exists as one string.  The
-    flush makes a failed write raise here, not at interpreter exit."""
+    ``doc`` is called with the ``documents`` module, which human mode never
+    loads.  A document is streamed, so its text never exists as one string.
+    The flush makes a failed write raise here, not at interpreter exit."""
     if sys.stdout is None:  # started with file descriptor 1 closed
         raise OSError(errno.EBADF, "standard output is closed")
     if args.output == "machine":
-        sys.stdout.writelines(docs.chunks(doc()))
+        from . import documents
+
+        sys.stdout.writelines(documents.chunks(doc(documents)))
         sys.stdout.write("\n")
     else:
         print(human())
@@ -66,39 +63,53 @@ def _emit(args: argparse.Namespace, doc: Callable[[], Any], human: Callable[[], 
 
 
 def _cmd_preorder(caps: Caps, args: argparse.Namespace) -> int:
+    from . import preorderdocs as docs
+
     sub = args.subcommand
     if sub == "coproduct":
+        from .colimits import coproduct
+
         out, injections = coproduct([docs.preorder_from_doc(_load(p)) for p in args.inputs])
         extra = {"injections": [dict(i.mapping) for i in injections]}
     elif sub == "pushout":
+        from .colimits import pushout
+
         body = _load(args.inputs[0])
         if not isinstance(body, dict) or "left" not in body or "right" not in body:
             raise ParseError("pushout document needs 'left' and 'right' maps")
         out, p1, p2 = pushout(docs.map_from_doc(body["left"]), docs.map_from_doc(body["right"]))
         extra = {"maps": [dict(p1.mapping), dict(p2.mapping)]}
     elif sub == "colimit":
+        from .colimits import colimit
+
         res = colimit(docs.diagram_from_doc(_load(args.inputs[0])))
         out = res.preorder
         extra = {"cocones": {v: dict(m.mapping) for v, m in res.cocones.items()}}
     elif sub == "verify":
+        from .verify import verify_colimit
+
         diagram, candidate, cocones = docs.verify_request_from_doc(_load(args.inputs[0]))
         res = verify_colimit(diagram, candidate, cocones, caps)
         human = "verified" if res.ok else f"failed: {res.reason}"
-        _emit(args, lambda: docs.verify_to_doc(res), lambda: human)
+        _emit(args, lambda _: docs.verify_to_doc(res), lambda: human)
         return 0
     elif sub == "directed":
+        from .preorders import is_directed
+
         ok = is_directed(docs.preorder_from_doc(_load(args.inputs[0])))
-        _emit(args, lambda: {"directed": ok}, lambda: "true" if ok else "false")
+        _emit(args, lambda _: {"directed": ok}, lambda: "true" if ok else "false")
         return 0
     elif sub == "number":
+        from .preorders import directed_numbering
+
         numbering = directed_numbering(docs.preorder_from_doc(_load(args.inputs[0])))
-        _emit(args, lambda: {"numbering": list(numbering)}, lambda: " < ".join(numbering))
+        _emit(args, lambda _: {"numbering": list(numbering)}, lambda: " < ".join(numbering))
         return 0
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown preorder subcommand {sub!r}")
     _emit(
         args,
-        lambda: {"preorder": docs.preorder_to_doc(out)} | extra,
+        lambda documents: {"preorder": documents.preorder_to_doc(out)} | extra,
         lambda: _render_preorder(out),
     )
     return 0
@@ -126,19 +137,19 @@ def _cmd_order(caps: Caps, args: argparse.Namespace) -> int:
         form = to_factorial_form(chi, caps)
         _emit(
             args,
-            lambda: docs.factorial_form_to_doc(form),
+            lambda documents: documents.factorial_form_to_doc(form),
             lambda: f"level {form.level}, numerators ({', '.join(map(str, form.numerators))})",
         )
     elif sub == "cmp":
         a = CharTuple.parse(args.inputs[0])
         b = CharTuple.parse(args.inputs[1])
         verdict = cmp_bang(a, b, caps)
-        _emit(args, lambda: {"comparison": verdict}, lambda: verdict)
+        _emit(args, lambda _: {"comparison": verdict}, lambda: verdict)
     elif sub == "enumerate":
         chars = enumerate_characters(args.arity, args.level, args.coprime_to, caps)
         _emit(
             args,
-            lambda: {"characters": [docs.char_tuple_to_doc(c) for c in chars]},
+            lambda documents: {"characters": [documents.char_tuple_to_doc(c) for c in chars]},
             lambda: "\n".join(str(c) for c in chars) if chars else "(none)",
         )
     else:  # pragma: no cover
@@ -150,12 +161,14 @@ def _cmd_order(caps: Caps, args: argparse.Namespace) -> int:
 
 
 def _load_stratification(path: str, caps: Caps):
-    from .strata import strata_from_atlas
+    from .documents import atlas_from_doc, stratification_from_doc
 
     body = _load(path)
     if isinstance(body, dict) and "charts" in body:
-        return strata_from_atlas(docs.atlas_from_doc(body), caps)
-    return docs.stratification_from_doc(body)
+        from .atlas import strata_from_atlas
+
+        return strata_from_atlas(atlas_from_doc(body), caps)
+    return stratification_from_doc(body)
 
 
 def _render_psod(psod) -> str:
@@ -168,16 +181,16 @@ def _render_psod(psod) -> str:
 
 
 def _cmd_psod(caps: Caps, args: argparse.Namespace) -> int:
-    # Each branch imports from engine after reading its input, so for glue and
-    # ktheory the readers compile abelian before engine: compiling it last
-    # raised glue's peak resident set by about 1 MB.
+    # Each branch imports the function it runs after reading its input, as
+    # the readers compile the value modules first: compiling abelian after
+    # engine once raised glue's peak resident set by about 1 MB.
     sub = args.subcommand
     if sub == "build":
         strat = _load_stratification(args.inputs[0], caps)
         from .engine import build_root_psod
 
         psod = build_root_psod(strat, args.root, caps, totalize=args.totalize)
-        _emit(args, lambda: docs.psod_to_doc(psod), lambda: _render_psod(psod))
+        _emit(args, lambda documents: documents.psod_to_doc(psod), lambda: _render_psod(psod))
     elif sub == "infinite":
         strat = _load_stratification(args.inputs[0], caps)
         from .engine import build_infinite_psod
@@ -185,10 +198,12 @@ def _cmd_psod(caps: Caps, args: argparse.Namespace) -> int:
         psod = build_infinite_psod(
             strat, args.level, args.coprime_to, caps, totalize=args.totalize
         )
-        _emit(args, lambda: docs.psod_to_doc(psod), lambda: _render_psod(psod))
+        _emit(args, lambda documents: documents.psod_to_doc(psod), lambda: _render_psod(psod))
     elif sub == "glue":
-        scenario = docs.scenario_from_doc(_load(args.inputs[0]))
-        from .engine import glue
+        from .psoddocs import glue_result_to_doc, scenario_from_doc
+
+        scenario = scenario_from_doc(_load(args.inputs[0]))
+        from .gluing import glue
 
         res = glue(scenario, caps)
 
@@ -200,15 +215,17 @@ def _cmd_psod(caps: Caps, args: argparse.Namespace) -> int:
                 lines.append("index preserved")
             return "\n".join(lines)
 
-        _emit(args, lambda: docs.glue_result_to_doc(res), human)
+        _emit(args, lambda _: glue_result_to_doc(res), human)
     elif sub == "filtrate":
-        psod, obj = docs.filtration_request_from_doc(_load(args.inputs[0]))
+        from .psoddocs import filtration_request_from_doc, filtration_to_doc
+
+        psod, obj = filtration_request_from_doc(_load(args.inputs[0]))
         from .engine import filtration
 
         res = filtration(psod, obj)
         _emit(
             args,
-            lambda: docs.filtration_to_doc(res),
+            lambda _: filtration_to_doc(res),
             lambda: "\n".join(
                 f"  step {t}: grade {s.grade} component {list(s.component)}"
                 for t, s in enumerate(res.steps)
@@ -216,9 +233,11 @@ def _cmd_psod(caps: Caps, args: argparse.Namespace) -> int:
             + "\n  residual: zero",
         )
     elif sub == "ktheory":
+        from .psoddocs import kdata_from_doc, ktheory_to_doc
+
         strat = _load_stratification(args.inputs[0], caps)
-        kdata = docs.kdata_from_doc(_load(args.kdata))
-        from .engine import KTheoryMode, ktheory_report
+        kdata = kdata_from_doc(_load(args.kdata))
+        from .kreport import KTheoryMode, ktheory_report
 
         if args.mode == "finite":
             mode = KTheoryMode.finite(args.root)
@@ -238,7 +257,7 @@ def _cmd_psod(caps: Caps, args: argparse.Namespace) -> int:
             lines.append(f"  total: {rep.total} (rank {rep.total.rank})")
             return "\n".join(lines)
 
-        _emit(args, lambda: docs.ktheory_to_doc(rep), human)
+        _emit(args, lambda _: ktheory_to_doc(rep), human)
     else:  # pragma: no cover
         raise InputError(f"unknown psod subcommand {sub!r}")
     return 0

@@ -15,13 +15,19 @@ import itertools
 import math
 import re
 from collections import defaultdict
-from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .config import DEFAULT_CAPS, Caps, formed_bits, written
 from .errors import CapExceededError, InputError
-from .preorders import FinitePreorder
 from .records import record
+
+# The index builders import preorders and strata when they run, so the order
+# commands compile neither; fractions, which loads decimal, is imported only
+# to parse text or to make a Fraction, so the builders keep neither resident.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .preorders import FinitePreorder
 
 LESS = "less"
 GREATER = "greater"
@@ -54,6 +60,12 @@ class Residue:
             raise InputError("zero must be written 0/1")
 
     @classmethod
+    def lowest_terms(cls, num: int, den: int) -> "Residue":
+        """num/den reduced, for 0 <= -num < den."""
+        g = math.gcd(num, den)
+        return cls(num // g, den // g)
+
+    @classmethod
     def from_fraction(cls, value: Fraction) -> "Residue":
         if not (-1 < value <= 0):
             raise InputError(f"{value} is not in (-1, 0]")
@@ -63,6 +75,8 @@ class Residue:
     def parse(cls, text: str) -> "Residue":
         """A rational in (-1, 0] as ``Fraction`` reads it; an exponent is
         bounded before its power of ten forms (10 ** e has over 3 * e bits)."""
+        from fractions import Fraction
+
         text = text.strip()
         exp, bits = _EXPONENT.search(text), formed_bits()
         try:
@@ -76,6 +90,8 @@ class Residue:
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num, self.den)
 
     def __str__(self) -> str:
@@ -96,6 +112,8 @@ class CharTuple:
 
     @classmethod
     def of(cls, *values: str | Fraction | Residue) -> "CharTuple":
+        from fractions import Fraction
+
         comps = []
         for v in values:
             if isinstance(v, Residue):
@@ -140,7 +158,7 @@ def zr_elements(r: int, starred: bool = False) -> tuple[Residue, ...]:
     """
     if r < 1:
         raise InputError("r must be at least 1")
-    out = [Residue.from_fraction(Fraction(-p, r)) for p in range(r - 1, 0, -1)]
+    out = [Residue.lowest_terms(-p, r) for p in range(r - 1, 0, -1)]
     if not starred:
         out.append(ZERO)
     return tuple(out)
@@ -261,7 +279,7 @@ def _product_tuples(den: int, step: int, k: int, caps: Caps, what: str) -> list[
     caps.check_power(den // step - 1, k, what)
     caps.check_carrier(k, f"{what} tuple")
     nums = range(den - step, 0, -step) if k else ()
-    pool = [Residue.from_fraction(Fraction(-p, den)) for p in nums]
+    pool = [Residue.lowest_terms(-p, den) for p in nums]
     return [CharTuple(t) for t in itertools.product(pool, repeat=k)]
 
 
@@ -285,6 +303,8 @@ def _char_blocks_leq(
     members whose rank d is at least rank_d.  So a row costs O(k) mask
     operations instead of one comparison per member.  Labels read
     'block:(chars)'."""
+    from .preorders import FinitePreorder
+
     keyed = [(b, k, *key(c)) for b, k, c in entries]
     codim: dict[int, int] = defaultdict(int)
     block: dict[tuple[str, int], int] = defaultdict(int)
@@ -315,12 +335,6 @@ def _char_blocks_leq(
     return FinitePreorder(tuple(f"{b}:{c}" for b, _, c in entries), tuple(rows))
 
 
-def deepest_first(strata: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
-    """(stratum id, codim) pairs by decreasing codimension.  The sort is
-    stable, so strata of equal codimension keep their input order."""
-    return sorted(strata, key=lambda sk: -sk[1])
-
-
 def stratified_blocks(
     strata: Sequence[tuple[str, int]],
     characters: Callable[[int], Sequence[CharTuple]],
@@ -332,6 +346,8 @@ def stratified_blocks(
     pair in ``deepest_first`` order, assembled by ``_char_blocks_leq``;
     returns the index and its (stratum id, codim, character) entries in
     index order.  This is the one path that builds character blocks."""
+    from .strata import deepest_first
+
     ids = [s for s, _ in strata]
     if len(set(ids)) != len(ids):
         raise InputError("stratum ids must be distinct")

@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
+from psodkit import abelian
 from psodkit.abelian import (
-    FgAbGroup,
     GradedGroup,
     GradedHom,
     IntMatrix,
@@ -19,19 +19,19 @@ from psodkit.abelian import (
     kernel,
     snf,
 )
-from psodkit import abelian
+from psodkit.colimits import colimit
 from psodkit.errors import InputError, InvariantError, PreconditionError
+from psodkit.groups import FgAbGroup
 from psodkit.preorders import (
     CONTRAVARIANT,
     DiagramArrow,
     OrderReflectingMap,
     PreorderDiagram,
-    colimit,
     complete_preorder,
     discrete_preorder,
-    generated_preorder,
-    identity_map,
 )
+
+from helpers import generated_preorder, identity_map
 
 
 def M(rows):
@@ -645,7 +645,7 @@ def _random_preorder(rng, max_size=3):
 
 
 def _random_reflecting_map(rng, src, dst):
-    from psodkit.preorders import _reflecting_maps_to
+    from psodkit.verify import _reflecting_maps_to
 
     options = _reflecting_maps_to(src, dst.rows)
     if not options:

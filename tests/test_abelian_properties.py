@@ -8,15 +8,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psodkit.abelian import (
-    FgAbGroup,
-    IntMatrix,
-    graded_limit,
-    invariant_factors,
-    is_valid_hom,
-)
+from psodkit.abelian import IntMatrix, graded_limit, invariant_factors, is_valid_hom
+from psodkit.colimits import colimit
 from psodkit.errors import PreconditionError
-from psodkit.preorders import colimit
+from psodkit.groups import FgAbGroup
 
 from test_abelian import (
     diagonal,

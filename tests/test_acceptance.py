@@ -8,42 +8,34 @@ import math
 import random
 import time
 
-from psodkit.abelian import (
-    FgAbGroup,
-    IntMatrix,
-    invariant_factors,
-    snf,
-)
+from psodkit.abelian import IntMatrix, invariant_factors, snf
+from psodkit.colimits import colimit, coproduct, pushout
 from psodkit.engine import (
     FactorDescriptor,
-    GluingScenario,
-    KTheoryMode,
     PsodIndex,
     build_infinite_psod,
     build_root_psod,
     filtration,
-    glue,
-    ktheory_report,
     restrict_to_denominators,
 )
 from psodkit.errors import PreconditionError
+from psodkit.examples import nodal_cubic, simple_crossing
 from psodkit.factorial import CharTuple, enumerate_characters
+from psodkit.gluing import GluingScenario, glue
+from psodkit.groups import FgAbGroup
+from psodkit.kreport import KTheoryMode, ktheory_report
 from psodkit.preorders import (
     CONTRAVARIANT,
     DiagramArrow,
     OrderReflectingMap,
     PreorderDiagram,
-    colimit,
     complete_preorder,
-    coproduct,
     discrete_preorder,
-    generated_preorder,
-    identity_map,
-    pushout,
-    verify_colimit,
 )
-from psodkit.strata import Stratification, Stratum, nodal_cubic, simple_crossing
+from psodkit.strata import Stratification, Stratum
+from psodkit.verify import verify_colimit
 
+from helpers import generated_preorder, identity_map
 from test_abelian import is_unimodular, random_graded_scenario, ungraded_limit_oracle
 from test_engine import emitted
 from test_factorial import bang_chain, cmp_bang_znfact

@@ -11,21 +11,29 @@ import pytest
 import psodkit
 from psodkit import documents as docs
 from psodkit import abelian
+from psodkit import preorderdocs
+from psodkit import psoddocs
 from psodkit.abelian import IntMatrix
 from psodkit.cli import main
+from psodkit.colimits import colimit
 from psodkit.config import DEFAULT_CAPS
+from psodkit.examples import nodal_cubic, simple_crossing
 from psodkit.preorders import (
-    colimit,
     complete_preorder,
-    generated_preorder,
     discrete_preorder,
-    identity_map,
     OrderReflectingMap,
     PreorderDiagram,
     DiagramArrow,
-    verify_colimit,
 )
-from psodkit.strata import nodal_cubic, simple_crossing
+from psodkit.verify import verify_colimit
+
+from helpers import (
+    diagram_to_doc,
+    generated_preorder,
+    identity_map,
+    map_to_doc,
+    stratification_to_doc,
+)
 
 
 def run(capsys, *argv):
@@ -97,7 +105,7 @@ def test_coproduct_command_roundtrip(capsys, tmp_path):
     p2 = write(tmp_path, "p2.json", docs.preorder_to_doc(complete_preorder(["b"])))
     code, out, _ = run(capsys, "--output", "machine", "preorder", "coproduct", p1, p2)
     assert code == 0
-    got = docs.preorder_from_doc(json.loads(out)["preorder"])
+    got = preorderdocs.preorder_from_doc(json.loads(out)["preorder"])
     assert got == complete_preorder(["a", "b"])
 
 
@@ -110,12 +118,12 @@ def test_pushout_and_verify_commands(capsys, tmp_path):
     push_path = write(
         tmp_path,
         "span.json",
-        {"left": docs.map_to_doc(left), "right": docs.map_to_doc(right)},
+        {"left": map_to_doc(left), "right": map_to_doc(right)},
     )
     code, out, _ = run(capsys, "--output", "machine", "preorder", "pushout", push_path)
     assert code == 0
     body = json.loads(out)
-    carrier = docs.preorder_from_doc(body["preorder"])
+    carrier = preorderdocs.preorder_from_doc(body["preorder"])
     assert carrier.elements == ("a", "b=bp", "c")
 
     diag = PreorderDiagram(
@@ -127,7 +135,7 @@ def test_pushout_and_verify_commands(capsys, tmp_path):
         tmp_path,
         "verify.json",
         {
-            "diagram": docs.diagram_to_doc(diag),
+            "diagram": diagram_to_doc(diag),
             "candidate": body["preorder"],
             "cocones": {
                 "apex": {"s": "b=bp"},
@@ -150,10 +158,10 @@ def test_colimit_command(capsys, tmp_path):
             DiagramArrow("d1", "u", "v", identity_map(p)),
         ),
     )
-    path = write(tmp_path, "diag.json", docs.diagram_to_doc(diag))
+    path = write(tmp_path, "diag.json", diagram_to_doc(diag))
     code, out, _ = run(capsys, "--output", "machine", "preorder", "colimit", path)
     assert code == 0
-    assert docs.preorder_from_doc(json.loads(out)["preorder"]) == p
+    assert preorderdocs.preorder_from_doc(json.loads(out)["preorder"]) == p
 
 
 def test_malformed_document_exits_1(capsys, tmp_path):
@@ -185,7 +193,7 @@ def test_deeply_nested_document_exits_1(capsys, tmp_path):
 def test_integer_too_long_to_read_exits_1(capsys, tmp_path):
     # a rank of 5,001 digits, past Python's limit on reading integers
     cross = simple_crossing(2)
-    strat = write(tmp_path, "cross.json", docs.stratification_to_doc(cross))
+    strat = write(tmp_path, "cross.json", stratification_to_doc(cross))
     kdata = tmp_path / "kdata.json"
     kdata.write_text('{"X": {"rank": 1' + "0" * 5000 + ', "torsion": []}}', encoding="utf-8")
     code, out, err = run(capsys, "psod", "ktheory", strat, "--kdata", str(kdata), "--root", "3")
@@ -245,7 +253,7 @@ def test_ragged_relation_matrix_exits_2(capsys, tmp_path):
 def _point_verify_doc(**fields):
     p = complete_preorder(["x"])
     doc = {
-        "diagram": docs.diagram_to_doc(PreorderDiagram(("u",), {"u": p})),
+        "diagram": diagram_to_doc(PreorderDiagram(("u",), {"u": p})),
         "candidate": docs.preorder_to_doc(p),
         "cocones": {"u": {"x": "x"}},
     }
@@ -271,7 +279,7 @@ def test_verify_at_the_diagram_cap_is_fast(capsys, tmp_path):
     assert verify_colimit(diag, res.preorder, cocone).ok
     assert time.perf_counter() - start < 4
     path = write(tmp_path, "verify.json", {
-        "diagram": docs.diagram_to_doc(diag),
+        "diagram": diagram_to_doc(diag),
         "candidate": docs.preorder_to_doc(res.preorder),
         "cocones": cocone,
     })
@@ -372,7 +380,7 @@ def test_caps_flag_enforced(capsys):
 
 
 def test_psod_build_nodal(capsys, tmp_path):
-    path = write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal_cubic()))
+    path = write(tmp_path, "nodal.json", stratification_to_doc(nodal_cubic()))
     code, out, _ = run(capsys, "psod", "build", path, "--root", "2")
     assert code == 0
     lines = out.strip().splitlines()
@@ -381,10 +389,10 @@ def test_psod_build_nodal(capsys, tmp_path):
 
 
 def test_psod_build_machine_roundtrip(capsys, tmp_path):
-    path = write(tmp_path, "cross.json", docs.stratification_to_doc(simple_crossing(2)))
+    path = write(tmp_path, "cross.json", stratification_to_doc(simple_crossing(2)))
     code, out, _ = run(capsys, "--output", "machine", "psod", "build", path, "--root", "3")
     assert code == 0
-    psod = docs.psod_from_doc(json.loads(out))
+    psod = psoddocs.psod_from_doc(json.loads(out))
     assert len(psod.index) == 9
 
 
@@ -425,7 +433,7 @@ def test_psod_build_stratum_id_with_colon_or_empty(capsys, tmp_path, sid):
     path = write(tmp_path, "sd.json", sd)
     code, out, _ = run(capsys, "--output", "machine", "psod", "build", path, "--root", "3")
     assert code == 0
-    psod = docs.psod_from_doc(json.loads(out))
+    psod = psoddocs.psod_from_doc(json.loads(out))
     assert psod.index.elements == (f"{sid}:(-2/3)", f"{sid}:(-1/3)", "X:()")
     assert [f.stratum_id for f in psod.factors.values()] == [sid, sid, "X"]
 
@@ -479,7 +487,7 @@ def test_psod_infinite(capsys, tmp_path):
         capsys, "--output", "machine", "psod", "infinite", path, "--level", "3"
     )
     assert code == 0
-    psod = docs.psod_from_doc(json.loads(out))
+    psod = psoddocs.psod_from_doc(json.loads(out))
     assert len(psod.index) == 6
 
 
@@ -500,7 +508,7 @@ def test_psod_glue_cech(capsys, tmp_path, graded_oracle):
         tmp_path,
         "scenario.json",
         {
-            "diagram": docs.diagram_to_doc(diag),
+            "diagram": diagram_to_doc(diag),
             "psods": {"l0": docs.psod_to_doc(psod), "l1": docs.psod_to_doc(psod)},
         },
     )
@@ -525,7 +533,7 @@ def test_psod_glue_violation_reports_in_band_exit_zero(capsys, tmp_path, graded_
     path = write(
         tmp_path,
         "scenario.json",
-        {"diagram": docs.diagram_to_doc(diag), "psods": {"v": psod_doc}},
+        {"diagram": diagram_to_doc(diag), "psods": {"v": psod_doc}},
     )
     code, out, _ = run(capsys, "--output", "machine", "psod", "glue", path)
     assert code == 0
@@ -556,7 +564,7 @@ def test_psod_filtrate(capsys, tmp_path):
 
 def test_psod_ktheory(capsys, tmp_path):
     cross = simple_crossing(2)
-    strat_path = write(tmp_path, "cross.json", docs.stratification_to_doc(cross))
+    strat_path = write(tmp_path, "cross.json", stratification_to_doc(cross))
     kdata_path = write(
         tmp_path,
         "kdata.json",
@@ -583,7 +591,7 @@ def test_psod_ktheory(capsys, tmp_path):
 
 def _c2_ktheory(capsys, tmp_path, k, r, *flags):
     cross = simple_crossing(k)
-    strat = write(tmp_path, "cross.json", docs.stratification_to_doc(cross))
+    strat = write(tmp_path, "cross.json", stratification_to_doc(cross))
     kdata = write(
         tmp_path, "kdata.json", {c: {"rank": 1, "torsion": [2]} for c in cross.all_components()}
     )
@@ -655,11 +663,11 @@ def test_ktheory_torsion_cap_is_reachable(capsys, tmp_path):
 )
 def test_caps_checked_before_allocating_with_one_line_errors(capsys, tmp_path, argv, line):
     cross = simple_crossing(3)
-    huge = docs.stratification_to_doc(cross)
+    huge = stratification_to_doc(cross)
     (triple,) = [s for s in huge["strata"] if s["codim"] == 3]
     triple["codim"] = 10**30
     paths = {
-        "strat": write(tmp_path, "cross.json", docs.stratification_to_doc(cross)),
+        "strat": write(tmp_path, "cross.json", stratification_to_doc(cross)),
         "huge": write(tmp_path, "huge.json", huge),
         "kdata": write(tmp_path, "kdata.json",
                        {c: {"rank": 0, "torsion": [2]} for c in cross.all_components()}),
@@ -681,7 +689,7 @@ def test_ktheory_refuses_numbers_too_long_to_write(capsys, tmp_path, output):
         if (r | 1 << bit) ** 3 < 10**limit:
             r |= 1 << bit
     cross = simple_crossing(3)
-    strat = write(tmp_path, "cross.json", docs.stratification_to_doc(cross))
+    strat = write(tmp_path, "cross.json", stratification_to_doc(cross))
     kdata = write(
         tmp_path, "kdata.json", {c: {"rank": 1, "torsion": []} for c in cross.all_components()}
     )
@@ -707,7 +715,7 @@ def test_ktheory_refuses_numbers_too_long_to_write(capsys, tmp_path, output):
 def test_human_ktheory_writes_free_rank_as_a_power(capsys, tmp_path):
     # crossing(4) at r=50 has free rank 50^4 = 6,250,000
     cross = simple_crossing(4)
-    strat = write(tmp_path, "cross.json", docs.stratification_to_doc(cross))
+    strat = write(tmp_path, "cross.json", stratification_to_doc(cross))
     kdata = write(
         tmp_path, "kdata.json", {c: {"rank": 1, "torsion": []} for c in cross.all_components()}
     )
@@ -719,18 +727,18 @@ def test_human_ktheory_writes_free_rank_as_a_power(capsys, tmp_path):
 
 
 def test_psod_ktheory_needs_kdata(capsys, tmp_path):
-    path = write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal_cubic()))
+    path = write(tmp_path, "nodal.json", stratification_to_doc(nodal_cubic()))
     code, _, err = run(capsys, "psod", "ktheory", path)
     assert code == 2 and "kdata" in err
 
 
 def test_totalize_flag(capsys, tmp_path):
-    path = write(tmp_path, "cross.json", docs.stratification_to_doc(simple_crossing(2)))
+    path = write(tmp_path, "cross.json", stratification_to_doc(simple_crossing(2)))
     code, out, _ = run(
         capsys, "--output", "machine", "--totalize", "psod", "build", path, "--root", "3"
     )
     assert code == 0
-    psod = docs.psod_from_doc(json.loads(out))
+    psod = psoddocs.psod_from_doc(json.loads(out))
     assert psod.annotations.get("totalized") == "true"
 
 
@@ -753,7 +761,7 @@ def test_bad_caps_rejected(capsys):
 def test_malformed_bodies_exit_1(capsys, tmp_path, argv, body, message):
     paths = {
         "body": write(tmp_path, "body.json", body),
-        "nodal": write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal_cubic())),
+        "nodal": write(tmp_path, "nodal.json", stratification_to_doc(nodal_cubic())),
     }
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1 and out == ""
@@ -778,7 +786,7 @@ def test_malformed_bodies_exit_1(capsys, tmp_path, argv, body, message):
     ],
 )
 def test_ktheory_rejects_coerced_groups(capsys, tmp_path, kdata, message):
-    strat = write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal_cubic()))
+    strat = write(tmp_path, "nodal.json", stratification_to_doc(nodal_cubic()))
     path = write(tmp_path, "kdata.json", kdata)
     code, out, err = run(capsys, "psod", "ktheory", strat, "--kdata", path)
     assert code == 1 and out == ""
@@ -811,7 +819,7 @@ def test_each_output_mode_builds_only_its_own_text(capsys, tmp_path, monkeypatch
     def refuse(*args):
         raise AssertionError("built for the other output mode")
 
-    path = write(tmp_path, "cross.json", docs.stratification_to_doc(simple_crossing(2)))
+    path = write(tmp_path, "cross.json", stratification_to_doc(simple_crossing(2)))
     chain = write(tmp_path, "chain.json", chain_doc("a", "b"))
     monkeypatch.setattr(cli, "_render_psod", refuse)
     monkeypatch.setattr(cli, "_render_preorder", refuse)
@@ -861,17 +869,17 @@ def _graded_scenario_doc():
     elements = psod["index"]["elements"]
     diag = PreorderDiagram(
         ("l0", "l1"),
-        {v: docs.preorder_from_doc(psod["index"]) for v in ("l0", "l1")},
+        {v: preorderdocs.preorder_from_doc(psod["index"]) for v in ("l0", "l1")},
         (
             DiagramArrow(
                 "d0", "l0", "l1",
-                identity_map(docs.preorder_from_doc(psod["index"])), "contravariant",
+                identity_map(preorderdocs.preorder_from_doc(psod["index"])), "contravariant",
             ),
         ),
     )
     graded = {"index": psod["index"], "pieces": {x: {"rank": 1} for x in elements}}
     return {
-        "diagram": docs.diagram_to_doc(diag),
+        "diagram": diagram_to_doc(diag),
         "psods": {"l0": psod, "l1": docs.loads(docs.dumps(psod))},
         "graded": {"l0": graded, "l1": docs.loads(docs.dumps(graded))},
         "graded_homs": {
@@ -921,7 +929,7 @@ def test_glue_identity_blocks_between_unequal_graded_data_exits_2(capsys, tmp_pa
     diag = PreorderDiagram(("u", "v"), idx, (DiagramArrow("f", "u", "v", f, "contravariant"),))
     factor = FactorDescriptor("S", CharTuple(()), "Perf(S)")
     body = {
-        "diagram": docs.diagram_to_doc(diag),
+        "diagram": diagram_to_doc(diag),
         "psods": {
             v: docs.psod_to_doc(PsodIndex(p, {x: factor for x in p.elements}))
             for v, p in idx.items()
@@ -1029,7 +1037,7 @@ def test_order_enumerate_coprime_to_beyond_primality_bound_exits_2(capsys):
 @pytest.mark.parametrize("p, code", [(4, 2), (6, 2), (2, 0), (3, 0)])
 def test_ktheory_kummer_p_must_be_prime(capsys, tmp_path, p, code):
     nodal = nodal_cubic()
-    strat = write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal))
+    strat = write(tmp_path, "nodal.json", stratification_to_doc(nodal))
     kdata = write(tmp_path, "kdata.json", {c: {"rank": 1} for c in nodal.all_components()})
     got, out, err = run(
         capsys, "psod", "ktheory", strat, "--kdata", kdata, "--mode", "kummer",
@@ -1065,7 +1073,7 @@ def _cli_env():
 
 
 def test_closed_pipe_exits_1_with_one_line(tmp_path):
-    path = write(tmp_path, "cross.json", docs.stratification_to_doc(simple_crossing(3)))
+    path = write(tmp_path, "cross.json", stratification_to_doc(simple_crossing(3)))
     proc = subprocess.Popen(
         CLI + ["--output", "machine", "psod", "build", path, "--root", "8"],
         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -1087,7 +1095,7 @@ def test_closed_pipe_exits_1_with_one_line(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("mode", ["machine", "human"])
 def test_full_device_exits_1_with_one_line(tmp_path, mode):
-    path = write(tmp_path, "nodal.json", docs.stratification_to_doc(nodal_cubic()))
+    path = write(tmp_path, "nodal.json", stratification_to_doc(nodal_cubic()))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             CLI + ["--output", mode, "psod", "build", path, "--root", "2"],
@@ -1120,7 +1128,7 @@ def test_ktheory_refuses_huge_powers_without_a_digit_limit(tmp_path, mode):
     # still refused by its bit length before it is formed, in a child with
     # an 800 MB address space
     cross = simple_crossing(2)
-    huge = docs.stratification_to_doc(cross)
+    huge = stratification_to_doc(cross)
     (double,) = [s for s in huge["strata"] if s["codim"] == 2]
     double["codim"] = 10**30
     strat = write(tmp_path, "huge.json", huge)
@@ -1144,7 +1152,7 @@ def _one_factor_scenario(character):
     factor = {"stratum": "S1", "character": character, "target": "Perf(C1)", "kdata": None}
     psod = {"index": docs.preorder_to_doc(idx), "factors": {"p1": factor}, "annotations": {}}
     diag = PreorderDiagram(("v",), {"v": idx})
-    return {"diagram": docs.diagram_to_doc(diag), "psods": {"v": psod}}
+    return {"diagram": diagram_to_doc(diag), "psods": {"v": psod}}
 
 
 @pytest.mark.parametrize(
@@ -1193,7 +1201,7 @@ def test_colimit_labels_stay_distinct_when_dotted_names_collide(capsys, tmp_path
         ("a", "a.b"),
         {"a": discrete_preorder(["b.c", "z"]), "a.b": discrete_preorder(["c", "z"])},
     )
-    path = write(tmp_path, "dotted.json", docs.diagram_to_doc(diagram))
+    path = write(tmp_path, "dotted.json", diagram_to_doc(diagram))
     code, out, err = run(capsys, "--output", "machine", "preorder", "colimit", path)
     assert (code, err) == (0, "")
     body = json.loads(out)
@@ -1223,7 +1231,7 @@ print(proc.wait(), digest.hexdigest(), resource.getrusage(resource.RUSAGE_CHILDR
 def _probe_cross3_build(tmp_path, r):
     """Exit code, sha256 and peak resident set in KB of machine-mode
     ``psod build --root r`` on crossing(3), and its stderr."""
-    path = write(tmp_path, "cross.json", docs.stratification_to_doc(simple_crossing(3)))
+    path = write(tmp_path, "cross.json", stratification_to_doc(simple_crossing(3)))
     proc = subprocess.run(
         [sys.executable, "-c", MAXRSS_PROBE]
         + CLI + ["--output", "machine", "psod", "build", path, "--root", str(r)],

@@ -10,10 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from psodkit import documents as docs
-from psodkit.abelian import FgAbGroup
+from psodkit import preorderdocs
+from psodkit import psoddocs
 from psodkit.engine import FactorDescriptor, PsodIndex
 from psodkit.factorial import CharTuple
-from psodkit.preorders import DiagramArrow, FinitePreorder, PreorderDiagram, identity_map
+from psodkit.groups import FgAbGroup
+from psodkit.preorders import DiagramArrow, FinitePreorder, PreorderDiagram
+
+from helpers import diagram_to_doc, identity_map, map_to_doc
 
 # quotes, backslashes, control and non-ASCII characters need escapes
 _strings = st.text() | st.text(alphabet='"\\\x00\x1f\x7f\n\té \U0001f600ab', max_size=6)
@@ -99,10 +103,10 @@ def _diagram(p):
 
 # a preorder document bare and nested at several depths, with its reader
 _NESTINGS = [
-    (lambda p: p, docs.preorder_to_doc, docs.preorder_from_doc),
-    (identity_map, docs.map_to_doc, docs.map_from_doc),
-    (_diagram, docs.diagram_to_doc, docs.diagram_from_doc),
-    (_psod, docs.psod_to_doc, docs.psod_from_doc),
+    (lambda p: p, docs.preorder_to_doc, preorderdocs.preorder_from_doc),
+    (identity_map, map_to_doc, preorderdocs.map_from_doc),
+    (_diagram, diagram_to_doc, preorderdocs.diagram_from_doc),
+    (_psod, docs.psod_to_doc, psoddocs.psod_from_doc),
 ]
 
 

@@ -2,22 +2,23 @@ import random
 
 import pytest
 
-from psodkit.abelian import FgAbGroup, GradedGroup
-from psodkit.errors import InputError, PreconditionError
+from psodkit.abelian import GradedGroup
+from psodkit.atlas import Chart, ChartAtlas, Overlap, strata_from_atlas
 from psodkit.engine import (
     FactorDescriptor,
-    GluingScenario,
-    KTheoryMode,
     PsodIndex,
     build_infinite_psod,
     build_root_psod,
     filtration,
-    glue,
-    ktheory_report,
     restrict_to_denominators,
     totalize_index,
 )
-from psodkit.factorial import CharTuple, deepest_first
+from psodkit.errors import InputError, PreconditionError
+from psodkit.examples import nodal_cubic, simple_crossing
+from psodkit.factorial import CharTuple
+from psodkit.gluing import GluingScenario, glue
+from psodkit.groups import FgAbGroup
+from psodkit.kreport import KTheoryMode, ktheory_report
 from psodkit.preorders import (
     CONTRAVARIANT,
     DiagramArrow,
@@ -25,21 +26,11 @@ from psodkit.preorders import (
     complete_preorder,
     directed_numbering,
     discrete_preorder,
-    generated_preorder,
-    identity_map,
     is_directed,
 )
-from psodkit.strata import (
-    Chart,
-    ChartAtlas,
-    Overlap,
-    Stratification,
-    Stratum,
-    nodal_cubic,
-    simple_crossing,
-    strata_from_atlas,
-)
+from psodkit.strata import Stratification, Stratum, deepest_first
 
+from helpers import generated_preorder, identity_map
 from test_preorders import lt
 
 
@@ -246,21 +237,21 @@ def test_glue_cech_with_graded_data():
 
 
 def test_graded_glue_computes_one_colimit(monkeypatch):
-    from psodkit import preorders
+    from psodkit import colimits
 
     scenario, psod = cech_scenario()
     g = GradedGroup(psod.index, {x: FgAbGroup(1, (2,)) for x in psod.index.elements})
     scenario = GluingScenario(
         scenario.diagram, scenario.psods, {v: g for v in scenario.diagram.vertices}
     )
-    real = preorders._quotient_preorder
+    real = colimits._quotient_preorder
     calls = []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(preorders, "_quotient_preorder", counting)
+    monkeypatch.setattr(colimits, "_quotient_preorder", counting)
     res = glue(scenario)
     assert res.graded is not None and res.graded.graded.pieces == g.pieces
     assert len(calls) == 1

@@ -16,16 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psodkit.atlas import Chart, ChartAtlas, Overlap, strata_from_atlas
 from psodkit.engine import build_infinite_psod, build_root_psod, restrict_to_denominators
+from psodkit.examples import nodal_cubic, simple_crossing
 from psodkit.factorial import EQUAL, LESS, CharTuple, enumerate_characters
-from psodkit.strata import (
-    Chart,
-    ChartAtlas,
-    Overlap,
-    nodal_cubic,
-    simple_crossing,
-    strata_from_atlas,
-)
 
 from test_engine import smooth_divisor
 from test_factorial import build_zdr, build_zdr_stratified, build_zkr, cmp_bang_reference

@@ -13,15 +13,16 @@ import pytest
 import psodkit
 from psodkit import documents as docs
 from psodkit.engine import build_root_psod
-from psodkit.preorders import (
-    DiagramArrow,
-    OrderReflectingMap,
-    PreorderDiagram,
-    complete_preorder,
+from psodkit.examples import nodal_cubic, simple_crossing
+from psodkit.preorders import DiagramArrow, OrderReflectingMap, PreorderDiagram, complete_preorder
+
+from helpers import (
+    diagram_to_doc,
     generated_preorder,
     identity_map,
+    map_to_doc,
+    stratification_to_doc,
 )
-from psodkit.strata import nodal_cubic, simple_crossing
 
 
 def test_exported_names_are_their_home_modules_objects():
@@ -91,38 +92,84 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(psodkit, "nope")
 
 
-# Runs the given commands in one fresh interpreter and prints the psodkit
-# modules loaded at exit; any exit code but 0 fails the probe, and so does
-# loading dataclasses or inspect (records are built without them).
+# Runs one command line in a fresh interpreter and prints the psodkit modules
+# loaded at exit with the lines of their source; any exit code but 0 fails
+# the probe, and so does loading dataclasses or inspect (records are built
+# without them).
 PROBE = """
 import json, sys
 import psodkit
-commands = json.loads(sys.argv[1])
-if commands:
+argv = json.loads(sys.argv[1])
+if argv:
     from psodkit.cli import main
-for argv in commands:
-    if main(["--output", "machine", *argv]) != 0:
+    if main(argv) != 0:
         sys.exit(f"nonzero exit: {argv}")
 for name in ("dataclasses", "inspect"):
     if name in sys.modules:
         sys.exit(f"{name} was imported")
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("psodkit"))))
+loaded = sorted(m for m in sys.modules if m.startswith("psodkit"))
+lines = sum(open(sys.modules[m].__file__, "rb").read().count(b"\\n") for m in loaded)
+print(json.dumps({"modules": loaded, "lines": lines, "fractions": "fractions" in sys.modules}))
 """
 
-PREORDER_MODULES = {"psodkit", "psodkit.cli", "psodkit.config", "psodkit.documents",
-                    "psodkit.errors", "psodkit.preorders", "psodkit.records"}
-BUILD_MODULES = PREORDER_MODULES | {"psodkit.engine", "psodkit.factorial", "psodkit.strata"}
+BASE = {"psodkit", "psodkit.cli", "psodkit.config", "psodkit.errors", "psodkit.records"}
+DOCS = BASE | {"psodkit.documents"}
+PREORDER = DOCS | {"psodkit.preorders", "psodkit.preorderdocs"}
+BUILD = DOCS | {"psodkit.engine", "psodkit.factorial", "psodkit.preorders", "psodkit.strata"}
+KTHEORY = DOCS | {"psodkit.groups", "psodkit.kreport", "psodkit.preorders", "psodkit.psoddocs",
+                  "psodkit.strata"}
+M = ["--output", "machine"]
+
+# One command per row: its argument list, the modules it loads, and the most
+# source lines those modules may hold.  The budgets of build, infinite,
+# ktheory and human-mode order cmp are the targets of the startup carve; the
+# others are what each command loaded before it (1,968 lines for a preorder
+# command, 2,378 for an order command, 3,147 for filtrate, 3,722 for glue).
+COMMANDS = {
+    "import": ([], {"psodkit"}, 100),
+    "preorder-verify": (M + ["preorder", "verify", "{verify}"],
+                        PREORDER | {"psodkit.verify"}, 1968),
+    "preorder-colimit": (M + ["preorder", "colimit", "{diagram}"],
+                         PREORDER | {"psodkit.colimits"}, 1968),
+    "preorder-coproduct": (M + ["preorder", "coproduct", "{chain}", "{chain}"],
+                           PREORDER | {"psodkit.colimits"}, 1968),
+    "preorder-pushout": (M + ["preorder", "pushout", "{span}"],
+                         PREORDER | {"psodkit.colimits"}, 1968),
+    "preorder-number": (M + ["preorder", "number", "{chain}"], PREORDER, 1968),
+    "preorder-directed": (M + ["preorder", "directed", "{chain}"], PREORDER, 1968),
+    "order-cmp-human": (["order", "cmp", "--", "0", "0"], BASE | {"psodkit.factorial"}, 1300),
+    "order-cmp": (M + ["order", "cmp", "--", "0", "0"], DOCS | {"psodkit.factorial"}, 2378),
+    "order-factform": (M + ["order", "factform", "--", "-1/2"], DOCS | {"psodkit.factorial"},
+                       2378),
+    "order-enumerate": (M + ["order", "enumerate", "--arity", "1", "--level", "3"],
+                        DOCS | {"psodkit.factorial"}, 2378),
+    "psod-build": (M + ["psod", "build", "{nodal}", "--root", "3"], BUILD, 2300),
+    "psod-infinite": (M + ["psod", "infinite", "{nodal}", "--level", "3"], BUILD, 2300),
+    "psod-build-atlas": (M + ["psod", "build", "{atlas}", "--root", "3"],
+                         BUILD | {"psodkit.atlas"}, 2300),
+    "psod-filtrate": (M + ["psod", "filtrate", "{filtrate}"],
+                      PREORDER | {"psodkit.engine", "psodkit.factorial", "psodkit.psoddocs"}, 3147),
+    "psod-glue": (M + ["psod", "glue", "{scenario}"],
+                  PREORDER | {"psodkit.abelian", "psodkit.colimits", "psodkit.engine",
+                              "psodkit.factorial", "psodkit.gluing", "psodkit.groups",
+                              "psodkit.psoddocs"}, 3722),
+    "psod-ktheory": (M + ["psod", "ktheory", "{cross}", "--kdata", "{kdata}", "--root", "3"],
+                     KTHEORY, 2600),
+    "psod-ktheory-kummer": (M + ["psod", "ktheory", "{cross}", "--kdata", "{kdata}",
+                                 "--mode", "kummer", "--p", "2", "--level", "3"],
+                            KTHEORY | {"psodkit.factorial"}, 2600),
+}
 
 
 def _inputs(tmp_path: Path) -> dict[str, str]:
     chain = generated_preorder(["a", "b"], [("a", "b")])
     point = complete_preorder(["s"])
     span = {
-        "left": docs.map_to_doc(OrderReflectingMap(point, chain, {"s": "a"})),
-        "right": docs.map_to_doc(OrderReflectingMap(point, chain, {"s": "b"})),
+        "left": map_to_doc(OrderReflectingMap(point, chain, {"s": "a"})),
+        "right": map_to_doc(OrderReflectingMap(point, chain, {"s": "b"})),
     }
     diagram = PreorderDiagram(("u",), {"u": chain})
-    verify = {"diagram": docs.diagram_to_doc(diagram), "candidate": docs.preorder_to_doc(chain),
+    verify = {"diagram": diagram_to_doc(diagram), "candidate": docs.preorder_to_doc(chain),
               "cocones": {"u": {"a": "a", "b": "b"}}}
     psod = build_root_psod(nodal_cubic(), 2)
     elements = list(psod.index.elements)
@@ -130,7 +177,7 @@ def _inputs(tmp_path: Path) -> dict[str, str]:
     idx = docs.preorder_to_doc(psod.index)
     graded = {"index": idx, "pieces": {x: {"rank": 1} for x in elements}}
     scenario = {
-        "diagram": docs.diagram_to_doc(PreorderDiagram(
+        "diagram": diagram_to_doc(PreorderDiagram(
             ("l0", "l1"), {"l0": psod.index, "l1": psod.index},
             (DiagramArrow("d0", "l0", "l1", identity_map(psod.index), "contravariant"),),
         )),
@@ -139,44 +186,56 @@ def _inputs(tmp_path: Path) -> dict[str, str]:
     }
     cross = simple_crossing(2)
     kdata = {c: {"rank": 1} for c in cross.all_components()}
+    atlas = {"charts": [{"id": "U", "branches": ["p", "q"]}],
+             "overlaps": [{"charts": ["U", "U"], "map": {"p": "q"}}]}
     paths = {}
     for name, doc in [("chain", docs.preorder_to_doc(chain)), ("span", span),
-                      ("diagram", docs.diagram_to_doc(diagram)), ("verify", verify),
-                      ("nodal", docs.stratification_to_doc(nodal_cubic())),
+                      ("diagram", diagram_to_doc(diagram)), ("verify", verify),
+                      ("nodal", stratification_to_doc(nodal_cubic())),
                       ("filtrate", filtrate), ("scenario", scenario),
-                      ("cross", docs.stratification_to_doc(cross)), ("kdata", kdata)]:
+                      ("cross", stratification_to_doc(cross)), ("kdata", kdata),
+                      ("atlas", atlas)]:
         paths[name] = str(tmp_path / f"{name}.json")
         Path(paths[name]).write_text(docs.dumps(doc), encoding="utf-8")
     return paths
 
 
-@pytest.mark.parametrize(
-    "commands, loaded",
-    [
-        ([], {"psodkit"}),
-        ([["preorder", "verify", "{verify}"], ["preorder", "colimit", "{diagram}"],
-          ["preorder", "coproduct", "{chain}", "{chain}"], ["preorder", "pushout", "{span}"],
-          ["preorder", "number", "{chain}"], ["preorder", "directed", "{chain}"]],
-         PREORDER_MODULES),
-        ([["order", "cmp", "--", "0", "0"], ["order", "factform", "--", "-1/2"],
-          ["order", "enumerate", "--arity", "1", "--level", "3"]],
-         PREORDER_MODULES | {"psodkit.factorial"}),
-        ([["psod", "build", "{nodal}", "--root", "3"],
-          ["psod", "infinite", "{nodal}", "--level", "3"], ["psod", "filtrate", "{filtrate}"]],
-         BUILD_MODULES),
-        ([["psod", "glue", "{scenario}"],
-          ["psod", "ktheory", "{cross}", "--kdata", "{kdata}", "--root", "3"]],
-         BUILD_MODULES | {"psodkit.abelian"}),
-    ],
-    ids=["import", "preorder", "order", "psod-build-infinite-filtrate", "psod-glue-ktheory"],
-)
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, commands, loaded):
-    paths = _inputs(tmp_path)
-    argvs = [[arg.format(**paths) for arg in argv] for argv in commands]
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    """The modules and source lines of each command, one fresh interpreter each."""
+    paths = _inputs(tmp_path_factory.mktemp("inputs"))
     src = str(Path(psodkit.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout.splitlines()[-1])) == loaded
+    seen = {}
+
+    def run(command: str) -> dict:
+        if command not in seen:
+            argv = [arg.format(**paths) for arg in COMMANDS[command][0]]
+            proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            seen[command] = json.loads(proc.stdout.splitlines()[-1])
+        return seen[command]
+
+    return run
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_command_loads_only_the_modules_it_runs(probe, command):
+    assert set(probe(command)["modules"]) == COMMANDS[command][1]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_command_compiles_at_most_its_line_budget(probe, command):
+    # every job recompiles what it imports when byte-code is not written
+    # (PYTHONDONTWRITEBYTECODE), so the lines a command loads are its
+    # compile cost
+    assert probe(command)["lines"] <= COMMANDS[command][2]
+
+
+@pytest.mark.parametrize("command", ["psod-build", "psod-infinite", "psod-ktheory"])
+def test_commands_that_parse_no_residue_keep_fractions_out(probe, command):
+    # fractions imports decimal; together they add about half a megabyte to
+    # the resident set of a command that never reads a residue
+    assert not probe(command)["fractions"]

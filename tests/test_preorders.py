@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from psodkit import documents as docs
+from psodkit import preorderdocs
+from psodkit.colimits import colimit, coproduct, pushout
 from psodkit.errors import CapExceededError, InputError, PreconditionError
 from psodkit.preorders import (
     CONTRAVARIANT,
@@ -13,29 +14,24 @@ from psodkit.preorders import (
     FinitePreorder,
     OrderReflectingMap,
     PreorderDiagram,
-    VerifyResult,
-    colimit,
     complete_preorder,
-    coproduct,
     directed_numbering,
     directedness,
     discrete_preorder,
-    generated_preorder,
-    identity_map,
     is_directed,
     is_order_reflecting,
-    pushout,
-    verify_colimit,
 )
-from psodkit.preorders import (
-    _classes,
-    _gather,
+from psodkit.preorders import _classes, _gather, _reflection_witness
+from psodkit.verify import (
+    VerifyResult,
     _posets_on,
     _preorders_on,
     _reflecting_maps_to,
-    _reflection_witness,
     _set_partitions,
+    verify_colimit,
 )
+
+from helpers import generated_preorder, identity_map
 
 
 def chain(*labels):
@@ -461,7 +457,7 @@ def test_verify_rejection_witness_is_pinned():
     candidate = FinitePreorder(out.elements, tuple(rows))
     cocone = {"v0": {"a": "a", "b": "b"}, "v1": {"c": "c", "d": "d"}}
     res = verify_colimit(diag, candidate, cocone)
-    assert docs.verify_to_doc(res) == {
+    assert preorderdocs.verify_to_doc(res) == {
         "ok": False,
         "reason": "cocone has no order-reflecting factorization",
         "witness": {
@@ -627,8 +623,8 @@ def test_verify_matches_factorization_oracle():
     spans_three_vertices = inside_one_vertex = False
     for _ in range(300):
         diagram, candidate, cocone = _random_verify_request(rng)
-        got = docs.verify_to_doc(verify_colimit(diagram, candidate, cocone))
-        assert got == docs.verify_to_doc(_oracle_verify(diagram, candidate, cocone))
+        got = preorderdocs.verify_to_doc(verify_colimit(diagram, candidate, cocone))
+        assert got == preorderdocs.verify_to_doc(_oracle_verify(diagram, candidate, cocone))
         reasons.add(got.get("reason"))
         nodes = [(v, x) for v in diagram.vertices for x in diagram.preorders[v].elements]
         for cls in _classes(nodes, diagram.identifications()):

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psodkit import documents as docs
+from psodkit import preorderdocs
+from psodkit.colimits import colimit, pushout
 from psodkit.preorders import (
     DiagramArrow,
     FinitePreorder,
     OrderReflectingMap,
     PreorderDiagram,
-    colimit,
     complete_preorder,
     discrete_preorder,
-    generated_preorder,
-    pushout,
 )
 
+from helpers import generated_preorder
 from test_preorders import iso_key
 
 
@@ -58,7 +58,7 @@ def test_preorder_document_roundtrip(p):
     # non-transitive relations included: the document stores any reflexive one
     doc = docs.loads(docs.dumps(docs.preorder_to_doc(p)))
     assert doc["leq"] == [[p.le(x, y) for y in p.elements] for x in p.elements]
-    assert docs.preorder_from_doc(doc) == p
+    assert preorderdocs.preorder_from_doc(doc) == p
 
 
 # Dotted names make vertex-qualified labels collide, as vertex "a" with

@@ -14,40 +14,30 @@ import itertools
 
 import pytest
 
-from psodkit import abelian, config, engine, factorial, preorders, records, strata
-from psodkit.abelian import (
-    FgAbGroup,
-    GradedGroup,
-    graded_limit,
-    identity_graded_hom,
+from psodkit import (
+    abelian, atlas, colimits, config, engine, factorial, gluing, groups, kreport, preorders, records,
+    strata, verify,
 )
+from psodkit.abelian import GradedGroup, graded_limit, identity_graded_hom
+from psodkit.atlas import Chart, ChartAtlas, Overlap, strata_from_atlas
+from psodkit.colimits import colimit
 from psodkit.config import Caps
-from psodkit.engine import (
-    GluingScenario,
-    KTheoryMode,
-    build_infinite_psod,
-    build_root_psod,
-    filtration,
-    glue,
-    ktheory_report,
-)
+from psodkit.engine import build_infinite_psod, build_root_psod, filtration
+from psodkit.examples import nodal_cubic, simple_crossing
 from psodkit.factorial import CharTuple, to_factorial_form
-from psodkit.preorders import (
-    colimit,
-    complete_preorder,
-    directedness,
-    discrete_preorder,
-    generated_preorder,
-    identity_map,
-    verify_colimit,
-)
+from psodkit.gluing import GluingScenario, glue
+from psodkit.groups import FgAbGroup
+from psodkit.kreport import KTheoryMode, ktheory_report
+from psodkit.preorders import complete_preorder, directedness, discrete_preorder
 from psodkit.records import FrozenRecordError, fields, record
-from psodkit.strata import Chart, ChartAtlas, Overlap, nodal_cubic, simple_crossing, strata_from_atlas
+from psodkit.verify import verify_colimit
 
+from helpers import generated_preorder, identity_map
 from test_abelian import graded_quiver
 from test_engine import cech_scenario
 
-MODULES = (abelian, config, engine, factorial, preorders, strata)
+MODULES = (abelian, atlas, colimits, config, engine, factorial, gluing, groups, kreport,
+           preorders, strata, verify)
 
 
 def record_classes():

@@ -1,19 +1,10 @@
 import pytest
 
+from psodkit.atlas import Chart, ChartAtlas, Overlap, strata_from_atlas
 from psodkit.config import Caps
 from psodkit.errors import InputError
-from psodkit.strata import (
-    Chart,
-    ChartAtlas,
-    Overlap,
-    Stratification,
-    Stratum,
-    nodal_cubic,
-    simple_crossing,
-    skeleton,
-    strata_from_atlas,
-    validate,
-)
+from psodkit.examples import nodal_cubic, simple_crossing
+from psodkit.strata import Stratification, Stratum, skeleton, validate
 
 
 def test_nodal_cubic_is_valid():
