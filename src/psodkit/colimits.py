@@ -17,6 +17,7 @@ from .preorders import (
     _bits,
     _classes,
     _disjoint_union,
+    _gather,
 )
 from .records import record
 
@@ -58,19 +59,30 @@ def _quotient_preorder(
     rows = [(1 << m) - 1] * m
     for v in part_order:
         p = parts[v]
-        cls = [cls_of[(v, x)] for x in p.elements]
-        preim = [0] * m
-        for t, c in enumerate(cls):
-            preim[c] |= 1 << t
-        everything = (1 << len(p)) - 1
-        for i in range(m):
+        n = len(p)
+        preims: dict[int, list[int]] = {}
+        for t, x in enumerate(p.elements):
+            preims.setdefault(cls_of[(v, x)], []).append(t)
+        # layer k reads each class's k-th preimage in p, or the padding
+        # position n where the class has fewer: a mask of elements of p
+        # becomes the mask of their classes, OR-ed over the layers
+        layers = []
+        for k in range(max(map(len, preims.values()), default=0)):
+            layer = [n] * m
+            for c, ts in preims.items():
+                if k < len(ts):
+                    layer[c] = ts[k]
+            layers.append(_gather(layer, n))
+        everything = (1 << n) - 1
+        for i in sorted(preims):
+            preim = sum(1 << t for t in preims[i])
             common = everything
-            for x in _bits(preim[i]):
+            for x in preims[i]:
                 # the cocone into the quotient can only be order-reflecting if
                 # each class meets every part in a complete fiber; zigzag
                 # identifications can break this, and then no object satisfies
                 # the stated rule
-                bad = preim[i] & ~p.rows[x]
+                bad = preim & ~p.rows[x]
                 if bad:
                     raise PreconditionError(
                         f"elements {p.elements[x]!r} and {p.elements[next(_bits(bad))]!r} "
@@ -78,8 +90,10 @@ def _quotient_preorder(
                         "gluing admits no order-reflecting cocone"
                     )
                 common &= p.rows[x]
-            for t in _bits(everything & ~common):
-                rows[i] &= ~(1 << cls[t])
+            not_below = everything & ~common
+            if not_below:
+                for gather in layers:
+                    rows[i] &= ~gather(not_below)
     carrier = FinitePreorder(tuple(labels), tuple(rows))
     cocones = {
         v: {x: labels[cls_of[(v, x)]] for x in parts[v].elements} for v in part_order

@@ -104,12 +104,13 @@ def _columns(rows: Sequence[int]) -> list[int]:
 
 def _gather(positions: Sequence[int], n: int) -> Callable[[int], int]:
     """The map from an ``n``-bit mask to the mask whose bit a is its bit
-    ``positions[a]``."""
+    ``positions[a]``; position ``n`` is padding and reads 0."""
     if not positions:
         return lambda mask: 0
-    # read the positions highest first from the mask's bits, lowest first
+    # read the positions highest first from the mask's bits, lowest first,
+    # with one leading zero for the padding position
     pick = itemgetter(*reversed(positions))
-    return lambda mask: int("".join(pick(format(mask, f"0{n}b")[::-1])), 2)
+    return lambda mask: int("".join(pick(format(mask, f"0{n + 1}b")[::-1])), 2)
 
 
 def _bits(mask: int) -> Iterator[int]:

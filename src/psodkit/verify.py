@@ -1,7 +1,9 @@
-"""The colimit universal property, checked by brute force.
+"""The colimit universal property, decided by the quotient.
 
-``verify_colimit`` enumerates the test preorders of ``_preorders_on`` and
-the order-reflecting maps into each; only ``preorder verify`` runs it.
+``verify_colimit`` accepts a candidate that is the quotient of
+``colimits._quotient_preorder`` outright.  Otherwise it enumerates the test
+preorders of ``_preorders_on`` and the order-reflecting maps into each, to
+find a witness; only ``preorder verify`` runs it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from collections import Counter
 from functools import cache
 from typing import Iterator, Mapping, Optional, Sequence
 
+from .colimits import _quotient_preorder
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceededError
+from .errors import CapExceededError, InputError
 from .preorders import (
     FinitePreorder,
     PreorderDiagram,
@@ -20,6 +23,7 @@ from .preorders import (
     _classes,
     _columns,
     _disjoint_union,
+    _gather,
     _reflection_witness,
 )
 from .records import record
@@ -171,29 +175,13 @@ def _reflecting_maps_to(
     return out
 
 
-def verify_colimit(
+def _cocone_failure(
     diagram: PreorderDiagram,
     candidate: FinitePreorder,
     cocone: Mapping[str, Mapping[str, str]],
-    caps: Caps = DEFAULT_CAPS,
-) -> VerifyResult:
-    """Exhaustively check that (candidate, cocone) has the colimit universal
-    property: the cocone commutes and is order-reflecting, and for every
-    preorder Q with at most |candidate| + 1 elements, h -> h . cocone is a
-    bijection from the order-reflecting maps candidate -> Q onto the
-    order-reflecting commuting cocones into Q.  Returns a witness on failure."""
-    total = diagram.total_size()
-    if total > caps.verify_total:
-        raise CapExceededError(
-            f"diagram has {total} elements, verify cap is {caps.verify_total}"
-        )
-    qmax = len(candidate) + 1
-    if qmax > 5:
-        raise CapExceededError(
-            "universal-property enumeration only supported for candidates with "
-            "at most 4 elements"
-        )
-
+) -> Optional[VerifyResult]:
+    """Steps (0) and (a) of ``verify_colimit``: the first way the cocone fails
+    to be a commuting family of reflecting maps, or None."""
     # (0) the candidate cocone itself must be made of reflecting maps
     for v in diagram.vertices:
         mp = dict(cocone[v])
@@ -215,6 +203,78 @@ def verify_colimit(
                 "cocone does not commute",
                 {"from": u, "to": v, "at": x},
             )
+    return None
+
+
+def _is_quotient(
+    diagram: PreorderDiagram,
+    candidate: FinitePreorder,
+    cocone: Mapping[str, Mapping[str, str]],
+) -> bool:
+    """Whether a cocone that passed steps (0) and (a) maps the classes of the
+    arrows bijectively onto the candidate, and the candidate's rows, read
+    through that bijection, are the rows of ``_quotient_preorder``.  Steps
+    (0) and (a) relate each class both ways within each vertex, so the
+    quotient exists."""
+    carrier, labels = _quotient_preorder(
+        diagram.preorders, diagram.vertices, diagram.identifications()
+    )
+    # the cocone is constant on each class, so this is a function on classes
+    image = {
+        labels[v][x]: candidate.index(y) for v in diagram.vertices for x, y in cocone[v].items()
+    }
+    perm = [image[label] for label in carrier.elements]
+    if sorted(perm) != list(range(len(candidate))):
+        return False
+    gather = _gather(perm, len(candidate))
+    return all(gather(candidate.rows[k]) == row for k, row in zip(perm, carrier.rows))
+
+
+def verify_colimit(
+    diagram: PreorderDiagram,
+    candidate: FinitePreorder,
+    cocone: Mapping[str, Mapping[str, str]],
+    caps: Caps = DEFAULT_CAPS,
+) -> VerifyResult:
+    """Check that (candidate, cocone) has the colimit universal property: the
+    cocone commutes and is order-reflecting, and for every preorder Q,
+    h -> h . cocone is a bijection from the order-reflecting maps
+    candidate -> Q onto the order-reflecting commuting cocones into Q.
+
+    A candidate that is the quotient (``_is_quotient``) is accepted without
+    enumerating.  Proof: steps (0) and (a) make each class of the arrows
+    related both ways in the coproduct U of the vertices, where cross-vertex
+    pairs are related both ways.  A commuting cocone into any preorder Q is
+    then a function g on classes with g(c) <= g(d) => x <= y in U for all
+    x in c, y in d.  That is the quotient's rule, so h -> h . cocone is a
+    bijection for every Q of any size, and transitivity is never used.
+
+    Any other candidate with at most 4 elements goes to the enumeration of
+    every Q with at most |candidate| + 1 elements, which returns the first
+    witness it finds and accepts if there is none; a larger one raises
+    ``CapExceededError``."""
+    total = diagram.total_size()
+    if total > caps.verify_total:
+        raise CapExceededError(
+            f"diagram has {total} elements, verify cap is {caps.verify_total}"
+        )
+    qmax = len(candidate) + 1
+    try:
+        failure = _cocone_failure(diagram, candidate, cocone)
+    except InputError:
+        # a cocone image outside an oversized candidate meets the size cap first
+        if qmax <= 5:
+            raise
+        failure = VerifyResult(False)
+    if failure is None and _is_quotient(diagram, candidate, cocone):
+        return VerifyResult(True)
+    if qmax > 5:
+        raise CapExceededError(
+            "universal-property enumeration only supported for candidates with "
+            "at most 4 elements"
+        )
+    if failure is not None:
+        return failure
 
     # (b) the bijection, over small test preorders Q up to isomorphism.  A
     # cocone into Q is a reflecting map out of the coproduct of the vertices

@@ -128,7 +128,7 @@ M = ["--output", "machine"]
 COMMANDS = {
     "import": ([], {"psodkit"}, 100),
     "preorder-verify": (M + ["preorder", "verify", "{verify}"],
-                        PREORDER | {"psodkit.verify"}, 1968),
+                        PREORDER | {"psodkit.colimits", "psodkit.verify"}, 1968),
     "preorder-colimit": (M + ["preorder", "colimit", "{diagram}"],
                          PREORDER | {"psodkit.colimits"}, 1968),
     "preorder-coproduct": (M + ["preorder", "coproduct", "{chain}", "{chain}"],

@@ -5,8 +5,8 @@ import tracemalloc
 
 import pytest
 
-from psodkit import preorderdocs
-from psodkit.colimits import colimit, coproduct, pushout
+from psodkit import preorderdocs, verify
+from psodkit.colimits import _class_labels, _quotient_preorder, colimit, coproduct, pushout
 from psodkit.errors import CapExceededError, InputError, PreconditionError
 from psodkit.preorders import (
     CONTRAVARIANT,
@@ -367,6 +367,111 @@ def test_colimit_contravariant_orientation():
     assert colimit(diag).preorder == p
 
 
+def _quotient_oracle(parts, part_order, identifications):
+    """``_quotient_preorder`` with each part's preimages read one bit at a
+    time: a class loses every class of an element of the part not below all
+    of its preimages there."""
+    nodes = [(v, x) for v in part_order for x in parts[v].elements]
+    classes = _classes(nodes, identifications)
+    labels = _class_labels(classes)
+    cls_of = {nd: i for i, cls in enumerate(classes) for nd in cls}
+    m = len(classes)
+    rows = [(1 << m) - 1] * m
+    for v in part_order:
+        p = parts[v]
+        cls = [cls_of[(v, x)] for x in p.elements]
+        preim = [0] * m
+        for t, c in enumerate(cls):
+            preim[c] |= 1 << t
+        everything = (1 << len(p)) - 1
+        for i in range(m):
+            common = everything
+            for x in range(len(p)):
+                if not preim[i] >> x & 1:
+                    continue
+                bad = preim[i] & ~p.rows[x]
+                if bad:
+                    y = (bad & -bad).bit_length() - 1
+                    raise PreconditionError(
+                        f"elements {p.elements[x]!r} and {p.elements[y]!r} "
+                        f"of part {v!r} are identified but not mutually related; the "
+                        "gluing admits no order-reflecting cocone"
+                    )
+                common &= p.rows[x]
+            for t in range(len(p)):
+                if (everything & ~common) >> t & 1:
+                    rows[i] &= ~(1 << cls[t])
+    carrier = FinitePreorder(tuple(labels), tuple(rows))
+    cocones = {v: {x: labels[cls_of[(v, x)]] for x in parts[v].elements} for v in part_order}
+    return carrier, cocones
+
+
+def _random_diagram(rng, sizes):
+    """Vertices with random reflexive relations, transitive or not, and up to
+    four arrows, self-arrows and contravariant ones included, each with a
+    random map kept when it reflects the order (a map out of a complete
+    vertex always does, and may merge elements)."""
+    vertices = tuple(f"v{i}" for i in range(len(sizes)))
+    preorders = {}
+    for v, n in zip(vertices, sizes):
+        density = rng.choice([0.0, 0.5, 1.0])
+        rows = [sum(1 << j for j in range(n) if i == j or rng.random() < density)
+                for i in range(n)]
+        preorders[v] = FinitePreorder(tuple(f"{v}.{i}" for i in range(n)), tuple(rows))
+    arrows = []
+    for k in range(rng.randint(0, 4)):
+        src, tgt = rng.choice(vertices), rng.choice(vertices)
+        orientation = rng.choice(["covariant", CONTRAVARIANT])
+        a, b = (src, tgt) if orientation == "covariant" else (tgt, src)
+        if preorders[a].elements and not preorders[b].elements:
+            continue
+        mapping = {x: rng.choice(preorders[b].elements) for x in preorders[a].elements}
+        if is_order_reflecting(preorders[a], preorders[b], mapping):
+            arrows.append(DiagramArrow(f"f{k}", src, tgt,
+                                       OrderReflectingMap(preorders[a], preorders[b], mapping),
+                                       orientation))
+    return PreorderDiagram(vertices, preorders, tuple(arrows))
+
+
+def test_quotient_matches_the_bit_loop():
+    rng = random.Random(2019)
+    seen = set()
+    for case in range(600):
+        sizes = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+        if case % 50 == 0:
+            sizes = [rng.randint(30, 70) for _ in range(2)]
+        diagram = _random_diagram(rng, sizes)
+        args = diagram.preorders, diagram.vertices, list(diagram.identifications())
+        try:
+            want = _quotient_oracle(*args)
+        except PreconditionError as e:
+            with pytest.raises(PreconditionError) as got:
+                _quotient_preorder(*args)
+            assert str(got.value) == str(e)
+            seen.add("zigzag")
+            continue
+        assert _quotient_preorder(*args) == want
+        seen.update(a.orientation for a in diagram.arrows if a.src != a.tgt)
+        if any(a.src == a.tgt for a in diagram.arrows):
+            seen.add("self")
+        carrier, cocones = want
+        if any(len(set(m.values())) < len(m) for m in cocones.values()):
+            seen.add("two preimages in one part")
+    assert seen == {"zigzag", "covariant", CONTRAVARIANT, "self", "two preimages in one part"}
+    # two classes break in part v, which meets them in the other order: the
+    # message names the pair of the class that comes first
+    u, v = complete_preorder(["a", "b"]), discrete_preorder(["p", "q", "r", "s"])
+    diagram = PreorderDiagram(("u", "v"), {"u": u, "v": v}, (
+        DiagramArrow("f", "u", "v", OrderReflectingMap(u, v, {"a": "r", "b": "p"})),
+        DiagramArrow("g", "u", "v", OrderReflectingMap(u, v, {"a": "s", "b": "q"})),
+    ))
+    args = diagram.preorders, diagram.vertices, list(diagram.identifications())
+    with pytest.raises(PreconditionError, match="elements 'r' and 's' of part 'v'"):
+        _quotient_oracle(*args)
+    with pytest.raises(PreconditionError, match="elements 'r' and 's' of part 'v'"):
+        _quotient_preorder(*args)
+
+
 # ---------------------------------------------------------------------------
 # verify_colimit
 
@@ -392,10 +497,33 @@ def test_verify_rejects_discrete_union():
 
 
 def test_verify_rejects_oversized_candidate():
+    # five elements that are not the quotient: past the enumeration's reach
     p = complete_preorder(["a", "b", "c", "d", "e"])
     diag = PreorderDiagram(("v",), {"v": p})
-    with pytest.raises(CapExceededError):
-        verify_colimit(diag, p, {"v": {x: x for x in p.elements}})
+    with pytest.raises(CapExceededError, match="at most 4 elements"):
+        verify_colimit(diag, discrete_preorder(p.elements), {"v": {x: x for x in p.elements}})
+    # a cocone image outside an oversized candidate meets the size cap, not
+    # an InputError
+    with pytest.raises(CapExceededError, match="at most 4 elements"):
+        verify_colimit(diag, p, {"v": {x: "zzz" if x == "e" else x for x in p.elements}})
+
+
+def test_verify_accepts_an_oversized_quotient():
+    p = complete_preorder(["a", "b", "c", "d", "e"])
+    diag = PreorderDiagram(("v",), {"v": p})
+    assert verify_colimit(diag, p, {"v": {x: x for x in p.elements}}) == VerifyResult(True)
+    # the coproduct of five points, its elements listed in another order
+    points = [complete_preorder([x]) for x in "abcde"]
+    diag = PreorderDiagram(tuple("vwxyz"), dict(zip("vwxyz", points)))
+    out, _ = coproduct(points)
+    shuffled = out.restrict(["c", "a", "e", "b", "d"])
+    cocone = {v: {x: x} for v, x in zip("vwxyz", "abcde")}
+    assert verify_colimit(diag, shuffled, cocone) == VerifyResult(True)
+    # one relation fewer is not the quotient
+    rows = list(shuffled.rows)
+    rows[0] ^= 1 << 1
+    with pytest.raises(CapExceededError, match="at most 4 elements"):
+        verify_colimit(diag, FinitePreorder(shuffled.elements, tuple(rows)), cocone)
 
 
 def test_verify_diagram_cap():
@@ -615,6 +743,27 @@ def _random_verify_request(rng):
         first = cocone[vertices[0]]
         del first[next(iter(first))]
     return diagram, candidate, cocone
+
+
+def test_accepted_verify_requests_never_enumerate(monkeypatch):
+    # every accepted request is the quotient, so neither enumerator runs
+    calls = []
+    for name in ("_preorders_on", "_reflecting_maps_to"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    rng = random.Random(25)
+    accepted = rejected = 0
+    for _ in range(600):
+        diagram, candidate, cocone = _random_verify_request(rng)
+        calls.clear()
+        if verify_colimit(diagram, candidate, cocone).ok:
+            accepted += 1
+            assert calls == []
+        elif calls:
+            rejected += 1
+    assert accepted > 100 and rejected > 100
 
 
 def test_verify_matches_factorization_oracle():
@@ -855,8 +1004,9 @@ def test_gather_matches_the_bit_loop():
     rng = random.Random(41)
     for _ in range(300):
         n = rng.randint(1, 70)
-        # none, one, or many positions, repeats included
-        positions = [rng.randrange(n) for _ in range(rng.choice([0, 1, rng.randint(2, 80)]))]
+        # none, one, or many positions, repeats and the padding position n
+        # included
+        positions = [rng.randrange(n + 1) for _ in range(rng.choice([0, 1, rng.randint(2, 80)]))]
         gather = _gather(positions, n)
         for mask in (0, (1 << n) - 1, rng.getrandbits(n)):
             assert gather(mask) == _gather_oracle(mask, positions)

@@ -2,13 +2,17 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psodkit import documents as docs
-from psodkit import preorderdocs
-from psodkit.colimits import colimit, pushout
+from psodkit import preorderdocs, verify
+from psodkit.colimits import _quotient_preorder, colimit, pushout
+from psodkit.errors import PreconditionError
 from psodkit.preorders import (
+    CONTRAVARIANT,
     DiagramArrow,
     FinitePreorder,
     OrderReflectingMap,
@@ -17,8 +21,16 @@ from psodkit.preorders import (
     discrete_preorder,
 )
 
+from psodkit.verify import (
+    VerifyResult,
+    _cocone_failure,
+    _is_quotient,
+    _reflecting_maps_to,
+    verify_colimit,
+)
+
 from helpers import generated_preorder
-from test_preorders import iso_key
+from test_preorders import _oracle_verify, iso_key
 
 
 @st.composite
@@ -116,3 +128,75 @@ def test_pushout_labels_are_pairwise_distinct(span):
     carrier, p1, p2 = pushout(*span)
     assert len(set(carrier.elements)) == len(carrier.elements)
     assert set(p1.mapping.values()) | set(p2.mapping.values()) == set(carrier.elements)
+
+
+# verify_colimit against the quotient
+
+
+@st.composite
+def _small_diagrams(draw, max_vertices=3, max_size=3):
+    """Up to ``max_vertices`` vertices of up to ``max_size`` elements with any
+    reflexive relation, transitive or not, and up to four arrows between them,
+    self-arrows and contravariant ones included, each with an order-reflecting
+    map; such maps may merge mutually related elements, so a class of the
+    arrows may hold two elements of one vertex."""
+    vertices = tuple(f"v{i}" for i in range(draw(st.integers(1, max_vertices))))
+    preorders = {}
+    for v in vertices:
+        n = draw(st.integers(1, max_size))
+        rows = tuple(draw(st.integers(0, (1 << n) - 1)) | 1 << i for i in range(n))
+        preorders[v] = FinitePreorder(tuple(f"{v}{c}" for c in "abc"[:n]), rows)
+    arrows = []
+    for k in range(draw(st.integers(0, 4))):
+        src, tgt = draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))
+        orientation = draw(st.sampled_from(["covariant", CONTRAVARIANT]))
+        a, b = (src, tgt) if orientation == "covariant" else (tgt, src)
+        options = _reflecting_maps_to(preorders[a], preorders[b].rows)
+        if options:
+            images = draw(st.sampled_from(options))
+            mapping = {x: preorders[b].elements[i] for x, i in zip(preorders[a].elements, images)}
+            arrows.append(DiagramArrow(f"f{k}", src, tgt,
+                                       OrderReflectingMap(preorders[a], preorders[b], mapping),
+                                       orientation))
+    return PreorderDiagram(vertices, preorders, tuple(arrows))
+
+
+@st.composite
+def _quotient_requests(draw):
+    """A diagram with a quotient of at most 4 classes, the quotient with its
+    elements listed in any order, and the quotient's cocone."""
+    diagram = draw(_small_diagrams())
+    try:
+        carrier, cocone = _quotient_preorder(
+            diagram.preorders, diagram.vertices, diagram.identifications()
+        )
+    except PreconditionError:
+        assume(False)
+    assume(len(carrier) <= 4)
+    order = draw(st.permutations(carrier.elements))
+    return diagram, carrier.restrict(order), cocone
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quotient_requests())
+def test_the_enumeration_finds_no_witness_where_the_quotient_criterion_holds(quotient):
+    diagram, candidate, cocone = quotient
+    assert _cocone_failure(diagram, candidate, cocone) is None
+    assert _is_quotient(diagram, candidate, cocone)
+    # the enumeration, forced by denying the criterion, agrees
+    with mock.patch.object(verify, "_is_quotient", lambda *args: False):
+        assert verify_colimit(diagram, candidate, cocone) == VerifyResult(True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_diagrams(max_size=2))
+def test_colimit_output_passes_verify(diagram):
+    # the colimit verifies, by the quotient and by the factorization oracle
+    try:
+        res = colimit(diagram)
+    except PreconditionError:
+        assume(False)
+    assume(len(res.preorder) <= 3)
+    cocone = {v: dict(m.mapping) for v, m in res.cocones.items()}
+    assert verify_colimit(diagram, res.preorder, cocone) == VerifyResult(True)
+    assert _oracle_verify(diagram, res.preorder, cocone) == VerifyResult(True)
