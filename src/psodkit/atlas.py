@@ -12,7 +12,7 @@ import itertools
 from typing import Mapping
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import InputError
+from .errors import CapExceededError, InputError
 from .preorders import _classes
 from .records import record
 from .strata import Stratification, Stratum
@@ -68,7 +68,9 @@ def strata_from_atlas(atlas: ChartAtlas, caps: Caps = DEFAULT_CAPS) -> Stratific
     """Reconstruct the stratification from simple charts and identifications.
 
     Local strata are the nonempty branch subsets of each chart (codimension =
-    subset size, capped by ``caps.nerve_depth``); an overlap identifies two local strata
+    subset size); a chart with more branches than ``caps.nerve_depth`` raises
+    ``CapExceededError``, and so do more local strata than ``caps.carrier``,
+    counted before any is listed.  An overlap identifies two local strata
     when it maps the whole subset.  Orbits of local strata are the global
     strata; each carries a single normalization component, since the
     identifications glue the local sheets into one connected cover.
@@ -83,13 +85,19 @@ def strata_from_atlas(atlas: ChartAtlas, caps: Caps = DEFAULT_CAPS) -> Stratific
         for node in cls:
             branch_class_name[node] = f"B{i + 1}"
 
-    local: list[tuple[str, frozenset]] = []
     for c in atlas.charts:
-        max_k = min(len(c.branches), caps.nerve_depth)
-        for k in range(1, max_k + 1):
-            for sub in itertools.combinations(c.branches, k):
-                local.append((c.id, frozenset(sub)))
-    caps.check_carrier(len(local), "local strata")
+        if len(c.branches) > caps.nerve_depth:
+            raise CapExceededError(
+                f"chart {c.id!r} has {len(c.branches)} branches, nerve_depth cap is "
+                f"{caps.nerve_depth}"
+            )
+    caps.check_carrier(sum((1 << len(c.branches)) - 1 for c in atlas.charts), "local strata")
+    local = [
+        (c.id, frozenset(sub))
+        for c in atlas.charts
+        for k in range(1, len(c.branches) + 1)
+        for sub in itertools.combinations(c.branches, k)
+    ]
 
     known = set(local)
     same: list[tuple] = []

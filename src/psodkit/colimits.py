@@ -16,7 +16,6 @@ from .preorders import (
     PreorderDiagram,
     _bits,
     _classes,
-    _disjoint_union,
     _gather,
 )
 from .records import record
@@ -105,8 +104,18 @@ def coproduct(
     parts: Sequence[FinitePreorder],
 ) -> tuple[FinitePreorder, tuple[OrderReflectingMap, ...]]:
     """Disjoint union; distinct parts are related both ways, each part keeps
-    its own relation.  Labels are namespaced by part index only on collision."""
-    out = _disjoint_union(parts)
+    its own relation, and the parts follow one another.  Labels are
+    namespaced by part index only on collision."""
+    labels = [x for p in parts for x in p.elements]
+    if len(set(labels)) != len(labels):
+        labels = [f"{i}:{x}" for i, p in enumerate(parts) for x in p.elements]
+    full = (1 << len(labels)) - 1
+    rows: list[int] = []
+    for p in parts:
+        o = len(rows)
+        outside = full & ~(((1 << len(p)) - 1) << o)
+        rows.extend(outside | r << o for r in p.rows)
+    out = FinitePreorder(tuple(labels), tuple(rows))
     injections, o = [], 0
     for p in parts:
         injections.append(OrderReflectingMap(p, out, dict(zip(p.elements, out.elements[o:]))))

@@ -37,7 +37,7 @@ class Caps:
 
     carrier:        largest preorder carrier any builder may materialize
     factorial_level: largest n for which Z_{n!} machinery may be used
-    nerve_depth:    deepest codimension explored when building strata from charts
+    nerve_depth:    most branches a chart may have when building strata from charts
     verify_total:   largest total diagram carrier verify_colimit will accept
     """
 

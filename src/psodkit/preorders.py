@@ -10,7 +10,8 @@ reports the status; constructions that guarantee transitivity assert it in tests
 
 A map ``phi`` between carriers is *order-reflecting* when
 ``phi(x) <= phi(y)`` in the target implies ``x <= y`` in the source.
-Colimits are in ``colimits``, the universal-property check in ``verify``.
+Colimits, the coproduct's disjoint union among them, are in ``colimits``;
+the universal-property check is in ``verify``.
 """
 
 from __future__ import annotations
@@ -131,22 +132,6 @@ def discrete_preorder(labels: Sequence[str]) -> FinitePreorder:
     """Only the diagonal related."""
     labels = tuple(labels)
     return FinitePreorder(labels, tuple(1 << i for i in range(len(labels))))
-
-
-def _disjoint_union(parts: Sequence[FinitePreorder]) -> FinitePreorder:
-    """The carrier of the coproduct: distinct parts are related both ways,
-    each part keeps its own relation, and the parts follow one another.
-    Labels are namespaced by part index only on collision."""
-    labels = [x for p in parts for x in p.elements]
-    if len(set(labels)) != len(labels):
-        labels = [f"{i}:{x}" for i, p in enumerate(parts) for x in p.elements]
-    full = (1 << len(labels)) - 1
-    rows: list[int] = []
-    for p in parts:
-        o = len(rows)
-        outside = full & ~(((1 << len(p)) - 1) << o)
-        rows.extend(outside | r << o for r in p.rows)
-    return FinitePreorder(tuple(labels), tuple(rows))
 
 
 def _closure_masks(

@@ -1,9 +1,10 @@
 """The colimit universal property, decided by the quotient.
 
-``verify_colimit`` accepts a candidate that is the quotient of
-``colimits._quotient_preorder`` outright.  Otherwise it enumerates the test
-preorders of ``_preorders_on`` and the order-reflecting maps into each, to
-find a witness; only ``preorder verify`` runs it.
+``verify_colimit`` builds the quotient of ``colimits._quotient_preorder``
+once and accepts a candidate that is that quotient outright.  Otherwise it
+enumerates the test preorders of ``_preorders_on`` and the order-reflecting
+maps into each, out of the candidate and out of the quotient (these are the
+cocones), to find a witness; only ``preorder verify`` runs it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from .preorders import (
     FinitePreorder,
     PreorderDiagram,
     _bits,
-    _classes,
     _columns,
-    _disjoint_union,
     _gather,
     _reflection_witness,
 )
@@ -139,19 +138,15 @@ def _preorders_on(q: int) -> list[tuple[int, ...]]:
     return result
 
 
-def _reflecting_maps_to(
-    p: FinitePreorder, q_rows: tuple[int, ...], same: Sequence[int] = ()
-) -> list[tuple[int, ...]]:
+def _reflecting_maps_to(p: FinitePreorder, q_rows: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All order-reflecting assignments of p's elements to labels 0..q-1, in
-    lexicographic order, that give element t the value of element ``same[t] <= t``.
-    Element t may take only the values that no earlier element s bans: those
-    below s's value when t is not below s, those above s's value when s is not
-    below t, and all but s's value when s is ``same[t]``."""
+    lexicographic order.  Element t may take only the values that no earlier
+    element s bans: those below s's value when t is not below s, and those
+    above s's value when s is not below t."""
     n = len(p.elements)
     prows = p.rows
     q_cols = _columns(q_rows)
     full = (1 << len(q_rows)) - 1
-    same = same or range(n)
     # earlier elements whose value bans its down-set, resp. its up-set, at t
     below_bans = [[s for s in range(t) if not prows[t] >> s & 1] for t in range(n)]
     above_bans = [[s for s in range(t) if not prows[s] >> t & 1] for t in range(n)]
@@ -162,7 +157,7 @@ def _reflecting_maps_to(
         if t == n:
             out.append(tuple(assign))
             return
-        banned = 0 if same[t] == t else full ^ 1 << assign[same[t]]
+        banned = 0
         for s in below_bans[t]:
             banned |= q_cols[assign[s]]
         for s in above_bans[t]:
@@ -206,28 +201,13 @@ def _cocone_failure(
     return None
 
 
-def _is_quotient(
-    diagram: PreorderDiagram,
-    candidate: FinitePreorder,
-    cocone: Mapping[str, Mapping[str, str]],
-) -> bool:
-    """Whether a cocone that passed steps (0) and (a) maps the classes of the
-    arrows bijectively onto the candidate, and the candidate's rows, read
-    through that bijection, are the rows of ``_quotient_preorder``.  Steps
-    (0) and (a) relate each class both ways within each vertex, so the
-    quotient exists."""
-    carrier, labels = _quotient_preorder(
-        diagram.preorders, diagram.vertices, diagram.identifications()
-    )
-    # the cocone is constant on each class, so this is a function on classes
-    image = {
-        labels[v][x]: candidate.index(y) for v in diagram.vertices for x, y in cocone[v].items()
-    }
-    perm = [image[label] for label in carrier.elements]
+def _is_quotient(candidate: FinitePreorder, quotient: FinitePreorder, perm: Sequence[int]) -> bool:
+    """Whether ``perm``, the candidate element each class of the quotient goes
+    to, is a bijection under which the candidate's rows are the quotient's."""
     if sorted(perm) != list(range(len(candidate))):
         return False
     gather = _gather(perm, len(candidate))
-    return all(gather(candidate.rows[k]) == row for k, row in zip(perm, carrier.rows))
+    return all(gather(candidate.rows[k]) == row for k, row in zip(perm, quotient.rows))
 
 
 def verify_colimit(
@@ -241,13 +221,16 @@ def verify_colimit(
     h -> h . cocone is a bijection from the order-reflecting maps
     candidate -> Q onto the order-reflecting commuting cocones into Q.
 
-    A candidate that is the quotient (``_is_quotient``) is accepted without
-    enumerating.  Proof: steps (0) and (a) make each class of the arrows
-    related both ways in the coproduct U of the vertices, where cross-vertex
-    pairs are related both ways.  A commuting cocone into any preorder Q is
-    then a function g on classes with g(c) <= g(d) => x <= y in U for all
-    x in c, y in d.  That is the quotient's rule, so h -> h . cocone is a
-    bijection for every Q of any size, and transitivity is never used.
+    Steps (0) and (a) make each class of the arrows related both ways within
+    each vertex, so ``_quotient_preorder`` exists, and the cocone is a
+    function ``perm`` on its classes.  In the coproduct U of the vertices,
+    cross-vertex pairs are related both ways.  A commuting cocone into any
+    preorder Q is then a function g on classes with g(c) <= g(d) => x <= y
+    in U for all x in c, y in d.  That is the quotient's rule: the cocones
+    into Q are exactly the reflecting maps from the quotient to Q.  So a
+    candidate that is the quotient (``_is_quotient``) is accepted without
+    enumerating, since h -> h . cocone is then a bijection for every Q of
+    any size, and transitivity is never used.
 
     Any other candidate with at most 4 elements goes to the enumeration of
     every Q with at most |candidate| + 1 elements, which returns the first
@@ -266,8 +249,16 @@ def verify_colimit(
         if qmax <= 5:
             raise
         failure = VerifyResult(False)
-    if failure is None and _is_quotient(diagram, candidate, cocone):
-        return VerifyResult(True)
+    if failure is None:
+        quotient, labels = _quotient_preorder(
+            diagram.preorders, diagram.vertices, diagram.identifications()
+        )
+        image = {
+            labels[v][x]: candidate.index(y) for v in diagram.vertices for x, y in cocone[v].items()
+        }
+        perm = [image[label] for label in quotient.elements]
+        if _is_quotient(candidate, quotient, perm):
+            return VerifyResult(True)
     if qmax > 5:
         raise CapExceededError(
             "universal-property enumeration only supported for candidates with "
@@ -276,22 +267,14 @@ def verify_colimit(
     if failure is not None:
         return failure
 
-    # (b) the bijection, over small test preorders Q up to isomorphism.  A
-    # cocone into Q is a reflecting map out of the coproduct of the vertices
-    # (cross-vertex pairs ban nothing) constant on each class of the arrows.
-    nodes = [(v, x) for v in diagram.vertices for x in diagram.preorders[v].elements]
-    union = _disjoint_union([diagram.preorders[v] for v in diagram.vertices])
-    classes = _classes(nodes, diagram.identifications())
-    first = {nd: cls[0] for cls in classes for nd in cls}
-    same = [nodes.index(first[nd]) for nd in nodes]
-    fiber = [candidate.index(cocone[v][x]) for v, x in nodes]
+    # (b) the bijection, over small test preorders Q up to isomorphism
     for q in range(qmax + 1):
         for q_rows in _preorders_on(q):
             induced = Counter(
-                tuple(map(h.__getitem__, fiber))
+                tuple(map(h.__getitem__, perm))
                 for h in _reflecting_maps_to(candidate, q_rows)
             )
-            for family in _reflecting_maps_to(union, q_rows, same):
+            for family in _reflecting_maps_to(quotient, q_rows):
                 count = induced[family]
                 if count == 1:
                     continue
@@ -299,12 +282,13 @@ def verify_colimit(
                 # by no map at all
                 forced: dict[int, int] = {}
                 if not all(forced.setdefault(c, val) == val
-                           for c, val in zip(fiber, family)):
+                           for c, val in zip(perm, family)):
                     return VerifyResult(
                         False,
                         "cocone has no factorization (forced values conflict)",
                         {"q_size": q, "q_rows": list(q_rows)},
                     )
+                value = dict(zip(quotient.elements, family))
                 return VerifyResult(
                     False,
                     "cocone does not factor uniquely"
@@ -313,7 +297,7 @@ def verify_colimit(
                     {
                         "q_size": q,
                         "q_rows": list(q_rows),
-                        "cocone": {v: {x: val for (u, x), val in zip(nodes, family) if u == v}
+                        "cocone": {v: {x: value[label] for x, label in labels[v].items()}
                                    for v in diagram.vertices},
                         "solutions": min(count, 2),
                     },

@@ -445,11 +445,24 @@ def test_psod_build_from_atlas_obeys_caps(capsys, tmp_path):
     path = write(tmp_path, "atlas.json", {"charts": [{"id": "U", "branches": ["a", "b", "c"]}]})
     code, out, _ = run(capsys, "psod", "build", path, "--root", "2")
     assert code == 0 and out.splitlines()[0] == "8 factors (root)"
-    code, out, _ = run(capsys, "--caps", "nerve_depth=1", "psod", "build", path, "--root", "2")
-    assert code == 0 and out.splitlines()[0] == "4 factors (root)"
+    # a chart with more branches than nerve_depth is refused, not truncated
+    code, out, err = run(capsys, "--caps", "nerve_depth=2", "psod", "build", path, "--root", "2")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: chart 'U' has 3 branches, nerve_depth cap is 2"]
     code, out, err = run(capsys, "--caps", "carrier=5", "psod", "build", path, "--root", "2")
     assert code == 3 and out == ""
     assert err.splitlines() == ["error: local strata needs 7 elements, cap is 5"]
+
+
+def test_psod_build_refuses_a_chart_past_nerve_depth(capsys, tmp_path):
+    # four branches at the default nerve_depth (3) used to give 65 factors
+    path = write(tmp_path, "atlas.json", {"charts": [{"id": "U", "branches": list("abcd")}]})
+    code, out, err = run(capsys, "psod", "build", path, "--root", "3")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: chart 'U' has 4 branches, nerve_depth cap is 3"]
+    # at the cap the chart is the simple crossing of four branches: 3^4 factors
+    code, out, _ = run(capsys, "--caps", "nerve_depth=4", "psod", "build", path, "--root", "3")
+    assert code == 0 and out.splitlines()[0] == "81 factors (root)"
 
 
 @pytest.mark.parametrize("sid", ["D:1", ""])

@@ -597,6 +597,25 @@ def test_verify_rejection_witness_is_pinned():
     }
 
 
+def test_verify_witness_may_need_four_points():
+    # a reflecting map out of v1 needs four pairwise incomparable points, so no
+    # Q with at most 3 points receives a cocone; on the discrete 4 points, a
+    # cocone that sends e and a apart has no factorization through the
+    # candidate, whose A they share.  The smallest witness has 4 points.
+    diagram = PreorderDiagram(
+        ("v1", "v2"), {"v1": discrete_preorder("abcd"), "v2": discrete_preorder("e")}
+    )
+    candidate = discrete_preorder("ABCD")
+    cocone = {"v1": dict(zip("abcd", "ABCD")), "v2": {"e": "A"}}
+    res = verify_colimit(diagram, candidate, cocone)
+    assert preorderdocs.verify_to_doc(res) == {
+        "ok": False,
+        "reason": "cocone has no factorization (forced values conflict)",
+        "witness": {"q_size": 4, "q_rows": [1, 2, 4, 8]},
+    }
+    assert res == _oracle_verify(diagram, candidate, cocone)
+
+
 def _oracle_verify(diagram, candidate, cocone):
     """verify_colimit by factorizations: each commuting reflecting cocone
     into Q forces h on the images of the cocone, and every value is tried on
@@ -886,18 +905,48 @@ def test_reflecting_maps_match_brute_force_on_small_preorders():
 
 
 def test_reflecting_maps_match_brute_force_into_five_points():
-    # random reflexive sources, transitive or not, as verify candidates may be;
-    # each also under random equalities, each element tied to itself or to an
-    # earlier one, as verify ties the elements of a class
-    rng, rng_same = random.Random(13), random.Random(17)
+    # random reflexive sources, transitive or not, as verify candidates may be
+    rng = random.Random(13)
     for q_rows in _preorders_on(5):
         n = rng.randint(1, 4)
         p = _labelled(
             [sum(1 << j for j in range(n) if i == j or rng.random() < 0.4) for i in range(n)]
         )
         assert _reflecting_maps_to(p, q_rows) == _brute_force_reflecting_maps(p, q_rows)
-        same = [rng_same.choice([t, rng_same.randrange(t + 1)]) for t in range(n)]
-        assert _reflecting_maps_to(p, q_rows, same) == _brute_force_reflecting_maps(p, q_rows, same)
+
+
+def test_maps_out_of_the_quotient_are_the_tied_maps_out_of_the_union():
+    # the cocones verify lists as reflecting maps out of the quotient, spread
+    # to the nodes, are the reflecting maps out of the coproduct of the
+    # vertices with each node tied to the first node of its class, in the
+    # same lexicographic order, into every Q with at most 4 points
+    rng = random.Random(26)
+    checked = set()
+    tied_across = tied_within = False
+    while len(checked) < 40 or not (tied_across and tied_within):
+        diagram, candidate, cocone = _random_verify_request(rng)
+        try:
+            if verify._cocone_failure(diagram, candidate, cocone) is not None:
+                continue
+        except InputError:
+            continue
+        quotient, labels = _quotient_preorder(
+            diagram.preorders, diagram.vertices, diagram.identifications()
+        )
+        cls = {label: i for i, label in enumerate(quotient.elements)}
+        nodes = [(v, x) for v in diagram.vertices for x in diagram.preorders[v].elements]
+        union, _ = coproduct([diagram.preorders[v] for v in diagram.vertices])
+        first = {nd: c[0] for c in _classes(nodes, diagram.identifications()) for nd in c}
+        same = [nodes.index(first[nd]) for nd in nodes]
+        spread = [cls[labels[v][x]] for v, x in nodes]
+        checked.add(repr((diagram, candidate)))
+        for t, s in enumerate(same):
+            tied_across |= s != t and nodes[s][0] != nodes[t][0]
+            tied_within |= s != t and nodes[s][0] == nodes[t][0]
+        for q in range(5):
+            for q_rows in _preorders_on(q):
+                got = [tuple(h[c] for c in spread) for h in _reflecting_maps_to(quotient, q_rows)]
+                assert got == _brute_force_reflecting_maps(union, q_rows, same)
 
 
 # ---------------------------------------------------------------------------

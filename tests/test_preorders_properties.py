@@ -182,7 +182,11 @@ def _quotient_requests(draw):
 def test_the_enumeration_finds_no_witness_where_the_quotient_criterion_holds(quotient):
     diagram, candidate, cocone = quotient
     assert _cocone_failure(diagram, candidate, cocone) is None
-    assert _is_quotient(diagram, candidate, cocone)
+    carrier, labels = _quotient_preorder(
+        diagram.preorders, diagram.vertices, diagram.identifications()
+    )
+    assert labels == cocone
+    assert _is_quotient(candidate, carrier, [candidate.index(x) for x in carrier.elements])
     # the enumeration, forced by denying the criterion, agrees
     with mock.patch.object(verify, "_is_quotient", lambda *args: False):
         assert verify_colimit(diagram, candidate, cocone) == VerifyResult(True)

@@ -1,8 +1,11 @@
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from psodkit.atlas import Chart, ChartAtlas, Overlap, strata_from_atlas
 from psodkit.config import Caps
-from psodkit.errors import InputError
+from psodkit.errors import CapExceededError, InputError
 from psodkit.examples import nodal_cubic, simple_crossing
 from psodkit.strata import Stratification, Stratum, skeleton, validate
 
@@ -135,10 +138,42 @@ def test_atlas_validation_errors():
 
 
 def test_atlas_depth_caps_codimension():
+    # a chart deeper than the cap is refused, never cut off at the cap
     atlas = ChartAtlas((Chart("U", ("b1", "b2", "b3")),))
-    s = strata_from_atlas(atlas, caps=Caps(nerve_depth=2))
-    assert max(t.codim for t in s.strata) == 2
+    with pytest.raises(CapExceededError, match="^chart 'U' has 3 branches, nerve_depth cap is 2$"):
+        strata_from_atlas(atlas, caps=Caps(nerve_depth=2))
+    s = strata_from_atlas(atlas, caps=Caps(nerve_depth=3))
+    assert max(t.codim for t in s.strata) == 3
     assert validate(s) == []
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+def test_atlas_nerve_depth_on_both_sides_of_the_cap(cap):
+    caps = Caps(nerve_depth=cap)
+    at_cap = ChartAtlas((Chart("U", tuple(f"b{i}" for i in range(cap))),))
+    s = strata_from_atlas(at_cap, caps=caps)
+    assert len(s.strata) == 1 + 2**cap - 1
+    assert sorted(t.codim for t in s.strata) == sorted(
+        k for k in range(cap + 1) for _ in range(math.comb(cap, k))
+    )
+    over = ChartAtlas(
+        (Chart("V", ("a",)), Chart("U", tuple(f"b{i}" for i in range(cap + 1)))),
+    )
+    with pytest.raises(CapExceededError, match=f"chart 'U' has {cap + 1} branches"):
+        strata_from_atlas(over, caps=caps)
+
+
+def test_atlas_counts_local_strata_before_listing_them(monkeypatch):
+    # 2^40 - 1 local strata meet the carrier cap before one subset is listed
+    import psodkit.atlas as atlas_module
+
+    def no_combinations(*args):
+        raise AssertionError("enumerated a subset")
+
+    monkeypatch.setattr(atlas_module, "itertools", SimpleNamespace(combinations=no_combinations))
+    atlas = ChartAtlas((Chart("U", tuple(f"b{i}" for i in range(40))),))
+    with pytest.raises(CapExceededError, match="^local strata needs 1099511627775 elements"):
+        strata_from_atlas(atlas, caps=Caps(nerve_depth=40))
 
 
 def test_atlas_output_always_validates():
