@@ -1,15 +1,16 @@
 """Exact integer linear algebra, and graded groups with their limits.
 
-The row Hermite normal form over arbitrary-precision integers is the one
-elimination routine; the Smith normal form alternates it on rows and
-columns.  Groups (``groups``) are carried as invariant factors, and their
-relations as the orders of their generators, so the limit of the groups
-over each fiber of a graded gluing takes two kernels and a Smith normal form.
+A matrix is a sequence of integer rows.  The row Hermite normal form over
+arbitrary-precision integers is the one elimination routine; the Smith
+normal form alternates it on rows and columns.  Groups (``groups``) are
+carried as invariant factors, and their relations as the orders of their
+generators, so the limit of the groups over each fiber of a graded gluing
+takes two kernels and a Smith normal form.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import InputError, InvariantError
 from .groups import FgAbGroup
@@ -19,74 +20,31 @@ if TYPE_CHECKING:
     from .colimits import ColimitResult
     from .preorders import FinitePreorder, OrderReflectingMap, PreorderDiagram
 
-
-# ---------------------------------------------------------------------------
-# matrices
-
-
-@record
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise InputError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
-        ):
-            raise InputError("entry grid does not match the stated dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        return cls(len(rows), cols, tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise InputError("matrix dimensions do not compose")
-        out = [
-            [
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ]
-            for i in range(self.rows)
-        ]
-        return IntMatrix.from_rows(out, other.cols)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+Rows = Sequence[Sequence[int]]
 
 
 # ---------------------------------------------------------------------------
 # normal forms
 
 
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+def _transpose(a: Rows, cols: int) -> list[list[int]]:
+    """The rows of the transpose of ``a``, a matrix with ``cols`` columns."""
+    return [list(c) for c in zip(*a)] if a else [[] for _ in range(cols)]
+
+
+def hnf(a: Rows) -> tuple[list[list[int]], list[list[int]]]:
     """Row Hermite normal form: U * a = H with U unimodular, H in row echelon
     with positive pivots and entries above a pivot reduced into [0, pivot).
     Pivot choice: smallest nonzero absolute value, lowest row index on ties.
+    Returns the rows of H and of U.
     """
-    m = [list(r) for r in a.entries]
-    u = [[int(i == j) for j in range(a.rows)] for i in range(a.rows)]
+    m = [list(r) for r in a]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     row = 0
-    for col in range(a.cols):
+    for col in range(ncols):
         while True:
-            live = [i for i in range(row, a.rows) if m[i][col] != 0]
+            live = [i for i in range(row, nrows) if m[i][col] != 0]
             if not live:
                 break
             pivot = min(live, key=lambda i: (abs(m[i][col]), i))
@@ -96,14 +54,12 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if len(live) == 1:
                 break
             p = m[row][col]
-            for i in range(row + 1, a.rows):
+            for i in range(row + 1, nrows):
                 if m[i][col] != 0:
                     q = m[i][col] // p
-                    for j in range(a.cols):
-                        m[i][j] -= q * m[row][j]
-                    for j in range(a.rows):
-                        u[i][j] -= q * u[row][j]
-        if row < a.rows and m[row][col] != 0:
+                    m[i] = [x - q * y for x, y in zip(m[i], m[row])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[row])]
+        if row < nrows and m[row][col] != 0:
             if m[row][col] < 0:
                 m[row] = [-x for x in m[row]]
                 u[row] = [-x for x in u[row]]
@@ -111,28 +67,41 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             for i in range(row):
                 q = m[i][col] // p
                 if q:
-                    for j in range(a.cols):
-                        m[i][j] -= q * m[row][j]
-                    for j in range(a.rows):
-                        u[i][j] -= q * u[row][j]
+                    m[i] = [x - q * y for x, y in zip(m[i], m[row])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[row])]
             row += 1
-            if row == a.rows:
+            if row == nrows:
                 break
-    return IntMatrix.from_rows(m, a.cols), IntMatrix.from_rows(u, a.rows)
+    return m, u
 
 
-def kernel(a: IntMatrix) -> IntMatrix:
-    """A lattice basis (columns) of the integer kernel {x : a x = 0}."""
-    h, u = hnf(a.transpose())
-    basis = [u.entries[i] for i in range(h.rows) if all(x == 0 for x in h.entries[i])]
-    return IntMatrix(
-        a.cols, len(basis), tuple(tuple(b[i] for b in basis) for i in range(a.cols))
-    )
+def kernel(a: Rows, cols: int) -> list[list[int]]:
+    """A lattice basis of the integer kernel {x in Z^cols : a x = 0}, as a
+    list of vectors: the rows of the row transform of the transpose's HNF
+    that it sends to zero."""
+    h, u = hnf(_transpose(a, cols))
+    return [u[i] for i, r in enumerate(h) if not any(r)]
 
 
-def snf(a: IntMatrix) -> IntMatrix:
-    """Smith normal form: the diagonal S = U * a * V, for some unimodular U
-    and V, with d_1 | d_2 | ..., the nonzero d_i positive and the zeros last.
+@record
+class IntMatrix:
+    """The matrix ``snf`` reads: its rows and its shape.  The benchmark's
+    traced pass (``clibench/traced_cli.py``) sizes each ``snf`` call by its
+    argument's ``rows * cols``, so ``snf`` keeps this record."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        e = self.entries
+        if self.cols < 0 or len(e) != self.rows or any(len(r) != self.cols for r in e):
+            raise InputError("entry grid does not match the stated dimensions")
+
+
+def snf(a: IntMatrix) -> list[int]:
+    """Smith normal form: the diagonal of S = U * a * V, for some unimodular
+    U and V, with d_1 | d_2 | ..., the nonzero d_i positive and the zeros last.
 
     Row Hermite forms of m and of its transpose alternate until m is
     diagonal (Kannan and Bachem, SIAM J. Comput. 1979).  Each half-step puts
@@ -144,37 +113,34 @@ def snf(a: IntMatrix) -> IntMatrix:
     d_i, d_i+1, ... at (i, i), which divides the whole trailing block from
     then on while the entries before it stay, so each i needs this once.
 
-    >>> snf(IntMatrix.from_rows([[2, 0], [0, 3]])).entries
-    ((1, 0), (0, 6))
+    >>> snf(IntMatrix(2, 2, ((2, 0), (0, 3))))
+    [1, 6]
     """
-    m = a
+    m: list[list[int]] = [list(r) for r in a.entries]
     while True:
         m = hnf(m)[0]
-        m = hnf(m.transpose())[0].transpose()
-        e = m.entries
-        if any(e[i][j] for i in range(m.rows) for j in range(m.cols) if i != j):
+        m = _transpose(hnf(_transpose(m, a.cols))[0], a.rows)
+        if any(x for i, r in enumerate(m) for j, x in enumerate(r) if i != j):
             continue
-        d = [e[i][i] for i in range(min(m.rows, m.cols))]
+        d = [m[i][i] for i in range(min(a.rows, a.cols))]
         i = next((i for i, di in enumerate(d) if di and any(dj % di for dj in d[i + 1 :])), None)
         if i is None:
-            return m
-        m = IntMatrix(m.rows, m.cols, tuple(r[:i] + (sum(r[i:]),) + r[i + 1 :] for r in e))
+            return d
+        for r in m:
+            r[i] = sum(r[i:])
 
 
-def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    s = snf(a).entries
-    return tuple(s[i][i] for i in range(min(a.rows, a.cols)) if s[i][i] != 0)
-
-
-def group_from_presentation(ngens: int, relations: IntMatrix) -> FgAbGroup:
-    """The quotient of Z^ngens by the column lattice of ``relations``."""
-    if relations.rows != ngens:
+def group_from_presentation(ngens: int, relations: Rows) -> FgAbGroup:
+    """The quotient of Z^ngens by the column lattice of ``relations``, one
+    row per generator."""
+    if len(relations) != ngens:
         raise InputError("relation matrix must have one row per generator")
-    factors = invariant_factors(relations)
-    return FgAbGroup.from_invariants([0] * (ngens - len(factors)) + list(factors))
+    cols = len(relations[0]) if relations else 0
+    factors = [d for d in snf(IntMatrix(ngens, cols, tuple(map(tuple, relations)))) if d]
+    return FgAbGroup.from_invariants([0] * (ngens - len(factors)) + factors)
 
 
-def is_valid_hom(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
+def is_valid_hom(src: FgAbGroup, dst: FgAbGroup, matrix: Rows) -> bool:
     """A generator matrix defines a homomorphism iff it maps the source
     relations into the target relation lattice.  Both presentations are
     diagonal: the relation of a source generator of order d is d times its
@@ -182,16 +148,16 @@ def is_valid_hom(src: FgAbGroup, dst: FgAbGroup, matrix: IntMatrix) -> bool:
     order o, so membership is a divisibility test per entry.
 
     >>> c2, c4 = FgAbGroup(0, (2,)), FgAbGroup(0, (4,))
-    >>> is_valid_hom(c2, c4, IntMatrix.from_rows([[2]]))
+    >>> is_valid_hom(c2, c4, [[2]])
     True
-    >>> is_valid_hom(c2, c4, IntMatrix.from_rows([[1]]))
+    >>> is_valid_hom(c2, c4, [[1]])
     False
     """
-    if matrix.rows != dst.ngens or matrix.cols != src.ngens:
+    if len(matrix) != dst.ngens or any(len(r) != src.ngens for r in matrix):
         return False
     return all(
         x * d % o == 0 if o else x == 0
-        for d, col in zip(src.orders, zip(*matrix.entries))
+        for d, col in zip(src.orders, zip(*matrix))
         if d
         for o, x in zip(dst.orders, col)
     )
@@ -208,20 +174,19 @@ def _diagonal_relations(orders: Sequence[int]) -> list[list[int]]:
     return [[o * (i == p) for p in live] for i, o in enumerate(orders)]
 
 
-def _kernel_x_part(rows: Sequence[Sequence[int]], orders: Sequence[int], width: int) -> IntMatrix:
-    """The first ``width`` rows of a kernel basis of [a | R]: ``rows`` are
-    the rows of a (``width`` columns), R the diagonal relations of
-    ``orders``, one order per row of a."""
+def _kernel_x_part(rows: Rows, orders: Sequence[int], width: int) -> list[list[int]]:
+    """The first ``width`` rows of a kernel basis of [a | R], one basis
+    vector per column: ``rows`` are the rows of a (``width`` columns), R the
+    diagonal relations of ``orders``, one order per row of a."""
     rel = _diagonal_relations(orders)
-    cols = width + sum(map(bool, orders))
-    ker = kernel(IntMatrix.from_rows([[*x, *y] for x, y in zip(rows, rel)], cols))
-    return IntMatrix(width, ker.cols, ker.entries[:width])
+    ker = kernel([[*x, *y] for x, y in zip(rows, rel)], width + sum(map(bool, orders)))
+    return [[v[i] for v in ker] for i in range(width)]
 
 
 def _limit_on_presentations(
     order: Sequence[str],
     orders: Mapping[str, Sequence[int]],
-    arrows: Sequence[tuple[str, str, IntMatrix]],
+    arrows: Sequence[tuple[str, str, Rows]],
 ) -> FgAbGroup:
     """Limit of groups given by their generator orders (0 for a free
     generator): x over the product lies in the limit iff every arrow defect
@@ -237,7 +202,7 @@ def _limit_on_presentations(
     B has independent columns, so the kernel of [B | R] is {(-X y, y)}: its
     x-part is X up to a unimodular change of basis and presents the limit.
 
-    >>> one, two, three = (IntMatrix.from_rows([[k]]) for k in (1, 2, 3))
+    >>> one, two, three = [[1]], [[2]], [[3]]
     >>> str(_limit_on_presentations("ab", {"a": [0], "b": [2]}, [("a", "b", one)]))
     'Z'
     >>> free = {"a": [0], "b": [0]}
@@ -250,18 +215,18 @@ def _limit_on_presentations(
     n = 0
     for v in order:
         offs[v], n = n, n + len(orders[v])
-    defect_rows: list[list[int]] = []
-    defect_orders: list[int] = []
+    defect_rows, defect_orders = [], []
     for src, tgt, m in arrows:
         for i, o in enumerate(orders[tgt]):
             row = [0] * n
-            row[offs[src] : offs[src] + len(orders[src])] = m.entries[i]
+            row[offs[src] : offs[src] + len(orders[src])] = m[i]
             row[offs[tgt] + i] -= 1
             defect_rows.append(row)
             defect_orders.append(o)
     basis = _kernel_x_part(defect_rows, defect_orders, n)
+    k = len(basis[0]) if basis else 0
     flat = [o for v in order for o in orders[v]]
-    return group_from_presentation(basis.cols, _kernel_x_part(basis.entries, flat, basis.cols))
+    return group_from_presentation(k, _kernel_x_part(basis, flat, k))
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +257,11 @@ class GradedHom:
     source: GradedGroup
     target: GradedGroup
     reindex: OrderReflectingMap
-    blocks: Mapping[tuple[str, str], IntMatrix]  # (source grade x, target grade y)
+    blocks: Mapping[tuple[str, str], Rows]  # (source grade x, target grade y) -> rows
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", dict(self.blocks))
+        blocks = {xy: tuple(map(tuple, m)) for xy, m in self.blocks.items()}
+        object.__setattr__(self, "blocks", blocks)
         if self.reindex.source != self.target.index or self.reindex.target != self.source.index:
             raise InputError("reindex must map the target index to the source index")
         for (x, y), m in self.blocks.items():
@@ -305,7 +271,7 @@ class GradedHom:
                     f"reindex({y!r}) = {self.reindex(y)!r}"
                 )
             ps, pt = self.source.pieces[x], self.target.pieces[y]
-            if m.rows != pt.ngens or m.cols != ps.ngens:
+            if len(m) != pt.ngens or any(len(r) != ps.ngens for r in m):
                 raise InputError(f"block ({x!r} -> {y!r}) has wrong shape")
             if not is_valid_hom(ps, pt, m):
                 raise InputError(f"block ({x!r} -> {y!r}) is not a homomorphism")
@@ -316,7 +282,8 @@ def identity_graded_hom(g: GradedGroup, reindex: OrderReflectingMap) -> GradedHo
     blocks = {}
     for y in g.index.elements:
         x = reindex(y)
-        blocks[(x, y)] = IntMatrix.identity(g.pieces[y].ngens)
+        n = g.pieces[y].ngens
+        blocks[(x, y)] = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     return GradedHom(g, g, reindex, blocks)
 
 
@@ -404,9 +371,7 @@ def graded_limit(
             fiber += g.pieces[z].orders
     # the fiber sums keep the grades' own generators, so the block at
     # (reindex(y), y) is copied literally into the fiber of y
-    restricted: dict[str, list[tuple[str, str, IntMatrix]]] = {
-        w: [] for w in colimit_index.elements
-    }
+    restricted: dict[str, list] = {w: [] for w in colimit_index.elements}
     for a in diagram.arrows:
         hom, tgt_cocone = homs[a.name], cocones[a.tgt]
         out = {
@@ -419,10 +384,10 @@ def graded_limit(
             if b is not None:
                 rows = out[tgt_cocone(y)]
                 r0, c0 = offset[a.tgt][y], offset[a.src][x]
-                for i, row in enumerate(b.entries):
-                    rows[r0 + i][c0 : c0 + b.cols] = row
+                for i, row in enumerate(b):
+                    rows[r0 + i][c0 : c0 + len(row)] = row
         for w, rows in out.items():
-            restricted[w].append((a.src, a.tgt, IntMatrix.from_rows(rows, len(orders[w][a.src]))))
+            restricted[w].append((a.src, a.tgt, rows))
     pieces = {
         w: _limit_on_presentations(diagram.vertices, orders[w], restricted[w])
         for w in colimit_index.elements

@@ -92,22 +92,23 @@ def strata_from_atlas(atlas: ChartAtlas, caps: Caps = DEFAULT_CAPS) -> Stratific
                 f"{caps.nerve_depth}"
             )
     caps.check_carrier(sum((1 << len(c.branches)) - 1 for c in atlas.charts), "local strata")
-    local = [
-        (c.id, frozenset(sub))
+    # the local strata of each chart, which the loops below scan
+    local_of = {
+        c.id: [frozenset(sub) for k in range(1, len(c.branches) + 1)
+               for sub in itertools.combinations(c.branches, k)]
         for c in atlas.charts
-        for k in range(1, len(c.branches) + 1)
-        for sub in itertools.combinations(c.branches, k)
-    ]
+    }
+    local = [(cid, sub) for cid, subs in local_of.items() for sub in subs]
 
     known = set(local)
     same: list[tuple] = []
     for o in atlas.overlaps:
         dom = set(o.mapping)
-        for cid, sub in local:
-            if cid == o.chart_a and sub <= dom:
+        for sub in local_of[o.chart_a]:
+            if sub <= dom:
                 image = frozenset(o.mapping[b] for b in sub)
                 if len(image) == len(sub) and (o.chart_b, image) in known:
-                    same.append(((cid, sub), (o.chart_b, image)))
+                    same.append(((o.chart_a, sub), (o.chart_b, image)))
 
     orbits = _classes(local, same)
     # name strata after the global branch classes they intersect (a multiset:
@@ -136,7 +137,7 @@ def strata_from_atlas(atlas: ChartAtlas, caps: Caps = DEFAULT_CAPS) -> Stratific
     for i, orbit in enumerate(orbits):
         closure.add((names[i], ambient_id))
         for cid, sub in orbit:
-            for other, osub in local:
-                if other == cid and osub < sub:
-                    closure.add((names[i], names[orbit_of[(other, osub)]]))
+            for osub in local_of[cid]:
+                if osub < sub:
+                    closure.add((names[i], names[orbit_of[(cid, osub)]]))
     return Stratification(tuple(strata), tuple(sorted(closure)))

@@ -1,11 +1,10 @@
 """Finite preorders, order-reflecting maps, diagrams of them, and directedness.
 
 The carrier type stores a reflexive relation over labelled elements as one row
-bitmask per element.
-Transitivity is *checked*, not enforced: the disjoint-union and gluing rules
-of ``colimits`` can produce genuinely non-transitive comparability patterns
-(two classes with no common preimages become vacuously mutually related), and
-the index relations built downstream inherit that.  ``FinitePreorder.is_transitive``
+bitmask per element.  Transitivity is *checked*, not enforced: the disjoint-union and
+gluing rules of ``colimits`` can produce genuinely non-transitive comparability patterns
+(two classes with no common preimages become vacuously mutually related), and the
+index relations built downstream inherit that.  ``FinitePreorder.is_transitive``
 reports the status; constructions that guarantee transitivity assert it in tests.
 
 A map ``phi`` between carriers is *order-reflecting* when
@@ -108,8 +107,9 @@ def _gather(positions: Sequence[int], n: int) -> Callable[[int], int]:
     ``positions[a]``; position ``n`` is padding and reads 0."""
     if not positions:
         return lambda mask: 0
-    # read the positions highest first from the mask's bits, lowest first,
-    # with one leading zero for the padding position
+    if list(positions) == list(range(n)):
+        return lambda mask: mask
+    # the positions, highest first, read from the bits lowest first after a padding 0
     pick = itemgetter(*reversed(positions))
     return lambda mask: int("".join(pick(format(mask, f"0{n + 1}b")[::-1])), 2)
 

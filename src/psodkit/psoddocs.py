@@ -18,7 +18,7 @@ from .errors import ParseError
 # Readers import the constructors and the readers they use, as in ``documents``,
 # so ``psod ktheory`` loads no preorder reader.
 if TYPE_CHECKING:
-    from .abelian import GradedGroup, IntMatrix
+    from .abelian import GradedGroup
     from .engine import FactorDescriptor, FiltrationResult, PsodIndex
     from .factorial import CharTuple
     from .gluing import GluingScenario, GlueResult
@@ -56,16 +56,13 @@ def kdata_from_doc(doc: Any) -> dict[str, FgAbGroup]:
     return _each(doc, group_from_doc, "kdata must be an object keyed by component")
 
 
-def matrix_from_doc(doc: Any, rows: int | None = None, cols: int | None = None) -> IntMatrix:
-    from .abelian import IntMatrix
-
+def matrix_from_doc(doc: Any) -> list[list[int]]:
+    """A list of integer rows; ``GradedHom`` checks a block's shape."""
     if not isinstance(doc, list) or not all(
         isinstance(row, list) and all(type(x) is int for x in row) for row in doc
     ):
         raise ParseError("matrix must be a nested integer array")
-    r = len(doc)
-    c = len(doc[0]) if doc else (cols or 0)
-    return IntMatrix(r if rows is None else rows, c, tuple(tuple(row) for row in doc))
+    return doc
 
 
 def graded_group_to_doc(g: GradedGroup) -> dict:
@@ -161,11 +158,7 @@ def scenario_from_doc(doc: Mapping) -> GluingScenario:
                 raise ParseError(f"graded hom {name!r}: block grades must be index elements")
             if (x, y) in blocks:
                 raise ParseError(f"graded hom {name!r}: two blocks from {x!r} to {y!r}")
-            blocks[(x, y)] = matrix_from_doc(
-                _need(entry, "matrix", "graded hom block"),
-                rows=tgt_g.pieces[y].ngens,
-                cols=src_g.pieces[x].ngens,
-            )
+            blocks[(x, y)] = matrix_from_doc(_need(entry, "matrix", "graded hom block"))
         reindex = OrderReflectingMap(
             tgt_g.index,
             src_g.index,

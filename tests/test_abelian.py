@@ -14,7 +14,6 @@ from psodkit.abelian import (
     group_from_presentation,
     hnf,
     identity_graded_hom,
-    invariant_factors,
     is_valid_hom,
     kernel,
     snf,
@@ -33,9 +32,39 @@ from psodkit.preorders import (
 
 from helpers import generated_preorder, identity_map
 
+# A matrix is a list of integer rows; a helper that must know the column
+# count of a matrix without rows takes it as ``cols``.
+
 
 def M(rows):
-    return IntMatrix.from_rows(rows)
+    return [list(r) for r in rows]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def width(a, cols=None):
+    return cols if cols is not None else len(a[0]) if a else 0
+
+
+def mul(a, b, cols=None):
+    """The rows of the product a * b, b having ``cols`` columns."""
+    assert all(len(r) == len(b) for r in a), "matrix dimensions do not compose"
+    return [[sum(r[k] * b[k][j] for k in range(len(b))) for j in range(width(b, cols))] for r in a]
+
+
+def transpose(a, cols=None):
+    return [[r[j] for r in a] for j in range(width(a, cols))]
+
+
+def smith(a, cols=None):
+    """The Smith diagonal of the rows ``a``."""
+    return snf(IntMatrix(len(a), width(a, cols), tuple(map(tuple, a))))
+
+
+def invariant_factors(a, cols=None):
+    return tuple(d for d in smith(a, cols) if d)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -47,60 +76,61 @@ def diagonal(values):
     return M([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def relation_matrix(orders) -> IntMatrix:
+def relation_matrix(orders):
     """The diagonal relation matrix of Z^len(orders) modulo orders[i] * e_i,
     one column per nonzero order: a group's presentation spelled out."""
     live = [p for p, o in enumerate(orders) if o]
-    rows = [[o * (i == p) for p in live] for i, o in enumerate(orders)]
-    return IntMatrix.from_rows(rows, len(live))
+    return [[o * (i == p) for p in live] for i, o in enumerate(orders)]
 
 
-def solve_columns(b: IntMatrix, r: IntMatrix) -> IntMatrix:
+def solve_columns(b, r, bcols=None, rcols=None):
     """Solve b X = r exactly over the integers by back substitution on the
     HNF of b (columns of r in the column lattice of b, b's columns
     independent), or raise PreconditionError: a test-side solver, apart
-    from the library's kernels."""
-    if b.rows != r.rows:
+    from the library's kernels.  ``bcols`` and ``rcols`` are the column
+    counts of b and r."""
+    if len(b) != len(r):
         raise InputError("row counts differ")
+    bcols, rcols = width(b, bcols), width(r, rcols)
     h, u = hnf(b)
-    rhs = u.mul(r)
+    rhs = mul(u, r, rcols)
     pivots = []
-    for i in range(h.rows):
-        cols = [j for j in range(h.cols) if h.entries[i][j] != 0]
+    for i in range(len(h)):
+        cols = [j for j in range(bcols) if h[i][j] != 0]
         if cols:
             pivots.append((i, cols[0]))
-    x = [[0] * r.cols for _ in range(b.cols)]
-    for c in range(r.cols):
-        vec = [rhs.entries[i][c] for i in range(h.rows)]
-        sol = [0] * b.cols
+    x = [[0] * rcols for _ in range(bcols)]
+    for c in range(rcols):
+        vec = [rhs[i][c] for i in range(len(h))]
+        sol = [0] * bcols
         for i, j in reversed(pivots):
-            acc = vec[i] - sum(h.entries[i][t] * sol[t] for t in range(j + 1, h.cols))
-            if acc % h.entries[i][j] != 0:
+            acc = vec[i] - sum(h[i][t] * sol[t] for t in range(j + 1, bcols))
+            if acc % h[i][j] != 0:
                 raise PreconditionError("system has no integer solution")
-            sol[j] = acc // h.entries[i][j]
-        for i in range(h.rows):
-            lhs = sum(h.entries[i][t] * sol[t] for t in range(h.cols))
-            if lhs != rhs.entries[i][c]:
+            sol[j] = acc // h[i][j]
+        for i in range(len(h)):
+            lhs = sum(h[i][t] * sol[t] for t in range(bcols))
+            if lhs != rhs[i][c]:
                 raise PreconditionError("system has no integer solution")
-        for t in range(b.cols):
+        for t in range(bcols):
             x[t][c] = sol[t]
-    return IntMatrix.from_rows(x, r.cols)
+    return x
 
 
 def apply(matrix, vec):
-    assert len(vec) == matrix.cols
-    return tuple(sum(a * x for a, x in zip(row, vec)) for row in matrix.entries)
+    assert all(len(row) == len(vec) for row in matrix)
+    return tuple(sum(a * x for a, x in zip(row, vec)) for row in matrix)
 
 
 def column(matrix, j):
-    return tuple(row[j] for row in matrix.entries)
+    return tuple(row[j] for row in matrix)
 
 
 def det(matrix):
     # sympy is the test-only oracle for exact determinants
     from sympy import Matrix
 
-    return int(Matrix(matrix.rows, matrix.cols, [x for r in matrix.entries for x in r]).det())
+    return int(Matrix(matrix).det())
 
 
 def is_unimodular(matrix):
@@ -112,16 +142,16 @@ def is_unimodular(matrix):
 
 
 def test_hnf_identity():
-    h, u = hnf(IntMatrix.identity(3))
-    assert h == IntMatrix.identity(3)
-    assert u == IntMatrix.identity(3)
+    h, u = hnf(identity(3))
+    assert h == identity(3)
+    assert u == identity(3)
 
 
 def test_hnf_gcd_pivot():
     a = M([[2], [4]])
     h, u = hnf(a)
     assert h == M([[2], [0]])
-    assert u.mul(a) == h
+    assert mul(u, a) == h
     assert is_unimodular(u)
 
 
@@ -130,7 +160,7 @@ def test_hnf_random_triangular_with_det():
     for _ in range(40):
         a = rand_matrix(rng, 3, 3)
         h, u = hnf(a)
-        assert u.mul(a) == h
+        assert mul(u, a) == h
         assert is_unimodular(u)
         for i in range(3):
             for j in range(3):
@@ -140,10 +170,10 @@ def test_hnf_random_triangular_with_det():
         pivots = []
         col = 0
         for i in range(3):
-            while col < 3 and h.entries[i][col] == 0:
+            while col < 3 and h[i][col] == 0:
                 col += 1
             if col < 3:
-                pivots.append(h.entries[i][col])
+                pivots.append(h[i][col])
         d = det(a)
         if d != 0:
             prod = 1
@@ -157,18 +187,18 @@ def test_hnf_rows_below_pivots_zero():
     for _ in range(40):
         a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         h, u = hnf(a)
-        assert u.mul(a) == h
+        assert mul(u, a) == h
         lead = -1
-        for i in range(h.rows):
-            cols = [j for j in range(h.cols) if h.entries[i][j] != 0]
+        for i in range(len(h)):
+            cols = [j for j in range(len(h[i])) if h[i][j] != 0]
             if not cols:
                 # all rows after a zero row stay zero
-                for k in range(i, h.rows):
-                    assert all(x == 0 for x in h.entries[k])
+                for k in range(i, len(h)):
+                    assert all(x == 0 for x in h[k])
                 break
             assert cols[0] > lead
             lead = cols[0]
-            assert h.entries[i][cols[0]] > 0
+            assert h[i][cols[0]] > 0
 
 
 def test_hnf_matches_sympy():
@@ -189,15 +219,15 @@ def test_hnf_matches_sympy():
             k = rng.randint(0, min(rows, cols) - 1)
             left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
             right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
-            a = IntMatrix.from_rows(left, k).mul(IntMatrix.from_rows(right, cols))
+            a = mul(left, right, cols)
         else:
             a = rand_matrix(rng, rows, cols)
         h, u = hnf(a)
-        assert u.mul(a) == h
+        assert mul(u, a) == h
         assert is_unimodular(u)
-        nonzero = [r for r in h.entries if any(r)]
+        nonzero = [r for r in h if any(r)]
         deficient += len(nonzero) < min(rows, cols)
-        assert row_lattice(nonzero, cols) == row_lattice(a.entries, cols)
+        assert row_lattice(nonzero, cols) == row_lattice(a, cols)
     assert deficient >= 20
 
 
@@ -206,21 +236,23 @@ def test_hnf_matches_sympy():
 
 
 def test_snf_examples():
-    assert snf(diagonal([2, 3])) == diagonal([1, 6])
-    assert snf(M([[0, 0, 0], [0, 0, 0]])) == M([[0, 0, 0], [0, 0, 0]])
-    assert snf(IntMatrix.identity(2)) == IntMatrix.identity(2)
+    assert smith(diagonal([2, 3])) == [1, 6]
+    assert smith(M([[0, 0, 0], [0, 0, 0]])) == [0, 0]
+    assert smith(identity(2)) == [1, 1]
+    assert smith([], 3) == smith([[], []]) == []
+
+
+def test_snf_reads_a_matrix_of_its_stated_shape():
+    with pytest.raises(InputError, match="^entry grid does not match the stated dimensions$"):
+        snf(IntMatrix(2, 1, ((1,), (2, 3))))
 
 
 def test_snf_properties_random():
     rng = random.Random(31)
     for _ in range(60):
         a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        s = snf(a)
-        diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
-        for i in range(s.rows):
-            for j in range(s.cols):
-                if i != j:
-                    assert s.entries[i][j] == 0
+        diag = smith(a)
+        assert len(diag) == min(len(a), len(a[0]))
         nz = [d for d in diag if d != 0]
         assert all(d > 0 for d in nz)
         for a1, a2 in zip(nz, nz[1:]):
@@ -242,7 +274,7 @@ def test_snf_matches_sympy():
     rng = random.Random(77)
     for _ in range(100):
         a = rand_matrix(rng, 4, 4)
-        s = normalforms.smith_normal_form(Matrix(a.entries), domain=ZZ)
+        s = normalforms.smith_normal_form(Matrix(a), domain=ZZ)
         expected = tuple(abs(int(s[i, i])) for i in range(4) if s[i, i] != 0)
         assert invariant_factors(a) == expected
 
@@ -254,7 +286,7 @@ def _rank_deficient(rng, rows, cols):
     if rng.random() < 0.5:
         k = rng.randint(0, max(min(rows, cols) - 1, 0))
         right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
-        return rand_matrix(rng, rows, k, -4, 4).mul(IntMatrix.from_rows(right, cols))
+        return mul(rand_matrix(rng, rows, k, -4, 4), right, cols)
     zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
     return M(
         [
@@ -277,13 +309,12 @@ def test_snf_matches_sympy_on_rectangular_and_rank_deficient_shapes():
                 a = rand_matrix(rng, rows, cols)
             else:
                 a = _rank_deficient(rng, rows, cols)
-            s = snf(a)
-            diag = [s.entries[i][i] for i in range(min(rows, cols))]
-            assert all(s.entries[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+            diag = smith(a, cols)
+            assert len(diag) == min(rows, cols)
             nz = [d for d in diag if d]
             assert diag == nz + [0] * (len(diag) - len(nz)) and all(d > 0 for d in nz)
             assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
-            flat = [x for r in a.entries for x in r]
+            flat = [x for r in a for x in r]
             want = normalforms.smith_normal_form(Matrix(rows, cols, flat), domain=ZZ)
             assert tuple(d for d in diag if d) == tuple(
                 abs(int(want[i, i])) for i in range(min(rows, cols)) if want[i, i] != 0
@@ -303,16 +334,14 @@ def test_snf_of_dense_matrices_matches_sympy():
     rng = random.Random(7)
     for n in (7, 7, 7, 8, 8):
         a = rand_matrix(rng, n, n)
-        s = snf(a)
-        want = normalforms.smith_normal_form(Matrix(a.entries), domain=ZZ)
-        assert all(s.entries[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-        assert [s.entries[i][i] for i in range(n)] == [abs(int(want[i, i])) for i in range(n)]
+        want = normalforms.smith_normal_form(Matrix(a), domain=ZZ)
+        assert smith(a) == [abs(int(want[i, i])) for i in range(n)]
 
 
 def test_snf_fixes_divisibility_between_non_adjacent_factors():
     # 4 misses 9 two places later (and 6 next to it)
     a = diagonal([4, 6, 9])
-    assert snf(a) == diagonal([1, 6, 36])
+    assert smith(a) == [1, 6, 36]
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +349,15 @@ def test_snf_fixes_divisibility_between_non_adjacent_factors():
 
 
 def test_kernel_examples():
-    k = kernel(M([[1, -1]]))
-    assert k.cols == 1
-    x = column(k, 0)
+    k = kernel(M([[1, -1]]), 2)
+    assert len(k) == 1
+    x = k[0]
     assert x[0] == x[1] and abs(x[0]) == 1
-    k2 = kernel(M([[2, -3]]))
-    v = column(k2, 0)
+    k2 = kernel(M([[2, -3]]), 2)
+    v = k2[0]
     assert 2 * v[0] - 3 * v[1] == 0
     assert sorted(map(abs, v)) == [2, 3]
-    assert kernel(IntMatrix.identity(3)).cols == 0
+    assert len(kernel(identity(3), 3)) == 0
 
 
 def test_kernel_spans_all_small_kernel_vectors():
@@ -336,26 +365,28 @@ def test_kernel_spans_all_small_kernel_vectors():
     for _ in range(30):
         rows, cols = rng.randint(1, 3), rng.randint(1, 4)
         a = rand_matrix(rng, rows, cols, -3, 3)
-        k = kernel(a)
-        for i in range(k.cols):
-            assert all(x == 0 for x in apply(a, column(k, i)))
+        k = kernel(a, cols)
+        for v in k:
+            assert len(v) == cols
+            assert all(x == 0 for x in apply(a, v))
         # every brute-force kernel vector lies in the lattice spanned by k
         for vec in itertools.product(range(-5, 6), repeat=cols):
             if any(apply(a, vec)):
                 continue
-            if k.cols == 0:
+            if not k:
                 assert all(x == 0 for x in vec)
                 continue
-            sol = solve_columns(k, IntMatrix.from_rows([[x] for x in vec], 1))
-            recon = apply(k, column(sol, 0))
+            basis = transpose(k)  # the basis vectors as columns
+            sol = solve_columns(basis, [[x] for x in vec])
+            recon = apply(basis, column(sol, 0))
             assert recon == tuple(vec)
 
 
 def test_kernel_of_a_matrix_without_rows_or_columns():
     # no equations: every vector solves, and the basis is the identity;
     # no unknowns: the kernel is Z^0, with no basis column
-    assert kernel(IntMatrix(0, 3, ())) == IntMatrix.identity(3)
-    assert kernel(IntMatrix(3, 0, ((),) * 3)) == IntMatrix(0, 0, ())
+    assert kernel([], 3) == identity(3)
+    assert kernel([[], [], []], 0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -428,25 +459,24 @@ def solving_limit_oracle(order, orders, arrows):
     for src, tgt, m in arrows:
         for i, o in enumerate(orders[tgt]):
             row = [0] * n
-            row[offs[src] : offs[src] + ngens[src]] = m.entries[i]
+            row[offs[src] : offs[src] + ngens[src]] = m[i]
             row[offs[tgt] + i] -= 1
             defect_rows.append(row)
             defect_orders.append(o)
     if defect_rows:
-        rt = relation_matrix(defect_orders).entries
-        ker = kernel(IntMatrix.from_rows([x + list(y) for x, y in zip(defect_rows, rt)]))
-        basis = IntMatrix(n, ker.cols, ker.entries[:n])
+        rt = relation_matrix(defect_orders)
+        cols = n + sum(map(bool, defect_orders))
+        ker = kernel([x + list(y) for x, y in zip(defect_rows, rt)], cols)
+        k, basis = len(ker), [[v[i] for v in ker] for i in range(n)]
     else:
-        basis = IntMatrix.identity(n)
-    if rel.cols:
-        rel_in_basis = solve_columns(basis, rel)
+        k, basis = n, identity(n)
+    live = sum(map(bool, (o for v in order for o in orders[v])))
+    if live:
+        rel_in_basis = solve_columns(basis, rel, k, live)
     else:
-        rel_in_basis = IntMatrix(basis.cols, 0, ((),) * basis.cols)
-    projections = {
-        v: IntMatrix(ngens[v], basis.cols, basis.entries[offs[v] : offs[v] + ngens[v]])
-        for v in order
-    }
-    return group_from_presentation(basis.cols, rel_in_basis), basis, projections
+        rel_in_basis = [[] for _ in range(k)]
+    projections = {v: basis[offs[v] : offs[v] + ngens[v]] for v in order}
+    return group_from_presentation(k, rel_in_basis), basis, projections
 
 
 def group_limit(groups, arrows=()):
@@ -479,7 +509,7 @@ def test_limit_equalizer_times_two_three():
 
 def test_limit_pullback_of_identity_span():
     groups = {v: FgAbGroup.free(1) for v in ("l", "m", "r")}
-    arrows = [("l", "m", IntMatrix.identity(1)), ("r", "m", IntMatrix.identity(1))]
+    arrows = [("l", "m", identity(1)), ("r", "m", identity(1))]
     assert group_limit(groups, arrows) == FgAbGroup.free(1)
     # the oracle's generator is the diagonal, up to sign
     group, generators, _ = oracle_limit(groups, arrows)
@@ -505,7 +535,7 @@ def test_limit_projections_equalize():
         m = rand_matrix(rng, g2.ngens, g1.ngens, -3, 3)
         groups = {"a": g1, "b": g2}
         group, _, projections = oracle_limit(groups, [("a", "b", m)])
-        assert m.mul(projections["a"]) == projections["b"]
+        assert mul(m, projections["a"]) == projections["b"]
         assert group_limit(groups, [("a", "b", m)]) == group
 
 
@@ -528,7 +558,7 @@ def test_graded_hom_rejects_off_fiber_blocks():
     g = GradedGroup(p, {"x": FgAbGroup.free(1), "y": FgAbGroup.free(1)})
     reindex = identity_map(p)
     with pytest.raises(InputError):
-        GradedHom(g, g, reindex, {("x", "y"): IntMatrix.identity(1)})
+        GradedHom(g, g, reindex, {("x", "y"): identity(1)})
 
 
 def graded_quiver(groups, arrows=()):
@@ -617,11 +647,11 @@ def _random_fg_group(rng):
         return FgAbGroup.free(rank)
 
 
-def _random_hom_matrix(rng, src: FgAbGroup, dst: FgAbGroup) -> IntMatrix:
+def _random_hom_matrix(rng, src: FgAbGroup, dst: FgAbGroup):
     return _random_order_hom(rng, src.orders, dst.orders)
 
 
-def _random_order_hom(rng, src_orders, dst_orders) -> IntMatrix:
+def _random_order_hom(rng, src_orders, dst_orders):
     """A random homomorphism between the groups with these generator orders."""
     rows = []
     for e in dst_orders:
@@ -634,7 +664,7 @@ def _random_order_hom(rng, src_orders, dst_orders) -> IntMatrix:
             else:
                 row.append(e // math.gcd(d, e) * rng.randint(-1, 1))
         rows.append(row)
-    return IntMatrix(len(dst_orders), len(src_orders), tuple(tuple(r) for r in rows))
+    return rows
 
 
 def _random_preorder(rng, max_size=3):
@@ -680,7 +710,7 @@ def random_graded_scenario(rng):
     return graded_quiver(groups, arrows)
 
 
-def literal_total_matrix(hom: GradedHom) -> IntMatrix:
+def literal_total_matrix(hom: GradedHom):
     """The ungraded matrix of a graded hom: every stored block copied to the
     offsets of its own (source grade, target grade), generators in index
     order."""
@@ -696,9 +726,9 @@ def literal_total_matrix(hom: GradedHom) -> IntMatrix:
     toffs, rows = offsets(hom.target)
     out = [[0] * cols for _ in range(rows)]
     for (x, y), b in hom.blocks.items():
-        for i, row in enumerate(b.entries):
-            out[toffs[y] + i][soffs[x] : soffs[x] + b.cols] = row
-    return IntMatrix.from_rows(out, cols)
+        for i, row in enumerate(b):
+            out[toffs[y] + i][soffs[x] : soffs[x] + len(row)] = row
+    return out
 
 
 def ungraded_limit_oracle(diagram, groups, homs) -> FgAbGroup:
@@ -772,13 +802,13 @@ def test_cross_fiber_block_trips_certificate_and_oracle(monkeypatch, how):
     assert ungraded_limit_oracle(*quiver) == FgAbGroup.free(1)
 
 
-def _column_basis(a: IntMatrix) -> IntMatrix:
-    """A basis (columns) of the column lattice of ``a``, read off an HNF:
-    the step that once followed the kernel in ``_limit_on_presentations``,
-    kept here as the oracle for its removal."""
-    h, _ = hnf(a.transpose())
-    rows = [r for r in h.entries if any(r)]
-    return IntMatrix(a.rows, len(rows), tuple(tuple(r[i] for r in rows) for i in range(a.rows)))
+def _column_basis(a, cols):
+    """A basis (as vectors) of the column lattice of ``a``, a matrix with
+    ``cols`` columns, read off an HNF: the step that once followed the
+    kernel in ``_limit_on_presentations``, kept here as the oracle for its
+    removal."""
+    h, _ = hnf(transpose(a, cols))
+    return [r for r in h if any(r)]
 
 
 def test_fiber_limit_generators_are_a_basis_of_the_solutions(monkeypatch):
@@ -793,15 +823,18 @@ def test_fiber_limit_generators_are_a_basis_of_the_solutions(monkeypatch):
         group = real(order, orders, arrows)
         want, gens, projections = solving_limit_oracle(order, orders, arrows)
         assert group == want
-        basis = _column_basis(gens)
-        assert basis.cols == gens.cols
-        rel = relation_matrix([o for v in order for o in orders[v]])
-        assert group_from_presentation(basis.cols, solve_columns(basis, rel)) == group
+        k = width(gens)
+        vectors = _column_basis(gens, k)
+        assert len(vectors) == k
+        basis = transpose(vectors, len(gens))
+        flat = [o for v in order for o in orders[v]]
+        rel, live = relation_matrix(flat), sum(map(bool, flat))
+        assert group_from_presentation(k, solve_columns(basis, rel, k, live)) == group
         for src, tgt, m in arrows:
-            image, at_tgt = m.mul(projections[src]), projections[tgt]
-            defect = [[a - b for a, b in zip(r, t)] for r, t in zip(image.entries, at_tgt.entries)]
-            solve_columns(relation_matrix(orders[tgt]), IntMatrix.from_rows(defect, gens.cols))
-        relations.append(rel.cols)
+            image, at_tgt = mul(m, projections[src], k), projections[tgt]
+            defect = [[a - b for a, b in zip(r, t)] for r, t in zip(image, at_tgt)]
+            solve_columns(relation_matrix(orders[tgt]), defect, sum(map(bool, orders[tgt])), k)
+        relations.append(live)
         return group
 
     monkeypatch.setattr(abelian, "_limit_on_presentations", checking)
@@ -849,7 +882,7 @@ def _enumerate_group(g: FgAbGroup):
     return list(itertools.product(*(range(d) for d in g.torsion)))
 
 
-def _apply_mod(matrix: IntMatrix, vec, orders):
+def _apply_mod(matrix, vec, orders):
     out = apply(matrix, vec)
     return tuple(x % d for x, d in zip(out, orders))
 

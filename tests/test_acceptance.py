@@ -8,7 +8,6 @@ import math
 import random
 import time
 
-from psodkit.abelian import IntMatrix, invariant_factors, snf
 from psodkit.colimits import colimit, coproduct, pushout
 from psodkit.engine import (
     FactorDescriptor,
@@ -36,7 +35,14 @@ from psodkit.strata import Stratification, Stratum
 from psodkit.verify import verify_colimit
 
 from helpers import generated_preorder, identity_map
-from test_abelian import is_unimodular, random_graded_scenario, ungraded_limit_oracle
+from test_abelian import (
+    invariant_factors,
+    is_unimodular,
+    mul,
+    random_graded_scenario,
+    smith,
+    ungraded_limit_oracle,
+)
 from test_engine import emitted
 from test_factorial import bang_chain, cmp_bang_znfact
 from test_preorders import lt
@@ -352,18 +358,16 @@ def test_criterion_8_normal_forms():
 
     rng = random.Random(1234)
     for _ in range(100):
-        a = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        )
-        s = snf(a)
-        diag = [s.entries[i][i] for i in range(4)]
+        a = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+        diag = smith(a)
+        assert len(diag) == 4
         nz = [d for d in diag if d != 0]
         assert all(d > 0 for d in nz)
         for x, y in zip(nz, nz[1:]):
             assert y % x == 0
-        assert invariant_factors(a) == _determinantal_invariants(a.entries)
+        assert invariant_factors(a) == _determinantal_invariants(a)
         h, uu = hnf(a)
-        assert uu.mul(a) == h
+        assert mul(uu, a) == h
         assert is_unimodular(uu)
 
 

@@ -13,7 +13,6 @@ from psodkit import documents as docs
 from psodkit import abelian
 from psodkit import preorderdocs
 from psodkit import psoddocs
-from psodkit.abelian import IntMatrix
 from psodkit.cli import main
 from psodkit.colimits import colimit
 from psodkit.config import DEFAULT_CAPS
@@ -996,7 +995,7 @@ def test_glue_cross_fiber_block_exits_2_with_one_line(capsys, tmp_path, monkeypa
 
     def with_cross_fiber_block(diagram, groups, homs, col):
         hom = homs[diagram.arrows[0].name]
-        object.__setattr__(hom, "blocks", {**hom.blocks, (x, y): IntMatrix.identity(1)})
+        object.__setattr__(hom, "blocks", {**hom.blocks, (x, y): ((1,),)})
         return real(diagram, groups, homs, col)
 
     monkeypatch.setattr(abelian, "graded_limit", with_cross_fiber_block)
@@ -1034,6 +1033,23 @@ def test_glue_rejects_malformed_scenario(capsys, tmp_path, path, value, message)
     code, out, err = run(capsys, "psod", "glue", write(tmp_path, "scenario.json", body))
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "matrix, target_rank",
+    [([[1], [1]], 1), ([], 1), ([[1, 0]], 1), ([[]], 1), ([[1], [1, 0]], 2), ([[1, 0], [1]], 2)],
+    ids=["extra-row", "no-rows", "extra-column", "no-columns", "ragged", "ragged-first"],
+)
+def test_glue_rejects_misshapen_block(capsys, tmp_path, matrix, target_rank):
+    # the block at the first grade runs from Z into Z^target_rank
+    body = _graded_scenario_doc()
+    block = body["graded_homs"]["d0"]["blocks"][0]
+    x = block["source_grade"]
+    body["graded"]["l1"]["pieces"][x] = {"rank": target_rank}
+    block["matrix"] = matrix
+    code, out, err = run(capsys, "psod", "glue", write(tmp_path, "scenario.json", body))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: block ({x!r} -> {x!r}) has wrong shape"]
 
 
 def test_glue_rejects_duplicate_graded_hom_block(capsys, tmp_path):

@@ -592,7 +592,7 @@ def test_glue_heterogeneous_span_aggregates_descriptors():
 
 
 def test_glue_rejects_mismatched_graded_hom():
-    from psodkit.abelian import GradedGroup, GradedHom, IntMatrix
+    from psodkit.abelian import GradedGroup, GradedHom
     from psodkit.preorders import OrderReflectingMap
 
     p = complete_preorder(["x", "y"])
@@ -606,7 +606,7 @@ def test_glue_rejects_mismatched_graded_hom():
     g = GradedGroup(p, {"x": FgAbGroup.free(1), "y": FgAbGroup.free(1)})
     swap = OrderReflectingMap(p, p, {"x": "y", "y": "x"})
     hom = GradedHom(
-        g, g, swap, {("y", "x"): IntMatrix.identity(1), ("x", "y"): IntMatrix.identity(1)}
+        g, g, swap, {("y", "x"): [[1]], ("x", "y"): [[1]]}
     )
     diag = PreorderDiagram(
         ("u", "v"),

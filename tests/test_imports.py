@@ -124,9 +124,9 @@ M = ["--output", "machine"]
 # source lines those modules may hold.  The budgets of build, infinite,
 # ktheory and human-mode order cmp are the targets of the startup carve, and
 # verify's is what it loads once it lists the cocones as maps out of the
-# quotient; the others are what each command loaded before it (1,968 lines
-# for a preorder command, 2,378 for an order command, 3,147 for filtrate,
-# 3,722 for glue).
+# quotient, and glue's what it loads once a matrix is a list of rows; the
+# others are what each command loaded before it (1,968 lines for a preorder
+# command, 2,378 for an order command, 3,147 for filtrate).
 COMMANDS = {
     "import": ([], {"psodkit"}, 100),
     "preorder-verify": (M + ["preorder", "verify", "{verify}"],
@@ -154,7 +154,7 @@ COMMANDS = {
     "psod-glue": (M + ["psod", "glue", "{scenario}"],
                   PREORDER | {"psodkit.abelian", "psodkit.colimits", "psodkit.engine",
                               "psodkit.factorial", "psodkit.gluing", "psodkit.groups",
-                              "psodkit.psoddocs"}, 3722),
+                              "psodkit.psoddocs"}, 3146),
     "psod-ktheory": (M + ["psod", "ktheory", "{cross}", "--kdata", "{kdata}", "--root", "3"],
                      KTHEORY, 2600),
     "psod-ktheory-kummer": (M + ["psod", "ktheory", "{cross}", "--kdata", "{kdata}",

@@ -2,6 +2,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+from operator import itemgetter
 from unittest import mock
 
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from psodkit.preorders import (
     FinitePreorder,
     OrderReflectingMap,
     PreorderDiagram,
+    _gather,
     complete_preorder,
     discrete_preorder,
 )
@@ -204,3 +206,34 @@ def test_colimit_output_passes_verify(diagram):
     cocone = {v: dict(m.mapping) for v, m in res.cocones.items()}
     assert verify_colimit(diagram, res.preorder, cocone) == VerifyResult(True)
     assert _oracle_verify(diagram, res.preorder, cocone) == VerifyResult(True)
+
+
+def _string_gather(positions, n):
+    """``_gather`` as it read before its identity case: pick one character
+    per position from the mask's bits, padding included, and join."""
+    if not positions:
+        return lambda mask: 0
+    pick = itemgetter(*reversed(positions))
+    return lambda mask: int("".join(pick(format(mask, f"0{n + 1}b")[::-1])), 2)
+
+
+@st.composite
+def _gathers(draw):
+    """A width n, positions in 0..n (n is the padding position), a
+    permutation of 0..n-1 or exactly 0..n-1, and an n-bit mask."""
+    n = draw(st.integers(0, 70))
+    kind = draw(st.sampled_from(["identity", "permutation", "any"]))
+    if kind == "identity":
+        positions = list(range(n))
+    elif kind == "permutation":
+        positions = draw(st.permutations(range(n)))
+    else:
+        positions = draw(st.lists(st.integers(0, n), max_size=80))
+    return positions, n, draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=300)
+@given(_gathers())
+def test_gather_matches_the_string_path(case):
+    positions, n, mask = case
+    assert _gather(positions, n)(mask) == _string_gather(positions, n)(mask)

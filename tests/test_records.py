@@ -18,7 +18,7 @@ from psodkit import (
     abelian, atlas, colimits, config, engine, factorial, gluing, groups, kreport, preorders, records,
     strata, verify,
 )
-from psodkit.abelian import GradedGroup, graded_limit, identity_graded_hom
+from psodkit.abelian import GradedGroup, IntMatrix, graded_limit, identity_graded_hom
 from psodkit.atlas import Chart, ChartAtlas, Overlap, strata_from_atlas
 from psodkit.colimits import colimit
 from psodkit.config import Caps
@@ -108,6 +108,8 @@ def _roots():
         directedness(chain), directedness(discrete_preorder(["a", "b"])),
         scenario, graded, gquiver,
         graded_limit(*gquiver, colimit(gquiver[0])),
+        # the argument of snf, which no result holds
+        IntMatrix(2, 2, ((2, 0), (0, 3))), IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())),
     ]
 
 
