@@ -62,7 +62,7 @@ def _emit(args: argparse.Namespace, doc: Callable[[Any], Any], human: Callable[[
 # -- preorder ----------------------------------------------------------------
 
 
-def _cmd_preorder(caps: Caps, args: argparse.Namespace) -> int:
+def _cmd_preorder(args: argparse.Namespace) -> int:
     from . import preorderdocs as docs
 
     sub = args.subcommand
@@ -89,7 +89,7 @@ def _cmd_preorder(caps: Caps, args: argparse.Namespace) -> int:
         from .verify import verify_colimit
 
         diagram, candidate, cocones = docs.verify_request_from_doc(_load(args.inputs[0]))
-        res = verify_colimit(diagram, candidate, cocones, caps)
+        res = verify_colimit(diagram, candidate, cocones)
         human = "verified" if res.ok else f"failed: {res.reason}"
         _emit(args, lambda _: docs.verify_to_doc(res), lambda: human)
         return 0
@@ -325,7 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         caps = Caps(**_parse_caps(args.caps)) if args.caps else Caps()
         if args.group == "preorder":
-            return _cmd_preorder(caps, args)
+            return _cmd_preorder(args)
         if args.group == "order":
             if args.subcommand == "factform" and not args.inputs:
                 raise InputError("factform needs an expression")

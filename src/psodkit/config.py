@@ -38,13 +38,11 @@ class Caps:
     carrier:        largest preorder carrier any builder may materialize
     factorial_level: largest n for which Z_{n!} machinery may be used
     nerve_depth:    most branches a chart may have when building strata from charts
-    verify_total:   largest total diagram carrier verify_colimit will accept
     """
 
     carrier: int = 100_000
     factorial_level: int = 8
     nerve_depth: int = 3
-    verify_total: int = 12
 
     def __post_init__(self) -> None:
         for name in fields(self):

@@ -320,12 +320,20 @@ def _char_blocks_leq(
         above = 0
         for v in sorted(at, reverse=True):
             at[v] = above = above | at[v]
-    below = {
-        (b, k, lv): sum(m for kk, m in codim.items() if kk < k)
-        | (codim[k] & ~block[b, k])
-        | sum(m for (bb, kk, ll), m in level.items() if (bb, kk) == (b, k) and ll < lv)
-        for b, k, lv in level
-    }
+    # below[b, k, lv]: the shallower codimensions, the other blocks of
+    # codimension k and the lower levels of block (b, k).  Sorted, each
+    # block's levels come together in ascending order and OR into ``acc``.
+    shallower: dict[int, int] = {}
+    acc = 0
+    for k in sorted(codim):
+        shallower[k], acc = acc, acc | codim[k]
+    below: dict[tuple[str, int, int], int] = {}
+    current = None
+    for b, k, lv in sorted(level):
+        if (b, k) != current:
+            current, acc = (b, k), shallower[k] | (codim[k] & ~block[b, k])
+        below[b, k, lv] = acc
+        acc |= level[b, k, lv]
     rows = []
     for b, k, lv, ranks in keyed:
         row = level[b, k, lv]

@@ -1,15 +1,14 @@
 """Documents of the ``preorder`` commands: the preorder, map and diagram
 readers, and the request and result of ``preorder verify``.
 
-A preorder's dense ``leq`` matrix is read into row bitmasks; a
-``LeqRows`` (a document copied without text in between) is taken as it is.
+A preorder's dense ``leq`` matrix is read into row bitmasks.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
-from .documents import LeqRows, _each, _label_map, _need, _strings
+from .documents import _each, _label_map, _need, _strings
 from .errors import InputError, ParseError
 
 # Readers import the constructors they build, as in ``documents``.
@@ -30,8 +29,6 @@ def preorder_from_doc(doc: Mapping) -> FinitePreorder:
     leq = _need(doc, "leq", "preorder")
     if not _strings(elements):
         raise ParseError("preorder elements must be strings")
-    if isinstance(leq, LeqRows):
-        return FinitePreorder(tuple(elements), leq.rows)
     if not isinstance(leq, list) or not all(
         isinstance(row, list) and set(map(type, row)) <= {bool} for row in leq
     ):

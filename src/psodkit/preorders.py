@@ -270,9 +270,6 @@ class PreorderDiagram:
                     f"under the {a.orientation} orientation"
                 )
 
-    def total_size(self) -> int:
-        return sum(len(self.preorders[v]) for v in self.vertices)
-
     def actual_maps(self) -> Iterator[tuple[str, str, Mapping[str, str]]]:
         """Yield (u, v, mapping) with mapping a carrier function P_u -> P_v."""
         for a in self.arrows:

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, PreconditionError
-from .preorders import _closure_masks
+from .preorders import _bits, _closure_masks
 from .records import record
 
 
@@ -56,15 +56,6 @@ class Stratification:
     def by_id(self) -> dict[str, Stratum]:
         return {s.id: s for s in self.strata}
 
-    @cached_property
-    def _closure_rows(self) -> dict[str, tuple[str, ...]]:
-        # tuples in stratum order, so validation reports in a fixed order
-        ids = [s.id for s in self.strata]
-        return {
-            i: tuple(t for j, t in enumerate(ids) if mask >> j & 1)
-            for i, mask in zip(ids, _closure_masks(ids, self.closure))
-        }
-
     def ambient(self) -> Stratum:
         tops = [s for s in self.strata if s.codim == 0]
         if len(tops) != 1:
@@ -84,23 +75,26 @@ def validate(strat: Stratification) -> list[str]:
     comps = [c for s in strat.strata for c in s.norm_components]
     if len(set(comps)) != len(comps):
         out.append("normalization component labels must be globally distinct")
-    rows = strat._closure_rows
-    for s in strat.strata:
-        for t_id in rows[s.id]:
-            t = strat.by_id[t_id]
-            if t_id != s.id and not s.codim > t.codim:
+    # bit j of row i: stratum i lies in the closure of stratum j; rows and
+    # bits in stratum order, so violations are reported in a fixed order
+    strata = strat.strata
+    rows = _closure_masks([s.id for s in strata], strat.closure)
+    for i, s in enumerate(strata):
+        for j in _bits(rows[i] & ~(1 << i)):
+            t = strata[j]
+            if not s.codim > t.codim:
                 out.append(
                     f"closure violates codimension monotonicity: "
                     f"{s.id} (codim {s.codim}) inside closure of {t.id} (codim {t.codim})"
                 )
-    for s in strat.strata:
-        for t_id in rows[s.id]:
-            if t_id != s.id and s.id in rows[t_id]:
-                out.append(f"closure is not antisymmetric on {s.id!r}, {t_id!r}")
+    for i, s in enumerate(strata):
+        for j in _bits(rows[i] & ~(1 << i)):
+            if rows[j] >> i & 1:
+                out.append(f"closure is not antisymmetric on {s.id!r}, {strata[j].id!r}")
     if len(tops) == 1:
-        top = tops[0].id
-        for s in strat.strata:
-            if top not in rows[s.id]:
+        top = 1 << strata.index(tops[0])
+        for s, row in zip(strata, rows):
+            if not row & top:
                 out.append(f"codim-0 stratum must close over {s.id!r}")
     return out
 

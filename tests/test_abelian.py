@@ -30,7 +30,7 @@ from psodkit.preorders import (
     discrete_preorder,
 )
 
-from helpers import generated_preorder, identity_map
+from helpers import generated_preorder, identity_map, reflecting_maps
 
 # A matrix is a list of integer rows; a helper that must know the column
 # count of a matrix without rows takes it as ``cols``.
@@ -675,9 +675,7 @@ def _random_preorder(rng, max_size=3):
 
 
 def _random_reflecting_map(rng, src, dst):
-    from psodkit.verify import _reflecting_maps_to
-
-    options = _reflecting_maps_to(src, dst.rows)
+    options = reflecting_maps(src, dst.rows)
     if not options:
         return None
     pick = rng.choice(options)

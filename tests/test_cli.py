@@ -15,7 +15,6 @@ from psodkit import preorderdocs
 from psodkit import psoddocs
 from psodkit.cli import main
 from psodkit.colimits import colimit
-from psodkit.config import DEFAULT_CAPS
 from psodkit.examples import nodal_cubic, simple_crossing
 from psodkit.preorders import (
     complete_preorder,
@@ -261,10 +260,10 @@ def _point_verify_doc(**fields):
 
 
 def test_verify_at_the_diagram_cap_is_fast(capsys, tmp_path):
-    # verify_total one-point vertices glued into 4 classes: the vertices'
-    # maps into a test preorder Q form up to 5^12 families, but the colimit
-    # is the quotient, so verify accepts it without enumerating any
-    n = DEFAULT_CAPS.verify_total
+    # 12 one-point vertices glued into 4 classes: the vertices' maps into a
+    # test preorder Q form up to 5^12 families, but the colimit is the
+    # quotient, so verify accepts it without looking at any Q
+    n = 12
     points = {f"v{i}": complete_preorder([f"x{i}"]) for i in range(n)}
     arrows = tuple(
         DiagramArrow(f"a{i}", f"v{i}", f"v{i + 4}", OrderReflectingMap(
@@ -309,14 +308,30 @@ def test_verify_accepts_a_five_point_coproduct(capsys, tmp_path):
     assert out.strip() == "verified"
 
 
-def test_verify_of_a_perturbed_five_point_coproduct_exits_3(capsys, tmp_path):
+def test_verify_of_a_perturbed_five_point_coproduct_answers(capsys, tmp_path):
+    # x1 <= x3 is missing: the discrete 5 points with that one relation added
+    # receive the identity cocone, which has no reflecting factorization
     path = write(tmp_path, "verify.json", _five_point_verify_doc(flip=(1, 3)))
-    code, out, err = run(capsys, "preorder", "verify", path)
-    assert code == 3 and out == ""
-    assert err.splitlines() == [
-        "error: universal-property enumeration only supported for candidates with at most "
-        "4 elements"
-    ]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "preorder", "verify", path)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01
+    assert code == 0 and err == ""
+    assert out.strip() == "failed: cocone has no order-reflecting factorization"
+    code, out, _ = run(capsys, "--output", "machine", "preorder", "verify", path)
+    assert code == 0
+    assert json.loads(out) == {
+        "ok": False,
+        "reason": "cocone has no order-reflecting factorization",
+        "witness": {
+            "q_size": 5,
+            "q_rows": [1, 2 | 8, 4, 8, 16],
+            "cocone": {f"v{i}": {f"x{i}": i} for i in range(5)},
+            "solutions": 0,
+        },
+    }
 
 
 @pytest.mark.parametrize(
@@ -785,9 +800,14 @@ def test_totalize_flag(capsys, tmp_path):
     assert psod.annotations.get("totalized") == "true"
 
 
-def test_bad_caps_rejected(capsys):
+def test_bad_caps_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "--caps", "bogus=3", "order", "cmp", "--", "0", "0")
     assert code == 2 and "unknown cap" in err
+    # verify has no cap
+    path = write(tmp_path, "verify.json", _five_point_verify_doc())
+    code, out, err = run(capsys, "--caps", "verify_total=1", "preorder", "verify", path)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: unknown cap 'verify_total'"]
 
 
 @pytest.mark.parametrize(
@@ -878,7 +898,7 @@ def test_each_output_mode_builds_only_its_own_text(capsys, tmp_path, monkeypatch
 def _nodal_psod_doc():
     from psodkit.engine import build_root_psod
 
-    return docs.psod_to_doc(build_root_psod(nodal_cubic(), 2))
+    return docs.loads(docs.dumps(docs.psod_to_doc(build_root_psod(nodal_cubic(), 2))))
 
 
 def _set(doc, path, value):

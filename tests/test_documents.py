@@ -14,6 +14,7 @@ from psodkit.kreport import KTheoryMode, ktheory_report
 from psodkit.preorders import (
     CONTRAVARIANT,
     DiagramArrow,
+    FinitePreorder,
     PreorderDiagram,
     complete_preorder,
     discrete_preorder,
@@ -51,7 +52,10 @@ def test_preorder_document_holds_the_rows_and_is_read_directly():
     p = generated_preorder(["a", "b", "c"], [("a", "b")])
     doc = docs.preorder_to_doc(p)
     assert doc == {"elements": ["a", "b", "c"], "leq": docs.LeqRows(p.rows)}
-    assert preorderdocs.preorder_from_doc(doc) == p
+    # the reader takes the text's boolean matrix, not the writer's rows
+    assert preorderdocs.preorder_from_doc(docs.loads(docs.dumps(doc))) == p
+    with pytest.raises(ParseError, match="matrix of booleans"):
+        preorderdocs.preorder_from_doc(doc)
     assert docs.dumps(doc["leq"]) == (
         "[\n  [\n    true,\n    true,\n    false\n  ],\n"
         "  [\n    false,\n    true,\n    false\n  ],\n"
@@ -66,7 +70,7 @@ def test_preorder_document_holds_the_rows_and_is_read_directly():
 )
 def test_rows_read_directly_meet_the_carrier_checks(rows, message):
     with pytest.raises(InputError, match=message):
-        preorderdocs.preorder_from_doc({"elements": ["a", "b"], "leq": docs.LeqRows(rows)})
+        FinitePreorder(("a", "b"), rows)
 
 
 def test_map_roundtrip():
@@ -81,8 +85,8 @@ def test_diagram_roundtrip():
     q = complete_preorder(["u", "v"])
     m = preorderdocs.map_from_doc(
         {
-            "source": docs.preorder_to_doc(q),
-            "target": docs.preorder_to_doc(p),
+            "source": docs.loads(docs.dumps(docs.preorder_to_doc(q))),
+            "target": docs.loads(docs.dumps(docs.preorder_to_doc(p))),
             "map": {"u": "x", "v": "x"},
         }
     )
@@ -156,7 +160,7 @@ def test_scenario_roundtrip_with_graded_homs():
             }
         },
     }
-    scenario = psoddocs.scenario_from_doc(doc)
+    scenario = psoddocs.scenario_from_doc(docs.loads(docs.dumps(doc)))
     res = glue(scenario)
     assert res.kind == "psod"
     assert res.graded is not None

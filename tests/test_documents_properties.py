@@ -120,6 +120,5 @@ def test_leq_rows_print_as_their_boolean_matrix(make, to_doc, from_doc, p):
     text = docs.dumps(doc)
     assert text == json.dumps(plain, indent=2)
     assert "".join(docs.chunks({"a": [doc]})) == json.dumps({"a": [plain]}, indent=2)
-    assert from_doc(doc) == value
     assert from_doc(docs.loads(text)) == value
     assert from_doc(plain) == value

@@ -19,7 +19,18 @@ from hypothesis import strategies as st
 from psodkit.atlas import Chart, ChartAtlas, Overlap, strata_from_atlas
 from psodkit.engine import build_infinite_psod, build_root_psod, restrict_to_denominators
 from psodkit.examples import nodal_cubic, simple_crossing
-from psodkit.factorial import EQUAL, LESS, CharTuple, enumerate_characters
+from psodkit.factorial import (
+    EQUAL,
+    LESS,
+    CharTuple,
+    _char_blocks_leq,
+    bang_key,
+    enumerate_characters,
+    starred_tuples,
+    zr_key,
+)
+from psodkit.preorders import FinitePreorder
+from psodkit.strata import deepest_first
 
 from test_engine import smooth_divisor
 from test_factorial import build_zdr, build_zdr_stratified, build_zkr, cmp_bang_reference
@@ -195,3 +206,54 @@ def test_build_zdr_stratified_matches_pairwise_order(case):
     strat, r, _ = case
     p = build_zdr_stratified([(s.id, s.codim) for s in strat.strata], r)
     assert p.rows == pairwise_rows(parsed_entries(p), fraction_le)
+
+
+def _oracle_char_blocks_leq(entries, key):
+    """``_char_blocks_leq`` with each level's ``below`` summed over every
+    level entry of every block, O(levels^2)."""
+    from collections import defaultdict
+
+    keyed = [(b, k, *key(c)) for b, k, c in entries]
+    codim = defaultdict(int)
+    block = defaultdict(int)
+    level = defaultdict(int)
+    ge = defaultdict(lambda: defaultdict(int))
+    for i, (b, k, lv, ranks) in enumerate(keyed):
+        codim[k] |= 1 << i
+        block[b, k] |= 1 << i
+        level[b, k, lv] |= 1 << i
+        for d, v in enumerate(ranks):
+            ge[d][v] |= 1 << i
+    for at in ge.values():
+        above = 0
+        for v in sorted(at, reverse=True):
+            at[v] = above = above | at[v]
+    below = {
+        (b, k, lv): sum(m for kk, m in codim.items() if kk < k)
+        | (codim[k] & ~block[b, k])
+        | sum(m for (bb, kk, ll), m in level.items() if (bb, kk) == (b, k) and ll < lv)
+        for b, k, lv in level
+    }
+    rows = []
+    for b, k, lv, ranks in keyed:
+        row = level[b, k, lv]
+        for d, v in enumerate(ranks):
+            row &= ge[d][v]
+        rows.append(below[b, k, lv] | row)
+    return FinitePreorder(tuple(f"{b}:{c}" for b, _, c in entries), tuple(rows))
+
+
+@SETTINGS
+@given(st.one_of(root_cases(), infinite_cases()))
+def test_char_blocks_leq_matches_the_summed_oracle(case):
+    # several levels per block come from the infinite root; the strata are
+    # shuffled so that blocks of one codimension need not be adjacent
+    strat, *params, _ = case
+    if len(params) == 1:
+        characters, key = (lambda k: starred_tuples(k, params[0])), zr_key(params[0])
+    else:
+        characters, key = (lambda k: enumerate_characters(k, *params)), bang_key
+    strata = [(s.id, s.codim) for s in strat.strata]
+    for order in (deepest_first(strata), strata[::-1]):
+        entries = [(sid, k, chi) for sid, k in order for chi in characters(k)]
+        assert _char_blocks_leq(entries, key) == _oracle_char_blocks_leq(entries, key)

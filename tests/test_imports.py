@@ -123,14 +123,14 @@ M = ["--output", "machine"]
 # One command per row: its argument list, the modules it loads, and the most
 # source lines those modules may hold.  The budgets of build, infinite,
 # ktheory and human-mode order cmp are the targets of the startup carve, and
-# verify's is what it loads once it lists the cocones as maps out of the
-# quotient, and glue's what it loads once a matrix is a list of rows; the
+# verify's is what it loads once it builds its witness instead of searching
+# for one, and glue's what it loads once a matrix is a list of rows; the
 # others are what each command loaded before it (1,968 lines for a preorder
 # command, 2,378 for an order command, 3,147 for filtrate).
 COMMANDS = {
     "import": ([], {"psodkit"}, 100),
     "preorder-verify": (M + ["preorder", "verify", "{verify}"],
-                        PREORDER | {"psodkit.colimits", "psodkit.verify"}, 1867),
+                        PREORDER | {"psodkit.colimits", "psodkit.verify"}, 1714),
     "preorder-colimit": (M + ["preorder", "colimit", "{diagram}"],
                          PREORDER | {"psodkit.colimits"}, 1968),
     "preorder-coproduct": (M + ["preorder", "coproduct", "{chain}", "{chain}"],

@@ -7,7 +7,7 @@ import pytest
 
 from psodkit import preorderdocs, verify
 from psodkit.colimits import _class_labels, _quotient_preorder, colimit, coproduct, pushout
-from psodkit.errors import CapExceededError, InputError, PreconditionError
+from psodkit.errors import InputError, PreconditionError
 from psodkit.preorders import (
     CONTRAVARIANT,
     DiagramArrow,
@@ -21,17 +21,17 @@ from psodkit.preorders import (
     is_directed,
     is_order_reflecting,
 )
-from psodkit.preorders import _classes, _gather, _reflection_witness
-from psodkit.verify import (
-    VerifyResult,
-    _posets_on,
-    _preorders_on,
-    _reflecting_maps_to,
-    _set_partitions,
-    verify_colimit,
-)
+from psodkit.preorders import _bits, _classes, _gather
+from psodkit.verify import VerifyResult, verify_colimit
 
-from helpers import generated_preorder, identity_map
+from helpers import (
+    generated_preorder,
+    identity_map,
+    posets_on,
+    preorders_on,
+    reflecting_maps,
+    set_partitions,
+)
 
 
 def chain(*labels):
@@ -497,14 +497,24 @@ def test_verify_rejects_discrete_union():
 
 
 def test_verify_rejects_oversized_candidate():
-    # five elements that are not the quotient: past the enumeration's reach
+    # five elements that are not the quotient get a witness like any other
     p = complete_preorder(["a", "b", "c", "d", "e"])
     diag = PreorderDiagram(("v",), {"v": p})
-    with pytest.raises(CapExceededError, match="at most 4 elements"):
-        verify_colimit(diag, discrete_preorder(p.elements), {"v": {x: x for x in p.elements}})
-    # a cocone image outside an oversized candidate meets the size cap, not
-    # an InputError
-    with pytest.raises(CapExceededError, match="at most 4 elements"):
+    candidate, cocone = discrete_preorder(p.elements), {"v": {x: x for x in p.elements}}
+    res = verify_colimit(diag, candidate, cocone)
+    assert preorderdocs.verify_to_doc(res) == {
+        "ok": False,
+        "reason": "cocone has no order-reflecting factorization",
+        "witness": {
+            "q_size": 5,
+            "q_rows": [3, 2, 4, 8, 16],
+            "cocone": {"v": {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4}},
+            "solutions": 0,
+        },
+    }
+    assert _witness_holds(diag, candidate, cocone, res)
+    # a cocone image outside the candidate is an input error at any size
+    with pytest.raises(InputError, match="no element labelled 'zzz'"):
         verify_colimit(diag, p, {"v": {x: "zzz" if x == "e" else x for x in p.elements}})
 
 
@@ -522,15 +532,26 @@ def test_verify_accepts_an_oversized_quotient():
     # one relation fewer is not the quotient
     rows = list(shuffled.rows)
     rows[0] ^= 1 << 1
-    with pytest.raises(CapExceededError, match="at most 4 elements"):
-        verify_colimit(diag, FinitePreorder(shuffled.elements, tuple(rows)), cocone)
+    perturbed = FinitePreorder(shuffled.elements, tuple(rows))
+    res = verify_colimit(diag, perturbed, cocone)
+    assert res.reason == "cocone has no order-reflecting factorization"
+    assert res.witness["q_rows"] == [1, 2, 4 | 1, 8, 16]
+    assert _witness_holds(diag, perturbed, cocone, res)
 
 
 def test_verify_diagram_cap():
+    # there is none: a diagram of 13 elements verifies, and one relation
+    # fewer in the candidate is rejected with a witness
     p = complete_preorder([f"x{i}" for i in range(13)])
     diag = PreorderDiagram(("v",), {"v": p})
-    with pytest.raises(CapExceededError):
-        verify_colimit(diag, p, {"v": {x: x for x in p.elements}})
+    cocone = {"v": {x: x for x in p.elements}}
+    assert verify_colimit(diag, p, cocone) == VerifyResult(True)
+    rows = list(p.rows)
+    rows[12] ^= 1
+    candidate = FinitePreorder(p.elements, tuple(rows))
+    res = verify_colimit(diag, candidate, cocone)
+    assert res.witness["q_rows"] == [1 << i for i in range(12)] + [1 << 12 | 1]
+    assert _witness_holds(diag, candidate, cocone, res)
 
 
 def test_verify_rejects_non_commuting_cocone():
@@ -575,8 +596,9 @@ def test_verify_three_element_gluing():
 
 
 def test_verify_rejection_witness_is_pinned():
-    # the witness names a test preorder by its rows, so it changes if the
-    # representatives of _preorders_on or their order change
+    # a bijection onto a candidate that lacks a <= b: the discrete preorder
+    # with a <= b added receives the identity cocone, whose one factorization
+    # does not reflect
     parts = [chain("a", "b"), discrete_preorder(["c", "d"])]
     diag = PreorderDiagram(("v0", "v1"), dict(zip(("v0", "v1"), parts)))
     out, _ = coproduct(parts)
@@ -589,19 +611,21 @@ def test_verify_rejection_witness_is_pinned():
         "ok": False,
         "reason": "cocone has no order-reflecting factorization",
         "witness": {
-            "q_size": 3,
-            "q_rows": [1, 2, 5],
-            "cocone": {"v0": {"a": 2, "b": 0}, "v1": {"c": 0, "d": 1}},
+            "q_size": 4,
+            "q_rows": [3, 2, 4, 8],
+            "cocone": {"v0": {"a": 0, "b": 1}, "v1": {"c": 2, "d": 3}},
             "solutions": 0,
         },
     }
+    assert _witness_holds(diag, candidate, cocone, res)
 
 
 def test_verify_witness_may_need_four_points():
     # a reflecting map out of v1 needs four pairwise incomparable points, so no
     # Q with at most 3 points receives a cocone; on the discrete 4 points, a
     # cocone that sends e and a apart has no factorization through the
-    # candidate, whose A they share.  The smallest witness has 4 points.
+    # candidate, whose A they share.  The smallest witness has 4 points, and
+    # verify gives the discrete preorder on the 5 classes.
     diagram = PreorderDiagram(
         ("v1", "v2"), {"v1": discrete_preorder("abcd"), "v2": discrete_preorder("e")}
     )
@@ -611,9 +635,12 @@ def test_verify_witness_may_need_four_points():
     assert preorderdocs.verify_to_doc(res) == {
         "ok": False,
         "reason": "cocone has no factorization (forced values conflict)",
-        "witness": {"q_size": 4, "q_rows": [1, 2, 4, 8]},
+        "witness": {"q_size": 5, "q_rows": [1, 2, 4, 8, 16]},
     }
-    assert res == _oracle_verify(diagram, candidate, cocone)
+    assert _witness_holds(diagram, candidate, cocone, res)
+    smallest = _oracle_verify(diagram, candidate, cocone)
+    assert smallest.reason == res.reason
+    assert smallest.witness == {"q_size": 4, "q_rows": [1, 2, 4, 8]}
 
 
 def _oracle_verify(diagram, candidate, cocone):
@@ -649,8 +676,8 @@ def _oracle_verify(diagram, candidate, cocone):
         for t, x in enumerate(diagram.preorders[u].elements)
     ]
     for q in range(n + 2):
-        for q_rows in _preorders_on(q):
-            per_vertex = [_reflecting_maps_to(diagram.preorders[v], q_rows) for v in vertices]
+        for q_rows in preorders_on(q):
+            per_vertex = [reflecting_maps(diagram.preorders[v], q_rows) for v in vertices]
             for family in itertools.product(*per_vertex):
                 if any(family[iv][tv] != family[iu][tu] for iu, tu, iv, tv in commute):
                     continue
@@ -691,6 +718,76 @@ def _oracle_verify(diagram, candidate, cocone):
     return VerifyResult(True)
 
 
+_FACTORIZATION_REASONS = {
+    "cocone has no factorization (forced values conflict)": None,
+    "cocone has no order-reflecting factorization": 0,
+    "cocone does not factor uniquely": 2,
+}
+
+
+def _reflects(rows, h, q_rows):
+    """Whether h(i) <= h(j) in Q implies i <= j in ``rows``."""
+    return all(rows[i] >> j & 1 for i in range(len(h)) for j in range(len(h))
+               if q_rows[h[i]] >> h[j] & 1)
+
+
+def _witness_holds(diagram, candidate, cocone, res):
+    """Whether the rejection ``res`` of a request that passes steps (0) and
+    (a) carries a valid witness, by brute force.  Q must be a preorder.  Its
+    cocone, read on the quotient's classes, must reflect out of the
+    quotient, and each vertex's part must reflect out of that vertex.  The
+    maps h: candidate -> Q that reflect and induce it must number as the
+    reason says, at most 2 counted.  For conflicting forced values there is
+    no cocone to read: some reflecting map out of the quotient must take two
+    values on the classes of one candidate element."""
+    w = res.witness
+    q_rows = w["q_rows"]
+    q = len(q_rows)
+    if w["q_size"] != q or not all(
+        r >> i & 1 and all(q_rows[j] & ~r == 0 for j in _bits(r)) for i, r in enumerate(q_rows)
+    ):
+        return False
+    quotient, labels = _quotient_preorder(
+        diagram.preorders, diagram.vertices, diagram.identifications()
+    )
+    classes = {label: a for a, label in enumerate(quotient.elements)}
+    perm = [0] * len(quotient)
+    for v in diagram.vertices:
+        for x, y in cocone[v].items():
+            perm[classes[labels[v][x]]] = candidate.index(y)
+    expected = _FACTORIZATION_REASONS[res.reason]
+    if expected is None:
+        return set(w) == {"q_size", "q_rows"} and any(
+            _reflects(quotient.rows, g, q_rows)
+            and len({(k, val) for k, val in zip(perm, g)}) > len(set(perm))
+            for g in itertools.product(range(q), repeat=len(quotient))
+        )
+    g = [None] * len(quotient)
+    for v in diagram.vertices:
+        p = diagram.preorders[v]
+        h = [w["cocone"][v][x] for x in p.elements]
+        if not _reflects(p.rows, h, q_rows):
+            return False
+        for x, val in zip(p.elements, h):
+            a = classes[labels[v][x]]
+            if g[a] not in (None, val):
+                return False
+            g[a] = val
+    if not _reflects(quotient.rows, g, q_rows):
+        return False
+    forced = {}
+    if any(forced.setdefault(k, val) != val for k, val in zip(perm, g)):
+        return False
+    free = [k for k in range(len(candidate)) if k not in forced]
+    count = 0
+    for choice in itertools.product(range(q), repeat=len(free)):
+        forced.update(zip(free, choice))
+        count += _reflects(candidate.rows, [forced[k] for k in range(len(candidate))], q_rows)
+        if count == 2:
+            break
+    return count == expected == w["solutions"]
+
+
 def _random_generated_preorder(rng, labels):
     return generated_preorder(
         labels, [(a, b) for a in labels for b in labels if rng.random() < 0.3]
@@ -713,7 +810,7 @@ def _random_verify_request(rng):
     arrows = []
     for i in range(rng.randint(0, 3)):
         u, v = rng.choice(vertices), rng.choice(vertices)
-        options = _reflecting_maps_to(preorders[u], preorders[v].rows)
+        options = reflecting_maps(preorders[u], preorders[v].rows)
         if options:
             images = [preorders[v].elements[k] for k in rng.choice(options)]
             mapping = dict(zip(preorders[u].elements, images))
@@ -764,36 +861,21 @@ def _random_verify_request(rng):
     return diagram, candidate, cocone
 
 
-def test_accepted_verify_requests_never_enumerate(monkeypatch):
-    # every accepted request is the quotient, so neither enumerator runs
-    calls = []
-    for name in ("_preorders_on", "_reflecting_maps_to"):
-        real = getattr(verify, name)
-        monkeypatch.setattr(
-            verify, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
-        )
-    rng = random.Random(25)
-    accepted = rejected = 0
-    for _ in range(600):
-        diagram, candidate, cocone = _random_verify_request(rng)
-        calls.clear()
-        if verify_colimit(diagram, candidate, cocone).ok:
-            accepted += 1
-            assert calls == []
-        elif calls:
-            rejected += 1
-    assert accepted > 100 and rejected > 100
-
-
 def test_verify_matches_factorization_oracle():
     rng = random.Random(20190)
     reasons = set()
     spans_three_vertices = inside_one_vertex = False
     for _ in range(300):
         diagram, candidate, cocone = _random_verify_request(rng)
-        got = preorderdocs.verify_to_doc(verify_colimit(diagram, candidate, cocone))
-        assert got == preorderdocs.verify_to_doc(_oracle_verify(diagram, candidate, cocone))
-        reasons.add(got.get("reason"))
+        res = verify_colimit(diagram, candidate, cocone)
+        oracle = _oracle_verify(diagram, candidate, cocone)
+        # the oracle's witness is the first it finds; verify builds its own
+        if res.reason in _FACTORIZATION_REASONS:
+            assert oracle.reason in _FACTORIZATION_REASONS
+            assert _witness_holds(diagram, candidate, cocone, res)
+        else:
+            assert res == oracle
+        reasons.add(res.reason or None)
         nodes = [(v, x) for v in diagram.vertices for x in diagram.preorders[v].elements]
         for cls in _classes(nodes, diagram.identifications()):
             owners = [v for v, _ in cls]
@@ -812,7 +894,7 @@ def test_verify_matches_factorization_oracle():
 
 
 # ---------------------------------------------------------------------------
-# test preorders of verify_colimit
+# test preorders of the factorization oracle
 
 
 def _oracle_preorders_on(q):
@@ -821,10 +903,10 @@ def _oracle_preorders_on(q):
     relabellings, first-seen kept."""
     seen = set()
     result = []
-    for part in _set_partitions(list(range(q))):
+    for part in set_partitions(list(range(q))):
         blocks = sorted(sorted(b) for b in part)
         block_of = {x: bi for bi, b in enumerate(blocks) for x in b}
-        for rel in _posets_on(len(blocks)):
+        for rel in posets_on(len(blocks)):
             rows = tuple(
                 sum(1 << y for y in range(q) if rel[block_of[x]] >> block_of[y] & 1)
                 for x in range(q)
@@ -843,22 +925,22 @@ def _oracle_preorders_on(q):
 
 
 def test_preorder_counts_match_oeis_a001930():
-    assert [len(_preorders_on(q)) for q in range(6)] == [1, 1, 3, 9, 33, 139]
+    assert [len(preorders_on(q)) for q in range(6)] == [1, 1, 3, 9, 33, 139]
 
 
 def test_preorders_on_matches_brute_force_oracle():
     for q in range(5):
-        assert _preorders_on(q) == _oracle_preorders_on(q)
+        assert preorders_on(q) == _oracle_preorders_on(q)
 
 
 def test_preorders_on_five_points_is_pinned():
-    digest = hashlib.sha256(repr(_preorders_on(5)).encode()).hexdigest()
+    digest = hashlib.sha256(repr(preorders_on(5)).encode()).hexdigest()
     assert digest == "1b1ac3706972b6972789cbd234b68fc4393a26d90788ec7df3c56454ede29d22"
 
 
 def test_preorders_on_six_points_are_the_718_classes():
     # OEIS A001930: 718 preorders on 6 points up to isomorphism
-    reps = _preorders_on(6)
+    reps = preorders_on(6)
     assert len(reps) == 718
     assert len({iso_key(rows) for rows in reps}) == 718
 
@@ -872,54 +954,17 @@ def test_preorders_on_five_points_pairwise_non_isomorphic():
         g.add_edges_from((i, j) for i in range(5) for j in range(5) if rows[i] >> j & 1)
         return g
 
-    graphs = [graph(rows) for rows in _preorders_on(5)]
+    graphs = [graph(rows) for rows in preorders_on(5)]
     for a, b in itertools.combinations(graphs, 2):
         assert not nx.is_isomorphic(a, b)
 
 
-def _brute_force_reflecting_maps(p, q_rows, same=()):
-    """Every assignment of p's elements to 0..q-1 in lexicographic order,
-    kept when ``_reflection_witness`` finds no pair and element t has the
-    value of element ``same[t]``."""
-    target = FinitePreorder(tuple(map(str, range(len(q_rows)))), tuple(q_rows))
-    return [
-        values
-        for values in itertools.product(range(len(q_rows)), repeat=len(p))
-        if _reflection_witness(p, target, dict(zip(p.elements, map(str, values)))) is None
-        and all(values[t] == values[s] for t, s in enumerate(same))
-    ]
-
-
-def _labelled(rows):
-    return FinitePreorder(tuple(f"e{i}" for i in range(len(rows))), tuple(rows))
-
-
-def test_reflecting_maps_match_brute_force_on_small_preorders():
-    # every preorder with at most 4 elements, up to isomorphism, into every
-    # test preorder with at most 4
-    small = [rows for q in range(5) for rows in _preorders_on(q)]
-    for rows in small:
-        p = _labelled(rows)
-        for q_rows in small:
-            assert _reflecting_maps_to(p, q_rows) == _brute_force_reflecting_maps(p, q_rows)
-
-
-def test_reflecting_maps_match_brute_force_into_five_points():
-    # random reflexive sources, transitive or not, as verify candidates may be
-    rng = random.Random(13)
-    for q_rows in _preorders_on(5):
-        n = rng.randint(1, 4)
-        p = _labelled(
-            [sum(1 << j for j in range(n) if i == j or rng.random() < 0.4) for i in range(n)]
-        )
-        assert _reflecting_maps_to(p, q_rows) == _brute_force_reflecting_maps(p, q_rows)
-
-
 def test_maps_out_of_the_quotient_are_the_tied_maps_out_of_the_union():
-    # the cocones verify lists as reflecting maps out of the quotient, spread
-    # to the nodes, are the reflecting maps out of the coproduct of the
-    # vertices with each node tied to the first node of its class, in the
-    # same lexicographic order, into every Q with at most 4 points
+    # the step of verify's proof that reads the cocones as reflecting maps
+    # out of the quotient: a map g on the classes reflects out of the
+    # quotient exactly when g spread to the nodes reflects out of the
+    # coproduct of the vertices, into every Q with at most 4 points; a map
+    # on the nodes that commutes is constant on each class, so it is spread
     rng = random.Random(26)
     checked = set()
     tied_across = tied_within = False
@@ -936,17 +981,17 @@ def test_maps_out_of_the_quotient_are_the_tied_maps_out_of_the_union():
         cls = {label: i for i, label in enumerate(quotient.elements)}
         nodes = [(v, x) for v in diagram.vertices for x in diagram.preorders[v].elements]
         union, _ = coproduct([diagram.preorders[v] for v in diagram.vertices])
-        first = {nd: c[0] for c in _classes(nodes, diagram.identifications()) for nd in c}
-        same = [nodes.index(first[nd]) for nd in nodes]
         spread = [cls[labels[v][x]] for v, x in nodes]
         checked.add(repr((diagram, candidate)))
-        for t, s in enumerate(same):
-            tied_across |= s != t and nodes[s][0] != nodes[t][0]
-            tied_within |= s != t and nodes[s][0] == nodes[t][0]
+        for c in _classes(nodes, diagram.identifications()):
+            tied_across |= len({v for v, _ in c}) > 1
+            tied_within |= len({v for v, _ in c}) < len(c)
         for q in range(5):
-            for q_rows in _preorders_on(q):
-                got = [tuple(h[c] for c in spread) for h in _reflecting_maps_to(quotient, q_rows)]
-                assert got == _brute_force_reflecting_maps(union, q_rows, same)
+            for q_rows in preorders_on(q):
+                for g in itertools.product(range(q), repeat=len(quotient)):
+                    assert _reflects(quotient.rows, g, q_rows) == _reflects(
+                        union.rows, [g[c] for c in spread], q_rows
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +1036,7 @@ def _brute_force_directed(p: FinitePreorder) -> bool:
 
 def test_directedness_matches_brute_force_on_small_preorders():
     for q in range(5):
-        for rows in _preorders_on(q):
+        for rows in preorders_on(q):
             labels = tuple(f"e{i}" for i in range(q))
             p = FinitePreorder(labels, rows)
             assert is_directed(p) == _brute_force_directed(p)

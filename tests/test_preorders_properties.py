@@ -3,13 +3,12 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from operator import itemgetter
-from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psodkit import documents as docs
-from psodkit import preorderdocs, verify
+from psodkit import preorderdocs
 from psodkit.colimits import _quotient_preorder, colimit, pushout
 from psodkit.errors import PreconditionError
 from psodkit.preorders import (
@@ -23,16 +22,10 @@ from psodkit.preorders import (
     discrete_preorder,
 )
 
-from psodkit.verify import (
-    VerifyResult,
-    _cocone_failure,
-    _is_quotient,
-    _reflecting_maps_to,
-    verify_colimit,
-)
+from psodkit.verify import VerifyResult, _cocone_failure, _is_quotient, verify_colimit
 
-from helpers import generated_preorder
-from test_preorders import _oracle_verify, iso_key
+from helpers import generated_preorder, preorders_on, reflecting_maps
+from test_preorders import _oracle_verify, _witness_holds, iso_key
 
 
 @st.composite
@@ -153,7 +146,7 @@ def _small_diagrams(draw, max_vertices=3, max_size=3):
         src, tgt = draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))
         orientation = draw(st.sampled_from(["covariant", CONTRAVARIANT]))
         a, b = (src, tgt) if orientation == "covariant" else (tgt, src)
-        options = _reflecting_maps_to(preorders[a], preorders[b].rows)
+        options = reflecting_maps(preorders[a], preorders[b].rows)
         if options:
             images = draw(st.sampled_from(options))
             mapping = {x: preorders[b].elements[i] for x, i in zip(preorders[a].elements, images)}
@@ -188,10 +181,74 @@ def test_the_enumeration_finds_no_witness_where_the_quotient_criterion_holds(quo
         diagram.preorders, diagram.vertices, diagram.identifications()
     )
     assert labels == cocone
-    assert _is_quotient(candidate, carrier, [candidate.index(x) for x in carrier.elements])
-    # the enumeration, forced by denying the criterion, agrees
-    with mock.patch.object(verify, "_is_quotient", lambda *args: False):
-        assert verify_colimit(diagram, candidate, cocone) == VerifyResult(True)
+    perm = [candidate.index(x) for x in carrier.elements]
+    assert _is_quotient(candidate, carrier, perm)
+    assert verify_colimit(diagram, candidate, cocone) == VerifyResult(True)
+    # over every Q with at most 3 points, composing with the cocone takes the
+    # reflecting maps out of the candidate one to one onto the reflecting
+    # maps out of the quotient, which are the cocones
+    for q in range(4):
+        for q_rows in preorders_on(q):
+            induced = sorted(tuple(h[k] for k in perm) for h in reflecting_maps(candidate, q_rows))
+            assert induced == reflecting_maps(carrier, q_rows)
+
+
+@st.composite
+def _candidates(draw):
+    """A diagram whose quotient has at most 6 classes, and a candidate of up
+    to 6 elements: the classes sent one to one onto it, or to any elements
+    (merged, or missing some), with every relation the quotient allows
+    between their images, or with some of those dropped."""
+    diagram = draw(_small_diagrams())
+    try:
+        quotient, labels = _quotient_preorder(
+            diagram.preorders, diagram.vertices, diagram.identifications()
+        )
+    except PreconditionError:
+        assume(False)
+    m = len(quotient)
+    assume(m <= 6)
+    if draw(st.booleans()):
+        n, perm = m, draw(st.permutations(range(m)))
+    else:
+        n = draw(st.integers(1, 6))
+        perm = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    preimages = [[a for a, k in enumerate(perm) if k == i] for i in range(n)]
+    dropped = draw(st.one_of(st.just(0), st.integers(0, (1 << n * n) - 1)))
+    rows = tuple(
+        sum(
+            1 << j
+            for j in range(n)
+            if i == j
+            or not dropped >> (i * n + j) & 1
+            and all(quotient.rows[a] >> b & 1 for a in preimages[i] for b in preimages[j])
+        )
+        for i in range(n)
+    )
+    elements = tuple(f"c{i}" for i in range(n))
+    cls = {label: a for a, label in enumerate(quotient.elements)}
+    cocone = {
+        v: {x: elements[perm[cls[label]]] for x, label in ls.items()} for v, ls in labels.items()
+    }
+    return diagram, FinitePreorder(elements, rows), cocone
+
+
+@settings(max_examples=200, deadline=None)
+@given(_candidates())
+def test_verify_accepts_the_quotient_and_its_witnesses_hold(request):
+    diagram, candidate, cocone = request
+    assume(_cocone_failure(diagram, candidate, cocone) is None)
+    quotient, labels = _quotient_preorder(
+        diagram.preorders, diagram.vertices, diagram.identifications()
+    )
+    cls = {label: a for a, label in enumerate(quotient.elements)}
+    perm = [0] * len(quotient)
+    for v, ls in labels.items():
+        for x, label in ls.items():
+            perm[cls[label]] = candidate.index(cocone[v][x])
+    res = verify_colimit(diagram, candidate, cocone)
+    assert res.ok == _is_quotient(candidate, quotient, perm)
+    assert res.ok or _witness_holds(diagram, candidate, cocone, res)
 
 
 @settings(max_examples=60, deadline=None)

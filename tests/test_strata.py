@@ -1,4 +1,5 @@
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -7,6 +8,7 @@ from psodkit.atlas import Chart, ChartAtlas, Overlap, strata_from_atlas
 from psodkit.config import Caps
 from psodkit.errors import CapExceededError, InputError
 from psodkit.examples import nodal_cubic, simple_crossing
+from psodkit.preorders import _closure_masks
 from psodkit.strata import Stratification, Stratum, skeleton, validate
 
 
@@ -56,6 +58,94 @@ def test_duplicate_component_labels_violation():
         (("D", "X"),),
     )
     assert any("globally distinct" in v for v in validate(s))
+
+
+def _oracle_closure_rows(strat):
+    """The closure rows as tuples of ids in stratum order, every bit of every
+    closure mask tested."""
+    ids = [s.id for s in strat.strata]
+    return {
+        i: tuple(t for j, t in enumerate(ids) if mask >> j & 1)
+        for i, mask in zip(ids, _closure_masks(ids, strat.closure))
+    }
+
+
+def _oracle_validate(strat):
+    """``validate`` with the closure read as tuples and antisymmetry checked
+    by searching them."""
+    out = []
+    tops = [s for s in strat.strata if s.codim == 0]
+    if len(tops) != 1:
+        out.append(f"expected exactly one codim-0 stratum, found {len(tops)}")
+    comps = [c for s in strat.strata for c in s.norm_components]
+    if len(set(comps)) != len(comps):
+        out.append("normalization component labels must be globally distinct")
+    rows = _oracle_closure_rows(strat)
+    by_id = {s.id: s for s in strat.strata}
+    for s in strat.strata:
+        for t_id in rows[s.id]:
+            t = by_id[t_id]
+            if t_id != s.id and not s.codim > t.codim:
+                out.append(
+                    f"closure violates codimension monotonicity: "
+                    f"{s.id} (codim {s.codim}) inside closure of {t.id} (codim {t.codim})"
+                )
+    for s in strat.strata:
+        for t_id in rows[s.id]:
+            if t_id != s.id and s.id in rows[t_id]:
+                out.append(f"closure is not antisymmetric on {s.id!r}, {t_id!r}")
+    if len(tops) == 1:
+        for s in strat.strata:
+            if tops[0].id not in rows[s.id]:
+                out.append(f"codim-0 stratum must close over {s.id!r}")
+    return out
+
+
+def _random_stratification(rng):
+    n = rng.randint(1, 9)
+    ids = [f"S{i}" for i in rng.sample(range(20), n)]
+    strata = tuple(
+        Stratum(i, rng.choice([0, 0, 1, 1, 2, 3]), (f"{i}~" if rng.random() < 0.9 else "n",))
+        for i in ids
+    )
+    pairs = tuple((rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2 * n)))
+    return Stratification(strata, pairs)
+
+
+def test_validate_matches_the_tuple_oracle_on_random_stratifications():
+    rng = random.Random(30)
+    kinds = set()
+    for _ in range(400):
+        strat = _random_stratification(rng)
+        got = validate(strat)
+        assert got == _oracle_validate(strat)
+        kinds.update(message.split(" ")[1] for message in got)
+    assert kinds == {"exactly", "component", "violates", "is", "stratum"}
+
+
+def test_validate_messages_are_pinned_in_order():
+    # a cycle D <-> E, a codim-0 stratum inside a codim-1 closure, and a
+    # stratum the ambient does not close over
+    strat = Stratification(
+        (Stratum("X", 0, ("X~",)), Stratum("D", 1, ("D~",)), Stratum("E", 1, ("D~",)),
+         Stratum("P", 2, ("P~",))),
+        (("D", "E"), ("E", "D"), ("D", "X"), ("X", "E")),
+    )
+    assert validate(strat) == [
+        "normalization component labels must be globally distinct",
+        "closure violates codimension monotonicity: X (codim 0) inside closure of D (codim 1)",
+        "closure violates codimension monotonicity: X (codim 0) inside closure of E (codim 1)",
+        "closure violates codimension monotonicity: D (codim 1) inside closure of E (codim 1)",
+        "closure violates codimension monotonicity: E (codim 1) inside closure of D (codim 1)",
+        "closure is not antisymmetric on 'X', 'D'",
+        "closure is not antisymmetric on 'X', 'E'",
+        "closure is not antisymmetric on 'D', 'X'",
+        "closure is not antisymmetric on 'D', 'E'",
+        "closure is not antisymmetric on 'E', 'X'",
+        "closure is not antisymmetric on 'E', 'D'",
+        "codim-0 stratum must close over 'P'",
+    ]
+    assert validate(strat) == _oracle_validate(strat)
 
 
 def test_skeleton():
@@ -113,7 +203,7 @@ def test_atlas_nodal_monodromy():
     divisor = next(t for t in s.strata if t.codim == 1)
     assert len(divisor.norm_components) == 1
     node = next(t for t in s.strata if t.codim == 2)
-    assert divisor.id in s._closure_rows[node.id]
+    assert divisor.id in _oracle_closure_rows(s)[node.id]
 
 
 def test_atlas_simple_nc_single_component_invariant():
