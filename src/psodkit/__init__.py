@@ -25,8 +25,7 @@ _EXPORTS = {
         "PreconditionError", "PsodkitError",
     ),
     "factorial": (
-        "CharTuple", "FactorialForm", "Residue", "cmp_bang", "enumerate_characters",
-        "to_factorial_form", "zr_elements",
+        "FactorialForm", "cmp_bang", "enumerate_characters", "to_factorial_form", "zr_elements",
     ),
     "gluing": ("GluingScenario", "glue"),
     "groups": ("FgAbGroup",),
@@ -36,6 +35,7 @@ _EXPORTS = {
         "complete_preorder", "directed_numbering", "discrete_preorder", "is_directed",
         "is_order_reflecting",
     ),
+    "residues": ("CharTuple", "Residue"),
     "strata": ("Stratification", "Stratum", "skeleton", "validate"),
     "verify": ("verify_colimit",),
 }

@@ -129,7 +129,8 @@ def _render_preorder(p) -> str:
 
 
 def _cmd_order(caps: Caps, args: argparse.Namespace) -> int:
-    from .factorial import CharTuple, cmp_bang, enumerate_characters, to_factorial_form
+    from .factorial import cmp_bang, enumerate_characters, to_factorial_form
+    from .residues import CharTuple
 
     sub = args.subcommand
     if sub == "factform":

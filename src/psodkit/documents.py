@@ -28,20 +28,19 @@ from .records import record
 if TYPE_CHECKING:
     from .atlas import Chart, ChartAtlas, Overlap
     from .engine import FactorDescriptor, PsodIndex
-    from .factorial import CharTuple, FactorialForm
+    from .factorial import FactorialForm
     from .groups import FgAbGroup
     from .preorders import FinitePreorder
+    from .residues import CharTuple
     from .strata import Stratification, Stratum
 
 
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
-    except ValueError as exc:  # an integer literal longer than Python reads
+    except ValueError as exc:  # JSONDecodeError, or an integer literal longer than Python reads
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 

@@ -20,8 +20,9 @@ from .preorders import FinitePreorder, directed_numbering, directedness
 from .records import record
 
 if TYPE_CHECKING:
-    from .factorial import CharKey, CharTuple
+    from .factorial import CharKey
     from .groups import FgAbGroup
+    from .residues import CharTuple
     from .strata import Stratification, Stratum
 
 

@@ -1,146 +1,35 @@
-"""Exact arithmetic for characters in Q/Z and the recursive factorial order.
+"""The recursive factorial order on characters in Q/Z.
 
-Characters live in Q cap (-1, 0]; a k-tuple of them indexes one factor of a
-root construction over a codimension-k stratum.  ``Z_r`` denotes the subgroup
-{-(r-1)/r, ..., -1/r, 0} with the standard rational order.  On ``Z_{n!}`` the
-total order ``<!`` is defined recursively through the quotients
-``Z_{n!} -> Z_n``: compare images first, then recurse on the fiber coordinate
-at level n-1.  On tuples, a lower minimal level wins; at equal level the
-comparison is componentwise (a partial order for width >= 2).
+Characters live in Q cap (-1, 0] (``residues``); a k-tuple of them indexes
+one factor of a root construction over a codimension-k stratum.  ``Z_r``
+denotes the subgroup {-(r-1)/r, ..., -1/r, 0} with the standard rational
+order.  On ``Z_{n!}`` the total order ``<!`` is defined recursively through
+the quotients ``Z_{n!} -> Z_n``: compare images first, then recurse on the
+fiber coordinate at level n-1.  On tuples, a lower minimal level wins; at
+equal level the comparison is componentwise (a partial order for width >= 2).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .config import DEFAULT_CAPS, Caps, formed_bits, written
-from .errors import CapExceededError, InputError
+from .config import DEFAULT_CAPS, Caps
+from .errors import InputError
 from .records import record
+from .residues import ZERO, CharTuple, Residue, is_prime
 
 # The index builders import preorders and strata when they run, so the order
-# commands compile neither; fractions, which loads decimal, is imported only
-# to parse text or to make a Fraction, so the builders keep neither resident.
+# commands compile neither.
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .preorders import FinitePreorder
 
 LESS = "less"
 GREATER = "greater"
 EQUAL = "equal"
 INCOMPARABLE = "incomparable"
-
-# the exponent of a decimal residue such as "-5e-1"
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)\Z", re.IGNORECASE)
-
-
-# ---------------------------------------------------------------------------
-# residues and tuples
-
-
-@record
-class Residue:
-    """A reduced rational in (-1, 0]: num/den with -den < num <= 0."""
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self) -> None:
-        if self.den <= 0:
-            raise InputError("denominator must be positive")
-        if not (-self.den < self.num <= 0):
-            raise InputError(f"{self.num}/{self.den} is not in (-1, 0]")
-        if math.gcd(abs(self.num), self.den) != 1 and self.num != 0:
-            raise InputError(f"{self.num}/{self.den} is not reduced")
-        if self.num == 0 and self.den != 1:
-            raise InputError("zero must be written 0/1")
-
-    @classmethod
-    def lowest_terms(cls, num: int, den: int) -> "Residue":
-        """num/den reduced, for 0 <= -num < den."""
-        g = math.gcd(num, den)
-        return cls(num // g, den // g)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "Residue":
-        if not (-1 < value <= 0):
-            raise InputError(f"{value} is not in (-1, 0]")
-        return cls(value.numerator, value.denominator)
-
-    @classmethod
-    def parse(cls, text: str) -> "Residue":
-        """A rational in (-1, 0] as ``Fraction`` reads it; an exponent is
-        bounded before its power of ten forms (10 ** e has over 3 * e bits)."""
-        from fractions import Fraction
-
-        text = text.strip()
-        exp, bits = _EXPONENT.search(text), formed_bits()
-        try:
-            if exp and 3 * abs(int(exp[1])) >= bits:
-                raise CapExceededError(f"residue exponent {exp[1]} needs more than {bits} bits")
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse residue {text!r}") from exc
-        written(max(abs(value.numerator), value.denominator), "residue")
-        return cls.from_fraction(value)
-
-    @property
-    def value(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.num, self.den)
-
-    def __str__(self) -> str:
-        return "0" if self.num == 0 else f"{self.num}/{self.den}"
-
-
-ZERO = Residue(0)
-
-
-@record
-class CharTuple:
-    """A finite tuple of residues; the empty tuple indexes the ambient factor."""
-
-    components: tuple[Residue, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-
-    @classmethod
-    def of(cls, *values: str | Fraction | Residue) -> "CharTuple":
-        from fractions import Fraction
-
-        comps = []
-        for v in values:
-            if isinstance(v, Residue):
-                comps.append(v)
-            elif isinstance(v, Fraction):
-                comps.append(Residue.from_fraction(v))
-            else:
-                comps.append(Residue.parse(v))
-        return cls(tuple(comps))
-
-    @classmethod
-    def parse(cls, text: str) -> "CharTuple":
-        text = text.strip()
-        if text.startswith("(") and text.endswith(")"):
-            inner = text[1:-1].strip()
-            parts = [p for p in inner.split(",") if p.strip()]
-            return cls(tuple(Residue.parse(p) for p in parts))
-        return cls((Residue.parse(text),))
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.components) + ")"
-
-    def denominators(self) -> tuple[int, ...]:
-        return tuple(c.den for c in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +78,7 @@ class FactorialForm:
 def to_factorial_form(chi: CharTuple, caps: Caps = DEFAULT_CAPS) -> FactorialForm:
     """The unique minimal-level representation chi = (-p_1/n!, ..., -p_N/n!).
 
-    >>> to_factorial_form(CharTuple.of("-1/3", "-1/2"))
+    >>> to_factorial_form(CharTuple.parse("(-1/3,-1/2)"))
     FactorialForm(level=3, numerators=(2, 3))
     """
     lcm = 1
@@ -241,9 +130,9 @@ def cmp_bang(chi: CharTuple, psi: CharTuple, caps: Caps = DEFAULT_CAPS) -> str:
     Reads ``bang_key``: a deeper normal factorial level comes first; at equal
     level, the ranks compare in every coordinate.
 
-    >>> cmp_bang(CharTuple.of("-1/3", "-1/3"), CharTuple.of("-1/2", "-1/2"))
+    >>> cmp_bang(CharTuple.parse("(-1/3,-1/3)"), CharTuple.parse("(-1/2,-1/2)"))
     'less'
-    >>> cmp_bang(CharTuple.of("-5/6", "0"), CharTuple.of("-1/3", "-1/6"))
+    >>> cmp_bang(CharTuple.parse("(-5/6,0)"), CharTuple.parse("(-1/3,-1/6)"))
     'incomparable'
     """
     if len(chi) != len(psi):
@@ -399,36 +288,3 @@ def enumerate_characters(
         return -level, ranks
 
     return sorted(_product_tuples(f, step, k, caps, "character enumeration"), key=order)
-
-
-# Miller-Rabin with the 13 primes up to 41 as bases has no strong liar
-# below this bound (Sorenson and Webster, Math. Comp. 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below 3.317e24; larger n raise InputError."""
-    if n >= _MR_BOUND:
-        raise InputError(f"primality is only decided below {_MR_BOUND}")
-    if n < 2:
-        return False
-    if n in _MR_BASES:
-        return True
-    if any(n % b == 0 for b in _MR_BASES):
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True

@@ -39,7 +39,7 @@ class KTheoryMode:
 
     @classmethod
     def kummer_etale(cls, p: int, level: int) -> "KTheoryMode":
-        from .factorial import is_prime
+        from .residues import is_prime
 
         if not is_prime(p):
             raise InputError("p must be a prime >= 2")

@@ -20,17 +20,17 @@ from .errors import ParseError
 if TYPE_CHECKING:
     from .abelian import GradedGroup
     from .engine import FactorDescriptor, FiltrationResult, PsodIndex
-    from .factorial import CharTuple
     from .gluing import GluingScenario, GlueResult
     from .groups import FgAbGroup
     from .kreport import KTheoryReport
+    from .residues import CharTuple
 
 
 # -- characters and groups ---------------------------------------------------
 
 
 def char_tuple_from_doc(doc: Any) -> CharTuple:
-    from .factorial import CharTuple, Residue
+    from .residues import CharTuple, Residue
 
     if isinstance(doc, str):
         return CharTuple.parse(doc)

@@ -17,6 +17,7 @@ from psodkit.preorders import (
     _closure_masks,
     _columns,
 )
+from psodkit.residues import CharTuple, Residue
 from psodkit.strata import Stratification
 
 
@@ -25,6 +26,11 @@ def generated_preorder(
 ) -> FinitePreorder:
     """Reflexive-transitive closure of the given generating pairs."""
     return FinitePreorder(tuple(elements), tuple(_closure_masks(elements, pairs)))
+
+
+def char_tuple(*residues: str) -> CharTuple:
+    """The tuple of the given residues, each read by ``Residue.parse``."""
+    return CharTuple(tuple(Residue.parse(r) for r in residues))
 
 
 def identity_map(p: FinitePreorder) -> OrderReflectingMap:

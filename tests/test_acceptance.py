@@ -19,7 +19,7 @@ from psodkit.engine import (
 )
 from psodkit.errors import PreconditionError
 from psodkit.examples import nodal_cubic, simple_crossing
-from psodkit.factorial import CharTuple, enumerate_characters
+from psodkit.factorial import enumerate_characters
 from psodkit.gluing import GluingScenario, glue
 from psodkit.groups import FgAbGroup
 from psodkit.kreport import KTheoryMode, ktheory_report
@@ -31,6 +31,7 @@ from psodkit.preorders import (
     complete_preorder,
     discrete_preorder,
 )
+from psodkit.residues import CharTuple
 from psodkit.strata import Stratification, Stratum
 from psodkit.verify import verify_colimit
 
@@ -121,7 +122,7 @@ def test_criterion_1_factorial_order_suite():
                     )
     from fractions import Fraction
 
-    from psodkit.factorial import Residue
+    from psodkit.residues import Residue
 
     values = [str(Residue.from_fraction(Fraction(-p, 6))) for p in _oracle_chain(3)]
     assert values == ["-5/6", "-1/3", "-2/3", "-1/6", "-1/2", "0"]

@@ -985,7 +985,7 @@ def test_glue_identity_blocks_between_unequal_graded_data_exits_2(capsys, tmp_pa
     # no graded hom for f, and its index map is defined on {b}, not on {a}:
     # the graded data is compared before identity blocks are built from it
     from psodkit.engine import FactorDescriptor, PsodIndex
-    from psodkit.factorial import CharTuple
+    from psodkit.residues import CharTuple
 
     idx = {"u": complete_preorder(["a"]), "v": complete_preorder(["b"])}
     f = OrderReflectingMap(idx["v"], idx["u"], {"b": "a"})
@@ -1255,6 +1255,23 @@ def test_residue_exponents_end_in_a_cap_error(capsys, tmp_path, argv, line):
     limit = sys.get_int_max_str_digits()
     assert (code, out) == (3, "")
     assert err.splitlines() == [line.format(limit=limit, bits=16 * limit)]
+
+
+@pytest.mark.parametrize("text", ["(-1/2,,-1/3)", "(,)", "(-1/2,)", "( , -1/2)"])
+def test_empty_tuple_component_exits_2(capsys, tmp_path, text):
+    # an empty component is an unreadable residue, not one left out
+    scenario = write(tmp_path, "scenario.json", _one_factor_scenario(text))
+    for argv in (["order", "factform", "--", text], ["psod", "glue", scenario]):
+        assert run(capsys, *argv) == (2, "", "error: cannot parse residue ''\n")
+
+
+@pytest.mark.parametrize("text", ["()", "( )"])
+def test_empty_tuple_is_read(capsys, tmp_path, text):
+    code, out, _ = run(capsys, "--output", "machine", "order", "factform", "--", text)
+    assert code == 0 and json.loads(out) == {"level": 2, "numerators": []}
+    scenario = write(tmp_path, "scenario.json", _one_factor_scenario(text))
+    code, out, _ = run(capsys, "--output", "machine", "psod", "glue", scenario)
+    assert code == 0 and json.loads(out)["psod"]["factors"]["p1"]["character"] == []
 
 
 def test_residue_exponent_is_bounded_without_a_digit_limit():

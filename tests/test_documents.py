@@ -7,7 +7,6 @@ from psodkit.abelian import GradedGroup
 from psodkit.engine import build_root_psod
 from psodkit.errors import InputError, ParseError
 from psodkit.examples import nodal_cubic, simple_crossing
-from psodkit.factorial import CharTuple
 from psodkit.gluing import GluingScenario, glue
 from psodkit.groups import FgAbGroup
 from psodkit.kreport import KTheoryMode, ktheory_report
@@ -21,6 +20,7 @@ from psodkit.preorders import (
 )
 
 from helpers import (
+    char_tuple,
     diagram_to_doc,
     generated_preorder,
     identity_map,
@@ -103,10 +103,10 @@ def test_diagram_roundtrip():
 
 
 def test_char_tuple_docs():
-    chi = CharTuple.of("-1/2", "0", "-2/3")
+    chi = char_tuple("-1/2", "0", "-2/3")
     assert docs.char_tuple_to_doc(chi) == ["-1/2", "0", "-2/3"]
     assert psoddocs.char_tuple_from_doc(["-1/2", "0", "-2/3"]) == chi
-    assert psoddocs.char_tuple_from_doc("(-1/2,-2/3)") == CharTuple.of("-1/2", "-2/3")
+    assert psoddocs.char_tuple_from_doc("(-1/2,-2/3)") == char_tuple("-1/2", "-2/3")
 
 
 def test_stratification_roundtrip():

@@ -13,9 +13,9 @@ from psodkit import documents as docs
 from psodkit import preorderdocs
 from psodkit import psoddocs
 from psodkit.engine import FactorDescriptor, PsodIndex
-from psodkit.factorial import CharTuple
 from psodkit.groups import FgAbGroup
 from psodkit.preorders import DiagramArrow, FinitePreorder, PreorderDiagram
+from psodkit.residues import CharTuple
 
 from helpers import diagram_to_doc, identity_map, map_to_doc
 

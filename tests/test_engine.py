@@ -15,7 +15,6 @@ from psodkit.engine import (
 )
 from psodkit.errors import InputError, PreconditionError
 from psodkit.examples import nodal_cubic, simple_crossing
-from psodkit.factorial import CharTuple
 from psodkit.gluing import GluingScenario, glue
 from psodkit.groups import FgAbGroup
 from psodkit.kreport import KTheoryMode, ktheory_report
@@ -28,6 +27,7 @@ from psodkit.preorders import (
     discrete_preorder,
     is_directed,
 )
+from psodkit.residues import CharTuple
 from psodkit.strata import Stratification, Stratum, deepest_first
 
 from helpers import generated_preorder, identity_map

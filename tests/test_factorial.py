@@ -14,13 +14,10 @@ from psodkit.factorial import (
     GREATER,
     INCOMPARABLE,
     LESS,
-    CharTuple,
     FactorialForm,
-    Residue,
     bang_rank,
     cmp_bang,
     enumerate_characters,
-    is_prime,
     starred_tuples,
     stratified_blocks,
     to_factorial_form,
@@ -28,7 +25,9 @@ from psodkit.factorial import (
     zr_key,
 )
 from psodkit.preorders import directed_numbering, is_directed
+from psodkit.residues import CharTuple, Residue, is_prime
 
+from helpers import char_tuple
 from test_preorders import lt
 
 
@@ -172,13 +171,13 @@ def test_zr_elements():
 
 
 def test_factorial_form_basics():
-    assert to_factorial_form(CharTuple.of("-1/2")) == FactorialForm(2, (1,))
-    assert to_factorial_form(CharTuple.of("-5/6")) == FactorialForm(3, (5,))
-    assert to_factorial_form(CharTuple.of("-1/3", "-1/2")) == FactorialForm(3, (2, 3))
+    assert to_factorial_form(char_tuple("-1/2")) == FactorialForm(2, (1,))
+    assert to_factorial_form(char_tuple("-5/6")) == FactorialForm(3, (5,))
+    assert to_factorial_form(char_tuple("-1/3", "-1/2")) == FactorialForm(3, (2, 3))
 
 
 def test_factorial_form_zero_tuple():
-    assert to_factorial_form(CharTuple.of("0", "0")) == FactorialForm(2, (0, 0))
+    assert to_factorial_form(char_tuple("0", "0")) == FactorialForm(2, (0, 0))
 
 
 def test_factorial_form_minimality_enforced():
@@ -205,7 +204,7 @@ def test_factorial_form_roundtrip_random():
 
 def test_factorial_form_respects_level_cap():
     with pytest.raises(CapExceededError):
-        to_factorial_form(CharTuple.of("-1/11"), Caps(factorial_level=8))
+        to_factorial_form(char_tuple("-1/11"), Caps(factorial_level=8))
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +272,25 @@ def test_out_of_range_numerators():
 
 
 def test_deeper_level_comes_first():
-    assert cmp_bang(CharTuple.of("-1/3", "-1/3"), CharTuple.of("-1/2", "-1/2")) == LESS
-    assert cmp_bang(CharTuple.of("-1/2", "-1/2"), CharTuple.of("-1/3", "-1/3")) == GREATER
+    assert cmp_bang(char_tuple("-1/3", "-1/3"), char_tuple("-1/2", "-1/2")) == LESS
+    assert cmp_bang(char_tuple("-1/2", "-1/2"), char_tuple("-1/3", "-1/3")) == GREATER
 
 
 def test_equal_tuples():
-    chi = CharTuple.of("-1/6", "-2/3")
+    chi = char_tuple("-1/6", "-2/3")
     assert cmp_bang(chi, chi) == EQUAL
 
 
 def test_componentwise_incomparable():
     assert (
-        cmp_bang(CharTuple.of("-5/6", "0"), CharTuple.of("-1/3", "-1/6"))
+        cmp_bang(char_tuple("-5/6", "0"), char_tuple("-1/3", "-1/6"))
         == INCOMPARABLE
     )
 
 
 def test_length_mismatch():
     with pytest.raises(InputError):
-        cmp_bang(CharTuple.of("-1/2"), CharTuple.of("-1/2", "-1/2"))
+        cmp_bang(char_tuple("-1/2"), char_tuple("-1/2", "-1/2"))
 
 
 def test_cmp_bang_matches_the_recursive_definition():

@@ -22,7 +22,6 @@ from psodkit.examples import nodal_cubic, simple_crossing
 from psodkit.factorial import (
     EQUAL,
     LESS,
-    CharTuple,
     _char_blocks_leq,
     bang_key,
     enumerate_characters,
@@ -30,6 +29,7 @@ from psodkit.factorial import (
     zr_key,
 )
 from psodkit.preorders import FinitePreorder
+from psodkit.residues import CharTuple
 from psodkit.strata import deepest_first
 
 from test_engine import smooth_divisor

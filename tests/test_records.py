@@ -16,7 +16,7 @@ import pytest
 
 from psodkit import (
     abelian, atlas, colimits, config, engine, factorial, gluing, groups, kreport, preorders, records,
-    strata, verify,
+    residues, strata, verify,
 )
 from psodkit.abelian import GradedGroup, IntMatrix, graded_limit, identity_graded_hom
 from psodkit.atlas import Chart, ChartAtlas, Overlap, strata_from_atlas
@@ -24,7 +24,7 @@ from psodkit.colimits import colimit
 from psodkit.config import Caps
 from psodkit.engine import build_infinite_psod, build_root_psod, filtration
 from psodkit.examples import nodal_cubic, simple_crossing
-from psodkit.factorial import CharTuple, to_factorial_form
+from psodkit.factorial import to_factorial_form
 from psodkit.gluing import GluingScenario, glue
 from psodkit.groups import FgAbGroup
 from psodkit.kreport import KTheoryMode, ktheory_report
@@ -32,12 +32,12 @@ from psodkit.preorders import complete_preorder, directedness, discrete_preorder
 from psodkit.records import FrozenRecordError, fields, record
 from psodkit.verify import verify_colimit
 
-from helpers import generated_preorder, identity_map
+from helpers import char_tuple, generated_preorder, identity_map
 from test_abelian import graded_quiver
 from test_engine import cech_scenario
 
 MODULES = (abelian, atlas, colimits, config, engine, factorial, gluing, groups, kreport,
-           preorders, strata, verify)
+           preorders, residues, strata, verify)
 
 
 def record_classes():
@@ -95,7 +95,7 @@ def _roots():
         Caps(), Caps(carrier=5),
         build_root_psod(nodal_cubic(), 3), build_root_psod(cross, 2, totalize=True),
         build_infinite_psod(cross, 3, coprime_to=3),
-        to_factorial_form(CharTuple.of("-1/2", "-1/3")), atlas, strata_from_atlas(atlas),
+        to_factorial_form(char_tuple("-1/2", "-1/3")), atlas, strata_from_atlas(atlas),
         glue(scenario), glue(graded),
         filtration(psod, {x: [1] for x in psod.index.elements}),
         ktheory_report(cross, kdata, KTheoryMode.finite(3)),
