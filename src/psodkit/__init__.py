@@ -14,7 +14,7 @@ import importlib
 
 # home module -> the public names it exports at the package level
 _EXPORTS = {
-    "abelian": ("GradedGroup", "GradedHom", "IntMatrix", "graded_limit", "hnf", "kernel", "snf"),
+    "abelian": ("GradedGroup", "IntMatrix", "graded_limit", "hnf", "kernel", "snf"),
     "atlas": ("Chart", "ChartAtlas", "Overlap", "strata_from_atlas"),
     "colimits": ("colimit", "coproduct", "pushout"),
     "config": ("Caps",),

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, PreconditionError
 from .groups import FgAbGroup
+from .preorders import CONTRAVARIANT
 from .records import record
 
 if TYPE_CHECKING:
     from .colimits import ColimitResult
-    from .preorders import FinitePreorder, OrderReflectingMap, PreorderDiagram
+    from .preorders import DiagramArrow, FinitePreorder, OrderReflectingMap, PreorderDiagram
 
 Rows = Sequence[Sequence[int]]
 
@@ -230,7 +231,7 @@ def _limit_on_presentations(
 
 
 # ---------------------------------------------------------------------------
-# graded groups and graded homs
+# graded groups and their limits
 
 
 @record
@@ -249,116 +250,105 @@ class GradedGroup:
         return FgAbGroup.zero().direct_sum(*(self.pieces[x] for x in self.index.elements))
 
 
-@record
-class GradedHom:
-    """A graded map whose blocks land exactly in the fibers of ``reindex``
-    (an order-reflecting map from the target index to the source index)."""
-
-    source: GradedGroup
-    target: GradedGroup
-    reindex: OrderReflectingMap
-    blocks: Mapping[tuple[str, str], Rows]  # (source grade x, target grade y) -> rows
-
-    def __post_init__(self) -> None:
-        blocks = {xy: tuple(map(tuple, m)) for xy, m in self.blocks.items()}
-        object.__setattr__(self, "blocks", blocks)
-        if self.reindex.source != self.target.index or self.reindex.target != self.source.index:
-            raise InputError("reindex must map the target index to the source index")
-        for (x, y), m in self.blocks.items():
-            if self.reindex(y) != x:
-                raise InputError(
-                    f"block ({x!r} -> {y!r}) violates fiber support: "
-                    f"reindex({y!r}) = {self.reindex(y)!r}"
-                )
-            ps, pt = self.source.pieces[x], self.target.pieces[y]
-            if len(m) != pt.ngens or any(len(r) != ps.ngens for r in m):
-                raise InputError(f"block ({x!r} -> {y!r}) has wrong shape")
-            if not is_valid_hom(ps, pt, m):
-                raise InputError(f"block ({x!r} -> {y!r}) is not a homomorphism")
-
-
-def identity_graded_hom(g: GradedGroup, reindex: OrderReflectingMap) -> GradedHom:
-    """Identity blocks along a reindexing between equal carriers."""
-    blocks = {}
-    for y in g.index.elements:
-        x = reindex(y)
-        n = g.pieces[y].ngens
-        blocks[(x, y)] = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return GradedHom(g, g, reindex, blocks)
-
-
-@record
-class GradedLimitResult:
-    graded: GradedGroup
-    ungraded: FgAbGroup
-
-
 def _certify_fiber_support(
     diagram: PreorderDiagram,
-    homs: Mapping[str, GradedHom],
+    blocks: Mapping[str, Mapping[tuple[str, str], Rows]],
     cocones: Mapping[str, OrderReflectingMap],
 ) -> None:
-    """Check that every block of every arrow sits at (reindex(y), y) and
-    runs inside one cocone fiber: cocones[src](reindex(y)) == cocones[tgt](y).
-    GradedHom's constructor places the blocks, and the checked cocones commute
-    with the reindex maps, so this holds unless a block got past them."""
+    """Check that every block, placed at (map(y), y) by ``graded_limit``,
+    runs inside one cocone fiber: cocones[src](map(y)) == cocones[tgt](y).
+    The cocones of the diagram's colimit commute with the arrows' maps, so
+    this holds unless ``col`` is not that colimit."""
     for a in diagram.arrows:
-        hom, src_cocone, tgt_cocone = homs[a.name], cocones[a.src], cocones[a.tgt]
-        for x, y in hom.blocks:
-            r = hom.reindex(y)
+        src_cocone, tgt_cocone = cocones[a.src], cocones[a.tgt]
+        for x, y in blocks[a.name]:
             over_x, over_y = src_cocone(x), tgt_cocone(y)
-            if x != r or over_x != over_y:
+            if over_x != over_y:
                 raise InvariantError(
                     f"arrow {a.name!r}: block ({x!r} -> {y!r}) leaves its fiber: "
-                    f"reindex({y!r}) = {r!r}, "
+                    f"reindex({y!r}) = {x!r}, "
                     f"{x!r} lies over {over_x!r}, {y!r} over {over_y!r}",
                     {
                         "arrow": a.name,
                         "source_grade": x,
                         "target_grade": y,
-                        "reindex": r,
+                        "reindex": x,
                         "source_fiber": over_x,
                         "target_fiber": over_y,
                     },
                 )
 
 
+def _checked_blocks(
+    a: DiagramArrow, src: GradedGroup, tgt: GradedGroup, given: Mapping | None
+) -> dict[tuple[str, str], Rows]:
+    """The blocks of arrow ``a``, each checked to sit at (map(y), y) and to
+    be a homomorphism between the pieces there; with none given, identity
+    blocks along the map, which need equal graded groups at both ends."""
+    if a.orientation != CONTRAVARIANT:
+        raise InputError(
+            f"arrow {a.name!r}: graded data follows the contravariant index-map convention"
+        )
+    if given is None:
+        if src != tgt:
+            raise PreconditionError(f"arrow {a.name!r}: identity blocks need equal graded data")
+        given = {}
+        for y in tgt.index.elements:
+            n = tgt.pieces[y].ngens
+            given[(a.map(y), y)] = [[int(i == j) for j in range(n)] for i in range(n)]
+    for (x, y), m in given.items():
+        r = a.map.mapping.get(y)
+        if r != x:
+            raise InputError(
+                f"block ({x!r} -> {y!r}) violates fiber support: reindex({y!r}) = {r!r}"
+            )
+        ps, pt = src.pieces[x], tgt.pieces[y]
+        if len(m) != pt.ngens or any(len(row) != ps.ngens for row in m):
+            raise InputError(f"block ({x!r} -> {y!r}) has wrong shape")
+        if not is_valid_hom(ps, pt, m):
+            raise InputError(f"block ({x!r} -> {y!r}) is not a homomorphism")
+    return dict(given)
+
+
 def graded_limit(
     diagram: PreorderDiagram,
     groups: Mapping[str, GradedGroup],
-    homs: Mapping[str, GradedHom],
+    blocks: Mapping[str, Mapping[tuple[str, str], Rows]],
     col: ColimitResult,
-) -> GradedLimitResult:
+) -> GradedGroup:
     """Limit of graded groups over ``diagram``, graded over ``col``, its
-    colimit: ``groups[v]`` is graded by ``diagram.preorders[v]`` and
-    ``homs[a.name]`` maps ``groups[a.src]`` to ``groups[a.tgt]``, or
-    InputError is raised.  In ``glue`` every arrow is contravariant and its
-    map is the hom's reindex map (``GluingScenario`` checks the given graded
-    homs, ``glue`` builds identity blocks along the arrow's map).
+    colimit.  ``groups[v]`` is graded by ``diagram.preorders[v]``.  Every
+    arrow is contravariant and its map is the reindex from target grades to
+    source grades: ``blocks[a.name]`` maps ``(x, y)`` to the rows of the
+    block from grade x of ``groups[a.src]`` to grade y of ``groups[a.tgt]``,
+    which must sit at x = map(y).  An arrow with no entry gets identity
+    blocks at (map(y), y).  Bad data raises InputError; this is the one
+    place that checks it.
 
     The piece at w is the limit of the fiber-restricted diagram (the direct
-    sum over the cocone fiber of w at each vertex).  The ungraded limit is
-    the direct sum of the pieces, certified rather than recomputed:
-    ``_certify_fiber_support`` checks that every block runs inside one
-    fiber, so the total diagram is the direct sum of the fiber diagrams up
-    to a permutation of generators, and limits of abelian groups commute
-    with finite direct sums.  A block outside its fiber raises
-    InvariantError.
+    sum over the cocone fiber of w at each vertex).  The ungraded limit,
+    ``total()`` of the result, is the direct sum of the pieces, certified
+    rather than recomputed: ``_certify_fiber_support`` checks that every
+    block runs inside one fiber, so the total diagram is the direct sum of
+    the fiber diagrams up to a permutation of generators, and limits of
+    abelian groups commute with finite direct sums.  A block outside its
+    fiber raises InvariantError.
     """
     if set(groups) != set(diagram.vertices):
-        raise InputError("exactly one graded group per vertex required")
+        raise InputError("graded data must cover every vertex when present")
     for v in diagram.vertices:
         if groups[v].index != diagram.preorders[v]:
             raise InputError(f"vertex {v!r}: graded index differs from the diagram")
-    if set(homs) != {a.name for a in diagram.arrows}:
-        raise InputError("exactly one graded hom per arrow required")
-    for a in diagram.arrows:
-        if homs[a.name].source != groups[a.src]:
-            raise InputError(f"arrow {a.name!r} source mismatch")
-        if homs[a.name].target != groups[a.tgt]:
-            raise InputError(f"arrow {a.name!r} target mismatch")
+    names = {a.name for a in diagram.arrows}
+    for name in blocks:
+        if name not in names:
+            raise InputError(f"graded hom for unknown arrow {name!r}")
+    placed = {
+        a.name: _checked_blocks(a, groups[a.src], groups[a.tgt], blocks.get(a.name))
+        for a in diagram.arrows
+    }
     colimit_index, cocones = col.preorder, col.cocones
-    _certify_fiber_support(diagram, homs, cocones)
+    _certify_fiber_support(diagram, placed, cocones)
     # one pass over the cocones: the generator orders of the fiber sum over
     # each w at each vertex, and each grade's generator offset inside it
     orders = {w: {v: [] for v in diagram.vertices} for w in colimit_index.elements}
@@ -373,25 +363,20 @@ def graded_limit(
     # (reindex(y), y) is copied literally into the fiber of y
     restricted: dict[str, list] = {w: [] for w in colimit_index.elements}
     for a in diagram.arrows:
-        hom, tgt_cocone = homs[a.name], cocones[a.tgt]
+        tgt_cocone = cocones[a.tgt]
         out = {
             w: [[0] * len(orders[w][a.src]) for _ in orders[w][a.tgt]]
             for w in colimit_index.elements
         }
-        for y in groups[a.tgt].index.elements:
-            x = hom.reindex(y)
-            b = hom.blocks.get((x, y))
-            if b is not None:
-                rows = out[tgt_cocone(y)]
-                r0, c0 = offset[a.tgt][y], offset[a.src][x]
-                for i, row in enumerate(b):
-                    rows[r0 + i][c0 : c0 + len(row)] = row
+        for (x, y), b in placed[a.name].items():
+            rows = out[tgt_cocone(y)]
+            r0, c0 = offset[a.tgt][y], offset[a.src][x]
+            for i, row in enumerate(b):
+                rows[r0 + i][c0 : c0 + len(row)] = row
         for w, rows in out.items():
             restricted[w].append((a.src, a.tgt, rows))
     pieces = {
         w: _limit_on_presentations(diagram.vertices, orders[w], restricted[w])
         for w in colimit_index.elements
     }
-    return GradedLimitResult(
-        GradedGroup(colimit_index, pieces), FgAbGroup.zero().direct_sum(*pieces.values())
-    )
+    return GradedGroup(colimit_index, pieces)

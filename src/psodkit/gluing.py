@@ -13,12 +13,12 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from .colimits import colimit
 from .config import DEFAULT_CAPS, Caps
 from .engine import FactorDescriptor, PsodIndex
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .preorders import DirectednessReport, PreorderDiagram, directedness
 from .records import record
 
 if TYPE_CHECKING:
-    from .abelian import GradedGroup, GradedHom, GradedLimitResult
+    from .abelian import GradedGroup, Rows
 
 
 @record
@@ -27,14 +27,15 @@ class GluingScenario:
 
     ``diagram`` holds the index preorders and the per-arrow order-reflecting
     maps; ``psods`` the factor descriptors per vertex; ``graded`` optional
-    graded groups per vertex; ``graded_homs`` optional block data per arrow
-    (identity blocks are synthesized for contravariant arrows when absent).
+    graded groups per vertex; ``graded_homs`` optional blocks per arrow,
+    ``(x, y)`` to integer rows (``graded_limit`` checks them, and gives an
+    arrow without an entry identity blocks).
     """
 
     diagram: PreorderDiagram
     psods: Mapping[str, PsodIndex]
     graded: Mapping[str, GradedGroup] = {}
-    graded_homs: Mapping[str, GradedHom] = {}
+    graded_homs: Mapping[str, Mapping[tuple[str, str], Rows]] = {}
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "psods", dict(self.psods))
@@ -45,26 +46,6 @@ class GluingScenario:
         for v, psod in self.psods.items():
             if psod.index != self.diagram.preorders[v]:
                 raise InputError(f"vertex {v!r}: factor table index differs from the diagram")
-        if self.graded and set(self.graded) != set(self.diagram.vertices):
-            raise InputError("graded data must cover every vertex when present")
-        for v, g in self.graded.items():
-            if g.index != self.diagram.preorders[v]:
-                raise InputError(f"vertex {v!r}: graded index differs from the diagram")
-        arrows = {a.name: a for a in self.diagram.arrows}
-        for name, hom in self.graded_homs.items():
-            arrow = arrows.get(name)
-            if arrow is None:
-                raise InputError(f"graded hom for unknown arrow {name!r}")
-            if arrow.orientation != "contravariant":
-                raise InputError(
-                    f"arrow {name!r}: graded data follows the contravariant "
-                    "index-map convention"
-                )
-            if dict(hom.reindex.mapping) != dict(arrow.map.mapping):
-                raise InputError(
-                    f"arrow {name!r}: graded hom reindex disagrees with the "
-                    "arrow's index map"
-                )
 
 
 @record
@@ -73,7 +54,7 @@ class GlueResult:
     verdict: DirectednessReport
     kind: str  # "psod" when the directedness hypothesis holds, else "pre-psod only"
     fibers: Mapping[str, tuple[tuple[str, str], ...]]  # glued element -> (vertex, element)
-    graded: Optional[GradedLimitResult] = None
+    graded: Optional[GradedGroup] = None
 
 
 def _aggregate_descriptor(
@@ -101,7 +82,7 @@ def glue(scenario: GluingScenario, caps: Caps = DEFAULT_CAPS) -> GlueResult:
     a verdict with a witness, never as a failure.  With graded data the piece
     at each element is the limit of its fiber sums.
     """
-    from .abelian import graded_limit, identity_graded_hom
+    from .abelian import graded_limit
 
     col = colimit(scenario.diagram)
     verdict = directedness(col.preorder)
@@ -115,26 +96,14 @@ def glue(scenario: GluingScenario, caps: Caps = DEFAULT_CAPS) -> GlueResult:
     }
     notes = {"kind": "glued", "directed": "true" if verdict.ok else "false"}
     psod = PsodIndex(col.preorder, factors, notes)
-    graded_result = None
+    graded = None
     if scenario.graded:
-        homs = dict(scenario.graded_homs)
-        for a in scenario.diagram.arrows:
-            if a.name not in homs:
-                if a.orientation != "contravariant":
-                    raise PreconditionError(
-                        f"arrow {a.name!r}: identity blocks need a contravariant arrow"
-                    )
-                if scenario.graded[a.tgt] != scenario.graded[a.src]:
-                    raise PreconditionError(
-                        f"arrow {a.name!r}: identity blocks need equal graded data"
-                    )
-                homs[a.name] = identity_graded_hom(scenario.graded[a.src], a.map)
-        graded_result = graded_limit(scenario.diagram, scenario.graded, homs, col)
+        graded = graded_limit(scenario.diagram, scenario.graded, scenario.graded_homs, col)
     return GlueResult(
         psod,
         verdict,
         "psod" if verdict.ok else "pre-psod only",
         {w: tuple(up) for w, up in fibers.items()},
-        graded_result,
+        graded,
     )
 

@@ -173,18 +173,14 @@ def _reflection_witness(
     source: FinitePreorder, target: FinitePreorder, mapping: Mapping[str, str]
 ) -> Optional[tuple[str, str]]:
     """The first pair (x, y), x-major in source order, with comparable images
-    and unrelated sources.  As in a pairwise scan, an image outside the target
-    raises within the first row, after any witness that row holds first."""
-    img = [target._index.get(mapping[x]) for x in source.elements]
-    n = len(img)
-    known = img.index(None) if None in img else n
-    gather = _gather(img[:known], len(target))
-    for i in range(n if known == n else min(known, 1)):
-        bad = gather(target.rows[img[i]]) & ~source.rows[i]
+    and unrelated sources.  Every image is looked up first, so an image
+    outside the target raises InputError wherever it sits."""
+    img = [target.index(mapping[x]) for x in source.elements]
+    gather = _gather(img, len(target))
+    for i, k in enumerate(img):
+        bad = gather(target.rows[k]) & ~source.rows[i]
         if bad:
             return source.elements[i], source.elements[next(_bits(bad))]
-    if known < n:
-        target.index(mapping[source.elements[known]])
     return None
 
 
@@ -204,8 +200,6 @@ class OrderReflectingMap:
         extra = set(self.mapping) - set(self.source.elements)
         if extra:
             raise InputError(f"map defined on unknown labels {sorted(extra)}")
-        for v in self.mapping.values():
-            self.target.index(v)
         bad = _reflection_witness(self.source, self.target, self.mapping)
         if bad is not None:
             raise InputError(

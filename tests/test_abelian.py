@@ -8,12 +8,10 @@ import pytest
 from psodkit import abelian
 from psodkit.abelian import (
     GradedGroup,
-    GradedHom,
     IntMatrix,
     graded_limit,
     group_from_presentation,
     hnf,
-    identity_graded_hom,
     is_valid_hom,
     kernel,
     snf,
@@ -482,15 +480,14 @@ def solving_limit_oracle(order, orders, arrows):
 def group_limit(groups, arrows=()):
     """The limit of ``groups`` (vertex -> FgAbGroup) along ``arrows``
     (``(src, tgt, matrix)`` each) by the library's one route: every group
-    graded over one point, then ``graded_limit(...).ungraded``."""
+    graded over one point, then ``graded_limit(...).total()``."""
     point = discrete_preorder(["*"])
     graded = {v: GradedGroup(point, {"*": g}) for v, g in groups.items()}
-    homs = [
-        (f"a{i}", s, t, GradedHom(graded[s], graded[t], identity_map(point), {("*", "*"): m}))
+    quiver = graded_quiver(graded, [
+        (f"a{i}", s, t, identity_map(point), {("*", "*"): m})
         for i, (s, t, m) in enumerate(arrows)
-    ]
-    quiver = graded_quiver(graded, homs)
-    return graded_limit(*quiver, colimit(quiver[0])).ungraded
+    ])
+    return graded_limit(*quiver, colimit(quiver[0])).total()
 
 
 def oracle_limit(groups, arrows=()):
@@ -543,54 +540,66 @@ def test_limit_projections_equalize():
 # graded groups and graded limits
 
 
-@pytest.mark.parametrize("rows", [[[1], [0]], [[1, 0]]], ids=["rows", "cols"])
+def graded_quiver(groups, arrows=()):
+    """``(diagram, groups, blocks)`` for ``graded_limit``: the vertices of
+    ``groups`` in order, and per ``(name, src, tgt, map, blocks)`` a
+    contravariant arrow with that map, whose entry ``blocks`` is left out
+    when None (identity blocks)."""
+    diagram = PreorderDiagram(
+        tuple(groups),
+        {v: g.index for v, g in groups.items()},
+        tuple(DiagramArrow(n, s, t, m, CONTRAVARIANT) for n, s, t, m, _ in arrows),
+    )
+    return diagram, groups, {n: b for n, _, _, _, b in arrows if b is not None}
+
+
+def _one_arrow_limit(src, tgt, reindex, blocks, orientation=CONTRAVARIANT):
+    """``graded_limit`` over one arrow f from u to v."""
+    diagram = PreorderDiagram(
+        ("u", "v"),
+        {"u": src.index, "v": tgt.index},
+        (DiagramArrow("f", "u", "v", reindex, orientation),),
+    )
+    return graded_limit(diagram, {"u": src, "v": tgt}, blocks, colimit(diagram))
+
+
+@pytest.mark.parametrize("rows", [[[1], [0]], [], [[1, 0]]], ids=["rows", "no-rows", "cols"])
 def test_graded_hom_rejects_a_block_wrong_on_one_side(rows):
     # Z on the one element: a block must be 1x1, and each of these is wrong
     # in its rows only or in its columns only
     p = discrete_preorder(["x"])
     g = GradedGroup(p, {"x": FgAbGroup.free(1)})
     with pytest.raises(InputError, match=r"^block \('x' -> 'x'\) has wrong shape$"):
-        GradedHom(g, g, identity_map(p), {("x", "x"): M(rows)})
+        _one_arrow_limit(g, g, identity_map(p), {"f": {("x", "x"): M(rows)}})
 
 
 def test_graded_hom_rejects_off_fiber_blocks():
     p = generated_preorder(["x", "y"], [("x", "y")])
     g = GradedGroup(p, {"x": FgAbGroup.free(1), "y": FgAbGroup.free(1)})
-    reindex = identity_map(p)
-    with pytest.raises(InputError):
-        GradedHom(g, g, reindex, {("x", "y"): identity(1)})
-
-
-def graded_quiver(groups, arrows=()):
-    """``(diagram, groups, homs)`` for ``graded_limit``: the vertices of
-    ``groups`` in order, and per ``(name, src, tgt, hom)`` a contravariant
-    arrow carrying ``hom.reindex``."""
-    diagram = PreorderDiagram(
-        tuple(groups),
-        {v: g.index for v, g in groups.items()},
-        tuple(DiagramArrow(n, s, t, hom.reindex, CONTRAVARIANT) for n, s, t, hom in arrows),
-    )
-    return diagram, groups, {n: hom for n, _, _, hom in arrows}
+    with pytest.raises(
+        InputError, match=r"^block \('x' -> 'y'\) violates fiber support: reindex\('y'\) = 'y'$"
+    ):
+        _one_arrow_limit(g, g, identity_map(p), {"f": {("x", "y"): identity(1)}})
 
 
 def test_graded_limit_constant_diagram():
     p = generated_preorder(["x", "y"], [("x", "y")])
     g = GradedGroup(p, {"x": FgAbGroup.free(1), "y": FgAbGroup(1, (2,))})
-    quiver = graded_quiver({"u": g}, [("id", "u", "u", identity_graded_hom(g, identity_map(p)))])
+    quiver = graded_quiver({"u": g}, [("id", "u", "u", identity_map(p), None)])
     res = graded_limit(*quiver, colimit(quiver[0]))
-    assert res.graded.pieces == g.pieces
-    assert res.ungraded == g.total()
+    assert res.pieces == g.pieces
+    assert res.total() == g.total()
 
 
 def test_graded_limit_cech_identity():
     p = complete_preorder(["*"])
     g = GradedGroup(p, {"*": FgAbGroup.free(1)})
-    hom = identity_graded_hom(g, identity_map(p))
     quiver = graded_quiver(
-        {"l0": g, "l1": g}, [("d0", "l0", "l1", hom), ("d1", "l0", "l1", hom)]
+        {"l0": g, "l1": g},
+        [("d0", "l0", "l1", identity_map(p), None), ("d1", "l0", "l1", identity_map(p), None)],
     )
     res = graded_limit(*quiver, colimit(quiver[0]))
-    assert res.graded.pieces["*"] == FgAbGroup.free(1)
+    assert res.pieces["*"] == FgAbGroup.free(1)
 
 
 def test_graded_limit_two_vertex_product():
@@ -599,24 +608,42 @@ def test_graded_limit_two_vertex_product():
     g2 = GradedGroup(p2, {"b": FgAbGroup.free(2)})
     quiver = graded_quiver({"u": g1, "v": g2})
     res = graded_limit(*quiver, colimit(quiver[0]))
-    assert res.graded.pieces["a"] == g1.pieces["a"]
-    assert res.graded.pieces["b"] == g2.pieces["b"]
-    assert res.ungraded == group_limit({"u": g1.total(), "v": g2.total()})
+    assert res.pieces["a"] == g1.pieces["a"]
+    assert res.pieces["b"] == g2.pieces["b"]
+    assert res.total() == group_limit({"u": g1.total(), "v": g2.total()})
 
 
-@pytest.mark.parametrize("side", ["source", "target"])
-def test_graded_limit_rejects_a_hom_wrong_on_one_side(side):
-    # the arrow runs Z -> Z over one grade; the hom is C2 -> Z or Z -> C2,
-    # so exactly one of its ends differs from the quiver's
+def test_graded_limit_rejects_a_block_that_is_not_a_homomorphism():
+    # the arrow runs C2 -> Z over one grade: of its 1x1 blocks only 0 is a
+    # homomorphism, whose limit is the graph of zero on C2
     p = discrete_preorder(["x"])
-    z, c2 = (GradedGroup(p, {"x": g}) for g in (FgAbGroup.free(1), FgAbGroup(0, (2,))))
-    if side == "source":
-        hom = GradedHom(c2, z, identity_map(p), {("x", "x"): M([[0]])})
-    else:
-        hom = GradedHom(z, c2, identity_map(p), {("x", "x"): M([[1]])})
-    diagram, groups, homs = graded_quiver({"u": z, "v": z}, [("f", "u", "v", hom)])
-    with pytest.raises(InputError, match=rf"^arrow 'f' {side} mismatch$"):
-        graded_limit(diagram, groups, homs, colimit(diagram))
+    c2, z = (GradedGroup(p, {"x": g}) for g in (FgAbGroup(0, (2,)), FgAbGroup.free(1)))
+    with pytest.raises(InputError, match=r"^block \('x' -> 'x'\) is not a homomorphism$"):
+        _one_arrow_limit(c2, z, identity_map(p), {"f": {("x", "x"): [[1]]}})
+    zero = _one_arrow_limit(c2, z, identity_map(p), {"f": {("x", "x"): [[0]]}})
+    assert zero.total() == FgAbGroup(0, (2,))
+
+
+def test_graded_limit_identity_blocks_check_each_piece():
+    # identity blocks along the swap run Z -> Z^2 and Z^2 -> Z: the graded
+    # groups at both ends are equal, and the block at (b, a) has wrong shape
+    p = discrete_preorder(["a", "b"])
+    g = GradedGroup(p, {"a": FgAbGroup.free(1), "b": FgAbGroup.free(2)})
+    swap = OrderReflectingMap(p, p, {"a": "b", "b": "a"})
+    with pytest.raises(InputError, match=r"^block \('b' -> 'a'\) has wrong shape$"):
+        _one_arrow_limit(g, g, swap, {})
+
+
+def test_graded_limit_rejects_unknown_and_covariant_arrows():
+    p = discrete_preorder(["x"])
+    g = GradedGroup(p, {"x": FgAbGroup.free(1)})
+    with pytest.raises(InputError, match=r"^graded hom for unknown arrow 'g'$"):
+        _one_arrow_limit(g, g, identity_map(p), {"g": {}})
+    with pytest.raises(
+        InputError,
+        match=r"^arrow 'f': graded data follows the contravariant index-map convention$",
+    ):
+        _one_arrow_limit(g, g, identity_map(p), {}, orientation="covariant")
 
 
 def test_graded_limit_rejects_an_index_other_than_the_diagrams():
@@ -704,14 +731,14 @@ def random_graded_scenario(rng):
         for y in indices[v].elements:
             x = reindex(y)
             blocks[(x, y)] = _random_hom_matrix(rng, groups[u].pieces[x], groups[v].pieces[y])
-        arrows.append((f"a{t}", u, v, GradedHom(groups[u], groups[v], reindex, blocks)))
+        arrows.append((f"a{t}", u, v, reindex, blocks))
     return graded_quiver(groups, arrows)
 
 
-def literal_total_matrix(hom: GradedHom):
-    """The ungraded matrix of a graded hom: every stored block copied to the
-    offsets of its own (source grade, target grade), generators in index
-    order."""
+def literal_total_matrix(source: GradedGroup, target: GradedGroup, blocks):
+    """The ungraded matrix of the blocks from ``source`` to ``target``:
+    every block copied to the offsets of its own (source grade, target
+    grade), generators in index order."""
 
     def offsets(g: GradedGroup) -> tuple[dict[str, int], int]:
         offs, n = {}, 0
@@ -720,24 +747,37 @@ def literal_total_matrix(hom: GradedHom):
             n += g.pieces[z].ngens
         return offs, n
 
-    soffs, cols = offsets(hom.source)
-    toffs, rows = offsets(hom.target)
+    soffs, cols = offsets(source)
+    toffs, rows = offsets(target)
     out = [[0] * cols for _ in range(rows)]
-    for (x, y), b in hom.blocks.items():
+    for (x, y), b in blocks.items():
         for i, row in enumerate(b):
             out[toffs[y] + i][soffs[x] : soffs[x] + len(row)] = row
     return out
 
 
-def ungraded_limit_oracle(diagram, groups, homs) -> FgAbGroup:
+def arrow_blocks(a, groups, blocks):
+    """The blocks of arrow ``a``: its entry, or else identity blocks along
+    its map."""
+    if a.name in blocks:
+        return blocks[a.name]
+    tgt = groups[a.tgt]
+    return {(a.map(y), y): identity(tgt.pieces[y].ngens) for y in tgt.index.elements}
+
+
+def ungraded_limit_oracle(diagram, groups, blocks) -> FgAbGroup:
     """The limit of the total groups along the literal total matrices,
-    computed from scratch: the independent value of ``graded_limit``'s
-    ``ungraded``, which the library certifies instead of recomputing."""
+    computed from scratch: the independent value of ``graded_limit(...)
+    .total()``, which the library certifies instead of recomputing."""
     groups = {v: groups[v] for v in diagram.vertices}
     return solving_limit_oracle(
         diagram.vertices,
         {v: [o for z in g.index.elements for o in g.pieces[z].orders] for v, g in groups.items()},
-        [(a.src, a.tgt, literal_total_matrix(homs[a.name])) for a in diagram.arrows],
+        [
+            (a.src, a.tgt,
+             literal_total_matrix(groups[a.src], groups[a.tgt], arrow_blocks(a, groups, blocks)))
+            for a in diagram.arrows
+        ],
     )[0]
 
 
@@ -751,35 +791,34 @@ def test_block_decomposition_on_random_scenarios():
         except PreconditionError:
             continue  # zigzag identified non-related elements: no gluing
         res = graded_limit(*quiver, col)
-        assert res.ungraded == ungraded_limit_oracle(*quiver)
+        assert res.total() == ungraded_limit_oracle(*quiver)
         done += 1
 
 
 def _cross_fiber_mutant(how: str):
     """Two arrows u -> v over the discrete index {a, b}: d0 the identity and
-    d1 the swap, whose blocks run from b to a and from a to b.  d1's reindex
-    is then made the identity past GradedHom's constructor (``how`` names
-    the field overwritten), so its blocks cross the fibers {a} and {b} of
-    the colimit."""
+    d1 the swap, whose blocks run from b to a and from a to b (identity
+    blocks along the swap, or the same blocks given), with the colimit of
+    the diagram in which d1 is the identity: its fibers {a} and {b} part
+    the ends of each of d1's blocks."""
     p = discrete_preorder(["a", "b"])
     g = GradedGroup(p, {"a": FgAbGroup.free(1), "b": FgAbGroup.free(1)})
     swap = OrderReflectingMap(p, p, {"a": "b", "b": "a"})
-    if how == "reindex":
-        d1 = identity_graded_hom(g, swap)
-        object.__setattr__(d1, "reindex", identity_map(p))
-    else:
-        d1 = identity_graded_hom(g, identity_map(p))
-        object.__setattr__(d1, "blocks", {("b", "a"): M([[1]]), ("a", "b"): M([[1]])})
-    return graded_quiver(
-        {"u": g, "v": g},
-        [("d0", "u", "v", identity_graded_hom(g, identity_map(p))), ("d1", "u", "v", d1)],
+    d1 = None if how == "reindex" else {("b", "a"): M([[1]]), ("a", "b"): M([[1]])}
+    groups = {"u": g, "v": g}
+    quiver = graded_quiver(
+        groups, [("d0", "u", "v", identity_map(p), None), ("d1", "u", "v", swap, d1)]
     )
+    unswapped = graded_quiver(
+        groups,
+        [("d0", "u", "v", identity_map(p), None), ("d1", "u", "v", identity_map(p), None)],
+    )
+    return quiver, colimit(unswapped[0])
 
 
 @pytest.mark.parametrize("how", ["reindex", "blocks"])
 def test_cross_fiber_block_trips_certificate_and_oracle(monkeypatch, how):
-    quiver = _cross_fiber_mutant(how)
-    col = colimit(quiver[0])
+    quiver, col = _cross_fiber_mutant(how)
     with pytest.raises(InvariantError) as info:
         graded_limit(*quiver, col)
     assert info.value.exit_code == 2
@@ -787,16 +826,17 @@ def test_cross_fiber_block_trips_certificate_and_oracle(monkeypatch, how):
         "arrow": "d1",
         "source_grade": "b",
         "target_grade": "a",
-        "reindex": "a",
+        "reindex": "b",
         "source_fiber": col.cocones["u"]("b"),
         "target_fiber": col.cocones["v"]("a"),
     }
     assert col.cocones["u"]("b") != col.cocones["v"]("a")
-    # without the certificate the pieces miss the swap, which the ungraded
-    # oracle sees: the equalizer of 1 and the swap on Z^2 is Z
+    # without the certificate each fiber reads d1 as the identity, while the
+    # ungraded oracle sees the swap: the equalizer of 1 and the swap on Z^2
+    # is Z
     monkeypatch.setattr(abelian, "_certify_fiber_support", lambda *args: None)
     res = graded_limit(*quiver, col)
-    assert res.ungraded == FgAbGroup.zero()
+    assert res.total() == FgAbGroup.free(2)
     assert ungraded_limit_oracle(*quiver) == FgAbGroup.free(1)
 
 

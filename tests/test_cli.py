@@ -55,10 +55,10 @@ def graded_oracle(monkeypatch):
     real = abelian.graded_limit
     checked = []
 
-    def checking(diagram, groups, homs, col):
-        res = real(diagram, groups, homs, col)
-        assert res.ungraded == ungraded_limit_oracle(diagram, groups, homs)
-        checked.append(res.ungraded)
+    def checking(diagram, groups, blocks, col):
+        res = real(diagram, groups, blocks, col)
+        assert res.total() == ungraded_limit_oracle(diagram, groups, blocks)
+        checked.append(res.total())
         return res
 
     monkeypatch.setattr(abelian, "graded_limit", checking)
@@ -1007,24 +1007,41 @@ def test_glue_identity_blocks_between_unequal_graded_data_exits_2(capsys, tmp_pa
     assert err.splitlines() == ["error: arrow 'f': identity blocks need equal graded data"]
 
 
+@pytest.mark.parametrize("reindex", ["empty", "rotated"])
+def test_glue_reindex_other_than_the_arrow_map_exits_2(capsys, tmp_path, reindex):
+    # the graded hom's reindex field must repeat the arrow's map, whatever
+    # else is wrong with it
+    doc = _graded_scenario_doc()
+    elements = doc["psods"]["l0"]["index"]["elements"]
+    doc["graded_homs"]["d0"]["reindex"] = (
+        {} if reindex == "empty" else dict(zip(elements, elements[1:] + elements[:1]))
+    )
+    code, out, err = run(capsys, "psod", "glue", write(tmp_path, "scenario.json", doc))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: arrow 'd0': graded hom reindex disagrees with the arrow's index map"
+    ]
+
+
 def test_glue_cross_fiber_block_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
-    # a block from one grade to another, placed past GradedHom's constructor
+    # graded_limit is handed the colimit of the diagram without its arrow,
+    # whose fibers part the two ends of every block of d0
+    from psodkit.colimits import colimit
+
     real = abelian.graded_limit
-    elements = _graded_scenario_doc()["psods"]["l0"]["index"]["elements"]
-    x, y = elements[:2]
+    x = _graded_scenario_doc()["psods"]["l0"]["index"]["elements"][0]
 
-    def with_cross_fiber_block(diagram, groups, homs, col):
-        hom = homs[diagram.arrows[0].name]
-        object.__setattr__(hom, "blocks", {**hom.blocks, (x, y): ((1,),)})
-        return real(diagram, groups, homs, col)
+    def with_unglued_colimit(diagram, groups, blocks, col):
+        unglued = colimit(PreorderDiagram(diagram.vertices, diagram.preorders))
+        return real(diagram, groups, blocks, unglued)
 
-    monkeypatch.setattr(abelian, "graded_limit", with_cross_fiber_block)
+    monkeypatch.setattr(abelian, "graded_limit", with_unglued_colimit)
     path = write(tmp_path, "scenario.json", _graded_scenario_doc())
     code, out, err = run(capsys, "psod", "glue", path)
     assert code == 2 and out == ""
     assert err.splitlines() == [
-        f"error: arrow 'd0': block ({x!r} -> {y!r}) leaves its fiber: "
-        f"reindex({y!r}) = {y!r}, {x!r} lies over {x!r}, {y!r} over {y!r}"
+        f"error: arrow 'd0': block ({x!r} -> {x!r}) leaves its fiber: "
+        f"reindex({x!r}) = {x!r}, {x!r} lies over {'l0.' + x!r}, {x!r} over {'l1.' + x!r}"
     ]
 
 

@@ -164,7 +164,7 @@ def test_scenario_roundtrip_with_graded_homs():
     res = glue(scenario)
     assert res.kind == "psod"
     assert res.graded is not None
-    assert res.graded.graded.pieces[p.elements[0]] == FgAbGroup.free(1)
+    assert res.graded.pieces[p.elements[0]] == FgAbGroup.free(1)
 
 
 def test_glue_and_ktheory_docs_are_serializable():

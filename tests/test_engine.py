@@ -233,7 +233,7 @@ def test_glue_cech_with_graded_data():
     )
     res = glue(scenario)
     assert res.graded is not None
-    assert res.graded.graded.pieces == g.pieces
+    assert res.graded.pieces == g.pieces
 
 
 def test_graded_glue_computes_one_colimit(monkeypatch):
@@ -253,7 +253,7 @@ def test_graded_glue_computes_one_colimit(monkeypatch):
 
     monkeypatch.setattr(colimits, "_quotient_preorder", counting)
     res = glue(scenario)
-    assert res.graded is not None and res.graded.graded.pieces == g.pieces
+    assert res.graded is not None and res.graded.pieces == g.pieces
     assert len(calls) == 1
 
 
@@ -592,9 +592,6 @@ def test_glue_heterogeneous_span_aggregates_descriptors():
 
 
 def test_glue_rejects_mismatched_graded_hom():
-    from psodkit.abelian import GradedGroup, GradedHom
-    from psodkit.preorders import OrderReflectingMap
-
     p = complete_preorder(["x", "y"])
     psod = PsodIndex(
         p,
@@ -604,19 +601,16 @@ def test_glue_rejects_mismatched_graded_hom():
         },
     )
     g = GradedGroup(p, {"x": FgAbGroup.free(1), "y": FgAbGroup.free(1)})
-    swap = OrderReflectingMap(p, p, {"x": "y", "y": "x"})
-    hom = GradedHom(
-        g, g, swap, {("y", "x"): [[1]], ("x", "y"): [[1]]}
-    )
+    # the blocks of the swap, on an arrow whose map is the identity
+    swap = {("y", "x"): [[1]], ("x", "y"): [[1]]}
     diag = PreorderDiagram(
         ("u", "v"),
         {"u": p, "v": p},
         (DiagramArrow("a", "u", "v", identity_map(p), CONTRAVARIANT),),
     )
-    with pytest.raises(InputError):
-        GluingScenario(
-            diag,
-            {"u": psod, "v": psod},
-            {"u": g, "v": g},
-            {"a": hom},
-        )
+    scenario = GluingScenario(diag, {"u": psod, "v": psod}, {"u": g, "v": g}, {"a": swap})
+    with pytest.raises(
+        InputError,
+        match=r"^block \('y' -> 'x'\) violates fiber support: reindex\('x'\) = 'x'$",
+    ):
+        glue(scenario)

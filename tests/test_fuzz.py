@@ -58,10 +58,12 @@ def _documents() -> dict[str, dict]:
     index = build_root_psod(nodal_cubic(), 2).index
     graded = {"index": psod["index"],
               "pieces": {x: {"rank": 1, "torsion": [2]} for x in elements}}
+    # d1 has no graded_homs entry, so it gets identity blocks
     scenario = {
         "diagram": diagram_to_doc(PreorderDiagram(
             ("l0", "l1"), {"l0": index, "l1": index},
-            (DiagramArrow("d0", "l0", "l1", identity_map(index), "contravariant"),),
+            (DiagramArrow("d0", "l0", "l1", identity_map(index), "contravariant"),
+             DiagramArrow("d1", "l0", "l1", identity_map(index), "contravariant")),
         )),
         "psods": {"l0": psod, "l1": psod},
         "graded": {"l0": graded, "l1": graded},

@@ -26,7 +26,7 @@ from helpers import (
 
 
 def test_exported_names_are_their_home_modules_objects():
-    assert len(psodkit.__all__) == len(set(psodkit.__all__)) == 52
+    assert len(psodkit.__all__) == len(set(psodkit.__all__)) == 51
     for name in psodkit.__all__:
         value = getattr(psodkit, name)
         assert value.__module__.startswith("psodkit.")
@@ -155,7 +155,7 @@ COMMANDS = {
     "psod-glue": (M + ["psod", "glue", "{scenario}"],
                   PREORDER | {"psodkit.abelian", "psodkit.colimits", "psodkit.engine",
                               "psodkit.gluing", "psodkit.groups", "psodkit.psoddocs",
-                              "psodkit.residues"}, 2873),
+                              "psodkit.residues"}, 2816),
     "psod-ktheory": (M + ["psod", "ktheory", "{cross}", "--kdata", "{kdata}", "--root", "3"],
                      KTHEORY, 2600),
     "psod-ktheory-kummer": (M + ["psod", "ktheory", "{cross}", "--kdata", "{kdata}",

@@ -1161,14 +1161,18 @@ def test_verify_rejects_overcomplete_candidate():
 
 
 def test_verify_reads_cocone_images_in_source_order():
-    # the first row of the reflection scan reads every image: a witness met
-    # before an image outside the candidate wins, otherwise that image raises
-    diag = PreorderDiagram(("v",), {"v": discrete_preorder(["a", "b", "c"])})
+    # every image is looked up before the reflection scan: an image outside
+    # the candidate is an input error (exit 2) wherever it sits, even after
+    # a pair that would witness a failed reflection
+    source = discrete_preorder(["a", "b", "c"])
+    diag = PreorderDiagram(("v",), {"v": source})
     candidate = complete_preorder(["x", "y"])
-    res = verify_colimit(diag, candidate, {"v": {"a": "x", "b": "y", "c": "zzz"}})
-    assert res.witness == {"vertex": "v", "pair": ["a", "b"]}
-    with pytest.raises(InputError, match="no element labelled 'zzz'"):
-        verify_colimit(diag, candidate, {"v": {"a": "x", "b": "zzz", "c": "y"}})
+    for mapping in ({"a": "x", "b": "y", "c": "zzz"}, {"a": "x", "b": "zzz", "c": "y"}):
+        with pytest.raises(InputError, match="^no element labelled 'zzz'$") as info:
+            verify_colimit(diag, candidate, {"v": mapping})
+        assert info.value.exit_code == 2
+        with pytest.raises(InputError, match="^no element labelled 'zzz'$"):
+            is_order_reflecting(source, candidate, mapping)
 
 
 def test_verify_rejects_overmerged_candidate():
