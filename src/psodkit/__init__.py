@@ -31,9 +31,8 @@ _EXPORTS = {
     "groups": ("FgAbGroup",),
     "kreport": ("KTheoryMode", "ktheory_report"),
     "preorders": (
-        "DiagramArrow", "FinitePreorder", "OrderReflectingMap", "PreorderDiagram",
-        "complete_preorder", "directed_numbering", "discrete_preorder", "is_directed",
-        "is_order_reflecting",
+        "DiagramArrow", "FinitePreorder", "PreorderDiagram", "complete_preorder",
+        "directed_numbering", "discrete_preorder", "is_directed",
     ),
     "residues": ("CharTuple", "Residue"),
     "strata": ("Stratification", "Stratum", "skeleton", "validate"),

@@ -19,7 +19,7 @@ from .records import record
 
 if TYPE_CHECKING:
     from .colimits import ColimitResult
-    from .preorders import DiagramArrow, FinitePreorder, OrderReflectingMap, PreorderDiagram
+    from .preorders import DiagramArrow, FinitePreorder, PreorderDiagram
 
 Rows = Sequence[Sequence[int]]
 
@@ -253,16 +253,16 @@ class GradedGroup:
 def _certify_fiber_support(
     diagram: PreorderDiagram,
     blocks: Mapping[str, Mapping[tuple[str, str], Rows]],
-    cocones: Mapping[str, OrderReflectingMap],
+    cocones: Mapping[str, Mapping[str, str]],
 ) -> None:
     """Check that every block, placed at (map(y), y) by ``graded_limit``,
-    runs inside one cocone fiber: cocones[src](map(y)) == cocones[tgt](y).
+    runs inside one cocone fiber: cocones[src][map[y]] == cocones[tgt][y].
     The cocones of the diagram's colimit commute with the arrows' maps, so
     this holds unless ``col`` is not that colimit."""
     for a in diagram.arrows:
         src_cocone, tgt_cocone = cocones[a.src], cocones[a.tgt]
         for x, y in blocks[a.name]:
-            over_x, over_y = src_cocone(x), tgt_cocone(y)
+            over_x, over_y = src_cocone[x], tgt_cocone[y]
             if over_x != over_y:
                 raise InvariantError(
                     f"arrow {a.name!r}: block ({x!r} -> {y!r}) leaves its fiber: "
@@ -295,9 +295,9 @@ def _checked_blocks(
         given = {}
         for y in tgt.index.elements:
             n = tgt.pieces[y].ngens
-            given[(a.map(y), y)] = [[int(i == j) for j in range(n)] for i in range(n)]
+            given[(a.map[y], y)] = [[int(i == j) for j in range(n)] for i in range(n)]
     for (x, y), m in given.items():
-        r = a.map.mapping.get(y)
+        r = a.map.get(y)
         if r != x:
             raise InputError(
                 f"block ({x!r} -> {y!r}) violates fiber support: reindex({y!r}) = {r!r}"
@@ -356,7 +356,7 @@ def graded_limit(
     for v in diagram.vertices:
         g = groups[v]
         for z in g.index.elements:
-            fiber = orders[cocones[v](z)][v]
+            fiber = orders[cocones[v][z]][v]
             offset[v][z] = len(fiber)
             fiber += g.pieces[z].orders
     # the fiber sums keep the grades' own generators, so the block at
@@ -369,7 +369,7 @@ def graded_limit(
             for w in colimit_index.elements
         }
         for (x, y), b in placed[a.name].items():
-            rows = out[tgt_cocone(y)]
+            rows = out[tgt_cocone[y]]
             r0, c0 = offset[a.tgt][y], offset[a.src][x]
             for i, row in enumerate(b):
                 rows[r0 + i][c0 : c0 + len(row)] = row

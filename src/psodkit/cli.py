@@ -70,21 +70,18 @@ def _cmd_preorder(args: argparse.Namespace) -> int:
         from .colimits import coproduct
 
         out, injections = coproduct([docs.preorder_from_doc(_load(p)) for p in args.inputs])
-        extra = {"injections": [dict(i.mapping) for i in injections]}
+        extra = {"injections": list(injections)}
     elif sub == "pushout":
         from .colimits import pushout
 
-        body = _load(args.inputs[0])
-        if not isinstance(body, dict) or "left" not in body or "right" not in body:
-            raise ParseError("pushout document needs 'left' and 'right' maps")
-        out, p1, p2 = pushout(docs.map_from_doc(body["left"]), docs.map_from_doc(body["right"]))
-        extra = {"maps": [dict(p1.mapping), dict(p2.mapping)]}
+        out, p1, p2 = pushout(*docs.span_from_doc(_load(args.inputs[0])))
+        extra = {"maps": [p1, p2]}
     elif sub == "colimit":
         from .colimits import colimit
 
         res = colimit(docs.diagram_from_doc(_load(args.inputs[0])))
         out = res.preorder
-        extra = {"cocones": {v: dict(m.mapping) for v, m in res.cocones.items()}}
+        extra = {"cocones": res.cocones}
     elif sub == "verify":
         from .verify import verify_colimit
 

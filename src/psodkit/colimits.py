@@ -3,20 +3,22 @@
 Each is the set-theoretic quotient of the disjoint union of the parts,
 ordered by the rule 'z <= z'' iff every same-part preimage pair is
 related'.  The rule can produce non-transitive relations; see ``preorders``.
+Each map built here, a label dict per part, is certified by ``_certified``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import InvariantError, PreconditionError
 from .preorders import (
     FinitePreorder,
-    OrderReflectingMap,
     PreorderDiagram,
     _bits,
+    _checked_map,
     _classes,
     _gather,
+    _reflection_witness,
 )
 from .records import record
 
@@ -24,7 +26,19 @@ from .records import record
 @record
 class ColimitResult:
     preorder: FinitePreorder
-    cocones: Mapping[str, OrderReflectingMap]
+    cocones: Mapping[str, dict[str, str]]
+
+
+def _certified(parts: Mapping, carrier: FinitePreorder, maps: Mapping) -> None:
+    """Check that each map ``maps[v]``, from ``parts[v]`` into ``carrier``,
+    reflects the order; InvariantError names the part and pair if not."""
+    for v, mp in maps.items():
+        bad = _reflection_witness(parts[v], carrier, mp)
+        if bad is not None:
+            raise InvariantError(
+                f"the map from part {v!r} does not reflect the order at {bad}",
+                {"part": v, "pair": list(bad)},
+            )
 
 
 def _class_labels(classes: Sequence[Sequence[tuple[str, str]]]) -> list[str]:
@@ -97,12 +111,13 @@ def _quotient_preorder(
     cocones = {
         v: {x: labels[cls_of[(v, x)]] for x in parts[v].elements} for v in part_order
     }
+    _certified(parts, carrier, cocones)
     return carrier, cocones
 
 
 def coproduct(
     parts: Sequence[FinitePreorder],
-) -> tuple[FinitePreorder, tuple[OrderReflectingMap, ...]]:
+) -> tuple[FinitePreorder, tuple[dict[str, str], ...]]:
     """Disjoint union; distinct parts are related both ways, each part keeps
     its own relation, and the parts follow one another.  Labels are
     namespaced by part index only on collision."""
@@ -118,37 +133,31 @@ def coproduct(
     out = FinitePreorder(tuple(labels), tuple(rows))
     injections, o = [], 0
     for p in parts:
-        injections.append(OrderReflectingMap(p, out, dict(zip(p.elements, out.elements[o:]))))
+        injections.append(dict(zip(p.elements, labels[o:])))
         o += len(p)
+    _certified(dict(enumerate(parts)), out, dict(enumerate(injections)))
     return out, tuple(injections)
 
 
 def pushout(
-    left: OrderReflectingMap, right: OrderReflectingMap
-) -> tuple[FinitePreorder, OrderReflectingMap, OrderReflectingMap]:
-    """Pushout of P1 <- P3 -> P2: set-theoretic quotient of the disjoint union,
-    z <= z' iff all P1-preimage pairs and all P2-preimage pairs are related."""
-    if left.source != right.source:
-        raise InputError("the two legs must share the same source preorder")
-    parts = {"1": left.target, "2": right.target}
-    idents = [
-        (("1", left.mapping[w]), ("2", right.mapping[w]))
-        for w in left.source.elements
-    ]
-    carrier, raw = _quotient_preorder(parts, ("1", "2"), idents)
-    pi1 = OrderReflectingMap(left.target, carrier, raw["1"])
-    pi2 = OrderReflectingMap(right.target, carrier, raw["2"])
-    return carrier, pi1, pi2
+    apex: FinitePreorder,
+    p1: FinitePreorder,
+    p2: FinitePreorder,
+    left: Mapping[str, str],
+    right: Mapping[str, str],
+) -> tuple[FinitePreorder, dict[str, str], dict[str, str]]:
+    """Pushout of p1 <-left- apex -right-> p2: set-theoretic quotient of the
+    disjoint union, z <= z' iff all p1-preimage pairs and all p2-preimage
+    pairs are related.  Both legs are checked here."""
+    left, right = _checked_map(apex, p1, left), _checked_map(apex, p2, right)
+    idents = [(("1", left[w]), ("2", right[w])) for w in apex.elements]
+    carrier, maps = _quotient_preorder({"1": p1, "2": p2}, ("1", "2"), idents)
+    return carrier, maps["1"], maps["2"]
 
 
 def colimit(diagram: PreorderDiagram) -> ColimitResult:
     """Colimit of the underlying sets, ordered by the uniform rule
     'z <= z'' iff every pair of preimages in every vertex is related'."""
-    carrier, raw = _quotient_preorder(
-        diagram.preorders, diagram.vertices, diagram.identifications()
+    return ColimitResult(
+        *_quotient_preorder(diagram.preorders, diagram.vertices, diagram.identifications())
     )
-    cocones = {
-        v: OrderReflectingMap(diagram.preorders[v], carrier, raw[v])
-        for v in diagram.vertices
-    }
-    return ColimitResult(carrier, cocones)

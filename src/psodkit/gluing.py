@@ -89,7 +89,7 @@ def glue(scenario: GluingScenario, caps: Caps = DEFAULT_CAPS) -> GlueResult:
     fibers: dict[str, list[tuple[str, str]]] = {w: [] for w in col.preorder.elements}
     for v in scenario.diagram.vertices:
         for x in scenario.diagram.preorders[v].elements:
-            fibers[col.cocones[v](x)].append((v, x))
+            fibers[col.cocones[v][x]].append((v, x))
     factors = {
         w: _aggregate_descriptor([scenario.psods[v].factors[x] for v, x in up])
         for w, up in fibers.items()

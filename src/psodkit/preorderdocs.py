@@ -1,4 +1,4 @@
-"""Documents of the ``preorder`` commands: the preorder, map and diagram
+"""Documents of the ``preorder`` commands: the preorder, span and diagram
 readers, and the request and result of ``preorder verify``.
 
 A preorder's dense ``leq`` matrix is read into row bitmasks.
@@ -13,7 +13,7 @@ from .errors import InputError, ParseError
 
 # Readers import the constructors they build, as in ``documents``.
 if TYPE_CHECKING:
-    from .preorders import FinitePreorder, OrderReflectingMap, PreorderDiagram
+    from .preorders import FinitePreorder, PreorderDiagram
     from .verify import VerifyResult
 
 
@@ -40,20 +40,29 @@ def preorder_from_doc(doc: Mapping) -> FinitePreorder:
     return FinitePreorder(tuple(elements), rows)
 
 
-def map_from_doc(doc: Mapping) -> OrderReflectingMap:
-    from .preorders import OrderReflectingMap
-
-    return OrderReflectingMap(
-        preorder_from_doc(_need(doc, "source", "map")),
-        preorder_from_doc(_need(doc, "target", "map")),
-        _label_map(_need(doc, "map", "map"), "map"),
+def span_from_doc(
+    doc: Any,
+) -> tuple[FinitePreorder, FinitePreorder, FinitePreorder, dict[str, str], dict[str, str]]:
+    """Read a ``{"left", "right"}`` span document, each leg a ``{"source",
+    "target", "map"}`` document, as the arguments of ``pushout``, which checks
+    the legs; the two source fields must be one preorder, the apex."""
+    if not isinstance(doc, dict) or "left" not in doc or "right" not in doc:
+        raise ParseError("pushout document needs 'left' and 'right' maps")
+    (apex, p1, left), (other, p2, right) = (
+        (
+            preorder_from_doc(_need(leg, "source", "map")),
+            preorder_from_doc(_need(leg, "target", "map")),
+            _label_map(_need(leg, "map", "map"), "map"),
+        )
+        for leg in (doc["left"], doc["right"])
     )
+    if apex != other:
+        raise InputError("the two legs must share the same source preorder")
+    return apex, p1, p2, left, right
 
 
 def diagram_from_doc(doc: Mapping) -> PreorderDiagram:
-    from .preorders import (
-        CONTRAVARIANT, COVARIANT, DiagramArrow, OrderReflectingMap, PreorderDiagram,
-    )
+    from .preorders import CONTRAVARIANT, COVARIANT, DiagramArrow, PreorderDiagram
 
     vertices = _need(doc, "vertices", "diagram")
     preorders = _need(doc, "preorders", "diagram")
@@ -73,20 +82,10 @@ def diagram_from_doc(doc: Mapping) -> PreorderDiagram:
         orientation = a.get("orientation", COVARIANT)
         if orientation not in (COVARIANT, CONTRAVARIANT):
             raise ParseError(f"unknown orientation {orientation!r}")
-        s, t = (src, tgt) if orientation == COVARIANT else (tgt, src)
-        if not all(isinstance(x, str) and x in pre for x in (s, t)):
+        if not all(isinstance(x, str) and x in pre for x in (src, tgt)):
             raise ParseError(f"arrow {name!r} mentions unknown vertices")
-        arrows.append(
-            DiagramArrow(
-                name,
-                src,
-                tgt,
-                OrderReflectingMap(
-                    pre[s], pre[t], _label_map(_need(a, "map", "arrow"), f"arrow {name!r} map")
-                ),
-                orientation,
-            )
-        )
+        mapping = _label_map(_need(a, "map", "arrow"), f"arrow {name!r} map")
+        arrows.append(DiagramArrow(name, src, tgt, mapping, orientation))
     return PreorderDiagram(tuple(vertices), pre, tuple(arrows))
 
 

@@ -7,10 +7,12 @@ gluing rules of ``colimits`` can produce genuinely non-transitive comparability 
 index relations built downstream inherit that.  ``FinitePreorder.is_transitive``
 reports the status; constructions that guarantee transitivity assert it in tests.
 
-A map ``phi`` between carriers is *order-reflecting* when
-``phi(x) <= phi(y)`` in the target implies ``x <= y`` in the source.
-Colimits, the coproduct's disjoint union among them, are in ``colimits``;
-the universal-property check is in ``verify``.
+A map ``phi`` between carriers is a label dict, *order-reflecting* when
+``phi[x] <= phi[y]`` in the target implies ``x <= y`` in the source.
+``_checked_map`` checks each map the library receives: an arrow's, in
+``PreorderDiagram``, and a pushout leg.  Colimits, the coproduct's disjoint
+union among them, are in ``colimits``; the universal-property check is in
+``verify``.
 """
 
 from __future__ import annotations
@@ -160,15 +162,6 @@ def _closure_masks(
 # maps
 
 
-def is_order_reflecting(
-    source: FinitePreorder, target: FinitePreorder, mapping: Mapping[str, str]
-) -> bool:
-    """True iff target comparability of images implies source comparability."""
-    if set(mapping) != set(source.elements):
-        raise InputError("map must be total on the source carrier")
-    return _reflection_witness(source, target, mapping) is None
-
-
 def _reflection_witness(
     source: FinitePreorder, target: FinitePreorder, mapping: Mapping[str, str]
 ) -> Optional[tuple[str, str]]:
@@ -184,35 +177,23 @@ def _reflection_witness(
     return None
 
 
-@record
-class OrderReflectingMap:
-    """A total carrier function satisfying the reflection law (validated)."""
-
-    source: FinitePreorder
-    target: FinitePreorder
-    mapping: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", dict(self.mapping))
-        missing = set(self.source.elements) - set(self.mapping)
-        if missing:
-            raise InputError(f"map not total, missing {sorted(missing)}")
-        extra = set(self.mapping) - set(self.source.elements)
-        if extra:
-            raise InputError(f"map defined on unknown labels {sorted(extra)}")
-        bad = _reflection_witness(self.source, self.target, self.mapping)
-        if bad is not None:
-            raise InputError(
-                f"map is not order-reflecting: images of {bad} are comparable, "
-                "sources are not"
-            )
-
-    def __call__(self, label: str) -> str:
-        return self.mapping[label]
-
-    def fiber(self, label: str) -> tuple[str, ...]:
-        return tuple(x for x in self.source.elements if self.mapping[x] == label)
-
+def _checked_map(
+    source: FinitePreorder, target: FinitePreorder, mapping: Mapping[str, str]
+) -> dict[str, str]:
+    """``mapping`` as a dict, once it is a total order-reflecting map from
+    ``source`` to ``target``: the one check of a map the library is given."""
+    missing = set(source.elements) - set(mapping)
+    if missing:
+        raise InputError(f"map not total, missing {sorted(missing)}")
+    extra = set(mapping) - set(source.elements)
+    if extra:
+        raise InputError(f"map defined on unknown labels {sorted(extra)}")
+    bad = _reflection_witness(source, target, mapping)
+    if bad is not None:
+        raise InputError(
+            f"map is not order-reflecting: images of {bad} are comparable, sources are not"
+        )
+    return dict(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +202,17 @@ class OrderReflectingMap:
 
 @record
 class DiagramArrow:
-    """A quiver arrow carrying its map; covariant maps run src -> tgt,
-    contravariant ones tgt -> src."""
+    """A quiver arrow carrying its map, a label dict; covariant maps run
+    src -> tgt, contravariant ones tgt -> src."""
 
     name: str
     src: str
     tgt: str
-    map: OrderReflectingMap
+    map: Mapping[str, str]
     orientation: str = COVARIANT
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "map", dict(self.map))
         if self.orientation not in (COVARIANT, CONTRAVARIANT):
             raise InputError(f"unknown orientation {self.orientation!r}")
 
@@ -255,29 +237,16 @@ class PreorderDiagram:
         for a in self.arrows:
             if a.src not in self.preorders or a.tgt not in self.preorders:
                 raise InputError(f"arrow {a.name!r} has unknown endpoints")
-            want_src, want_tgt = (
-                (a.src, a.tgt) if a.orientation == COVARIANT else (a.tgt, a.src)
-            )
-            if a.map.source != self.preorders[want_src] or a.map.target != self.preorders[want_tgt]:
-                raise InputError(
-                    f"arrow {a.name!r}: map endpoints do not match the quiver "
-                    f"under the {a.orientation} orientation"
-                )
-
-    def actual_maps(self) -> Iterator[tuple[str, str, Mapping[str, str]]]:
-        """Yield (u, v, mapping) with mapping a carrier function P_u -> P_v."""
-        for a in self.arrows:
-            if a.orientation == COVARIANT:
-                yield a.src, a.tgt, a.map.mapping
-            else:
-                yield a.tgt, a.src, a.map.mapping
+            u, v = (a.src, a.tgt) if a.orientation == COVARIANT else (a.tgt, a.src)
+            _checked_map(self.preorders[u], self.preorders[v], a.map)
 
     def identifications(self) -> Iterator[tuple[tuple[str, str], tuple[str, str]]]:
         """Yield ((u, x), (v, f(x))) for every carrier function f: P_u -> P_v
         of an arrow and every x in P_u: the pairs a cocone must identify."""
-        for u, v, mapping in self.actual_maps():
+        for a in self.arrows:
+            u, v = (a.src, a.tgt) if a.orientation == COVARIANT else (a.tgt, a.src)
             for x in self.preorders[u].elements:
-                yield (u, x), (v, mapping[x])
+                yield (u, x), (v, a.map[x])
 
 
 def _classes(nodes: Sequence, pairs: Iterable[tuple]) -> list[tuple]:

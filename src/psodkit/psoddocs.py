@@ -162,7 +162,7 @@ def scenario_from_doc(doc: Mapping) -> GluingScenario:
             blocks[(x, y)] = matrix_from_doc(_need(entry, "matrix", "graded hom block"))
         # the reindex field repeats the arrow's map, which graded_limit reads
         reindex = _label_map(_need(h, "reindex", "graded hom"), f"graded hom {name!r} reindex")
-        if reindex != arrow.map.mapping:
+        if reindex != arrow.map:
             raise InputError(
                 f"arrow {name!r}: graded hom reindex disagrees with the arrow's index map"
             )

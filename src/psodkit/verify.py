@@ -34,17 +34,17 @@ def _cocone_failure(
     to be a commuting family of reflecting maps, or None."""
     # (0) the candidate cocone itself must be made of reflecting maps
     for v in diagram.vertices:
-        mp = dict(cocone[v])
-        p = diagram.preorders[v]
-        if set(mp) != set(p.elements):
+        mp, p = cocone[v], diagram.preorders[v]
+        if set(p.elements) - set(mp):
             return VerifyResult(False, "cocone map not total", {"vertex": v})
+        extra = sorted(set(mp) - set(p.elements))
+        if extra:
+            reason = "cocone map defined on unknown labels"
+            return VerifyResult(False, reason, {"vertex": v, "labels": extra})
         bad = _reflection_witness(p, candidate, mp)
         if bad is not None:
-            return VerifyResult(
-                False,
-                "cocone map not order-reflecting",
-                {"vertex": v, "pair": list(bad)},
-            )
+            reason = "cocone map not order-reflecting"
+            return VerifyResult(False, reason, {"vertex": v, "pair": list(bad)})
     # (a) commutation over every arrow
     for (u, x), (v, y) in diagram.identifications():
         if cocone[v][y] != cocone[u][x]:

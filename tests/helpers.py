@@ -11,7 +11,6 @@ from typing import Iterable, Iterator, Sequence
 from psodkit.documents import preorder_to_doc
 from psodkit.preorders import (
     FinitePreorder,
-    OrderReflectingMap,
     PreorderDiagram,
     _bits,
     _closure_masks,
@@ -33,16 +32,23 @@ def char_tuple(*residues: str) -> CharTuple:
     return CharTuple(tuple(Residue.parse(r) for r in residues))
 
 
-def identity_map(p: FinitePreorder) -> OrderReflectingMap:
-    return OrderReflectingMap(p, p, {x: x for x in p.elements})
+def identity_map(p: FinitePreorder) -> dict[str, str]:
+    return {x: x for x in p.elements}
 
 
-def map_to_doc(m: OrderReflectingMap) -> dict:
+def map_to_doc(source: FinitePreorder, target: FinitePreorder, mapping: dict) -> dict:
+    """The ``{"source", "target", "map"}`` document of one leg of a span."""
     return {
-        "source": preorder_to_doc(m.source),
-        "target": preorder_to_doc(m.target),
-        "map": dict(m.mapping),
+        "source": preorder_to_doc(source),
+        "target": preorder_to_doc(target),
+        "map": dict(mapping),
     }
+
+
+def span_to_doc(apex, p1, p2, left: dict, right: dict) -> dict:
+    """The ``{"left", "right"}`` document of the span p1 <- apex -> p2 that
+    ``preorderdocs.span_from_doc`` reads back."""
+    return {"left": map_to_doc(apex, p1, left), "right": map_to_doc(apex, p2, right)}
 
 
 def diagram_to_doc(d: PreorderDiagram) -> dict:
@@ -55,7 +61,7 @@ def diagram_to_doc(d: PreorderDiagram) -> dict:
                 "src": a.src,
                 "tgt": a.tgt,
                 "orientation": a.orientation,
-                "map": dict(a.map.mapping),
+                "map": dict(a.map),
             }
             for a in d.arrows
         ],

@@ -22,7 +22,6 @@ from psodkit.groups import FgAbGroup
 from psodkit.preorders import (
     CONTRAVARIANT,
     DiagramArrow,
-    OrderReflectingMap,
     PreorderDiagram,
     complete_preorder,
     discrete_preorder,
@@ -629,7 +628,7 @@ def test_graded_limit_identity_blocks_check_each_piece():
     # groups at both ends are equal, and the block at (b, a) has wrong shape
     p = discrete_preorder(["a", "b"])
     g = GradedGroup(p, {"a": FgAbGroup.free(1), "b": FgAbGroup.free(2)})
-    swap = OrderReflectingMap(p, p, {"a": "b", "b": "a"})
+    swap = {"a": "b", "b": "a"}
     with pytest.raises(InputError, match=r"^block \('b' -> 'a'\) has wrong shape$"):
         _one_arrow_limit(g, g, swap, {})
 
@@ -706,9 +705,7 @@ def _random_reflecting_map(rng, src, dst):
     if not options:
         return None
     pick = rng.choice(options)
-    return OrderReflectingMap(
-        src, dst, {x: dst.elements[pick[i]] for i, x in enumerate(src.elements)}
-    )
+    return {x: dst.elements[pick[i]] for i, x in enumerate(src.elements)}
 
 
 def random_graded_scenario(rng):
@@ -729,7 +726,7 @@ def random_graded_scenario(rng):
             continue
         blocks = {}
         for y in indices[v].elements:
-            x = reindex(y)
+            x = reindex[y]
             blocks[(x, y)] = _random_hom_matrix(rng, groups[u].pieces[x], groups[v].pieces[y])
         arrows.append((f"a{t}", u, v, reindex, blocks))
     return graded_quiver(groups, arrows)
@@ -762,7 +759,7 @@ def arrow_blocks(a, groups, blocks):
     if a.name in blocks:
         return blocks[a.name]
     tgt = groups[a.tgt]
-    return {(a.map(y), y): identity(tgt.pieces[y].ngens) for y in tgt.index.elements}
+    return {(a.map[y], y): identity(tgt.pieces[y].ngens) for y in tgt.index.elements}
 
 
 def ungraded_limit_oracle(diagram, groups, blocks) -> FgAbGroup:
@@ -803,7 +800,7 @@ def _cross_fiber_mutant(how: str):
     the ends of each of d1's blocks."""
     p = discrete_preorder(["a", "b"])
     g = GradedGroup(p, {"a": FgAbGroup.free(1), "b": FgAbGroup.free(1)})
-    swap = OrderReflectingMap(p, p, {"a": "b", "b": "a"})
+    swap = {"a": "b", "b": "a"}
     d1 = None if how == "reindex" else {("b", "a"): M([[1]]), ("a", "b"): M([[1]])}
     groups = {"u": g, "v": g}
     quiver = graded_quiver(
@@ -827,10 +824,10 @@ def test_cross_fiber_block_trips_certificate_and_oracle(monkeypatch, how):
         "source_grade": "b",
         "target_grade": "a",
         "reindex": "b",
-        "source_fiber": col.cocones["u"]("b"),
-        "target_fiber": col.cocones["v"]("a"),
+        "source_fiber": col.cocones["u"]["b"],
+        "target_fiber": col.cocones["v"]["a"],
     }
-    assert col.cocones["u"]("b") != col.cocones["v"]("a")
+    assert col.cocones["u"]["b"] != col.cocones["v"]["a"]
     # without the certificate each fiber reads d1 as the identity, while the
     # ungraded oracle sees the swap: the equalizer of 1 and the swap on Z^2
     # is Z

@@ -19,7 +19,6 @@ from psodkit.examples import nodal_cubic, simple_crossing
 from psodkit.preorders import (
     complete_preorder,
     discrete_preorder,
-    OrderReflectingMap,
     PreorderDiagram,
     DiagramArrow,
 )
@@ -29,7 +28,7 @@ from helpers import (
     diagram_to_doc,
     generated_preorder,
     identity_map,
-    map_to_doc,
+    span_to_doc,
     stratification_to_doc,
 )
 
@@ -111,13 +110,8 @@ def test_pushout_and_verify_commands(capsys, tmp_path):
     c1 = generated_preorder(["a", "b"], [("a", "b")])
     c2 = generated_preorder(["bp", "c"], [("bp", "c")])
     pt = complete_preorder(["s"])
-    left = OrderReflectingMap(pt, c1, {"s": "b"})
-    right = OrderReflectingMap(pt, c2, {"s": "bp"})
-    push_path = write(
-        tmp_path,
-        "span.json",
-        {"left": map_to_doc(left), "right": map_to_doc(right)},
-    )
+    left, right = {"s": "b"}, {"s": "bp"}
+    push_path = write(tmp_path, "span.json", span_to_doc(pt, c1, c2, left, right))
     code, out, _ = run(capsys, "--output", "machine", "preorder", "pushout", push_path)
     assert code == 0
     body = json.loads(out)
@@ -266,13 +260,12 @@ def test_verify_at_the_diagram_cap_is_fast(capsys, tmp_path):
     n = 12
     points = {f"v{i}": complete_preorder([f"x{i}"]) for i in range(n)}
     arrows = tuple(
-        DiagramArrow(f"a{i}", f"v{i}", f"v{i + 4}", OrderReflectingMap(
-            points[f"v{i}"], points[f"v{i + 4}"], {f"x{i}": f"x{i + 4}"}))
+        DiagramArrow(f"a{i}", f"v{i}", f"v{i + 4}", {f"x{i}": f"x{i + 4}"})
         for i in range(n - 4)
     )
     diag = PreorderDiagram(tuple(points), points, arrows)
     res = colimit(diag)
-    cocone = {v: dict(m.mapping) for v, m in res.cocones.items()}
+    cocone = res.cocones
     start = time.perf_counter()
     assert verify_colimit(diag, res.preorder, cocone).ok
     assert time.perf_counter() - start < 0.5
@@ -376,6 +369,67 @@ def test_colimit_rejects_malformed_diagram(capsys, tmp_path, doc, message):
     path = write(tmp_path, "diag.json", doc)
     code, out, err = run(capsys, "preorder", "colimit", path)
     assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+_NOT_REFLECTING = (
+    "map is not order-reflecting: images of ('a', 'b') are comparable, sources are not"
+)
+
+
+@pytest.mark.parametrize(
+    "source, mapping, message",
+    [
+        (chain_doc("a", "b"), {"a": "a"}, "map not total, missing ['b']"),
+        (
+            chain_doc("a", "b"),
+            {"a": "a", "b": "b", "c": "a"},
+            "map defined on unknown labels ['c']",
+        ),
+        (
+            docs.preorder_to_doc(discrete_preorder(["a", "b"])),
+            {"a": "a", "b": "b"},
+            _NOT_REFLECTING,
+        ),
+    ],
+)
+def test_colimit_rejects_a_bad_arrow_map_with_one_line(
+    capsys, tmp_path, source, mapping, message
+):
+    doc = {
+        "vertices": ["u", "v"],
+        "preorders": {"u": source, "v": chain_doc("a", "b")},
+        "arrows": [{"name": "f", "src": "u", "tgt": "v", "map": mapping}],
+    }
+    path = write(tmp_path, "diag.json", doc)
+    code, out, err = run(capsys, "preorder", "colimit", path)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "right_source, left_target, message",
+    [
+        (["a", "b"], chain_doc("a", "b"), _NOT_REFLECTING),
+        (
+            ["s", "t"],
+            docs.preorder_to_doc(discrete_preorder(["a", "b"])),
+            "the two legs must share the same source preorder",
+        ),
+    ],
+)
+def test_pushout_rejects_a_bad_span_with_one_line(
+    capsys, tmp_path, right_source, left_target, message
+):
+    def leg(source, target):
+        return {"source": docs.preorder_to_doc(discrete_preorder(source)),
+                "target": target, "map": dict(zip(source, ["a", "b"]))}
+
+    span = {"left": leg(["a", "b"], left_target),
+            "right": leg(right_source, docs.preorder_to_doc(discrete_preorder(["a", "b"])))}
+    path = write(tmp_path, "span.json", span)
+    code, out, err = run(capsys, "preorder", "pushout", path)
+    assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {message}"]
 
 
@@ -988,7 +1042,7 @@ def test_glue_identity_blocks_between_unequal_graded_data_exits_2(capsys, tmp_pa
     from psodkit.residues import CharTuple
 
     idx = {"u": complete_preorder(["a"]), "v": complete_preorder(["b"])}
-    f = OrderReflectingMap(idx["v"], idx["u"], {"b": "a"})
+    f = {"b": "a"}
     diag = PreorderDiagram(("u", "v"), idx, (DiagramArrow("f", "u", "v", f, "contravariant"),))
     factor = FactorDescriptor("S", CharTuple(()), "Perf(S)")
     body = {

@@ -24,7 +24,7 @@ from helpers import (
     diagram_to_doc,
     generated_preorder,
     identity_map,
-    map_to_doc,
+    span_to_doc,
     stratification_to_doc,
 )
 
@@ -75,21 +75,15 @@ def test_rows_read_directly_meet_the_carrier_checks(rows, message):
 
 def test_map_roundtrip():
     p = generated_preorder(["a", "b"], [("a", "b")])
-    m = identity_map(p)
-    got = roundtrip(map_to_doc, preorderdocs.map_from_doc, m)
-    assert got == m
+    span = (p, p, complete_preorder(["c"]), identity_map(p), {"a": "c", "b": "c"})
+    got = roundtrip(lambda s: span_to_doc(*s), preorderdocs.span_from_doc, span)
+    assert got == span
 
 
 def test_diagram_roundtrip():
     p = complete_preorder(["x"])
     q = complete_preorder(["u", "v"])
-    m = preorderdocs.map_from_doc(
-        {
-            "source": docs.loads(docs.dumps(docs.preorder_to_doc(q))),
-            "target": docs.loads(docs.dumps(docs.preorder_to_doc(p))),
-            "map": {"u": "x", "v": "x"},
-        }
-    )
+    m = {"u": "x", "v": "x"}
     diag = PreorderDiagram(
         ("a", "b"),
         {"a": p, "b": q},

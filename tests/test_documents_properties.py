@@ -17,7 +17,7 @@ from psodkit.groups import FgAbGroup
 from psodkit.preorders import DiagramArrow, FinitePreorder, PreorderDiagram
 from psodkit.residues import CharTuple
 
-from helpers import diagram_to_doc, identity_map, map_to_doc
+from helpers import diagram_to_doc, identity_map, span_to_doc
 
 # quotes, backslashes, control and non-ASCII characters need escapes
 _strings = st.text() | st.text(alphabet='"\\\x00\x1f\x7f\n\té \U0001f600ab', max_size=6)
@@ -104,7 +104,8 @@ def _diagram(p):
 # a preorder document bare and nested at several depths, with its reader
 _NESTINGS = [
     (lambda p: p, docs.preorder_to_doc, preorderdocs.preorder_from_doc),
-    (identity_map, map_to_doc, preorderdocs.map_from_doc),
+    (lambda p: (p, p, p, identity_map(p), identity_map(p)), lambda s: span_to_doc(*s),
+     preorderdocs.span_from_doc),
     (_diagram, diagram_to_doc, preorderdocs.diagram_from_doc),
     (_psod, docs.psod_to_doc, psoddocs.psod_from_doc),
 ]

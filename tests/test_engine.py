@@ -564,8 +564,6 @@ def test_row_order_is_linear_extension_of_strict_pairs():
 
 
 def test_glue_heterogeneous_span_aggregates_descriptors():
-    from psodkit.preorders import OrderReflectingMap
-
     apex = complete_preorder(["s"])
     l = complete_preorder(["a"])
     r = complete_preorder(["b"])
@@ -573,8 +571,8 @@ def test_glue_heterogeneous_span_aggregates_descriptors():
         ("apex", "l", "r"),
         {"apex": apex, "l": l, "r": r},
         (
-            DiagramArrow("f", "apex", "l", OrderReflectingMap(apex, l, {"s": "a"})),
-            DiagramArrow("g", "apex", "r", OrderReflectingMap(apex, r, {"s": "b"})),
+            DiagramArrow("f", "apex", "l", {"s": "a"}),
+            DiagramArrow("g", "apex", "r", {"s": "b"}),
         ),
     )
     psods = {

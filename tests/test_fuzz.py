@@ -23,9 +23,9 @@ from psodkit.cli import main
 from psodkit.colimits import colimit
 from psodkit.engine import build_root_psod
 from psodkit.examples import nodal_cubic, simple_crossing
-from psodkit.preorders import DiagramArrow, OrderReflectingMap, PreorderDiagram, complete_preorder
+from psodkit.preorders import DiagramArrow, PreorderDiagram, complete_preorder
 
-from helpers import diagram_to_doc, generated_preorder, identity_map, map_to_doc, stratification_to_doc
+from helpers import diagram_to_doc, generated_preorder, identity_map, span_to_doc, stratification_to_doc
 
 CASES_PER_FORM = 24
 ALARM_S = 20
@@ -43,8 +43,7 @@ def _documents() -> dict[str, dict]:
     """Valid input documents, by name."""
     chain = generated_preorder(["a", "b"], [("a", "b")])
     point = complete_preorder(["s"])
-    span = {"left": map_to_doc(OrderReflectingMap(point, chain, {"s": "a"})),
-            "right": map_to_doc(OrderReflectingMap(point, chain, {"s": "b"}))}
+    span = span_to_doc(point, chain, chain, {"s": "a"}, {"s": "b"})
     two = PreorderDiagram(
         ("u", "v"), {"u": chain, "v": chain},
         (DiagramArrow("f", "u", "v", identity_map(chain)),
@@ -52,7 +51,7 @@ def _documents() -> dict[str, dict]:
     )
     col = colimit(two)
     verify = {"diagram": diagram_to_doc(two), "candidate": docs.preorder_to_doc(col.preorder),
-              "cocones": {v: dict(m.mapping) for v, m in col.cocones.items()}}
+              "cocones": col.cocones}
     psod = docs.psod_to_doc(build_root_psod(nodal_cubic(), 2))
     elements = psod["index"]["elements"]
     index = build_root_psod(nodal_cubic(), 2).index

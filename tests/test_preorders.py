@@ -6,22 +6,28 @@ import tracemalloc
 import pytest
 
 from psodkit import preorderdocs, verify
-from psodkit.colimits import _class_labels, _quotient_preorder, colimit, coproduct, pushout
-from psodkit.errors import InputError, PreconditionError
+from psodkit.documents import dumps, loads, preorder_to_doc
+from psodkit.colimits import (
+    _certified,
+    _class_labels,
+    _quotient_preorder,
+    colimit,
+    coproduct,
+    pushout,
+)
+from psodkit.errors import InputError, InvariantError, PreconditionError
 from psodkit.preorders import (
     CONTRAVARIANT,
     DiagramArrow,
     FinitePreorder,
-    OrderReflectingMap,
     PreorderDiagram,
     complete_preorder,
     directed_numbering,
     directedness,
     discrete_preorder,
     is_directed,
-    is_order_reflecting,
 )
-from psodkit.preorders import _bits, _classes, _gather
+from psodkit.preorders import _bits, _checked_map, _classes, _gather, _reflection_witness
 from psodkit.verify import VerifyResult, verify_colimit
 
 from helpers import (
@@ -37,6 +43,10 @@ from helpers import (
 def chain(*labels):
     pairs = [(a, b) for a, b in zip(labels, labels[1:])]
     return generated_preorder(labels, pairs)
+
+
+def reflects(source, target, mapping):
+    return _reflection_witness(source, target, mapping) is None
 
 
 # Readings of a relation that only the tests need.
@@ -156,27 +166,29 @@ def test_transitivity_is_reported_not_enforced():
 
 def test_identity_is_order_reflecting():
     for p in (chain("a", "b", "c"), discrete_preorder(["x", "y"])):
-        assert is_order_reflecting(p, p, {x: x for x in p.elements})
+        assert _checked_map(p, p, identity_map(p)) == identity_map(p)
 
 
 def test_constant_map_from_discrete_not_reflecting():
     d = discrete_preorder(["a", "b"])
     s = complete_preorder(["s"])
-    assert not is_order_reflecting(d, s, {"a": "s", "b": "s"})
-    with pytest.raises(InputError):
-        OrderReflectingMap(d, s, {"a": "s", "b": "s"})
+    assert _reflection_witness(d, s, {"a": "s", "b": "s"}) == ("a", "b")
+    with pytest.raises(InputError, match=r"^map is not order-reflecting: images of \('a', 'b'\)"):
+        _checked_map(d, s, {"a": "s", "b": "s"})
 
 
 def test_injective_map_into_discrete_is_reflecting():
     src = chain("a", "b")
     tgt = discrete_preorder(["u", "v"])
-    assert is_order_reflecting(src, tgt, {"a": "u", "b": "v"})
+    assert reflects(src, tgt, {"a": "u", "b": "v"})
 
 
 def test_map_must_be_total():
     p = chain("a", "b")
-    with pytest.raises(InputError):
-        is_order_reflecting(p, p, {"a": "a"})
+    with pytest.raises(InputError, match=r"^map not total, missing \['b'\]$"):
+        _checked_map(p, p, {"a": "a"})
+    with pytest.raises(InputError, match=r"^map defined on unknown labels \['c'\]$"):
+        _checked_map(p, p, {"a": "a", "b": "b", "c": "a"})
 
 
 def test_composition_of_reflecting_maps_is_reflecting():
@@ -193,13 +205,11 @@ def test_composition_of_reflecting_maps_is_reflecting():
         p, q, r = ps
         f = {x: rng.choice(q.elements) for x in p.elements}
         g = {x: rng.choice(r.elements) for x in q.elements}
-        if not (is_order_reflecting(p, q, f) and is_order_reflecting(q, r, g)):
+        if not (reflects(p, q, f) and reflects(q, r, g)):
             continue
-        fm = OrderReflectingMap(p, q, f)
-        gm = OrderReflectingMap(q, r, g)
-        # the constructor re-validates reflection
-        composed = OrderReflectingMap(p, r, {x: g[y] for x, y in f.items()})
-        assert composed.source == p and composed.target == r
+        # the entry check re-validates reflection
+        composed = {x: g[y] for x, y in f.items()}
+        assert _checked_map(p, r, composed) == composed
 
 
 def test_fibers_of_reflecting_maps_are_complete():
@@ -211,12 +221,11 @@ def test_fibers_of_reflecting_maps_are_complete():
         p = generated_preorder(labels, pairs)
         q = generated_preorder(["u", "v"], [("u", "v")] if rng.random() < 0.5 else [])
         f = {x: rng.choice(q.elements) for x in labels}
-        if not is_order_reflecting(p, q, f):
+        if not reflects(p, q, f):
             continue
         found += 1
-        m = OrderReflectingMap(p, q, f)
         for t in q.elements:
-            fiber = m.fiber(t)
+            fiber = tuple(x for x in p.elements if f[x] == t)
             sub = p.restrict(fiber)
             assert sub == complete_preorder(fiber)
 
@@ -228,7 +237,7 @@ def test_fibers_of_reflecting_maps_are_complete():
 def test_coproduct_of_singletons_is_complete_pair():
     out, injections = coproduct([complete_preorder(["a"]), complete_preorder(["b"])])
     assert out == complete_preorder(["a", "b"])
-    assert injections[0]("a") == "a" and injections[1]("b") == "b"
+    assert injections == ({"a": "a"}, {"b": "b"})
 
 
 def test_coproduct_single_part_is_identity():
@@ -257,7 +266,7 @@ def test_coproduct_namespaces_on_collision():
     p = complete_preorder(["a"])
     out, injections = coproduct([p, p])
     assert out.elements == ("0:a", "1:a")
-    assert injections[0]("a") == "0:a"
+    assert injections == ({"a": "0:a"}, {"a": "1:a"})
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +275,15 @@ def test_coproduct_namespaces_on_collision():
 
 def test_pushout_of_identity_span():
     p = chain("a", "b")
-    out, p1, p2 = pushout(identity_map(p), identity_map(p))
+    out, p1, p2 = pushout(p, p, p, identity_map(p), identity_map(p))
     assert out == p
-    assert dict(p1.mapping) == {"a": "a", "b": "b"} == dict(p2.mapping)
+    assert p1 == {"a": "a", "b": "b"} == p2
 
 
 def test_pushout_over_empty_is_coproduct():
     empty = discrete_preorder([])
     a, b = complete_preorder(["a"]), complete_preorder(["b"])
-    out, _, _ = pushout(
-        OrderReflectingMap(empty, a, {}), OrderReflectingMap(empty, b, {})
-    )
+    out, _, _ = pushout(empty, a, b, {}, {})
     assert out == complete_preorder(["a", "b"])
 
 
@@ -284,34 +291,37 @@ def test_pushout_three_element_gluing():
     c1 = chain("a", "b")
     c2 = chain("bp", "c")
     pt = complete_preorder(["s"])
-    out, p1, p2 = pushout(
-        OrderReflectingMap(pt, c1, {"s": "b"}),
-        OrderReflectingMap(pt, c2, {"s": "bp"}),
-    )
+    out, p1, p2 = pushout(pt, c1, c2, {"s": "b"}, {"s": "bp"})
     assert out.elements == ("a", "b=bp", "c")
     assert out.le("a", "b=bp") and not out.le("b=bp", "a")
     assert out.le("b=bp", "c") and not out.le("c", "b=bp")
     # vacuous quantification relates the outer elements both ways
     assert out.le("a", "c") and out.le("c", "a")
-    assert p1("b") == "b=bp" == p2("bp")
+    assert p1["b"] == "b=bp" == p2["bp"]
 
 
 def test_pushout_requires_common_source():
-    with pytest.raises(InputError):
-        pushout(
-            OrderReflectingMap(complete_preorder(["s"]), complete_preorder(["a"]), {"s": "a"}),
-            OrderReflectingMap(complete_preorder(["t"]), complete_preorder(["b"]), {"t": "b"}),
-        )
+    def leg(source, target):
+        return {"source": preorder_to_doc(complete_preorder([source])),
+                "target": preorder_to_doc(complete_preorder([target])), "map": {source: target}}
+
+    with pytest.raises(InputError, match="^the two legs must share the same source preorder$"):
+        preorderdocs.span_from_doc(loads(dumps({"left": leg("s", "a"), "right": leg("t", "b")})))
+
+
+def test_pushout_checks_both_legs_on_the_apex():
+    s, a, b = complete_preorder(["s"]), complete_preorder(["a"]), complete_preorder(["b"])
+    with pytest.raises(InputError, match=r"^map defined on unknown labels \['t'\]$"):
+        pushout(s, a, b, {"s": "a"}, {"s": "b", "t": "b"})
+    with pytest.raises(InputError, match=r"^map not total, missing \['s'\]$"):
+        pushout(s, a, b, {}, {"s": "b"})
 
 
 def test_pushout_shared_labels_merge():
     c1 = chain("a", "m")
     c2 = chain("m", "z")
     pt = complete_preorder(["s"])
-    out, _, _ = pushout(
-        OrderReflectingMap(pt, c1, {"s": "m"}),
-        OrderReflectingMap(pt, c2, {"s": "m"}),
-    )
+    out, _, _ = pushout(pt, c1, c2, {"s": "m"}, {"s": "m"})
     assert "m" in out.elements  # same label on both sides collapses to itself
 
 
@@ -324,7 +334,7 @@ def test_colimit_constant_diagram_is_identity():
     diag = constant_diagram(["u", "v"], p, [("f", "u", "v")])
     res = colimit(diag)
     assert res.preorder == p
-    assert dict(res.cocones["u"].mapping) == {x: x for x in p.elements}
+    assert res.cocones["u"] == identity_map(p)
 
 
 def test_colimit_discrete_diagram_is_coproduct():
@@ -426,11 +436,20 @@ def _random_diagram(rng, sizes):
         if preorders[a].elements and not preorders[b].elements:
             continue
         mapping = {x: rng.choice(preorders[b].elements) for x in preorders[a].elements}
-        if is_order_reflecting(preorders[a], preorders[b], mapping):
-            arrows.append(DiagramArrow(f"f{k}", src, tgt,
-                                       OrderReflectingMap(preorders[a], preorders[b], mapping),
-                                       orientation))
+        if reflects(preorders[a], preorders[b], mapping):
+            arrows.append(DiagramArrow(f"f{k}", src, tgt, mapping, orientation))
     return PreorderDiagram(vertices, preorders, tuple(arrows))
+
+
+def test_certificate_names_the_part_and_pair_a_built_map_fails_on():
+    # the complete carrier on a chain's labels is not its quotient: the
+    # identity into it does not reflect, and the certificate says where
+    p = chain("a", "b")
+    with pytest.raises(InvariantError) as info:
+        _certified({"v": p}, complete_preorder(["a", "b"]), {"v": identity_map(p)})
+    assert info.value.exit_code == 2
+    assert info.value.witness == {"part": "v", "pair": ["b", "a"]}
+    assert str(info.value) == "the map from part 'v' does not reflect the order at ('b', 'a')"
 
 
 def test_quotient_matches_the_bit_loop():
@@ -462,8 +481,8 @@ def test_quotient_matches_the_bit_loop():
     # message names the pair of the class that comes first
     u, v = complete_preorder(["a", "b"]), discrete_preorder(["p", "q", "r", "s"])
     diagram = PreorderDiagram(("u", "v"), {"u": u, "v": v}, (
-        DiagramArrow("f", "u", "v", OrderReflectingMap(u, v, {"a": "r", "b": "p"})),
-        DiagramArrow("g", "u", "v", OrderReflectingMap(u, v, {"a": "s", "b": "q"})),
+        DiagramArrow("f", "u", "v", {"a": "r", "b": "p"}),
+        DiagramArrow("g", "u", "v", {"a": "s", "b": "q"}),
     ))
     args = diagram.preorders, diagram.vertices, list(diagram.identifications())
     with pytest.raises(PreconditionError, match="elements 'r' and 's' of part 'v'"):
@@ -566,6 +585,23 @@ def test_verify_rejects_non_commuting_cocone():
     assert not res.ok and res.reason == "cocone does not commute"
 
 
+def test_verify_names_cocone_labels_outside_the_vertex():
+    # a total cocone with an extra label is not "not total"; a cocone that
+    # both misses and adds labels is, as missing labels are checked first
+    p = discrete_preorder(["a", "b"])
+    diag = PreorderDiagram(("u",), {"u": p})
+    res = verify_colimit(diag, p, {"u": {"a": "a", "b": "b", "c": "a"}})
+    assert preorderdocs.verify_to_doc(res) == {
+        "ok": False,
+        "reason": "cocone map defined on unknown labels",
+        "witness": {"vertex": "u", "labels": ["c"]},
+    }
+    res = verify_colimit(diag, p, {"u": {"a": "a", "c": "a"}})
+    assert preorderdocs.verify_to_doc(res) == {
+        "ok": False, "reason": "cocone map not total", "witness": {"vertex": "u"}
+    }
+
+
 def test_verify_rejects_unused_candidate_element():
     s = complete_preorder(["a"])
     diag = PreorderDiagram(("v",), {"v": s})
@@ -576,9 +612,8 @@ def test_verify_rejects_unused_candidate_element():
 
 def test_verify_three_element_gluing():
     c1, c2, pt = chain("a", "b"), chain("bp", "c"), complete_preorder(["s"])
-    left = OrderReflectingMap(pt, c1, {"s": "b"})
-    right = OrderReflectingMap(pt, c2, {"s": "bp"})
-    out, p1, p2 = pushout(left, right)
+    left, right = {"s": "b"}, {"s": "bp"}
+    out, p1, p2 = pushout(pt, c1, c2, left, right)
     diag = PreorderDiagram(
         ("apex", "l", "r"),
         {"apex": pt, "l": c1, "r": c2},
@@ -588,9 +623,9 @@ def test_verify_three_element_gluing():
         ),
     )
     cocone = {
-        "apex": {"s": p1("b")},
-        "l": dict(p1.mapping),
-        "r": dict(p2.mapping),
+        "apex": {"s": p1["b"]},
+        "l": p1,
+        "r": p2,
     }
     assert verify_colimit(diag, out, cocone).ok
 
@@ -649,14 +684,23 @@ def _oracle_verify(diagram, candidate, cocone):
     the candidate elements outside them."""
     for v in diagram.vertices:
         p, mp = diagram.preorders[v], cocone[v]
-        if set(mp) != set(p.elements):
+        if any(x not in mp for x in p.elements):
             return VerifyResult(False, "cocone map not total", {"vertex": v})
+        if len(mp) > len(p):
+            extra = sorted(x for x in mp if x not in p.elements)
+            return VerifyResult(
+                False, "cocone map defined on unknown labels", {"vertex": v, "labels": extra}
+            )
         for x, y in itertools.product(p.elements, repeat=2):
             if candidate.le(mp[x], mp[y]) and not p.le(x, y):
                 return VerifyResult(
                     False, "cocone map not order-reflecting", {"vertex": v, "pair": [x, y]}
                 )
-    for u, v, mapping in diagram.actual_maps():
+    maps = [
+        (a.src, a.tgt, a.map) if a.orientation == "covariant" else (a.tgt, a.src, a.map)
+        for a in diagram.arrows
+    ]
+    for u, v, mapping in maps:
         for x in diagram.preorders[u].elements:
             if cocone[v][mapping[x]] != cocone[u][x]:
                 return VerifyResult(
@@ -672,7 +716,7 @@ def _oracle_verify(diagram, candidate, cocone):
     free = [c for c, srcs in enumerate(sources) if not srcs]
     commute = [
         (vertices.index(u), t, vertices.index(v), diagram.preorders[v].index(mapping[x]))
-        for u, v, mapping in diagram.actual_maps()
+        for u, v, mapping in maps
         for t, x in enumerate(diagram.preorders[u].elements)
     ]
     for q in range(n + 2):
@@ -801,7 +845,7 @@ def _random_verify_request(rng):
     and a candidate of at most 4 elements: its colimit, possibly with one
     relation flipped, two elements merged or an element added, or a random
     preorder with a random cocone.  Now and then the cocone misses an
-    element."""
+    element or is defined on a label outside its vertex."""
     vertices = tuple(f"v{i}" for i in range(rng.randint(1, 3)))
     preorders = {
         v: _random_generated_preorder(rng, [v + c for c in "ab"[: rng.randint(1, 2)]])
@@ -814,9 +858,7 @@ def _random_verify_request(rng):
         if options:
             images = [preorders[v].elements[k] for k in rng.choice(options)]
             mapping = dict(zip(preorders[u].elements, images))
-            arrows.append(
-                DiagramArrow(f"a{i}", u, v, OrderReflectingMap(preorders[u], preorders[v], mapping))
-            )
+            arrows.append(DiagramArrow(f"a{i}", u, v, mapping))
     diagram = PreorderDiagram(vertices, preorders, tuple(arrows))
     try:
         res = colimit(diagram)
@@ -833,7 +875,7 @@ def _random_verify_request(rng):
         }
     else:
         labels, rows = res.preorder.elements, list(res.preorder.rows)
-        cocone = {v: dict(m.mapping) for v, m in res.cocones.items()}
+        cocone = {v: dict(m) for v, m in res.cocones.items()}
         n = len(rows)
         if kind == "flip" and n > 1:
             i, j = rng.sample(range(n), 2)
@@ -858,6 +900,8 @@ def _random_verify_request(rng):
     if rng.random() < 0.05:
         first = cocone[vertices[0]]
         del first[next(iter(first))]
+    if rng.random() < 0.05:
+        cocone[rng.choice(vertices)]["stray"] = rng.choice(candidate.elements)
     return diagram, candidate, cocone
 
 
@@ -885,6 +929,7 @@ def test_verify_matches_factorization_oracle():
     assert reasons == {
         None,
         "cocone map not total",
+        "cocone map defined on unknown labels",
         "cocone map not order-reflecting",
         "cocone does not commute",
         "cocone has no factorization (forced values conflict)",
@@ -1172,7 +1217,7 @@ def test_verify_reads_cocone_images_in_source_order():
             verify_colimit(diag, candidate, {"v": mapping})
         assert info.value.exit_code == 2
         with pytest.raises(InputError, match="^no element labelled 'zzz'$"):
-            is_order_reflecting(source, candidate, mapping)
+            _checked_map(source, candidate, mapping)
 
 
 def test_verify_rejects_overmerged_candidate():
@@ -1198,8 +1243,8 @@ def test_verify_rejects_split_candidate():
     )
     split, injections = coproduct([p, p])
     cocone = {
-        "u": {x: injections[0](x) for x in p.elements},
-        "v": {x: injections[1](x) for x in p.elements},
+        "u": injections[0],
+        "v": injections[1],
     }
     res = verify_colimit(diag, split, cocone)
     assert not res.ok and res.reason == "cocone does not commute"
@@ -1212,8 +1257,8 @@ def test_colimit_zigzag_without_reflecting_cocone_raises():
         ("u", "v"),
         {"u": u, "v": v},
         (
-            DiagramArrow("m1", "u", "v", OrderReflectingMap(u, v, {"a": "p", "b": "q"})),
-            DiagramArrow("m2", "u", "v", OrderReflectingMap(u, v, {"a": "q", "b": "p"})),
+            DiagramArrow("m1", "u", "v", {"a": "p", "b": "q"}),
+            DiagramArrow("m2", "u", "v", {"a": "q", "b": "p"}),
         ),
     )
     # p and q both receive a and b, but p, q are not mutually related
@@ -1228,8 +1273,8 @@ def test_colimit_merging_coequalizer_of_different_maps():
         ("u", "v"),
         {"u": u, "v": v},
         (
-            DiagramArrow("m1", "u", "v", OrderReflectingMap(u, v, {"a": "p", "b": "q"})),
-            DiagramArrow("m2", "u", "v", OrderReflectingMap(u, v, {"a": "q", "b": "p"})),
+            DiagramArrow("m1", "u", "v", {"a": "p", "b": "q"}),
+            DiagramArrow("m2", "u", "v", {"a": "q", "b": "p"}),
         ),
     )
     res = colimit(diag)

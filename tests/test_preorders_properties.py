@@ -15,7 +15,6 @@ from psodkit.preorders import (
     CONTRAVARIANT,
     DiagramArrow,
     FinitePreorder,
-    OrderReflectingMap,
     PreorderDiagram,
     _gather,
     complete_preorder,
@@ -81,8 +80,7 @@ def _labels(draw, names):
 
 def _any_map(draw, source, target):
     """A map out of a complete preorder: every one reflects the order."""
-    mapping = {x: draw(st.sampled_from(target.elements)) for x in source.elements}
-    return OrderReflectingMap(source, target, mapping)
+    return {x: draw(st.sampled_from(target.elements)) for x in source.elements}
 
 
 @st.composite
@@ -108,13 +106,13 @@ def test_colimit_labels_are_pairwise_distinct(diagram):
     labels = res.preorder.elements
     assert len(set(labels)) == len(labels)
     for v, cocone in res.cocones.items():
-        assert set(cocone.mapping) == set(diagram.preorders[v].elements)
+        assert set(cocone) == set(diagram.preorders[v].elements)
 
 
 @st.composite
 def _named_spans(draw):
     source, left, right = (complete_preorder(_labels(draw, _JOINED)) for _ in range(3))
-    return _any_map(draw, source, left), _any_map(draw, source, right)
+    return source, left, right, _any_map(draw, source, left), _any_map(draw, source, right)
 
 
 @settings(max_examples=200)
@@ -122,7 +120,7 @@ def _named_spans(draw):
 def test_pushout_labels_are_pairwise_distinct(span):
     carrier, p1, p2 = pushout(*span)
     assert len(set(carrier.elements)) == len(carrier.elements)
-    assert set(p1.mapping.values()) | set(p2.mapping.values()) == set(carrier.elements)
+    assert set(p1.values()) | set(p2.values()) == set(carrier.elements)
 
 
 # verify_colimit against the quotient
@@ -150,9 +148,7 @@ def _small_diagrams(draw, max_vertices=3, max_size=3):
         if options:
             images = draw(st.sampled_from(options))
             mapping = {x: preorders[b].elements[i] for x, i in zip(preorders[a].elements, images)}
-            arrows.append(DiagramArrow(f"f{k}", src, tgt,
-                                       OrderReflectingMap(preorders[a], preorders[b], mapping),
-                                       orientation))
+            arrows.append(DiagramArrow(f"f{k}", src, tgt, mapping, orientation))
     return PreorderDiagram(vertices, preorders, tuple(arrows))
 
 
@@ -260,7 +256,7 @@ def test_colimit_output_passes_verify(diagram):
     except PreconditionError:
         assume(False)
     assume(len(res.preorder) <= 3)
-    cocone = {v: dict(m.mapping) for v, m in res.cocones.items()}
+    cocone = res.cocones
     assert verify_colimit(diagram, res.preorder, cocone) == VerifyResult(True)
     assert _oracle_verify(diagram, res.preorder, cocone) == VerifyResult(True)
 
