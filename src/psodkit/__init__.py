@@ -27,7 +27,7 @@ _EXPORTS = {
     "factorial": (
         "FactorialForm", "cmp_bang", "enumerate_characters", "to_factorial_form", "zr_elements",
     ),
-    "gluing": ("GluingScenario", "glue"),
+    "gluing": ("glue",),
     "groups": ("FgAbGroup",),
     "kreport": ("KTheoryMode", "ktheory_report"),
     "preorders": (

@@ -196,16 +196,16 @@ def _cmd_psod(caps: Caps, args: argparse.Namespace) -> int:
     elif sub == "glue":
         from .psoddocs import glue_result_to_doc, scenario_from_doc
 
-        scenario = scenario_from_doc(_load(args.inputs[0]))
+        diagram, psods, graded, homs = scenario_from_doc(_load(args.inputs[0]))
         from .gluing import glue
 
-        res = glue(scenario, caps)
+        res = glue(diagram, psods, graded, homs)
 
         def human() -> str:
             lines = [_render_psod(res.psod), f"verdict: {res.kind}"]
             if not res.verdict.ok:
                 lines.append(f"witness: {res.verdict.witness()}")
-            elif res.psod.index == scenario.diagram.preorders[scenario.diagram.vertices[0]]:
+            elif res.psod.index == diagram.preorders[diagram.vertices[0]]:
                 lines.append("index preserved")
             return "\n".join(lines)
 
@@ -216,13 +216,13 @@ def _cmd_psod(caps: Caps, args: argparse.Namespace) -> int:
         psod, obj = filtration_request_from_doc(_load(args.inputs[0]))
         from .engine import filtration
 
-        res = filtration(psod, obj)
+        steps = filtration(psod, obj)
         _emit(
             args,
-            lambda _: filtration_to_doc(res),
+            lambda _: filtration_to_doc(steps),
             lambda: "\n".join(
                 f"  step {t}: grade {s.grade} component {list(s.component)}"
-                for t, s in enumerate(res.steps)
+                for t, s in enumerate(steps)
             )
             + "\n  residual: zero",
         )
@@ -260,14 +260,14 @@ def _cmd_psod(caps: Caps, args: argparse.Namespace) -> int:
 
 def _parse_caps(text: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, map(str.strip, text.split(","))):
         key, _, val = item.partition("=")
         if key not in fields(Caps):
             raise InputError(f"unknown cap {key!r}")
+        digits = val.removeprefix("-")  # int() alone reads "1_0", "+10" and other digits
         try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(val)
             out[key] = int(val)
         except ValueError as exc:
             raise InputError(f"cap {key!r} needs an integer value") from exc

@@ -219,14 +219,9 @@ class FiltrationStep:
     residual_support: tuple[str, ...]
 
 
-@record
-class FiltrationResult:
-    steps: tuple[FiltrationStep, ...]
-
-
 def filtration(
     psod: PsodIndex, obj: Mapping[str, Sequence[int]]
-) -> FiltrationResult:
+) -> tuple[FiltrationStep, ...]:
     """Decompose a graded object by iterated projection: process the directed
     numbering from the top element down, at each step splitting off the
     component in the current grade; the final residual is zero and the
@@ -243,5 +238,5 @@ def filtration(
     for grade in reversed(numbering):
         live.pop(grade, None)
         steps.append(FiltrationStep(grade, vectors[grade], tuple(live)))
-    return FiltrationResult(tuple(steps))
+    return tuple(steps)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .colimits import colimit
-from .config import DEFAULT_CAPS, Caps
 from .engine import FactorDescriptor, PsodIndex
 from .errors import InputError
 from .preorders import DirectednessReport, PreorderDiagram, directedness
@@ -19,33 +18,6 @@ from .records import record
 
 if TYPE_CHECKING:
     from .abelian import GradedGroup, Rows
-
-
-@record
-class GluingScenario:
-    """A diagram of indices with their factor data and optional graded data.
-
-    ``diagram`` holds the index preorders and the per-arrow order-reflecting
-    maps; ``psods`` the factor descriptors per vertex; ``graded`` optional
-    graded groups per vertex; ``graded_homs`` optional blocks per arrow,
-    ``(x, y)`` to integer rows (``graded_limit`` checks them, and gives an
-    arrow without an entry identity blocks).
-    """
-
-    diagram: PreorderDiagram
-    psods: Mapping[str, PsodIndex]
-    graded: Mapping[str, GradedGroup] = {}
-    graded_homs: Mapping[str, Mapping[tuple[str, str], Rows]] = {}
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "psods", dict(self.psods))
-        object.__setattr__(self, "graded", dict(self.graded))
-        object.__setattr__(self, "graded_homs", dict(self.graded_homs))
-        if set(self.psods) != set(self.diagram.vertices):
-            raise InputError("exactly one factor table per vertex required")
-        for v, psod in self.psods.items():
-            if psod.index != self.diagram.preorders[v]:
-                raise InputError(f"vertex {v!r}: factor table index differs from the diagram")
 
 
 @record
@@ -72,38 +44,49 @@ def _aggregate_descriptor(
     )
 
 
-def glue(scenario: GluingScenario, caps: Caps = DEFAULT_CAPS) -> GlueResult:
-    """Glue the per-vertex indices over the diagram.
+def glue(
+    diagram: PreorderDiagram,
+    psods: Mapping[str, PsodIndex],
+    graded: Mapping[str, GradedGroup] = {},
+    homs: Mapping[str, Mapping[tuple[str, str], Rows]] = {},
+) -> GlueResult:
+    """Glue the per-vertex indices ``psods`` over ``diagram``.
 
     The result is graded by the colimit of the index diagram; the factor at a
     glued element aggregates the fiber of descriptors above it.  The
     directedness of the colimit (the hypothesis under which gluing yields an
     actual decomposition rather than a semiorthogonal family) is reported as
-    a verdict with a witness, never as a failure.  With graded data the piece
-    at each element is the limit of its fiber sums.
+    a verdict with a witness, never as a failure.  Given graded groups or
+    ``homs`` (blocks by arrow name), ``graded_limit`` checks them, and the
+    piece at each glued element is the limit of its fiber sums.
     """
-    from .abelian import graded_limit
-
-    col = colimit(scenario.diagram)
+    if set(psods) != set(diagram.vertices):
+        raise InputError("exactly one factor table per vertex required")
+    for v, psod in psods.items():
+        if psod.index != diagram.preorders[v]:
+            raise InputError(f"vertex {v!r}: factor table index differs from the diagram")
+    col = colimit(diagram)
     verdict = directedness(col.preorder)
     fibers: dict[str, list[tuple[str, str]]] = {w: [] for w in col.preorder.elements}
-    for v in scenario.diagram.vertices:
-        for x in scenario.diagram.preorders[v].elements:
+    for v in diagram.vertices:
+        for x in diagram.preorders[v].elements:
             fibers[col.cocones[v][x]].append((v, x))
     factors = {
-        w: _aggregate_descriptor([scenario.psods[v].factors[x] for v, x in up])
+        w: _aggregate_descriptor([psods[v].factors[x] for v, x in up])
         for w, up in fibers.items()
     }
     notes = {"kind": "glued", "directed": "true" if verdict.ok else "false"}
     psod = PsodIndex(col.preorder, factors, notes)
-    graded = None
-    if scenario.graded:
-        graded = graded_limit(scenario.diagram, scenario.graded, scenario.graded_homs, col)
+    limit = None
+    if graded or homs:
+        from .abelian import graded_limit
+
+        limit = graded_limit(diagram, graded, homs, col)
     return GlueResult(
         psod,
         verdict,
         "psod" if verdict.ok else "pre-psod only",
         {w: tuple(up) for w, up in fibers.items()},
-        graded,
+        limit,
     )
 

@@ -20,7 +20,7 @@ from psodkit.engine import (
 from psodkit.errors import PreconditionError
 from psodkit.examples import nodal_cubic, simple_crossing
 from psodkit.factorial import enumerate_characters
-from psodkit.gluing import GluingScenario, glue
+from psodkit.gluing import glue
 from psodkit.groups import FgAbGroup
 from psodkit.kreport import KTheoryMode, ktheory_report
 from psodkit.preorders import (
@@ -275,7 +275,7 @@ def test_criterion_6_descent_shapes():
             DiagramArrow("d1", "l0", "l1", identity_map(p), CONTRAVARIANT),
         ),
     )
-    res = glue(GluingScenario(diag, {"l0": psod, "l1": psod}))
+    res = glue(diag, {"l0": psod, "l1": psod})
     assert res.kind == "psod"
     assert res.psod.index == p
     assert all(res.psod.factors[w] == psod.factors[w] for w in p.elements)
@@ -288,7 +288,7 @@ def test_criterion_6_descent_shapes():
             "part2": FactorDescriptor("S2", CharTuple(()), "Perf(C2)"),
         },
     )
-    res2 = glue(GluingScenario(PreorderDiagram(("v",), {"v": idx}), {"v": parts}))
+    res2 = glue(PreorderDiagram(("v",), {"v": idx}), {"v": parts})
     assert res2.kind == "pre-psod only"
     assert not res2.verdict.ok
     witness = res2.verdict.witness()
@@ -401,11 +401,11 @@ def test_criterion_10_filtration():
             x: tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 3)))
             for x in labels
         }
-        res = filtration(psod, obj)
-        assert emitted(res) == obj
-        grades = [s.grade for s in res.steps]
+        steps = filtration(psod, obj)
+        assert emitted(steps) == obj
+        grades = [s.grade for s in steps]
         assert sorted(grades) == sorted(labels)
-        assert res.steps[-1].residual_support == ()
-        for t, step in enumerate(res.steps):
+        assert steps[-1].residual_support == ()
+        for t, step in enumerate(steps):
             before = set(grades[: t + 1])
             assert set(step.residual_support).isdisjoint(before)

@@ -474,6 +474,32 @@ def test_caps_flag_enforced(capsys):
     assert code == 3
 
 
+def test_factorial_level_cap_admits_its_own_level(capsys):
+    code, out, _ = run(capsys, "--caps", "factorial_level=3", "order", "factform", "--", "-1/3")
+    assert code == 0 and out.splitlines() == ["level 3, numerators (2)"]
+    code, out, err = run(capsys, "--caps", "factorial_level=3", "order", "factform", "--", "-1/4")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: factorial level 4 exceeds cap 3"]
+
+
+@pytest.mark.parametrize(
+    "value", ["1_0", "+10", "\u0661\u0660", " 10", "10.0", "--5", "", "9" * 5000],
+    ids=["underscore", "plus", "arabic-indic", "space", "decimal", "double-minus", "empty",
+         "too-long"],
+)
+def test_caps_values_are_ascii_integers(capsys, value):
+    code, out, err = run(capsys, "--caps", f"carrier={value}", "order", "cmp", "--", "0", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: cap 'carrier' needs an integer value"]
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "-0"])
+def test_caps_values_must_be_positive(capsys, value):
+    code, out, err = run(capsys, "--caps", f"carrier={value}", "order", "cmp", "--", "0", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: cap 'carrier' must be positive"]
+
+
 # ---------------------------------------------------------------------------
 # psod commands
 
@@ -1110,12 +1136,16 @@ def test_glue_cross_fiber_block_exits_2_with_one_line(capsys, tmp_path, monkeypa
         (["graded", "l0", "pieces"], [], "graded group pieces must be an object keyed by element"),
         (["graded_homs", "d0", "reindex"], [["X:()", "X:()"]],
          "graded hom 'd0' reindex must map labels to labels"),
-        (["graded_homs", "d0", "blocks", 0, "target_grade"], "nowhere",
-         "graded hom 'd0': block grades must be index elements"),
+        (["graded_homs", "d0", "blocks", 0, "target_grade"], 5,
+         "graded hom 'd0': block grades must be strings"),
         (["graded_homs", "d0", "blocks", 0, "matrix"], [[1.5]],
          "matrix must be a nested integer array"),
         (["graded_homs", "d0", "blocks"], 5, "graded hom 'd0': blocks must be a list"),
         (["graded_homs"], [], "scenario psods, graded and graded_homs must be objects"),
+        (["graded_homs", "d0", "blocks", 0, "target_grade"], ["X:()"],
+         "graded hom 'd0': block grades must be strings"),
+        (["graded_homs", "d0", "blocks", 0, "source_grade"], {"X:()": 1},
+         "graded hom 'd0': block grades must be strings"),
     ],
 )
 def test_glue_rejects_malformed_scenario(capsys, tmp_path, path, value, message):
@@ -1200,11 +1230,35 @@ def test_ktheory_kummer_p_must_be_prime(capsys, tmp_path, p, code):
 
 
 def test_glue_graded_hom_needs_graded_ends(capsys, tmp_path):
+    # a vertex without graded data is one fault, whether or not a hom touches it
+    for homs in (True, False):
+        body = _graded_scenario_doc()
+        del body["graded"]["l1"]
+        if not homs:
+            del body["graded_homs"]
+        code, out, err = run(capsys, "psod", "glue", write(tmp_path, "scenario.json", body))
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: graded data must cover every vertex when present"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda body: body.pop("graded"), "graded data must cover every vertex when present"),
+        (lambda body: body["graded_homs"].update(nope=body["graded_homs"]["d0"]),
+         "graded hom for unknown arrow 'nope'"),
+        (lambda body: _set(body, ["graded_homs", "d0", "blocks", 0, "target_grade"], "nowhere"),
+         "block ({x} -> 'nowhere') violates fiber support: reindex('nowhere') = None"),
+    ],
+    ids=["homs-without-graded-data", "unknown-arrow", "grade-outside-the-index"],
+)
+def test_glue_graded_hom_faults_are_graded_limit_lines(capsys, tmp_path, edit, message):
     body = _graded_scenario_doc()
-    del body["graded"]["l1"]
+    x = body["graded_homs"]["d0"]["blocks"][0]["source_grade"]
+    edit(body)
     code, out, err = run(capsys, "psod", "glue", write(tmp_path, "scenario.json", body))
-    assert code == 1 and out == ""
-    assert err.splitlines() == ["error: graded hom 'd0' needs graded data at both ends"]
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: " + message.format(x=repr(x))]
 
 
 # ---------------------------------------------------------------------------

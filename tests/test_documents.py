@@ -7,7 +7,7 @@ from psodkit.abelian import GradedGroup
 from psodkit.engine import build_root_psod
 from psodkit.errors import InputError, ParseError
 from psodkit.examples import nodal_cubic, simple_crossing
-from psodkit.gluing import GluingScenario, glue
+from psodkit.gluing import glue
 from psodkit.groups import FgAbGroup
 from psodkit.kreport import KTheoryMode, ktheory_report
 from psodkit.preorders import (
@@ -154,8 +154,7 @@ def test_scenario_roundtrip_with_graded_homs():
             }
         },
     }
-    scenario = psoddocs.scenario_from_doc(docs.loads(docs.dumps(doc)))
-    res = glue(scenario)
+    res = glue(*psoddocs.scenario_from_doc(docs.loads(docs.dumps(doc))))
     assert res.kind == "psod"
     assert res.graded is not None
     assert res.graded.pieces[p.elements[0]] == FgAbGroup.free(1)
@@ -165,7 +164,7 @@ def test_glue_and_ktheory_docs_are_serializable():
     psod = build_root_psod(nodal_cubic(), 2)
     p = psod.index
     diag = PreorderDiagram(("l0",), {"l0": p})
-    res = glue(GluingScenario(diag, {"l0": psod}))
+    res = glue(diag, {"l0": psod})
     docs.dumps(psoddocs.glue_result_to_doc(res))
     nc = nodal_cubic()
     rep = ktheory_report(

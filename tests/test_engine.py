@@ -15,7 +15,7 @@ from psodkit.engine import (
 )
 from psodkit.errors import InputError, PreconditionError
 from psodkit.examples import nodal_cubic, simple_crossing
-from psodkit.gluing import GluingScenario, glue
+from psodkit.gluing import glue
 from psodkit.groups import FgAbGroup
 from psodkit.kreport import KTheoryMode, ktheory_report
 from psodkit.preorders import (
@@ -206,12 +206,12 @@ def cech_scenario(levels=2):
                 )
             )
     diag = PreorderDiagram(vertices, {v: p for v in vertices}, tuple(arrows))
-    return GluingScenario(diag, {v: psod for v in vertices}), psod
+    return diag, {v: psod for v in vertices}, psod
 
 
 def test_glue_cech_preserves_index_and_factors():
-    scenario, psod = cech_scenario()
-    res = glue(scenario)
+    diag, psods, psod = cech_scenario()
+    res = glue(diag, psods)
     assert res.kind == "psod"
     assert res.psod.index == psod.index
     for w in psod.index.elements:
@@ -219,7 +219,7 @@ def test_glue_cech_preserves_index_and_factors():
 
 
 def test_glue_cech_with_graded_data():
-    scenario, psod = cech_scenario()
+    diag, psods, psod = cech_scenario()
     g = GradedGroup(
         psod.index,
         {
@@ -228,10 +228,7 @@ def test_glue_cech_with_graded_data():
             "X:()": FgAbGroup(1, (2,)),
         },
     )
-    scenario = GluingScenario(
-        scenario.diagram, scenario.psods, {v: g for v in scenario.diagram.vertices}
-    )
-    res = glue(scenario)
+    res = glue(diag, psods, {v: g for v in diag.vertices})
     assert res.graded is not None
     assert res.graded.pieces == g.pieces
 
@@ -239,11 +236,8 @@ def test_glue_cech_with_graded_data():
 def test_graded_glue_computes_one_colimit(monkeypatch):
     from psodkit import colimits
 
-    scenario, psod = cech_scenario()
+    diag, psods, psod = cech_scenario()
     g = GradedGroup(psod.index, {x: FgAbGroup(1, (2,)) for x in psod.index.elements})
-    scenario = GluingScenario(
-        scenario.diagram, scenario.psods, {v: g for v in scenario.diagram.vertices}
-    )
     real = colimits._quotient_preorder
     calls = []
 
@@ -252,7 +246,7 @@ def test_graded_glue_computes_one_colimit(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(colimits, "_quotient_preorder", counting)
-    res = glue(scenario)
+    res = glue(diag, psods, {v: g for v in diag.vertices})
     assert res.graded is not None and res.graded.pieces == g.pieces
     assert len(calls) == 1
 
@@ -266,7 +260,7 @@ def test_glue_discrete_two_part_scenario_flags_violation():
             "part2": FactorDescriptor("S2", CharTuple(()), "Perf(C2)"),
         },
     )
-    res = glue(GluingScenario(PreorderDiagram(("v",), {"v": idx}), {"v": psod}))
+    res = glue(PreorderDiagram(("v",), {"v": idx}), {"v": psod})
     assert res.kind == "pre-psod only"
     assert not res.verdict.ok
     assert res.verdict.witness()["kind"] == "incomparable_pair"
@@ -289,7 +283,7 @@ def test_glue_two_chart_nodal_scenario_matches_pipeline():
             DiagramArrow("p2", "l0", "l1", identity_map(p), CONTRAVARIANT),
         ),
     )
-    res = glue(GluingScenario(diag, {"l0": psod, "l1": psod}))
+    res = glue(diag, {"l0": psod, "l1": psod})
     want = build_root_psod(nodal_cubic(), 2).index
     assert res.psod.index.rows == want.rows
     assert [f.character for _, f in res.psod.factor_rows()] == [
@@ -301,36 +295,50 @@ def test_glue_rejects_mismatched_psod_index():
     idx = discrete_preorder(["a"])
     other = complete_preorder(["b"])
     psod = PsodIndex(other, {"b": FactorDescriptor("S", CharTuple(()), "t")})
-    with pytest.raises(InputError):
-        GluingScenario(PreorderDiagram(("v",), {"v": idx}), {"v": psod})
+    with pytest.raises(InputError, match="^vertex 'v': factor table index differs"):
+        glue(PreorderDiagram(("v",), {"v": idx}), {"v": psod})
+
+
+@pytest.mark.parametrize("arrow", ["d00", "nope"])
+def test_glue_refuses_homs_without_graded_data(arrow):
+    # blocks with no graded groups are refused, not dropped
+    diag, psods, psod = cech_scenario()
+    with pytest.raises(InputError, match="^graded data must cover every vertex when present$"):
+        glue(diag, psods, homs={arrow: {}})
+
+
+def test_glue_needs_one_factor_table_per_vertex():
+    diag, psods, psod = cech_scenario()
+    with pytest.raises(InputError, match="^exactly one factor table per vertex required$"):
+        glue(diag, {"l0": psod})
 
 
 # ---------------------------------------------------------------------------
 # filtration
 
 
-def emitted(res):
+def emitted(steps):
     """The component each filtration step emitted, by grade."""
-    return {s.grade: s.component for s in res.steps}
+    return {s.grade: s.component for s in steps}
 
 
 def test_filtration_single_factor():
     idx = complete_preorder(["w"])
     psod = PsodIndex(idx, {"w": FactorDescriptor("S", CharTuple(()), "t")})
-    res = filtration(psod, {"w": (5, -2)})
-    assert len(res.steps) == 1
-    assert res.steps[0].component == (5, -2)
-    assert res.steps[0].residual_support == ()
+    steps = filtration(psod, {"w": (5, -2)})
+    assert len(steps) == 1
+    assert steps[0].component == (5, -2)
+    assert steps[0].residual_support == ()
 
 
 def test_filtration_nodal_order_and_reconstruction():
     psod = build_root_psod(nodal_cubic(), 2)
     obj = {"o:(-1/2,-1/2)": (1,), "D:(-1/2)": (2,), "X:()": (3,)}
-    res = filtration(psod, obj)
+    steps = filtration(psod, obj)
     # processing starts at the top of the numbering: the ambient grade
-    assert [s.grade for s in res.steps] == ["X:()", "D:(-1/2)", "o:(-1/2,-1/2)"]
-    assert emitted(res) == obj
-    assert res.steps[-1].residual_support == ()
+    assert [s.grade for s in steps] == ["X:()", "D:(-1/2)", "o:(-1/2,-1/2)"]
+    assert emitted(steps) == obj
+    assert steps[-1].residual_support == ()
 
 
 def test_filtration_random_reconstruction():
@@ -344,11 +352,11 @@ def test_filtration_random_reconstruction():
             idx, {x: FactorDescriptor("S", CharTuple(()), "t") for x in labels}
         )
         obj = {x: tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 3))) for x in labels}
-        res = filtration(psod, obj)
-        assert emitted(res) == obj
-        for step in res.steps:
+        steps = filtration(psod, obj)
+        assert emitted(steps) == obj
+        for step in steps:
             assert step.grade in labels
-        assert res.steps[-1].residual_support == ()
+        assert steps[-1].residual_support == ()
 
 
 def _oracle_residual_supports(psod, obj):
@@ -393,18 +401,18 @@ def test_filtration_supports_match_rescan_at_every_step():
                 obj[x] = ()
             elif kind == "some":
                 obj[x] = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3)))
-        res = filtration(psod, obj)
-        assert [s.residual_support for s in res.steps] == _oracle_residual_supports(psod, obj)
-        assert emitted(res) == {x: obj.get(x, ()) for x in labels}
+        steps = filtration(psod, obj)
+        assert [s.residual_support for s in steps] == _oracle_residual_supports(psod, obj)
+        assert emitted(steps) == {x: obj.get(x, ()) for x in labels}
 
 
 def test_filtration_supports_on_the_400_factor_chain():
     psod = build_root_psod(smooth_divisor(), 400)
     rng = random.Random(400)
     obj = {x: (rng.randint(0, 2), rng.randint(0, 2)) for x in psod.index.elements}
-    res = filtration(psod, obj)
-    assert len(res.steps) == 400
-    assert [s.residual_support for s in res.steps] == _oracle_residual_supports(psod, obj)
+    steps = filtration(psod, obj)
+    assert len(steps) == 400
+    assert [s.residual_support for s in steps] == _oracle_residual_supports(psod, obj)
 
 
 def test_filtration_requires_directed_index():
@@ -548,8 +556,8 @@ def test_empty_psod_index():
 
     empty = PsodIndex(complete_preorder([]), {})
     assert empty.factor_rows() == []
-    res = filtration(empty, {})
-    assert res.steps == ()
+    steps = filtration(empty, {})
+    assert steps == ()
 
 
 def test_row_order_is_linear_extension_of_strict_pairs():
@@ -580,7 +588,7 @@ def test_glue_heterogeneous_span_aggregates_descriptors():
         "l": PsodIndex(l, {"a": FactorDescriptor("S1", CharTuple(()), "Perf(B)")}),
         "r": PsodIndex(r, {"b": FactorDescriptor("S2", CharTuple(()), "Perf(C)")}),
     }
-    res = glue(GluingScenario(diag, psods))
+    res = glue(diag, psods)
     assert len(res.psod.index) == 1
     (w,) = res.psod.index.elements
     agg = res.psod.factors[w]
@@ -606,9 +614,8 @@ def test_glue_rejects_mismatched_graded_hom():
         {"u": p, "v": p},
         (DiagramArrow("a", "u", "v", identity_map(p), CONTRAVARIANT),),
     )
-    scenario = GluingScenario(diag, {"u": psod, "v": psod}, {"u": g, "v": g}, {"a": swap})
     with pytest.raises(
         InputError,
         match=r"^block \('y' -> 'x'\) violates fiber support: reindex\('x'\) = 'x'$",
     ):
-        glue(scenario)
+        glue(diag, {"u": psod, "v": psod}, {"u": g, "v": g}, {"a": swap})

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from psodkit.config import DEFAULT_CAPS, Caps
+from psodkit.config import DEFAULT_CAPS, Caps, written
 from psodkit.errors import CapExceededError, InputError
 from psodkit.factorial import (
     EQUAL,
@@ -386,6 +386,42 @@ def test_check_power_never_forms_a_huge_power():
         Caps().check_carrier(2**332 + 1, "block")
     Caps().check_power(1, 10**100, "block")
     Caps().check_power(0, 10**100, "block")
+
+
+def test_sizes_are_written_in_digits_up_to_256_bits():
+    caps = Caps(carrier=1)
+    n = 2**256 - 1
+    with pytest.raises(CapExceededError, match=rf"^block needs {n} elements, cap is 1$"):
+        caps.check_carrier(n, "block")
+    with pytest.raises(CapExceededError, match=r"^block needs at least 2\^256 elements, cap is 1$"):
+        caps.check_carrier(n + 1, "block")
+
+
+@pytest.mark.parametrize("level", [1, 3, 8])
+def test_factorial_level_cap_admits_its_own_level(level):
+    caps = Caps(factorial_level=level)
+    caps.check_level(level)
+    with pytest.raises(CapExceededError, match=rf"^factorial level {level + 1} exceeds cap {level}$"):
+        caps.check_level(level + 1)
+
+
+@pytest.fixture
+def digit_limit():
+    """The smallest digit limit Python allows, restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
+
+
+def test_written_passes_every_number_python_writes(digit_limit):
+    n = 10**digit_limit - 1
+    assert written(n, "size") == n
+    assert len(str(n)) == digit_limit
+    with pytest.raises(
+        CapExceededError, match=rf"^size has more than {digit_limit} digits, the most Python writes$"
+    ):
+        written(n + 1, "size")
 
 
 def test_enumerate_characters_coprime_pool_is_the_filtered_pool():

@@ -26,7 +26,7 @@ from helpers import (
 
 
 def test_exported_names_are_their_home_modules_objects():
-    assert len(psodkit.__all__) == len(set(psodkit.__all__)) == 49
+    assert len(psodkit.__all__) == len(set(psodkit.__all__)) == 48
     for name in psodkit.__all__:
         value = getattr(psodkit, name)
         assert value.__module__.startswith("psodkit.")
@@ -150,11 +150,11 @@ COMMANDS = {
     "psod-build-atlas": (M + ["psod", "build", "{atlas}", "--root", "3"],
                          BUILD | {"psodkit.atlas"}, 2300),
     "psod-filtrate": (M + ["psod", "filtrate", "{filtrate}"],
-                      PREORDER | {"psodkit.engine", "psodkit.psoddocs", "psodkit.residues"}, 1984),
+                      PREORDER | {"psodkit.engine", "psodkit.psoddocs", "psodkit.residues"}, 1973),
     "psod-glue": (M + ["psod", "glue", "{scenario}"],
                   PREORDER | {"psodkit.abelian", "psodkit.colimits", "psodkit.engine",
                               "psodkit.gluing", "psodkit.groups", "psodkit.psoddocs",
-                              "psodkit.residues"}, 2789),
+                              "psodkit.residues"}, 2761),
     "psod-ktheory": (M + ["psod", "ktheory", "{cross}", "--kdata", "{kdata}", "--root", "3"],
                      KTHEORY, 2600),
     "psod-ktheory-kummer": (M + ["psod", "ktheory", "{cross}", "--kdata", "{kdata}",

@@ -25,7 +25,7 @@ from psodkit.config import Caps
 from psodkit.engine import build_infinite_psod, build_root_psod, filtration
 from psodkit.examples import nodal_cubic, simple_crossing
 from psodkit.factorial import to_factorial_form
-from psodkit.gluing import GluingScenario, glue
+from psodkit.gluing import glue
 from psodkit.groups import FgAbGroup
 from psodkit.kreport import KTheoryMode, ktheory_report
 from psodkit.preorders import complete_preorder, directedness, discrete_preorder
@@ -70,7 +70,7 @@ TWINS = {cls: twin(cls) for cls in record_classes()}
 
 
 def test_every_record_class_has_a_twin():
-    assert len(TWINS) == 27
+    assert len(TWINS) == 25
     for cls, tw in TWINS.items():
         assert dataclasses.is_dataclass(tw) and not dataclasses.is_dataclass(cls)
         assert fields(cls) == tuple(f.name for f in dataclasses.fields(tw))
@@ -79,33 +79,31 @@ def test_every_record_class_has_a_twin():
 def _roots():
     """Values built by every engine, holding instances of every record class."""
     cross = simple_crossing(2)
-    scenario, psod = cech_scenario()
+    diag, psods, psod = cech_scenario()
     g = GradedGroup(psod.index, {"o:(-1/2,-1/2)": FgAbGroup.free(1),
                                  "D:(-1/2)": FgAbGroup.free(1), "X:()": FgAbGroup(1, (2,))})
-    graded = GluingScenario(scenario.diagram, scenario.psods,
-                            {v: g for v in scenario.diagram.vertices})
     chain = generated_preorder(["x", "y"], [("x", "y")])
     gchain = GradedGroup(chain, {"x": FgAbGroup.free(1), "y": FgAbGroup(1, (2,))})
     gquiver = graded_quiver({"u": gchain}, [("id", "u", "u", identity_map(chain), None)])
     atlas = ChartAtlas((Chart("c", ("p", "q")),), (Overlap("c", "c", {"p": "q"}),))
     kdata = {c: FgAbGroup(1, (2,)) for c in cross.all_components()}
-    one = colimit(scenario.diagram)
+    one = colimit(diag)
     return [
         Caps(), Caps(carrier=5),
         build_root_psod(nodal_cubic(), 3), build_root_psod(cross, 2, totalize=True),
         build_infinite_psod(cross, 3, coprime_to=3),
         to_factorial_form(char_tuple("-1/2", "-1/3")), atlas, strata_from_atlas(atlas),
-        glue(scenario), glue(graded),
+        glue(diag, psods), glue(diag, psods, dict.fromkeys(diag.vertices, g)),
         filtration(psod, {x: [1] for x in psod.index.elements}),
         ktheory_report(cross, kdata, KTheoryMode.finite(3)),
         ktheory_report(cross, kdata, KTheoryMode.infinite(3)),
         ktheory_report(cross, kdata, KTheoryMode.kummer_etale(2, 3)),
-        one, verify_colimit(scenario.diagram, one.preorder,
+        one, verify_colimit(diag, one.preorder,
                             one.cocones),
-        verify_colimit(scenario.diagram, discrete_preorder(["a"]),
+        verify_colimit(diag, discrete_preorder(["a"]),
                        {v: {x: "a" for x in psod.index.elements} for v in ("l0", "l1")}),
         directedness(chain), directedness(discrete_preorder(["a", "b"])),
-        scenario, graded, gquiver,
+        gquiver,
         graded_limit(*gquiver, colimit(gquiver[0])),
         # the argument of snf, which no result holds
         IntMatrix(2, 2, ((2, 0), (0, 3))), IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())),
